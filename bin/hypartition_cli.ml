@@ -81,18 +81,11 @@ let algorithm_arg =
 let threads_arg =
   let doc =
     "Solver domains for the multilevel parallel path (0 = the sequential \
-     path).  The parallel path's result is identical for every N >= 1 in \
-     deterministic mode; it is a different algorithm from the sequential \
-     path and does not reproduce its partitions."
+     path).  The parallel path's result is identical for every N >= 1; \
+     it is a different algorithm from the sequential path and does not \
+     reproduce its partitions."
   in
   Arg.(value & opt int 0 & info [ "threads" ] ~docv:"N" ~doc)
-
-let no_deterministic_arg =
-  let doc =
-    "Relax the parallel initial-portfolio reduction to completion order \
-     (run-to-run-varying tie-breaks).  Only meaningful with --threads >= 2."
-  in
-  Arg.(value & flag & info [ "no-deterministic" ] ~doc)
 
 let metric_arg =
   let doc = "Cost metric: connectivity (sum of lambda-1) or cutnet." in
@@ -121,8 +114,8 @@ let report hg part metric =
        (Array.to_list (Array.map string_of_int (Partition.part_weights hg part))));
   ignore metric
 
-let run_partition trace stats path k eps seed algorithm metric threads
-    no_deterministic output dot =
+let run_partition trace stats path k eps seed algorithm metric threads output
+    dot =
   setup_obs trace stats;
   if threads > 0 && algorithm <> `Multilevel then begin
     Printf.eprintf "error: --threads applies to the multilevel algorithm only\n";
@@ -144,7 +137,6 @@ let run_partition trace stats path k eps seed algorithm metric threads
                   eps;
                   metric;
                   threads;
-                  deterministic = not no_deterministic;
                 }
               rng hg ~k
         | `Recursive ->
@@ -446,7 +438,7 @@ let partition_cmd =
     Term.(
       const run_partition $ trace_arg $ stats_flag $ hypergraph_arg $ k_arg
       $ eps_arg $ seed_arg $ algorithm_arg $ metric_arg $ threads_arg
-      $ no_deterministic_arg $ output_arg $ dot_arg)
+      $ output_arg $ dot_arg)
 
 let stats_cmd =
   let info = Cmd.info "stats" ~doc:"Print hypergraph statistics." in
@@ -999,181 +991,103 @@ let run_trace_validate path =
       Printf.eprintf "error: %s: %s\n" path msg;
       1
 
-(* lint: run hyplint, the AST-level source linter of lib/lint, over the
-   repository tree.  Zero unsuppressed findings is a hard gate (CI runs
-   this); suppressions carry written reasons, either inline comment
-   markers of the form `hyplint: allow SRC03 — reason` or lint.config
-   entries. *)
+(* lint: the one source-analysis verb.  SRC rules over the Parsetree of
+   every source under lib/, bin/, bench/ and test/; DOM rules over the
+   typed .cmt front of lib/, bin/ and bench/ (a prior `dune build @check`
+   provides the .cmt files); one suppression pass over both, with
+   written reasons — inline `hyplint: allow SRC03 — reason` markers or
+   lint.config entries.  Zero unsuppressed findings is a hard gate (CI
+   runs this). *)
 
-let run_lint root config_path rules format =
+let run_lint root config_path rules format effects effects_out =
   if rules then begin
-    print_string (Lint.Rules.render_catalogue Lint.catalogue);
+    print_string (Lint.Rules.render_catalogue Analysis_dom.Driver.catalogue);
     0
   end
   else
-    match Lint.Engine.run ?config_path ~root () with
+    match Analysis_dom.Driver.run ?config_path ~root () with
     | Error msg ->
         Printf.eprintf "error: %s\n" msg;
         2
-    | Ok result -> (
-        let report = Lint.Engine.report result in
+    | Ok { Analysis_dom.Driver.lint; effects = analysis } ->
+        let report =
+          Lint.Engine.report ~catalogue:Analysis_dom.Driver.catalogue lint
+        in
         (match format with
         | `Text ->
             print_endline (Analysis.Check.to_string report);
             Printf.printf "suppressed findings : %d (all with written reasons)\n"
-              (List.length result.Lint.Engine.suppressed)
-        | `Json ->
-            print_endline (Obs.Json.to_string (Lint.Engine.to_json result)));
-        Analysis.Check.exit_code report)
+              (List.length lint.Lint.Engine.suppressed)
+        | `Json -> print_endline (Obs.Json.to_string (Lint.Engine.to_json lint)));
+        if effects then
+          print_string (Analysis_dom.Effects.render_witnesses analysis);
+        Option.iter
+          (fun path ->
+            Out_channel.with_open_bin path (fun oc ->
+                Out_channel.output_string oc
+                  (Analysis_dom.Effects.certificate analysis)))
+          effects_out;
+        Analysis.Check.exit_code report
 
 let lint_cmd =
   let root_arg =
-    let doc = "Repository root to lint (walks lib/, bin/, bench/, test/)." in
-    Arg.(value & pos 0 dir "." & info [] ~docv:"ROOT" ~doc)
-  in
-  let config_arg =
-    let doc = "Allowlist file (default: ROOT/lint.config when present)." in
-    Arg.(value & opt (some file) None & info [ "config" ] ~docv:"CONF" ~doc)
-  in
-  let rules_flag =
-    let doc = "Print the rule catalogue (SRC00..SRC12) and exit." in
-    Arg.(value & flag & info [ "rules" ] ~doc)
-  in
-  let format_arg =
-    let doc = "Output format: text (Check-report rendering) or json \
-               (schema hypartition-lint/1)." in
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc)
-  in
-  let info =
-    Cmd.info "lint"
-      ~doc:
-        "Run the AST-level source linter (rules SRC01..SRC12) over the \
-         repository; non-zero exit on any unsuppressed finding."
-  in
-  Cmd.v info
-    Term.(const run_lint $ root_arg $ config_arg $ rules_flag $ format_arg)
-
-(* analyze: the typed-AST domain-safety analyzer of lib/analysis_dom —
-   mutable-state inventory, hot-path reachability from the solver entry
-   points, Workspace/Rng ownership checks, and the interprocedural
-   effect analysis behind the parallel-safety certificate, as rules
-   DOM01..DOM11.  Shares hyplint's suppression machinery (inline
-   `hyplint: allow DOM01 — reason` markers and lint.config), and gates
-   identically: zero unsuppressed findings or non-zero exit. *)
-
-let run_analyze root config_path build_dir rules format inventory_out effects
-    effects_out =
-  if rules then begin
-    print_string (Lint.Rules.render_catalogue Analysis_dom.Dom_rules.catalogue);
-    0
-  end
-  else
-    match Analysis_dom.Driver.run ?config_path ?build_dir ~root () with
-    | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        2
-    | Ok result ->
-        let report = Analysis_dom.Driver.report result in
-        (match format with
-        | `Text ->
-            print_endline (Analysis.Check.to_string report);
-            Printf.printf "suppressed findings : %d (all with written reasons)\n"
-              (List.length result.Analysis_dom.Driver.suppressed)
-        | `Json ->
-            print_endline
-              (Obs.Json.to_string (Analysis_dom.Driver.to_json result)));
-        if effects then
-          print_string
-            (Analysis_dom.Effects.render_witnesses
-               result.Analysis_dom.Driver.effects);
-        (match inventory_out with
-        | None -> ()
-        | Some path ->
-            Out_channel.with_open_bin path (fun oc ->
-                Out_channel.output_string oc
-                  (Analysis_dom.Inventory.render
-                     result.Analysis_dom.Driver.inventory)));
-        (match effects_out with
-        | None -> ()
-        | Some path ->
-            Out_channel.with_open_bin path (fun oc ->
-                Out_channel.output_string oc
-                  (Analysis_dom.Inventory.render
-                     (Analysis_dom.Effects.to_json
-                        result.Analysis_dom.Driver.effects))));
-        Analysis.Check.exit_code report
-
-let analyze_cmd =
-  let root_arg =
-    let doc = "Repository root to analyze (walks lib/, bin/, bench/)." in
-    Arg.(value & pos 0 dir "." & info [] ~docv:"ROOT" ~doc)
-  in
-  let config_arg =
-    let doc = "Allowlist file (default: ROOT/lint.config when present)." in
-    Arg.(value & opt (some file) None & info [ "config" ] ~docv:"CONF" ~doc)
-  in
-  let build_arg =
     let doc =
-      "Build directory holding the .cmt files (default: \
-       ROOT/_build/default).  Sources without .cmt coverage are analyzed \
-       via a Parsetree fallback at reduced precision."
+      "Repository root to lint (SRC rules walk lib/, bin/, bench/, test/; \
+       DOM rules read the .cmt files of lib/, bin/, bench/ under \
+       ROOT/_build/default)."
     in
-    Arg.(value & opt (some dir) None & info [ "build" ] ~docv:"DIR" ~doc)
+    Arg.(value & pos 0 dir "." & info [] ~docv:"ROOT" ~doc)
+  in
+  let config_arg =
+    let doc = "Allowlist file (default: ROOT/lint.config when present)." in
+    Arg.(value & opt (some file) None & info [ "config" ] ~docv:"CONF" ~doc)
   in
   let rules_flag =
-    let doc = "Print the rule catalogue (DOM00..DOM11) and exit." in
+    let doc =
+      "Print the rule catalogue (SRC00..SRC12, DOM00..DOM11) and exit."
+    in
     Arg.(value & flag & info [ "rules" ] ~doc)
   in
   let format_arg =
     let doc =
       "Output format: text (Check-report rendering) or json (schema \
-       hypartition-analysis/1)."
+       hypartition-lint/2)."
     in
     Arg.(
       value
       & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
       & info [ "format" ] ~docv:"FMT" ~doc)
   in
-  let inventory_arg =
-    let doc =
-      "Also write the mutable-state inventory (pretty JSON) to $(docv) — \
-       the committed analysis/inventory.json artifact."
-    in
-    Arg.(value & opt (some string) None & info [ "inventory" ] ~docv:"PATH" ~doc)
-  in
   let effects_flag =
     let doc =
-      "Print per-entry-point effect witnesses: for each solver entry point, \
-       the minimal call chain to every shared-mutating leaf it can reach — \
-       the worklist for making the hot path domain-safe."
+      "Also print the effect analysis the certificate leaves out: every \
+       solver-reachable function with its source position, classification, \
+       transitive reads and the minimal call chain to each shared global it \
+       writes."
     in
     Arg.(value & flag & info [ "effects" ] ~doc)
   in
   let effects_out_arg =
     let doc =
-      "Also write the parallel-safety certificate (pretty JSON, schema \
-       hypartition-effects/1) to $(docv) — the committed \
-       analysis/effects.json artifact, byte-deterministic and gated fresh \
-       by CI."
+      "Also write the parallel-safety certificate (schema \
+       hypartition-effects/2, one line per solver entry point) to $(docv) — \
+       the committed analysis/effects.json, byte-deterministic and checked \
+       fresh by DOM11."
     in
     Arg.(
       value & opt (some string) None & info [ "effects-out" ] ~docv:"PATH" ~doc)
   in
   let info =
-    Cmd.info "analyze"
+    Cmd.info "lint"
       ~doc:
-        "Run the typed-AST domain-safety analyzer (rules DOM01..DOM11: \
-         mutable-state inventory, hot-path reachability, Workspace/Rng \
-         ownership, interprocedural effects) over the repository; non-zero \
-         exit on any unsuppressed finding."
+        "Run the source analysis over the repository: the AST-level SRC rules \
+         and the typed-AST domain-safety DOM rules; non-zero exit on any \
+         unsuppressed finding."
   in
   Cmd.v info
     Term.(
-      const run_analyze $ root_arg $ config_arg $ build_arg $ rules_flag
-      $ format_arg $ inventory_arg $ effects_flag $ effects_out_arg)
+      const run_lint $ root_arg $ config_arg $ rules_flag $ format_arg
+      $ effects_flag $ effects_out_arg)
 
 (* bench: compare a fresh bench report against a committed baseline and
    gate on experiment wall-time regressions (the CI perf-smoke check).
@@ -1667,7 +1581,7 @@ let main =
     [
       partition_cmd; stats_cmd; recognize_cmd; hierarchical_cmd;
       schedule_cmd; convert_cmd; evaluate_cmd; generate_cmd; check_cmd;
-      lint_cmd; analyze_cmd; bench_cmd; trace_cmd; report_cmd; batch_cmd;
+      lint_cmd; bench_cmd; trace_cmd; report_cmd; batch_cmd;
       serve_cmd;
     ]
 

@@ -5,8 +5,7 @@
    Resolution is name-based on purpose.  The typed front emits
    compiler-resolved references normalized to ["Module.func"], so the
    only ambiguity left is within-unit bare calls, which it already
-   qualifies; the Parsetree front emits best-effort names and the same
-   candidate scheme keeps it usable.  Over-approximation (a cold helper
+   qualifies.  Over-approximation (a cold helper
    sharing a dotted name with a hot one) errs toward flagging, which is
    the right direction for a safety gate. *)
 
@@ -178,14 +177,7 @@ let is_reachable_key t key = Hashtbl.mem t.reachable key
 let global_is_hot t (g : I.global) =
   Hashtbl.mem t.hot_globals (g.I.g_module ^ "." ^ g.I.g_name)
 
-let n_reachable t = Hashtbl.length t.reachable
 let entry_keys t = t.entry_keys
 let find_func t key = Hashtbl.find_opt t.funcs key
-
-(* The func keys a reference may resolve to, from the same candidate
-   expansion the reachability walk uses. *)
-let resolve_ref t ~caller_module r =
-  List.sort_uniq String.compare
-    (List.filter (Hashtbl.mem t.funcs) (candidates t ~caller_module r))
 
 let is_unit_module t name = Hashtbl.mem t.modules name

@@ -21,9 +21,6 @@ val is_reachable_key : t -> string -> bool
 
 val global_is_hot : t -> Ir.global -> bool
 
-val n_reachable : t -> int
-(** Number of reachable functions, for the report summary. *)
-
 val entry_keys : t -> string list
 (** The resolved entry-point functions (["Module.func"] keys that
     actually exist among the lowered units), sorted. *)
@@ -42,9 +39,6 @@ val expand_name : t -> string -> string list
 (** Like {!candidates} but without the caller-module qualification: the
     expansion of the name exactly as written.  Used to decide whether an
     unresolved reference denotes a value inside an analyzed unit. *)
-
-val resolve_ref : t -> caller_module:string -> string -> string list
-(** The {!candidates} that are existing func keys. *)
 
 val is_unit_module : t -> string -> bool
 (** Whether a name is the module name of an analyzed unit. *)

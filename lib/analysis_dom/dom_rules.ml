@@ -1,6 +1,7 @@
-(* The domain-safety rule set, DOM00..DOM06: the contract the multicore
-   solver work (ROADMAP item 1) starts from.  Rules are evaluated over
-   the lowered {!Ir.unit_ir}s plus the hot-path reachability from
+(* The domain-safety rule set, DOM00..DOM11 (DOM10 is retired, not
+   reused): the contract the multicore solver rests on.  Rules are
+   evaluated over the typed front's {!Ir.unit_ir}s plus the hot-path
+   reachability from
    {!Callgraph}; findings reuse hyplint's {!Lint.Rules.finding} record so
    the same suppression machinery (inline markers, [lint.config]) and
    reporting vocabulary apply unchanged. *)
@@ -10,8 +11,8 @@ module I = Ir
 let catalogue =
   [
     ( "DOM00",
-      "analyzer hygiene: stale DOM suppressions, unreadable build \
-       artifacts, unparseable fallback sources" );
+      "analyzer hygiene: a lib/bin/bench source no .cmt covers (run `dune \
+       build @check`), and DOM suppressions that matched nothing" );
     ( "DOM01",
       "module-global mutable state reachable from the solver hot path \
        without Atomic/Mutex or documented confinement" );
@@ -38,18 +39,12 @@ let catalogue =
        out of a Workspace.t stored into module state" );
     ( "DOM09",
       "hot-path function whose effects are unknown solely because of \
-       calls into unanalyzed externals (typed front)" );
-    ( "DOM10",
-      "hot-path function whose effects are unknown because the unit was \
-       only covered by the Parsetree fallback — run `dune build` for \
-       typed precision" );
+       calls into unanalyzed externals" );
     ( "DOM11",
       "stale parallel-safety certificate: a committed \
-       analysis/effects.json entry disagrees with this run — regenerate \
-       with analyze --effects-out" );
+       analysis/effects.json entry point disagrees with this run — \
+       regenerate with lint --effects-out" );
   ]
-
-let rule_ids = List.map fst catalogue
 
 (* The hot-path directories of DOM05 — same set SRC09 polices at
    expression level. *)
@@ -215,7 +210,7 @@ let unit_findings ~cg (u : I.unit_ir) =
   in
   globals @ escapes @ returns @ randoms @ emits @ sealing
 
-(* DOM07/DOM09/DOM10 over the effect analysis.  Every info is already
+(* DOM07/DOM09 over the effect analysis.  Every info is already
    reachable from the solver entry points, so "hot" is implicit.  DOM07
    fires at the direct writer — the leaf of every blame chain — not at
    each transitive caller, so one shared write is one finding to fix or
@@ -243,25 +238,14 @@ let effects_findings (effects : Effects.t) =
       let unknowns =
         if i.Effects.e_class <> Effects.Unknown then []
         else
-          match i.Effects.e_front with
-          | I.Typed ->
-              [
-                mk ~rule:"DOM09" ~severity:Analysis_core.Check.Error
-                  (Printf.sprintf
-                     "effects of hot-path function %s are unknown solely \
-                      because of unanalyzed external call(s): %s"
-                     i.Effects.e_key
-                     (String.concat ", " i.Effects.e_sig.Effects.s_externals));
-              ]
-          | I.Parsetree_only ->
-              [
-                mk ~rule:"DOM10" ~severity:Analysis_core.Check.Warning
-                  (Printf.sprintf
-                     "effects of hot-path function %s are unknown: the unit \
-                      was only covered by the Parsetree fallback — run `dune \
-                      build` first for typed precision"
-                     i.Effects.e_key);
-              ]
+          [
+            mk ~rule:"DOM09" ~severity:Analysis_core.Check.Error
+              (Printf.sprintf
+                 "effects of hot-path function %s are unknown solely because \
+                  of unanalyzed external call(s): %s"
+                 i.Effects.e_key
+                 (String.concat ", " i.Effects.e_sig.Effects.s_externals));
+          ]
       in
       List.concat [ writers; unknowns ])
     (Effects.infos effects)

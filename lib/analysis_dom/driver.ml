@@ -1,192 +1,28 @@
-(* The analyzer driver behind `hypartition analyze`: find sources, pair
-   them with the .cmt files a prior `dune build` left under _build,
-   lower every unit through the typed front (Parsetree fallback where no
-   .cmt covers a source), run the call-graph pass and the DOM rules,
-   apply hyplint's suppression machinery, and report through the same
-   Check vocabulary as `hypartition lint` / `hypartition check`.
+(* The typed half of `hypartition lint`: pair the sources of one walk
+   with the .cmt files a prior `dune build @check` left under _build,
+   lower every unit through the typed front, run the call-graph pass,
+   the effect analysis and the DOM rules, and hand the raw findings to
+   Lint.Engine for the one suppression pass and report.
 
-   Analyzer-owned hygiene is DOM00: a unit only syntactically covered
-   (no .cmt — reduced precision), a fallback source that does not parse
-   (the analyzer is blind there), and a DOM suppression that matched
-   nothing.  Marker syntax errors and lint.config parse errors stay
-   lint-owned — hyplint already reports them as SRC00, and double
-   reporting would make one typo two findings. *)
+   Analyzer-owned hygiene is DOM00: a source no .cmt covers is an error
+   (the DOM rules would be blind there), and a stale DOM suppression is
+   a warning (raised by the shared stale-marker pass). *)
 
-module Check = Analysis_core.Check
+let catalogue = Lint.Rules.catalogue @ Dom_rules.catalogue
 
-let schema_version = "hypartition-analysis/1"
-
-(* Directories analyzed under the root.  [test] is deliberately absent:
-   the domain-safety contract covers shipped code, and the DOM fixture
-   files under test/ violate it on purpose. *)
+(* Directories the DOM rules cover under the root.  [test] is
+   deliberately absent: the domain-safety contract covers shipped code,
+   and the DOM fixture files under test/ violate it on purpose. *)
 let default_subdirs = [ "lib"; "bin"; "bench" ]
 
-type result = {
-  root : string;
-  units : Ir.unit_ir list;  (* sorted by file *)
-  n_typed : int;  (* units lowered from .cmt *)
-  n_parse : int;  (* units lowered from source text only *)
-  n_reachable : int;  (* hot-path functions found by the call graph *)
-  findings : Lint.Rules.finding list;  (* live (unsuppressed), sorted *)
-  suppressed : (Lint.Rules.finding * string) list;  (* finding, reason *)
-  inventory : Obs.Json.t;
-  effects : Effects.t;  (* the interprocedural effect analysis *)
-}
+let certificate_path = "analysis/effects.json"
 
-(* ---- suppression (shared machinery, DOM-owned ids) ---------------------- *)
-
-let dom_marker (m : Lint.Suppress.inline) =
-  List.exists (fun r -> List.mem r Dom_rules.rule_ids) m.Lint.Suppress.i_rules
-
-let apply_suppressions ~config ~scans findings =
-  let live = ref [] and suppressed = ref [] in
-  List.iter
-    (fun (f : Lint.Rules.finding) ->
-      let inline =
-        match List.assoc_opt f.file scans with
-        | None -> None
-        | Some scan ->
-            Lint.Suppress.inline_match scan ~rule:f.rule ~line:f.line
-      in
-      match inline with
-      | Some m ->
-          m.Lint.Suppress.i_used <- true;
-          suppressed := (f, m.Lint.Suppress.i_reason) :: !suppressed
-      | None -> (
-          match
-            Lint.Suppress.config_match config ~rule:f.rule ~path:f.file
-          with
-          | Some e ->
-              e.Lint.Suppress.e_used <- true;
-              suppressed := (f, e.Lint.Suppress.e_reason) :: !suppressed
-          | None -> live := f :: !live))
-    findings;
-  (List.rev !live, List.rev !suppressed)
-
-(* A DOM suppression that matched nothing hides a future regression;
-   markers that never mention a DOM rule belong to hyplint. *)
-let stale_marker_findings ~scans =
-  List.concat_map
-    (fun (path, scan) ->
-      List.filter_map
-        (fun (m : Lint.Suppress.inline) ->
-          if m.i_used || not (dom_marker m) then None
-          else
-            Some
-              {
-                Lint.Rules.rule = "DOM00";
-                severity = Check.Warning;
-                file = path;
-                line = m.i_line;
-                col = 0;
-                message =
-                  Printf.sprintf
-                    "DOM suppression of %s matched no finding; remove it"
-                    (String.concat ", " m.i_rules);
-              })
-        scan.Lint.Suppress.markers)
-    scans
-
-(* ---- the pure pipeline -------------------------------------------------- *)
-
-(* Everything after unit lowering is front-independent; both entry
-   points funnel here.  [certificate] is the committed effects.json
-   (path, content) when one exists: DOM11 compares it against this run;
-   without one the comparison is skipped — fixture trees have no
-   certificate and that is not a finding. *)
-let finish ~root ~config ~entries ~scans ~certificate
-    ~(extra : Lint.Rules.finding list) (units : Ir.unit_ir list) =
-  let units = List.sort Ir.compare_units units in
-  let cg = Callgraph.compute ~entries units in
-  let effects = Effects.compute ~cg units in
-  let raw = Dom_rules.evaluate ~cg ~effects units in
-  let raw =
-    raw
-    @ (match certificate with
-      | None -> []
-      | Some (path, content) ->
-          Effects.stale_findings ~certificate_path:path ~certificate:content
-            effects)
-  in
-  let live, suppressed = apply_suppressions ~config ~scans raw in
-  let findings =
-    List.sort Lint.Rules.compare_findings
-      (live @ stale_marker_findings ~scans @ extra)
-  in
-  let n_typed =
-    List.length (List.filter (fun u -> u.Ir.u_front = Ir.Typed) units)
-  in
-  {
-    root;
-    units;
-    n_typed;
-    n_parse = List.length units - n_typed;
-    n_reachable = Callgraph.n_reachable cg;
-    findings;
-    suppressed;
-    inventory = Inventory.to_json ~cg units;
-    effects;
-  }
-
-(* The filesystem-free pipeline over (root-relative path, content)
-   pairs, all lowered through the Parsetree front — what the fixture
-   tests drive. *)
-let analyze_sources ?(config = []) ?(entries = Callgraph.default_entries)
-    ?certificate ~root files =
-  let mls =
-    List.filter (fun (path, _) -> Filename.check_suffix path ".ml") files
-  in
-  let scans =
-    List.map
-      (fun (path, source) -> (path, Lint.Suppress.scan_inline source))
-      mls
-  in
-  let units, extra =
-    List.fold_left
-      (fun (units, extra) (path, source) ->
-        match Front_parse.parse_string ~file:path source with
-        | Ok str ->
-            let has_mli =
-              List.exists (fun (p, _) -> p = path ^ "i") files
-            in
-            (Front_parse.extract ~file:path ~has_mli str :: units, extra)
-        | Error what ->
-            ( units,
-              {
-                Lint.Rules.rule = "DOM00";
-                severity = Check.Error;
-                file = path;
-                line = 1;
-                col = 0;
-                message = "cannot analyze, does not parse: " ^ what;
-              }
-              :: extra ))
-      ([], []) mls
-  in
-  finish ~root ~config ~entries ~scans ~certificate ~extra units
-
-(* ---- filesystem walk ---------------------------------------------------- *)
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let rec walk_sources dir rel acc =
-  let entries = Sys.readdir dir in
-  Array.sort String.compare entries;
-  Array.fold_left
-    (fun acc name ->
-      if String.length name = 0 || name.[0] = '.' || name = "_build" then acc
-      else
-        let path = Filename.concat dir name in
-        let rel_path = if rel = "" then name else rel ^ "/" ^ name in
-        if Sys.is_directory path then walk_sources path rel_path acc
-        else if
-          Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli"
-        then (path, rel_path) :: acc
-        else acc)
-    acc entries
+type result = { lint : Lint.Engine.result; effects : Effects.t }
 
 (* The .cmt walk must descend into dune's dot-directories
-   (lib/solvers/.solvers.objs/byte/...). *)
+   (lib/solvers/.solvers.objs/byte/...); it only visits the build
+   directory's copies of the DOM subdirectories, so the test and
+   benchmark .cmt files are never read. *)
 let rec walk_cmts dir acc =
   match Sys.readdir dir with
   | entries ->
@@ -210,181 +46,95 @@ let source_of_cmt ~rel_paths src =
       (fun rel -> String.ends_with ~suffix:("/" ^ rel) src)
       rel_paths
 
-let run ?config_path ?(entries = Callgraph.default_entries) ?build_dir ~root ()
-    =
-  if not (Sys.file_exists root && Sys.is_directory root) then
-    Error (Printf.sprintf "Driver.run: %s is not a directory" root)
-  else begin
-    let config =
-      let path =
-        match config_path with
-        | Some p -> Some p
-        | None ->
-            let p = Filename.concat root "lint.config" in
-            if Sys.file_exists p then Some p else None
-      in
-      match path with
-      | None -> []
-      | Some p ->
-          (* parse errors are hyplint's SRC00, not re-reported here *)
-          fst (Lint.Suppress.parse_config (read_file p))
-    in
-    let files =
-      List.concat_map
-        (fun sub ->
-          let dir = Filename.concat root sub in
-          if Sys.file_exists dir && Sys.is_directory dir then
-            List.rev (walk_sources dir sub [])
-          else [])
-        default_subdirs
-    in
-    let files = List.sort (fun (_, a) (_, b) -> String.compare a b) files in
-    let rel_paths = List.map snd files in
-    let mls =
-      List.filter (fun (_, rel) -> Filename.check_suffix rel ".ml") files
-    in
-    let has_mli rel = List.mem (rel ^ "i") rel_paths in
-    let scans =
-      List.map
-        (fun (abs, rel) -> (rel, Lint.Suppress.scan_inline (read_file abs)))
-        mls
-    in
-    (* Typed units: every readable implementation .cmt whose source is
-       one of ours; first cmt claiming a source wins. *)
-    let build_dir =
-      match build_dir with
-      | Some d -> d
-      | None -> Filename.concat root (Filename.concat "_build" "default")
-    in
-    let covered : (string, Front_typed.typed_unit) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    if Sys.file_exists build_dir && Sys.is_directory build_dir then
-      List.iter
-        (fun cmt ->
-          match Front_typed.read_cmt cmt with
-          | None -> ()
-          | Some tu -> (
-              match source_of_cmt ~rel_paths tu.Front_typed.tu_source with
-              | Some rel ->
-                  if not (Hashtbl.mem covered rel) then
-                    Hashtbl.replace covered rel
-                      { tu with Front_typed.tu_source = rel }
-              | None -> ()))
-        (List.sort String.compare (walk_cmts build_dir []));
-    let typed_units =
-      List.filter_map (fun (_, rel) -> Hashtbl.find_opt covered rel) mls
-    in
-    let known = Front_typed.harvest typed_units in
-    let units_typed =
-      List.map
-        (fun tu ->
-          Front_typed.extract ~known
-            ~has_mli:(has_mli tu.Front_typed.tu_source)
-            tu)
-        typed_units
-    in
-    (* Parsetree fallback for uncovered sources, each flagged DOM00 so
-       reduced precision is visible in the report. *)
-    let units_parse, extra =
-      List.fold_left
-        (fun (units, extra) (abs, rel) ->
-          if Hashtbl.mem covered rel then (units, extra)
-          else
-            let fallback_note severity message =
-              {
-                Lint.Rules.rule = "DOM00";
-                severity;
-                file = rel;
-                line = 1;
-                col = 0;
-                message;
-              }
-            in
-            match Front_parse.parse_string ~file:rel (read_file abs) with
-            | Ok str ->
-                ( Front_parse.extract ~file:rel ~has_mli:(has_mli rel) str
-                  :: units,
-                  fallback_note Check.Warning
-                    "no .cmt under _build covers this file; analyzed via \
-                     Parsetree fallback (reduced precision) — run `dune \
-                     build` first"
-                  :: extra )
-            | Error what ->
-                ( units,
-                  fallback_note Check.Error
-                    ("cannot analyze, does not parse: " ^ what)
-                  :: extra ))
-        ([], []) mls
-    in
-    let certificate =
-      let path = "analysis/effects.json" in
-      let abs = Filename.concat root path in
-      if Sys.file_exists abs then Some (path, read_file abs) else None
-    in
-    Ok
-      (finish ~root ~config ~entries ~scans ~certificate ~extra
-         (units_typed @ units_parse))
-  end
+let uncovered rel =
+  {
+    Lint.Rules.rule = "DOM00";
+    severity = Analysis_core.Check.Error;
+    file = rel;
+    line = 1;
+    col = 0;
+    message =
+      "no .cmt under the build directory covers this source, so the DOM \
+       rules cannot see it; run `dune build @check` first";
+  }
 
-(* ---- reporting ---------------------------------------------------------- *)
-
-let report t =
-  let ctx =
-    Check.create
-      ~subject:
-        (Printf.sprintf "%s (%d units: %d typed, %d parsetree)" t.root
-           (List.length t.units) t.n_typed t.n_parse)
+(* Raw DOM findings over the walked sources, the effect analysis, and
+   the number of typed units. *)
+let analyze ~entries ~build_dir ~root sources =
+  let rel_paths =
+    List.filter
+      (fun rel ->
+        List.exists
+          (fun sub -> String.starts_with ~prefix:(sub ^ "/") rel)
+          default_subdirs)
+      (List.map fst sources)
+  in
+  let mls =
+    List.filter (fun rel -> Filename.check_suffix rel ".ml") rel_paths
+  in
+  (* Typed units: every readable implementation .cmt whose source is one
+     of ours; first cmt claiming a source wins. *)
+  let covered : (string, Front_typed.typed_unit) Hashtbl.t =
+    Hashtbl.create 64
   in
   List.iter
-    (fun (f : Lint.Rules.finding) ->
-      Check.violation ctx ~severity:f.severity ~id:f.rule
-        (Printf.sprintf "%s:%d: %s" f.file f.line f.message))
-    t.findings;
-  List.iter
-    (fun (id, _) ->
-      let clean =
-        not
-          (List.exists (fun (f : Lint.Rules.finding) -> f.rule = id) t.findings)
+    (fun cmt ->
+      match Front_typed.read_cmt cmt with
+      | None -> ()
+      | Some tu -> (
+          match source_of_cmt ~rel_paths tu.Front_typed.tu_source with
+          | Some rel when not (Hashtbl.mem covered rel) ->
+              Hashtbl.replace covered rel
+                { tu with Front_typed.tu_source = rel }
+          | _ -> ()))
+    (List.sort String.compare
+       (List.concat_map
+          (fun sub -> walk_cmts (Filename.concat build_dir sub) [])
+          default_subdirs));
+  let typed = List.filter_map (Hashtbl.find_opt covered) mls in
+  let known = Front_typed.harvest typed in
+  let units =
+    List.sort Ir.compare_units
+      (List.map
+         (fun tu ->
+           Front_typed.extract ~known
+             ~has_mli:(List.mem (tu.Front_typed.tu_source ^ "i") rel_paths)
+             tu)
+         typed)
+  in
+  let cg = Callgraph.compute ~entries units in
+  let effects = Effects.compute ~cg units in
+  let stale =
+    let abs = Filename.concat root certificate_path in
+    if Sys.file_exists abs then
+      Effects.stale_findings ~certificate_path
+        ~certificate:(In_channel.with_open_bin abs In_channel.input_all)
+        effects
+    else []
+  in
+  let findings =
+    Dom_rules.evaluate ~cg ~effects units
+    @ stale
+    @ List.map uncovered
+        (List.filter (fun rel -> not (Hashtbl.mem covered rel)) mls)
+  in
+  (findings, effects, List.length units)
+
+let run ?config_path ?(entries = Callgraph.default_entries) ?build_dir ~root
+    () =
+  Result.map
+    (fun (tree : Lint.Engine.tree) ->
+      let build_dir =
+        Option.value build_dir
+          ~default:(Filename.concat root (Filename.concat "_build" "default"))
       in
-      if clean then Check.rule ctx ~id true (fun () -> ""))
-    Dom_rules.catalogue;
-  Check.report ctx
-
-let finding_to_json ?reason (f : Lint.Rules.finding) =
-  let fields =
-    [
-      ("rule", Obs.Json.Str f.rule);
-      ( "severity",
-        Obs.Json.Str (Format.asprintf "%a" Check.pp_severity f.severity) );
-      ("file", Obs.Json.Str f.file);
-      ("line", Obs.Json.Int f.line);
-      ("col", Obs.Json.Int f.col);
-      ("message", Obs.Json.Str f.message);
-    ]
-  in
-  let fields =
-    match reason with
-    | None -> fields
-    | Some r -> fields @ [ ("reason", Obs.Json.Str r) ]
-  in
-  Obs.Json.Obj fields
-
-let to_json t =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.Str schema_version);
-      ("root", Obs.Json.Str t.root);
-      ("units", Obs.Json.Int (List.length t.units));
-      ("typed_units", Obs.Json.Int t.n_typed);
-      ("parsetree_units", Obs.Json.Int t.n_parse);
-      ("reachable_functions", Obs.Json.Int t.n_reachable);
-      ( "findings",
-        Obs.Json.Arr (List.map (finding_to_json ?reason:None) t.findings) );
-      ( "suppressed",
-        Obs.Json.Arr
-          (List.map (fun (f, reason) -> finding_to_json ~reason f) t.suppressed)
-      );
-      ("inventory", t.inventory);
-      ("effects", Effects.to_json t.effects);
-    ]
+      let dom, effects, units =
+        analyze ~entries ~build_dir ~root tree.Lint.Engine.sources
+      in
+      {
+        lint =
+          Lint.Engine.lint_sources ~config:tree.config
+            ~config_errors:tree.config_errors ~units ~dom ~root tree.sources;
+        effects;
+      })
+    (Lint.Engine.load ?config_path ~root ())

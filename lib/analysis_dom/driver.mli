@@ -1,42 +1,17 @@
-(** The analyzer driver behind [hypartition analyze]: pair sources with
-    the [.cmt]s a prior [dune build] produced, lower each unit (typed
-    front, Parsetree fallback), run the call-graph pass and the DOM
-    rules, apply hyplint's suppression machinery, and report through the
-    same {!Check} vocabulary as [lint] / [check]. *)
+(** [hypartition lint], end to end: one walk and one [lint.config]
+    parse ({!Lint.Engine.load}), the DOM rules over the typed [.cmt]
+    front of [lib/], [bin/] and [bench/], and one suppression pass and
+    report over the SRC and DOM findings together
+    ({!Lint.Engine.lint_sources}). *)
 
-val schema_version : string
-(** Schema tag of the [--format json] output, ["hypartition-analysis/1"]. *)
-
-val default_subdirs : string list
-(** Directories analyzed under the root: [lib], [bin], [bench].  [test]
-    is excluded on purpose — the DOM fixtures there violate the contract
-    deliberately. *)
+val catalogue : (string * string) list
+(** Every rule [lint] enforces, [SRC00]..[SRC12] then the DOM rules —
+    what [lint --rules] prints and the report evaluates. *)
 
 type result = {
-  root : string;
-  units : Ir.unit_ir list;  (** sorted by file *)
-  n_typed : int;  (** units lowered from [.cmt] *)
-  n_parse : int;  (** units lowered from source text only *)
-  n_reachable : int;  (** hot-path functions found by the call graph *)
-  findings : Lint.Rules.finding list;  (** live (unsuppressed), sorted *)
-  suppressed : (Lint.Rules.finding * string) list;
-      (** finding, written reason *)
-  inventory : Obs.Json.t;  (** {!Inventory.to_json} of the same run *)
+  lint : Lint.Engine.result;  (** the one report, SRC and DOM findings *)
   effects : Effects.t;  (** the interprocedural effect analysis *)
 }
-
-val analyze_sources :
-  ?config:Lint.Suppress.config ->
-  ?entries:(string * string) list ->
-  ?certificate:string * string ->
-  root:string ->
-  (string * string) list ->
-  result
-(** The filesystem-free pipeline over (root-relative path, content)
-    pairs, all lowered through the Parsetree front — what the fixture
-    tests drive.  [entries] defaults to {!Callgraph.default_entries};
-    [certificate] is a committed effects.json as (path, content), and
-    when present DOM11 compares it against the run. *)
 
 val run :
   ?config_path:string ->
@@ -45,18 +20,9 @@ val run :
   root:string ->
   unit ->
   (result, string) Stdlib.result
-(** Walk [root]'s {!default_subdirs}, read suppressions from
-    [lint.config], harvest and lower every unit ([build_dir] defaults to
-    [root/_build/default]), and analyze.  Sources without [.cmt]
-    coverage fall back to the Parsetree front and carry a DOM00 warning
-    noting the reduced precision.  When [root/analysis/effects.json]
-    exists it is loaded as the committed certificate and DOM11 checks it
-    for staleness. *)
-
-val report : result -> Analysis_core.Check.report
-(** One evaluation per catalogue rule plus one violation per live
-    finding; [Check.exit_code] of this report is the analyze gate. *)
-
-val to_json : result -> Obs.Json.t
-(** The versioned machine-readable report ({!schema_version}),
-    inventory included. *)
+(** Lint [root]: SRC rules over every source, DOM rules over every unit
+    a [.cmt] under [build_dir] (default [root/_build/default]) covers.
+    A [lib/], [bin/] or [bench/] implementation no [.cmt] covers is a
+    DOM00 error.  [entries] defaults to {!Callgraph.default_entries}.
+    When [root/analysis/effects.json] exists, DOM11 checks it against
+    this run. *)

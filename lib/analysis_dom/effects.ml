@@ -3,8 +3,9 @@
    inventory, parameter-local mutation, calls into unanalyzed
    externals), propagated to a fixpoint over the call graph, then
    classified.  The result is the parallel-safety certificate committed
-   as [analysis/effects.json] and the witness chains `analyze --effects`
-   prints — the literal worklist for the multicore PR (ROADMAP item 1).
+   as [analysis/effects.json] — per solver entry point, its
+   classification and the shared globals it writes — and the per-function
+   witness chains `lint --effects` prints on demand.
 
    Everything is name-keyed the way {!Callgraph} already resolves
    references, so the analysis inherits its deliberate
@@ -16,7 +17,7 @@
 module I = Ir
 module J = Obs.Json
 
-let schema_version = "hypartition-effects/1"
+let schema_version = "hypartition-effects/2"
 
 type classification =
   | Pure
@@ -32,14 +33,6 @@ let classification_to_string = function
   | Shared_mutating -> "shared_mutating"
   | Unknown -> "unknown"
 
-let classification_of_string = function
-  | "pure" -> Some Pure
-  | "workspace_local" -> Some Workspace_local
-  | "shared_read" -> Some Shared_read
-  | "shared_mutating" -> Some Shared_mutating
-  | "unknown" -> Some Unknown
-  | _ -> None
-
 type signature_ = {
   s_reads : string list;  (* unsafe module globals read, qualified *)
   s_writes : string list;  (* unsafe module globals written *)
@@ -52,7 +45,6 @@ type info = {
   e_module : string;
   e_file : string;
   e_line : int;
-  e_front : I.front;
   e_sig : signature_;  (* after fixpoint *)
   e_direct_writes : string list;  (* this body's own writes — the leaf facts *)
   e_class : classification;
@@ -318,16 +310,14 @@ let compute ~cg (units : I.unit_ir list) : t =
   (* Collect every function with its unit context, in deterministic
      order; first definition of a key wins, same as the call graph. *)
   let order = ref [] in
-  let ctx : (string, I.func * string * I.front) Hashtbl.t =
-    Hashtbl.create 256
-  in
+  let ctx : (string, I.func * string) Hashtbl.t = Hashtbl.create 256 in
   List.iter
     (fun u ->
       List.iter
         (fun (f : I.func) ->
           let key = f.I.f_module ^ "." ^ f.I.f_name in
           if not (Hashtbl.mem ctx key) then begin
-            Hashtbl.replace ctx key (f, u.I.u_file, u.I.u_front);
+            Hashtbl.replace ctx key (f, u.I.u_file);
             order := key :: !order
           end)
         u.I.u_funcs)
@@ -339,7 +329,7 @@ let compute ~cg (units : I.unit_ir list) : t =
   in
   List.iter
     (fun key ->
-      let f, _, _ = Hashtbl.find ctx key in
+      let f, _ = Hashtbl.find ctx key in
       Hashtbl.replace base key (base_facts ~cg ~unsafe ~known f))
     keys;
   let callees key =
@@ -353,7 +343,7 @@ let compute ~cg (units : I.unit_ir list) : t =
   let sigs : (string, signature_) Hashtbl.t = Hashtbl.create 256 in
   List.iter
     (fun key ->
-      let f, _, _ = Hashtbl.find ctx key in
+      let f, _ = Hashtbl.find ctx key in
       let _, reads, writes, externals = Hashtbl.find base key in
       Hashtbl.replace sigs key
         {
@@ -401,7 +391,7 @@ let compute ~cg (units : I.unit_ir list) : t =
   let infos =
     List.map
       (fun key ->
-        let f, file, front = Hashtbl.find ctx key in
+        let f, file = Hashtbl.find ctx key in
         let s = Hashtbl.find sigs key in
         let s =
           { s with s_reads = List.filter (fun r -> not (List.mem r s.s_writes)) s.s_reads }
@@ -411,7 +401,6 @@ let compute ~cg (units : I.unit_ir list) : t =
           e_module = f.I.f_module;
           e_file = file;
           e_line = f.I.f_line;
-          e_front = front;
           e_sig = s;
           e_direct_writes = direct_writes key;
           e_class = classify s;
@@ -424,85 +413,86 @@ let compute ~cg (units : I.unit_ir list) : t =
   { infos; by_key; entry_points = Callgraph.entry_keys cg }
 
 let infos t = t.infos
-let entry_points t = t.entry_points
 let find t key = Hashtbl.find_opt t.by_key key
 
-let count t cls =
-  List.length (List.filter (fun i -> i.e_class = cls) t.infos)
+(* ---- the certificate ----------------------------------------------------- *)
 
-(* ---- certificate JSON ---------------------------------------------------- *)
-
-let str_arr xs = J.Arr (List.map (fun s -> J.Str s) xs)
-
-let info_to_json (i : info) =
+(* One line per solver entry point — its classification and the sorted
+   shared globals its fixpoint writes, which is what the parallel
+   contract needs — so a change to one entry point is a one-line diff. *)
+let entry_to_json (i : info) =
   J.Obj
     [
       ("function", J.Str i.e_key);
-      ("file", J.Str i.e_file);
-      ("line", J.Int i.e_line);
-      ("front", J.Str (I.front_to_string i.e_front));
       ("classification", J.Str (classification_to_string i.e_class));
-      ("reads", str_arr i.e_sig.s_reads);
-      ("writes", str_arr i.e_sig.s_writes);
-      ("externals", str_arr i.e_sig.s_externals);
-      ("local_mutation", J.Bool i.e_sig.s_local_mut);
-      ( "blame",
-        J.Arr
-          (List.map
-             (fun (g, chain) ->
-               J.Obj [ ("global", J.Str g); ("chain", str_arr chain) ])
-             i.e_blame) );
+      ("writes", J.Arr (List.map (fun g -> J.Str g) i.e_sig.s_writes));
     ]
 
-let to_json t =
-  let all = [ Pure; Workspace_local; Shared_read; Shared_mutating; Unknown ] in
-  J.Obj
-    [
-      ("schema", J.Str schema_version);
-      ("entry_points", str_arr t.entry_points);
-      ("functions", J.Arr (List.map info_to_json t.infos));
-      ( "summary",
-        J.Obj
-          (("total", J.Int (List.length t.infos))
-          :: List.map
-               (fun c -> (classification_to_string c, J.Int (count t c)))
-               all) );
-    ]
+let certificate t =
+  let entries = List.filter_map (find t) t.entry_points in
+  let last = List.length entries - 1 in
+  String.concat "\n"
+    ([ "{"; "  \"schema\": " ^ J.to_string (J.Str schema_version) ^ ",";
+       "  \"entry_points\": [" ]
+    @ List.mapi
+        (fun n i ->
+          "    " ^ J.to_string (entry_to_json i) ^ if n < last then "," else "")
+        entries
+    @ [ "  ]"; "}"; "" ])
 
 (* ---- stale-certificate comparison (DOM11) -------------------------------- *)
 
-(* The committed certificate's (function -> classification) map; [None]
-   when the document does not look like a certificate at all. *)
-let certificate_classes doc =
-  match J.member "functions" doc with
-  | Some (J.Arr fns) ->
+(* The committed certificate's entries: function -> (classification,
+   writes); [None] when the document has no entry_points array. *)
+let certified doc =
+  let strs j =
+    match j with
+    | Some (J.Arr xs) -> Some (List.filter_map J.get_str xs)
+    | _ -> None
+  in
+  match J.member "entry_points" doc with
+  | Some (J.Arr entries) ->
       Some
         (List.filter_map
-           (fun f ->
+           (fun e ->
              match
-               ( Option.bind (J.member "function" f) J.get_str,
-                 Option.bind (J.member "classification" f) J.get_str )
+               ( Option.bind (J.member "function" e) J.get_str,
+                 Option.bind (J.member "classification" e) J.get_str,
+                 strs (J.member "writes" e) )
              with
-             | Some key, Some cls -> Some (key, cls)
+             | Some key, Some cls, Some writes -> Some (key, (cls, writes))
              | _ -> None)
-           fns)
+           entries)
   | _ -> None
 
-(* One finding per stale entry: functions that changed classification,
-   left the reachable set, or entered it since the certificate was
-   written.  A parse failure or schema mismatch is a single finding. *)
-let stale_findings ~certificate_path ~certificate t =
-  let finding message =
+(* One finding per stale entry, at its line in the committed file: an
+   entry point whose classification or writes changed, one that is gone,
+   and (at line 1) one the certificate lacks.  A parse failure, a schema
+   mismatch or a layout-only difference is a single finding. *)
+let stale_findings ~certificate_path ~certificate:text t =
+  let finding ?(line = 1) what =
     {
       Lint.Rules.rule = "DOM11";
       severity = Analysis_core.Check.Error;
       file = certificate_path;
-      line = 1;
+      line;
       col = 0;
-      message;
+      message =
+        Printf.sprintf "%s; regenerate with `hypartition lint --effects-out %s`"
+          what certificate_path;
     }
   in
-  match J.parse certificate with
+  let line_of key =
+    let needle = "{\"function\":" ^ J.to_string (J.Str key) in
+    let rec go n = function
+      | [] -> 1
+      | l :: rest ->
+          if String.starts_with ~prefix:needle (String.trim l) then n
+          else go (n + 1) rest
+    in
+    go 1 (String.split_on_char '\n' text)
+  in
+  match J.parse text with
   | Error e -> [ finding ("committed certificate does not parse: " ^ e) ]
   | Ok doc -> (
       let schema = Option.bind (J.member "schema" doc) J.get_str in
@@ -514,74 +504,88 @@ let stale_findings ~certificate_path ~certificate t =
                schema_version);
         ]
       else
-        match certificate_classes doc with
-        | None -> [ finding "certificate has no functions array" ]
-        | Some committed ->
-            let stale = ref [] in
-            List.iter
-              (fun (key, cls) ->
-                match find t key with
+      match certified doc with
+      | None -> [ finding "certificate has no entry_points array" ]
+      | Some committed -> (
+          let current =
+            List.filter_map
+              (fun key ->
+                Option.map
+                  (fun i ->
+                    let cls = classification_to_string i.e_class in
+                    (key, (cls, i.e_sig.s_writes)))
+                  (find t key))
+              t.entry_points
+          in
+          let stale =
+            List.filter_map
+              (fun (key, (cls, writes)) ->
+                let line = line_of key in
+                match List.assoc_opt key current with
                 | None ->
-                    stale :=
-                      finding
-                        (Printf.sprintf
-                           "stale entry: %s (%s) is no longer reachable from \
-                            the solver entry points; regenerate with analyze \
-                            --effects-out"
-                           key cls)
-                      :: !stale
-                | Some i ->
-                    let now = classification_to_string i.e_class in
-                    if now <> cls then
-                      stale :=
-                        finding
-                          (Printf.sprintf
-                             "stale entry: %s is certified %s but analyzes as \
-                              %s; regenerate with analyze --effects-out"
-                             key cls now)
-                        :: !stale)
-              committed;
-            List.iter
-              (fun i ->
-                if not (List.mem_assoc i.e_key committed) then
-                  stale :=
-                    finding
-                      (Printf.sprintf
-                         "missing entry: reachable function %s (%s) is not in \
-                          the certificate; regenerate with analyze \
-                          --effects-out"
-                         i.e_key
-                         (classification_to_string i.e_class))
-                    :: !stale)
-              t.infos;
-            List.rev !stale)
+                    Some
+                      (finding ~line
+                         (Printf.sprintf
+                            "stale entry: %s is no longer a solver entry point"
+                            key))
+                | Some (now, _) when now <> cls ->
+                    Some
+                      (finding ~line
+                         (Printf.sprintf
+                            "stale entry: %s is certified %s but analyzes as %s"
+                            key cls now))
+                | Some (_, now) when now <> writes ->
+                    Some
+                      (finding ~line
+                         (Printf.sprintf
+                            "stale entry: %s is certified to write [%s] but \
+                             writes [%s]"
+                            key (String.concat ", " writes)
+                            (String.concat ", " now)))
+                | Some _ -> None)
+              committed
+          in
+          let missing =
+            List.filter_map
+              (fun (key, (cls, _)) ->
+                if List.mem_assoc key committed then None
+                else
+                  Some
+                    (finding
+                       (Printf.sprintf
+                          "missing entry: solver entry point %s (%s) is not in \
+                           the certificate"
+                          key cls)))
+              current
+          in
+          match stale @ missing with
+          | [] when text <> certificate t ->
+              [ finding "certificate layout differs from this run's rendering" ]
+          | findings -> findings))
 
-(* ---- witness rendering (`analyze --effects`) ----------------------------- *)
+(* ---- witness rendering (`lint --effects`) -------------------------------- *)
 
-(* Per entry point: classification, effect summary, and the minimal call
-   chain to every shared-mutating leaf its fixpoint writes reach. *)
+(* What the certificate leaves out, on demand: every reachable function
+   with its source position and classification, its transitive reads
+   and externals, and the minimal call chain to a direct writer of each
+   shared global it writes. *)
 let render_witnesses t =
-  let buf = Buffer.create 1024 in
+  let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  if t.entry_points = [] then add "no solver entry points found\n"
-  else
-    List.iter
-      (fun key ->
-        match find t key with
-        | None -> ()
-        | Some i ->
-            add "%s [%s]\n" key (classification_to_string i.e_class);
-            if i.e_sig.s_reads <> [] then
-              add "  reads: %s\n" (String.concat ", " i.e_sig.s_reads);
-            if i.e_sig.s_externals <> [] then
-              add "  externals: %s\n"
-                (String.concat ", " i.e_sig.s_externals);
-            List.iter
-              (fun (g, chain) ->
-                add "  writes %s via %s\n" g (String.concat " -> " chain))
-              i.e_blame;
-            if i.e_blame = [] && i.e_sig.s_reads = []
-               && i.e_sig.s_externals = []
-            then add "  no shared state reached\n")
-      t.entry_points;
+  if t.entry_points = [] then add "no solver entry points found\n";
+  List.iter
+    (fun i ->
+      add "%s [%s] %s:%d%s\n" i.e_key
+        (classification_to_string i.e_class)
+        i.e_file i.e_line
+        (if List.mem i.e_key t.entry_points then " (entry point)" else "");
+      if i.e_sig.s_reads <> [] then
+        add "  reads: %s\n" (String.concat ", " i.e_sig.s_reads);
+      if i.e_sig.s_externals <> [] then
+        add "  externals: %s\n" (String.concat ", " i.e_sig.s_externals);
+      List.iter
+        (fun (g, chain) ->
+          add "  writes %s via %s\n" g (String.concat " -> " chain))
+        i.e_blame)
+    t.infos;
   Buffer.contents buf

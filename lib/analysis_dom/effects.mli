@@ -5,7 +5,7 @@
     [analysis/effects.json]. *)
 
 val schema_version : string
-(** Schema tag of the certificate, ["hypartition-effects/1"]. *)
+(** Schema tag of the certificate, ["hypartition-effects/2"]. *)
 
 type classification =
   | Pure  (** no effects at all *)
@@ -18,7 +18,6 @@ type classification =
       (** effect widened only by calls into unanalyzed externals *)
 
 val classification_to_string : classification -> string
-val classification_of_string : string -> classification option
 
 type signature_ = {
   s_reads : string list;
@@ -35,7 +34,6 @@ type info = {
   e_module : string;
   e_file : string;
   e_line : int;
-  e_front : Ir.front;
   e_sig : signature_;  (** after fixpoint *)
   e_direct_writes : string list;
       (** this body's own global writes — where DOM07 fires *)
@@ -54,28 +52,21 @@ val compute : cg:Callgraph.t -> Ir.unit_ir list -> t
 
 val infos : t -> info list
 val find : t -> string -> info option
-val entry_points : t -> string list
-val count : t -> classification -> int
 
-val benign_external : string -> bool
-(** The external-call allowlist: pure / parameter-local stdlib modules
-    and a few exact names ([Printf.sprintf], [Random.State.*]); every
-    other unresolved reference widens its caller to [Unknown]. *)
-
-val to_json : t -> Obs.Json.t
-(** The certificate document ({!schema_version}): entry points, one
-    record per reachable function (signature, classification, blame
-    chains), and a per-classification summary.  Render with
-    {!Inventory.render} for the committed artifact. *)
+val certificate : t -> string
+(** The certificate text ({!schema_version}): one line per solver entry
+    point holding its classification and the sorted shared globals it
+    writes.  Byte-deterministic; parses back with {!Obs.Json.parse}. *)
 
 val stale_findings :
   certificate_path:string -> certificate:string -> t -> Lint.Rules.finding list
 (** DOM11: compare a committed certificate's text against this run —
-    one finding per entry whose classification changed, per entry no
-    longer reachable, and per reachable function the certificate lacks.
-    An unparseable or wrong-schema document is a single finding. *)
+    one finding per entry point whose classification or writes changed
+    or that is gone (at its line), and per entry point the certificate
+    lacks.  An unparseable or wrong-schema document, or one that only
+    differs in layout, is a single finding. *)
 
 val render_witnesses : t -> string
-(** The [analyze --effects] text: per entry point, its classification,
-    transitive reads/externals, and the minimal call-chain witness to
-    every shared-mutating leaf it reaches. *)
+(** The [lint --effects] text: every reachable function with its source
+    position, classification, transitive reads and externals, and the
+    minimal call-chain witness to every shared global it writes. *)

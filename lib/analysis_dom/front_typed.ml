@@ -1,6 +1,6 @@
 (* The typed front of the domain-safety analyzer: lower a compiler
-   [.cmt] file (compiler-libs [Cmt_format] + [Typedtree]) to the neutral
-   {!Ir.unit_ir}.
+   [.cmt] file (compiler-libs [Cmt_format] + [Typedtree]) to the
+   {!Ir.unit_ir} the rules consume.
 
    Working on the typed tree buys exactly what the Parsetree cannot
    give: resolved paths (a reference to [Workspace.next_stamp] is
@@ -254,7 +254,7 @@ let col_of (loc : Location.t) = loc.loc_start.pos_cnum - loc.loc_start.pos_bol
 
 let print_type ty = Format.asprintf "%a" Printtyp.type_scheme ty
 
-(* Name predicates live in {!Ir} so both fronts consult the same set. *)
+(* Name predicates live in {!Ir}, next to the kinds they feed. *)
 let obs_emit_name = I.obs_emit_name
 let random_global_name = I.random_global_name
 let is_iterish = I.is_iterish
@@ -606,7 +606,6 @@ let extract ~known ~has_mli tu : I.unit_ir =
   {
     I.u_module = unit_mod;
     u_file = file;
-    u_front = I.Typed;
     u_has_mli = has_mli;
     u_globals = List.rev !globals;
     u_funcs = List.rev !funcs;

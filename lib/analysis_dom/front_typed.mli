@@ -1,6 +1,6 @@
 (** The typed front: lower compiler [.cmt] files to {!Ir.unit_ir}.
 
-    Precision the Parsetree fallback cannot match: references are
+    Precision a syntactic pass cannot match: references are
     compiler-resolved paths (no scope guessing), and bindings are
     classified by their principal type, so repo-defined mutable records
     and aliases ([Obs.Counter.t]) are recognized through abstraction

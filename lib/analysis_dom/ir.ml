@@ -1,15 +1,9 @@
-(* The front-end-neutral intermediate representation of the domain-safety
-   analyzer.  Both fronts — the typed one reading [.cmt] files and the
-   Parsetree fallback — lower a compilation unit to a [unit_ir]: its
+(* The intermediate representation of the domain-safety analyzer.  The
+   typed front lowers each compilation unit's [.cmt] to a [unit_ir]: its
    module-level mutable bindings, its toplevel functions with the global
    identifiers each references, and the Workspace/Rng escape sites.  The
-   DOM rules and the call-graph reachability pass operate on this IR
-   only, so every rule is provable from either front. *)
-
-(* Which front produced a unit: [Typed] units carry compiler-resolved
-   paths and types; [Parsetree_only] units are a syntactic approximation
-   used when no (readable) [.cmt] exists for the source. *)
-type front = Typed | Parsetree_only
+   DOM rules, the call-graph reachability pass and the effect analysis
+   operate on this IR only. *)
 
 (* Why a module-level binding is (or is not) shared mutable state.  The
    [Atomic] and [Mutex] kinds are mutable but domain-safe by
@@ -36,7 +30,7 @@ type global = {
   g_file : string;  (* root-relative source path *)
   g_line : int;
   g_col : int;
-  g_type : string;  (* printed type (typed front) or a syntactic hint *)
+  g_type : string;  (* printed principal type *)
   g_kind : kind;
   g_safe : bool;  (* Atomic/Mutex: racing writers cannot corrupt it *)
 }
@@ -78,13 +72,12 @@ type func = {
   f_takes_ws : bool;  (* some parameter type mentions Workspace.t *)
   f_ret_kind : string option;
       (* [kind_to_string] of the result type when it classifies as a
-         mutable kind (typed front; constraint-only on the fallback) *)
+         mutable kind *)
 }
 
 type unit_ir = {
   u_module : string;  (* normalized: "Refine", not "Solvers__Refine" *)
   u_file : string;  (* root-relative source path *)
-  u_front : front;
   u_has_mli : bool;
   u_globals : global list;
   u_funcs : func list;
@@ -103,8 +96,8 @@ type unit_ir = {
 
 (* Compiler paths arrive mangled by dune's module-name prefixing:
    ["Solvers__Refine.best_move"], ["Solvers__.Pin_counts.t"],
-   ["Stdlib.ref"].  Normalization makes them comparable across units and
-   fronts: drop alias-root components (trailing "__"), unprefix
+   ["Stdlib.ref"].  Normalization makes them comparable across units:
+   drop alias-root components (trailing "__"), unprefix
    "Lib__Module" to "Module", and strip a leading "Stdlib". *)
 
 let split_on_string ~sep s =
@@ -144,8 +137,7 @@ let ends_with_path ~suffix name =
   name = suffix
   || String.ends_with ~suffix:("." ^ suffix) name
 
-(* Name-based kind classification shared by both fronts: given a
-   normalized type-constructor path, the kinds recognizable without any
+(* Name-based kind classification: given a normalized type-constructor path, the kinds recognizable without any
    type environment.  Ownership kinds (Workspace/Rng/obs handles) match
    by dotted suffix so that fixture modules defining their own
    [Workspace.t] classify like the real one.  Everything else —
@@ -190,10 +182,7 @@ let container_of = function
 
 let kind_is_safe = function Atomic | Mutex -> true | _ -> false
 
-(* ---- shared name predicates ---------------------------------------------- *)
-
-(* Both fronts consult the same predicate set so a rule can never fire
-   on one front and stay silent on the other for naming reasons alone. *)
+(* ---- name predicates ------------------------------------------------------ *)
 
 (* Per-event obs emission entry points (the batched-flush contract says
    hot loops accumulate into plain ints and flush once per pass with
@@ -285,10 +274,6 @@ let kind_to_string = function
   | Workspace -> "workspace"
   | Rng -> "rng"
   | Obs_handle -> "obs-handle"
-
-let front_to_string = function
-  | Typed -> "typed"
-  | Parsetree_only -> "parsetree"
 
 (* Deterministic unit ordering for reports. *)
 let compare_units a b = String.compare a.u_file b.u_file

@@ -1,11 +1,8 @@
-(** The front-end-neutral IR of the domain-safety analyzer.
+(** The IR of the domain-safety analyzer.
 
-    Both the typed ([.cmt]) front and the Parsetree fallback lower a
-    compilation unit to a {!unit_ir}; the DOM rules and the call-graph
-    pass consume only this representation, so every rule works — with
-    stated precision differences — from either front. *)
-
-type front = Typed | Parsetree_only
+    The typed ([.cmt]) front lowers each compilation unit to a
+    {!unit_ir}; the DOM rules, the call-graph pass and the effect
+    analysis consume only this representation. *)
 
 type kind =
   | Ref
@@ -65,7 +62,6 @@ type func = {
 type unit_ir = {
   u_module : string;
   u_file : string;
-  u_front : front;
   u_has_mli : bool;
   u_globals : global list;
   u_funcs : func list;
@@ -129,5 +125,4 @@ val mutates_subject_fn : string -> bool
     not.  Superset of {!is_store_fn}. *)
 
 val kind_to_string : kind -> string
-val front_to_string : front -> string
 val compare_units : unit_ir -> unit_ir -> int

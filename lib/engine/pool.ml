@@ -475,8 +475,12 @@ let step ?(on_event = fun (_ : event) -> ()) ?(extra_fds = []) ~timeout t =
   let readable_extra =
     match Unix.select (fds @ extra_fds) [] [] timeout with
     | readable, _, _ ->
+        (* An entry at EOF has closed its pipe, and a worker forked since
+           may have been given the same descriptor number: only entries
+           still reading may claim a readable fd. *)
         List.iter
-          (fun r -> if List.mem r.r_fd readable then read_chunk r)
+          (fun r ->
+            if (not r.r_eof) && List.mem r.r_fd readable then read_chunk r)
           t.running;
         List.filter (fun fd -> List.mem fd readable) extra_fds
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> []

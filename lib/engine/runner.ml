@@ -93,11 +93,10 @@ let solve (config : Spec.config) ~threads ~seed hg =
   let rng = Support.Rng.create seed in
   match algorithm with
   | Spec.Multilevel ->
-      (* A parallel job runs the domain-based path — always in
-         deterministic mode here, so the record stays a pure function of
-         the plan whatever [threads] the host was given (threads bounds
-         the run like a timeout does; it is not part of the job's
-         identity). *)
+      (* A parallel job runs the domain-based path, whose record is a
+         pure function of the plan whatever [threads] the host was given
+         (threads bounds the run like a timeout does; it is not part of
+         the job's identity). *)
       let mthreads = if parallel then max 1 threads else 0 in
       Ok
         (Solvers.Multilevel.partition
@@ -107,7 +106,6 @@ let solve (config : Spec.config) ~threads ~seed hg =
                eps;
                metric;
                threads = mthreads;
-               deterministic = true;
              }
            rng hg ~k)
   | Spec.Recursive ->

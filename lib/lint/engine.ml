@@ -1,12 +1,14 @@
-(* The hyplint driver: walk the source tree, parse every .ml/.mli with
-   compiler-libs, run the rule set, apply suppressions (inline markers
-   and lint.config), and fold everything into the same Check report
-   vocabulary the invariant auditors use — so `hypartition lint` and
-   `hypartition check` read identically and gate identically. *)
+(* The shared half of `hypartition lint`: walk the source tree once,
+   parse lint.config once, run the SRC rules over every .ml/.mli, then
+   apply one suppression and stale-marker pass to the SRC findings and
+   the DOM findings the typed pass (Analysis_dom.Driver) hands in, and
+   fold everything into the same Check report vocabulary the invariant
+   auditors use — so `hypartition lint` and `hypartition check` read
+   identically and gate identically. *)
 
 module Check = Analysis_core.Check
 
-let schema_version = "hypartition-lint/1"
+let schema_version = "hypartition-lint/2"
 
 (* Directories walked relative to the root, in order. *)
 let default_subdirs = [ "lib"; "bin"; "bench"; "test" ]
@@ -14,6 +16,7 @@ let default_subdirs = [ "lib"; "bin"; "bench"; "test" ]
 type result = {
   root : string;
   files : int;  (* compilation units scanned *)
+  units : int;  (* typed units the DOM rules analyzed *)
   findings : Rules.finding list;  (* live (unsuppressed), sorted *)
   suppressed : (Rules.finding * string) list;  (* finding, reason *)
 }
@@ -117,9 +120,10 @@ let apply_suppressions ~config ~scans findings =
     findings;
   (List.rev !live, List.rev !suppressed)
 
-(* Lint hygiene findings from the suppression machinery itself:
-   malformed / reason-less markers are errors, markers that matched
-   nothing are warnings (stale suppressions hide future regressions). *)
+(* Hygiene findings from the suppression machinery itself: malformed /
+   reason-less markers are SRC00 errors, markers that matched nothing
+   are warnings (stale suppressions hide future regressions), owned by
+   DOM00 when the marker names only DOM rules and by SRC00 otherwise. *)
 let hygiene_findings ~scans =
   let malformed =
     List.concat_map
@@ -142,17 +146,14 @@ let hygiene_findings ~scans =
       (fun (path, scan) ->
         List.filter_map
           (fun (m : Suppress.inline) ->
-            (* markers that mention none of our rule ids belong to
-               another tool sharing the marker syntax (the DOM rules of
-               `hypartition analyze`); staleness is that tool's call *)
-            let ours =
-              List.exists (fun r -> List.mem r Rules.rule_ids) m.i_rules
+            let dom_only =
+              List.for_all (String.starts_with ~prefix:"DOM") m.i_rules
             in
-            if m.i_used || not ours then None
+            if m.i_used then None
             else
               Some
                 {
-                  Rules.rule = "SRC00";
+                  Rules.rule = (if dom_only then "DOM00" else "SRC00");
                   severity = Check.Warning;
                   file = path;
                   line = m.i_line;
@@ -170,8 +171,11 @@ let hygiene_findings ~scans =
 (* ---- the pure entry point ----------------------------------------------- *)
 
 (* [lint_sources] is the whole pipeline over in-memory (path, content)
-   pairs — the filesystem-free core that the fixture tests drive. *)
-let lint_sources ?(config = []) ?(config_errors = []) ~root files =
+   pairs — the filesystem-free core that the SRC fixture tests drive.
+   [dom] are the typed pass's raw findings over [units] units; they go
+   through the same suppression pass as the SRC findings. *)
+let lint_sources ?(config = []) ?(config_errors = []) ?(units = 0) ?(dom = [])
+    ~root files =
   let scans =
     List.filter_map
       (fun (path, source) ->
@@ -182,7 +186,7 @@ let lint_sources ?(config = []) ?(config_errors = []) ~root files =
   in
   let raw =
     List.concat_map (fun (path, source) -> scan_file ~path source) files
-    @ interface_findings files
+    @ interface_findings files @ dom
   in
   let live, suppressed = apply_suppressions ~config ~scans raw in
   let config_findings =
@@ -202,7 +206,7 @@ let lint_sources ?(config = []) ?(config_errors = []) ~root files =
     List.sort Rules.compare_findings
       (live @ hygiene_findings ~scans @ config_findings)
   in
-  { root; files = List.length files; findings; suppressed }
+  { root; files = List.length files; units; findings; suppressed }
 
 (* ---- filesystem walk ---------------------------------------------------- *)
 
@@ -225,9 +229,15 @@ let rec walk dir rel acc =
 let read_file path =
   In_channel.with_open_bin path In_channel.input_all
 
-let run ?config_path ~root () =
+type tree = {
+  config : Suppress.config;
+  config_errors : (int * string) list;
+  sources : (string * string) list;
+}
+
+let load ?config_path ~root () =
   if not (Sys.file_exists root && Sys.is_directory root) then
-    Error (Printf.sprintf "Engine.run: %s is not a directory" root)
+    Error (Printf.sprintf "Engine.load: %s is not a directory" root)
   else begin
     let config, config_errors =
       let path =
@@ -256,7 +266,7 @@ let run ?config_path ~root () =
         files
     in
     let sources = List.map (fun (abs, rel) -> (rel, read_file abs)) files in
-    Ok (lint_sources ~config ~config_errors ~root sources)
+    Ok { config; config_errors; sources }
   end
 
 (* ---- reporting ---------------------------------------------------------- *)
@@ -264,8 +274,12 @@ let run ?config_path ~root () =
 (* Fold the scan into the auditors' Check vocabulary: one evaluation per
    catalogue rule plus one violation per live finding, so `lint` renders
    and gates exactly like `check`. *)
-let report t =
-  let ctx = Check.create ~subject:(Printf.sprintf "%s (%d files)" t.root t.files) in
+let report ?(catalogue = Rules.catalogue) t =
+  let ctx =
+    Check.create
+      ~subject:
+        (Printf.sprintf "%s (%d files, %d typed units)" t.root t.files t.units)
+  in
   List.iter
     (fun (f : Rules.finding) ->
       Check.violation ctx ~severity:f.severity ~id:f.rule
@@ -276,9 +290,8 @@ let report t =
       let clean =
         not (List.exists (fun (f : Rules.finding) -> f.rule = id) t.findings)
       in
-      if clean then Check.rule ctx ~id true (fun () -> "")
-    )
-    Rules.catalogue;
+      if clean then Check.rule ctx ~id true (fun () -> ""))
+    catalogue;
   Check.report ctx
 
 let finding_to_json ?reason (f : Rules.finding) =
@@ -306,6 +319,7 @@ let to_json t =
       ("schema", Obs.Json.Str schema_version);
       ("root", Obs.Json.Str t.root);
       ("files", Obs.Json.Int t.files);
+      ("units", Obs.Json.Int t.units);
       ("findings", Obs.Json.Arr (List.map (finding_to_json ?reason:None) t.findings));
       ( "suppressed",
         Obs.Json.Arr

@@ -1,14 +1,15 @@
-(** hyplint — the AST-level source linter behind [hypartition lint].
+(** hyplint — the AST-level half of [hypartition lint].
 
     A compiler-libs pass ([Parse] + [Ast_iterator]) over every [.ml] /
     [.mli] under [lib/], [bin/], [bench/] and [test/], with repo-specific
-    rules (stable ids [SRC01]..[SRC09], catalogued in DESIGN.md), inline
+    rules (stable ids [SRC00]..[SRC12], catalogued in DESIGN.md), inline
     [(* hyplint: allow ... — reason *)] suppressions and a [lint.config]
-    allowlist.  The repo gates on zero unsuppressed findings. *)
+    allowlist that also cover the typed DOM rules of {!Analysis_dom}.
+    The repo gates on zero unsuppressed findings. *)
 
 module Rules = Rules
 module Suppress = Suppress
 module Engine = Engine
 
 val catalogue : (string * string) list
-(** [rule id, rationale] — the [lint --rules] catalogue. *)
+(** [rule id, rationale] for the SRC rules. *)

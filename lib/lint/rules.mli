@@ -17,18 +17,15 @@ type finding = {
 val catalogue : (string * string) list
 (** [rule id, one-line rationale] for every rule, [SRC00]..[SRC12]. *)
 
-val rule_ids : string list
-
 val since : string -> string
 (** The PR that introduced a rule id (["PR3"]..["PR9"]), for the
     catalogue's version-pinning column.  Total: covers the [DOM] ids
-    too, since the renderer is shared with [analyze]. *)
+    too, since [lint --rules] prints both rule sets. *)
 
 val render_catalogue : (string * string) list -> string
-(** Render a rule catalogue the way [--rules] prints it — one
-    [id  since  rationale] line per rule.  Shared by [lint] and
-    [analyze] so the printed catalogue is always generated from the id
-    list the tool actually enforces. *)
+(** Render a rule catalogue the way [lint --rules] prints it — one
+    [id  since  rationale] line per rule, generated from the id list the
+    verb actually enforces. *)
 
 val scan : path:string -> Parsetree.structure -> finding list
 (** Run the expression-level rules (SRC01..SRC06, SRC08..SRC12) over one

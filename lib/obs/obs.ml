@@ -212,7 +212,11 @@ let snapshot () =
 let reset_stats () =
   Hashtbl.iter (fun _ c -> c.c_value <- 0) counters_tbl;
   Hashtbl.iter (fun _ g -> g.g_set <- false) gauges_tbl;
-  Hashtbl.iter (fun _ h -> h.hg_count <- 0) histograms_tbl;
+  Hashtbl.iter
+    (fun _ h ->
+      h.hg_count <- 0;
+      h.hg_sum <- 0.0)
+    histograms_tbl;
   Hashtbl.reset rollup
 
 (* ------------------------------------------------------------------ *)

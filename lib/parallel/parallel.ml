@@ -8,10 +8,10 @@
    check in at the join barrier.  Claiming is dynamic — the schedule is
    not reproducible — but results land at their task's own index, so the
    gathered array is schedule-independent and determinism is decided
-   purely by the fold order applied to it (see [fold]).
+   purely by the order the caller folds it in.
 
    Exceptions raised by task bodies never cross a domain boundary raw:
-   [map]/[fold] record them per index and re-raise the smallest-index
+   [map] records them per index and re-raise the smallest-index
    failure on the caller after the barrier, so a crash cannot strand
    workers mid-epoch or tear the pool state. *)
 
@@ -150,28 +150,4 @@ let map t ~n f =
       n;
     check_errors errors;
     Array.map (function Some v -> v | None -> assert false) results
-  end
-
-let fold t ~deterministic ~n ~f ~combine ~init =
-  if deterministic then Array.fold_left combine init (map t ~n f)
-  else if n = 0 then init
-  else begin
-    (* Relaxed reduction: workers race to fold under a dedicated lock,
-       so the combine order is completion order — schedule-dependent by
-       design.  A fresh mutex per call keeps accumulation contention off
-       the pool's coordination lock. *)
-    let acc = ref init in
-    let acc_lock = Mutex.create () in
-    let errors = Array.make n None in
-    scatter t
-      (fun ~worker i ->
-        match f ~worker i with
-        | v ->
-            Mutex.lock acc_lock;
-            acc := combine !acc v;
-            Mutex.unlock acc_lock
-        | exception e -> errors.(i) <- Some e)
-      n;
-    check_errors errors;
-    !acc
   end

@@ -14,7 +14,7 @@
     (the engine's process pool): spawned domains do not survive a fork,
     so the engine forks first and each worker process creates its own
     pool.  Pools are not reentrant — only the creating domain may call
-    [map] / [fold], and one call at a time.
+    [map], and one call at a time.
 
     Task bodies run on worker domains, where the Obs registries are
     inert ({!Obs.enabled} is false off the main domain); they must not
@@ -48,21 +48,3 @@ val map : t -> n:int -> (worker:int -> int -> 'a) -> 'a array
     solver's [Workspace] array; a correct task's {e result} must not
     depend on it.  If tasks raise, the exception of the smallest-index
     failing task is re-raised on the caller after all workers drain. *)
-
-val fold :
-  t ->
-  deterministic:bool ->
-  n:int ->
-  f:(worker:int -> int -> 'a) ->
-  combine:('b -> 'a -> 'b) ->
-  init:'b ->
-  'b
-(** Fold the task results.  With [~deterministic:true] this is
-    [Array.fold_left combine init (map pool ~n f)] — reduction in task
-    index order, schedule-independent.  With [~deterministic:false] the
-    results are combined in completion order under the pool's lock
-    (workers race to fold), which avoids retaining the gather array but
-    makes the fold order — and any order-sensitive [combine] —
-    genuinely schedule-dependent.  That relaxed mode is what
-    [--deterministic=false] buys: marginally less synchronization
-    structure in exchange for run-to-run variance. *)

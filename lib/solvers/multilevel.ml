@@ -14,7 +14,6 @@ type config = {
   initial_tries : int; (* random restarts at the coarsest level *)
   stop_nodes : int; (* stop coarsening below this many nodes *)
   threads : int; (* 0 = the sequential path; N >= 1 = the parallel path *)
-  deterministic : bool; (* index-order cross-domain reductions *)
 }
 
 let default_config =
@@ -26,7 +25,6 @@ let default_config =
     initial_tries = 8;
     stop_nodes = 60;
     threads = 0;
-    deterministic = true;
   }
 
 let refine_config (c : config) : Refine.config =
@@ -130,11 +128,9 @@ let partition_seq config rng hg ~k =
    caller's rng before the scatter, so the candidate set is a pure
    function of (rng, config) however tasks land on workers; per-worker
    workspaces keep the scratch disjoint, and each task's fm.* emissions
-   ride a private Fm_stats accumulator committed at the barrier.  With
-   [config.deterministic] the winner is reduced in task-index order
-   (ties keep the earlier candidate, matching the sequential fold);
-   otherwise the reduction races in completion order — the relaxed mode
-   where the selected partition may genuinely vary between runs. *)
+   ride a private Fm_stats accumulator committed at the barrier.  The
+   winner is reduced in task-index order (ties keep the earlier
+   candidate, matching the sequential fold). *)
 let initial_partition_par cfg pool wss rng hg ~k =
   Obs.Span.with_ "multilevel.initial"
     ~attrs:
@@ -177,35 +173,15 @@ let initial_partition_par cfg pool wss rng hg ~k =
         in
         (((if feasible then 0 else 1), cost), cand, stats)
       in
-      let n = Array.length kinds in
       let best =
-        if cfg.deterministic then begin
-          let results = Parallel.map pool ~n task in
-          Array.fold_left
-            (fun acc (s, p, stats) ->
-              Fm_stats.commit stats;
-              match acc with
-              | Some (bs, _) when bs <= s -> acc
-              | _ -> Some (s, p))
-            None results
-        end
-        else begin
-          let picked =
-            Parallel.fold pool ~deterministic:false ~n ~f:task
-              ~combine:(fun acc (s, p, stats) ->
-                match acc with
-                | None -> Some (s, p, stats)
-                | Some (bs, bp, into) ->
-                    Fm_stats.absorb ~into stats;
-                    if s < bs then Some (s, p, into) else Some (bs, bp, into))
-              ~init:None
-          in
-          Option.map
-            (fun (s, p, stats) ->
-              Fm_stats.commit stats;
-              (s, p))
-            picked
-        end
+        Array.fold_left
+          (fun acc (s, p, stats) ->
+            Fm_stats.commit stats;
+            match acc with
+            | Some (bs, _) when bs <= s -> acc
+            | _ -> Some (s, p))
+          None
+          (Parallel.map pool ~n:(Array.length kinds) task)
       in
       match best with
       | Some ((infeasible, cost), p) ->
@@ -218,9 +194,9 @@ let initial_partition_par cfg pool wss rng hg ~k =
    (never live across the engine's fork-based pool), parallel
    propose/commit coarsening, the parallel initial portfolio above, and
    synchronized label-propagation refinement per uncoarsening level.
-   Every cross-domain merge is index-ordered (or explicitly relaxed via
-   [config.deterministic = false]), so the result is a pure function of
-   (hypergraph, rng, config) — identical bytes for every [threads]. *)
+   Every cross-domain merge is index-ordered, so the result is a pure
+   function of (hypergraph, rng, config) — identical bytes for every
+   [threads]. *)
 let partition_par config rng hg ~k =
   Obs.Span.with_ "multilevel"
     ~attrs:

@@ -1,11 +1,11 @@
-(* The domain-safety analyzer (lib/analysis_dom): every DOM rule must
-   fire on its fixture at the exact line, fall silent on the compliant
-   mutation, and obey the shared suppression machinery.  The syntactic
-   rules run through the filesystem-free [Driver.analyze_sources]
-   (Parsetree front) against the committed fixtures in
-   test/fixtures/dom/; the typed-front tests compile a fixture with
-   `ocamlc -bin-annot` into a temp tree and drive the full [Driver.run]
-   pipeline — harvest, classification, call graph — over the .cmt. *)
+(* The domain-safety rules (lib/analysis_dom) behind `hypartition lint`:
+   every DOM rule must fire on its fixture at the exact line, fall
+   silent on the compliant mutation, and obey the shared suppression
+   machinery.  Every rule test runs the real pipeline on the typed front:
+   the files are written into a temp tree, each .mli then each .ml is
+   compiled there with `ocamlc -bin-annot` (a source that does not
+   compile gets no .cmt), and [Driver.run] lints the tree — harvest,
+   classification, call graph, effects — over the .cmt files. *)
 
 module AD = Analysis_dom
 module L = Lint
@@ -20,23 +20,82 @@ let em_dash = "\xe2\x80\x94"
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 let fixture name = read_file (Filename.concat "fixtures/dom" name)
 
-let analyze ?config ?entries ?certificate files =
-  AD.Driver.analyze_sources ?config ?entries ?certificate ~root:"." files
+let write_file path content =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content)
+
+let with_temp_tree f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hypartition_dom_%d" (Unix.getpid ()))
+  in
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  if Sys.file_exists dir then rm dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
+(* Lint a tree of (root-relative path, content) files — sources, and
+   optionally lint.config or analysis/effects.json — after compiling
+   its sources in place. *)
+let analyze ?entries files =
+  with_temp_tree (fun root ->
+      List.iter
+        (fun (path, content) ->
+          let abs = Filename.concat root path in
+          mkdir_p (Filename.dirname abs);
+          write_file abs content)
+        files;
+      let compile suffix =
+        List.iter
+          (fun (path, _) ->
+            if Filename.check_suffix path suffix then
+              ignore
+                (Sys.command
+                   (Printf.sprintf
+                      "cd %s && ocamlc -bin-annot -w -a -I %s -c %s 2>/dev/null"
+                      (Filename.quote root)
+                      (Filename.quote (Filename.dirname path))
+                      (Filename.quote path))
+                  : int))
+          files
+      in
+      compile ".mli";
+      compile ".ml";
+      match AD.Driver.run ?entries ~build_dir:root ~root () with
+      | Ok r -> r
+      | Error e -> Alcotest.fail e)
+
+let report (r : AD.Driver.result) =
+  L.Engine.report ~catalogue:AD.Driver.catalogue r.lint
 
 let find_all ~rule (r : AD.Driver.result) =
-  List.filter (fun (f : L.Rules.finding) -> String.equal f.rule rule) r.findings
+  List.filter
+    (fun (f : L.Rules.finding) -> String.equal f.rule rule)
+    r.lint.L.Engine.findings
 
 let fires ~rule ~file ~line (r : AD.Driver.result) =
   List.exists
     (fun (f : L.Rules.finding) ->
       String.equal f.rule rule && String.equal f.file file && f.line = line)
-    r.findings
+    r.lint.L.Engine.findings
 
 let check_fires name ~rule ~file ~line r =
   if not (fires ~rule ~file ~line r) then
     Alcotest.failf "%s: expected %s at %s:%d, report was\n%s" name rule file
       line
-      (C.to_string (AD.Driver.report r))
+      (C.to_string (report r))
 
 let check_silent name ~rule r =
   match find_all ~rule r with
@@ -55,25 +114,24 @@ let contains hay needle =
 (* ---- catalogue and the shared --rules renderer -------------------------- *)
 
 let test_catalogue () =
+  (* DOM10 (Parsetree-front unknown) is retired with that front *)
   Alcotest.(check (list string))
     "stable rule ids"
     [
       "DOM00"; "DOM01"; "DOM02"; "DOM03"; "DOM04"; "DOM05"; "DOM06"; "DOM07";
-      "DOM08"; "DOM09"; "DOM10"; "DOM11";
+      "DOM08"; "DOM09"; "DOM11";
     ]
     (List.map fst AD.Dom_rules.catalogue);
-  (* one renderer for both tools: every id of either catalogue appears
-     in its rendering, formatted identically *)
-  let dom = L.Rules.render_catalogue AD.Dom_rules.catalogue in
-  let src = L.Rules.render_catalogue L.catalogue in
+  (* one verb, one catalogue: the SRC rules, then the DOM rules *)
+  Alcotest.(check (list string))
+    "lint enforces both rule sets"
+    (List.map fst (L.catalogue @ AD.Dom_rules.catalogue))
+    (List.map fst AD.Driver.catalogue);
+  let dom = L.Rules.render_catalogue AD.Driver.catalogue in
   List.iter
     (fun (id, _) ->
       Alcotest.(check bool) (id ^ " rendered") true (contains dom (id ^ " ")))
-    AD.Dom_rules.catalogue;
-  List.iter
-    (fun (id, _) ->
-      Alcotest.(check bool) (id ^ " rendered") true (contains src (id ^ " ")))
-    L.catalogue;
+    AD.Driver.catalogue;
   (* every rendered line carries the introducing PR (the since column) *)
   List.iter
     (fun (id, _) ->
@@ -162,14 +220,17 @@ let test_dom03 () =
   check_fires "global Random" ~rule:"DOM03" ~file:path ~line:3 r;
   (* a module-global Rng is shared state even without Random.* calls *)
   let global_rng =
-    "module Rng = struct\n\
+    "module Rng : sig\n\
+    \  type t\n\n\
+    \  val create : int -> t\n\
+     end = struct\n\
     \  type t = int ref\n\n\
     \  let create s = ref s\n\
      end\n\n\
      let default = Rng.create 1\n"
   in
   let r = analyze [ (path, global_rng); (path ^ "i", "") ] in
-  check_fires "module-global rng" ~rule:"DOM03" ~file:path ~line:7 r;
+  check_fires "module-global rng" ~rule:"DOM03" ~file:path ~line:11 r;
   (* compliant: explicit state threading *)
   let ok = "let jitter state n = n + (state mod 3)\n" in
   let r = analyze [ (path, ok); (path ^ "i", "") ] in
@@ -301,42 +362,43 @@ let test_dom08 () =
   in
   check_silent "confined projection" ~rule:"DOM08" r
 
-(* ---- DOM10: Parsetree-front unknown (warning) --------------------------- *)
+(* ---- DOM09: unknown effects through an unanalyzed external -------------- *)
 
-let test_dom10 () =
-  let path = "lib/x/dom10_parse_unknown.ml" in
-  let files = [ (path, fixture "dom10_parse_unknown.ml"); (path ^ "i", "") ] in
-  let r = analyze ~entries:(entries_for "Dom10_parse_unknown") files in
-  check_fires "external widens" ~rule:"DOM10" ~file:path ~line:4 r;
-  (match find_all ~rule:"DOM10" r with
+let test_dom09 () =
+  let path = "lib/x/dom09_external_unknown.ml" in
+  let files = [ (path, fixture "dom09_external_unknown.ml"); (path ^ "i", "") ] in
+  let r = analyze ~entries:(entries_for "Dom09_external_unknown") files in
+  check_fires "external widens" ~rule:"DOM09" ~file:path ~line:4 r;
+  (match find_all ~rule:"DOM09" r with
   | [ f ] ->
+      Alcotest.(check bool) "an error" true (f.L.Rules.severity = C.Error);
       Alcotest.(check bool)
-        "warning, not error" true
-        (f.L.Rules.severity = C.Warning)
-  | l -> Alcotest.failf "expected one DOM10, got %d" (List.length l));
+        "names the external" true
+        (contains f.L.Rules.message "Sys.getenv")
+  | l -> Alcotest.failf "expected one DOM09, got %d" (List.length l));
   (* a benign external does not widen *)
   let ok = "let solve xs = List.length xs\n" in
   let r =
     analyze
-      ~entries:(entries_for "Dom10_parse_unknown")
+      ~entries:(entries_for "Dom09_external_unknown")
       [ (path, ok); (path ^ "i", "") ]
   in
-  check_silent "benign external" ~rule:"DOM10" r
+  check_silent "benign external" ~rule:"DOM09" r
 
 (* ---- DOM11: certificate staleness --------------------------------------- *)
 
-let cert_of (r : AD.Driver.result) =
-  AD.Inventory.render (AD.Effects.to_json r.AD.Driver.effects)
+let certificate_path = "analysis/effects.json"
 
 let test_dom11 () =
   let path = "lib/x/dom07_shared_writer.ml" in
   let files = [ (path, fixture "dom07_shared_writer.ml"); (path ^ "i", "") ] in
   let entries = entries_for "Dom07_shared_writer" in
-  let fresh = cert_of (analyze ~entries files) in
+  let with_certificate ?(extra = []) cert =
+    analyze ~entries (files @ ((certificate_path, cert) :: extra))
+  in
+  let fresh = AD.Effects.certificate (analyze ~entries files).AD.Driver.effects in
   (* a fresh certificate passes *)
-  let r = analyze ~entries ~certificate:("analysis/effects.json", fresh) files in
-  check_silent "fresh certificate" ~rule:"DOM11" r;
-  (* flipping a certified classification is one stale entry *)
+  check_silent "fresh certificate" ~rule:"DOM11" (with_certificate fresh);
   let replace ~needle ~by hay =
     let nh = String.length hay and nn = String.length needle in
     let buf = Buffer.create nh in
@@ -353,30 +415,48 @@ let test_dom11 () =
     done;
     Buffer.contents buf
   in
+  (* one line per entry point: flipping both certified classifications
+     is one stale finding per entry, each at its own line *)
   let stale =
-    replace
-      ~needle:"\"classification\": \"shared_mutating\""
-      ~by:"\"classification\": \"pure\"" fresh
+    replace ~needle:"\"classification\":\"shared_mutating\""
+      ~by:"\"classification\":\"pure\"" fresh
   in
-  let r = analyze ~entries ~certificate:("analysis/effects.json", stale) files in
-  check_fires "stale entry" ~rule:"DOM11" ~file:"analysis/effects.json" ~line:1 r;
-  (* an unparseable document is a single finding, not a crash *)
-  let r =
-    analyze ~entries ~certificate:("analysis/effects.json", "{ nope") files
-  in
-  Alcotest.(check int) "one parse finding" 1
+  let r = with_certificate stale in
+  check_fires "stale note" ~rule:"DOM11" ~file:certificate_path ~line:4 r;
+  check_fires "stale solve" ~rule:"DOM11" ~file:certificate_path ~line:5 r;
+  Alcotest.(check int) "one finding per entry" 2
     (List.length (find_all ~rule:"DOM11" r));
+  (* an entry point the certificate lacks *)
+  let lines = String.split_on_char '\n' fresh in
+  let dropped = String.concat "\n" (List.filteri (fun i _ -> i <> 3) lines) in
+  let r = with_certificate dropped in
+  check_fires "missing entry" ~rule:"DOM11" ~file:certificate_path ~line:1 r;
+  Alcotest.(check bool)
+    "names the entry" true
+    (List.exists
+       (fun (f : L.Rules.finding) ->
+         contains f.message "Dom07_shared_writer.note")
+       (find_all ~rule:"DOM11" r));
+  (* an unparseable or wrong-schema document is a single finding, not a
+     crash *)
+  Alcotest.(check int) "one parse finding" 1
+    (List.length (find_all ~rule:"DOM11" (with_certificate "{ nope")));
+  Alcotest.(check int) "one schema finding" 1
+    (List.length
+       (find_all ~rule:"DOM11"
+          (with_certificate
+             (replace ~needle:AD.Effects.schema_version
+                ~by:"hypartition-effects/1" fresh))));
   (* DOM11 obeys the shared suppression machinery *)
-  let config, errs =
-    L.Suppress.parse_config
-      ("allow DOM11 analysis/effects.json " ^ em_dash
-     ^ " regenerating in this same PR\n")
-  in
-  Alcotest.(check int) "config parses" 0 (List.length errs);
   let r =
-    analyze ~config ~entries
-      ~certificate:("analysis/effects.json", stale)
-      files
+    with_certificate
+      ~extra:
+        [
+          ( "lint.config",
+            "allow DOM11 analysis/effects.json " ^ em_dash
+            ^ " regenerating in this same PR\n" );
+        ]
+      stale
   in
   check_silent "suppressed staleness" ~rule:"DOM11" r;
   Alcotest.(check bool)
@@ -384,14 +464,33 @@ let test_dom11 () =
     (List.exists
        (fun ((f : L.Rules.finding), reason) ->
          f.rule = "DOM11" && reason = "regenerating in this same PR")
-       r.AD.Driver.suppressed)
+       r.lint.L.Engine.suppressed)
 
 (* ---- DOM00 and suppression ---------------------------------------------- *)
 
+(* A source no .cmt covers is one the DOM rules cannot see: an error,
+   whether it does not parse or only does not compile. *)
 let test_dom00_parse_error () =
   let path = "lib/x/broken.ml" in
   let r = analyze [ (path, "let = = =\n") ] in
-  check_fires "unparseable" ~rule:"DOM00" ~file:path ~line:1 r
+  check_fires "unparseable" ~rule:"DOM00" ~file:path ~line:1 r;
+  check_fires "SRC00 reports the syntax error" ~rule:"SRC00" ~file:path ~line:1
+    r;
+  let path = "lib/x/ill_typed.ml" in
+  let r = analyze [ (path, "let x : int = \"s\"\n"); (path ^ "i", "") ] in
+  check_fires "no .cmt" ~rule:"DOM00" ~file:path ~line:1 r;
+  Alcotest.(check bool) "the gate fails" true (C.exit_code (report r) <> 0);
+  (match find_all ~rule:"DOM00" r with
+  | [ f ] ->
+      Alcotest.(check bool)
+        "says how to fix it" true
+        (contains f.L.Rules.message "dune build @check")
+  | l -> Alcotest.failf "expected one DOM00, got %d" (List.length l));
+  (* bin/ and bench/ are covered too; test/ is not *)
+  let r = analyze [ ("bin/x.ml", "let x : int = \"s\"\n") ] in
+  check_fires "bin source" ~rule:"DOM00" ~file:"bin/x.ml" ~line:1 r;
+  let r = analyze [ ("test/x.ml", "let x : int = \"s\"\n") ] in
+  check_silent "test/ is SRC-only" ~rule:"DOM00" r
 
 let test_suppression () =
   let path = "lib/x/dom01_hot_ref.ml" in
@@ -415,24 +514,22 @@ let test_suppression () =
       [ (path, with_marker); (path ^ "i", "") ]
   in
   check_silent "marker suppresses" ~rule:"DOM01" r;
-  (match r.AD.Driver.suppressed with
+  (match r.lint.L.Engine.suppressed with
   | [ (f, reason) ] ->
       Alcotest.(check string) "rule" "DOM01" f.L.Rules.rule;
       Alcotest.(check string) "reason" "single-domain test gate" reason
   | l -> Alcotest.failf "expected one suppressed finding, got %d" (List.length l));
   (* lint.config entry with a reason *)
-  let config, errs =
-    L.Suppress.parse_config
-      ("allow DOM01 lib/x " ^ em_dash ^ " confined by the test harness\n")
-  in
-  Alcotest.(check int) "config parses" 0 (List.length errs);
+  let config = "allow DOM01 lib/x " ^ em_dash ^ " confined by the test harness\n" in
   let r =
-    analyze ~config
+    analyze
       ~entries:(entries_for "Dom01_hot_ref")
-      [ (path, body); (path ^ "i", "") ]
+      [ (path, body); (path ^ "i", ""); ("lint.config", config) ]
   in
+  check_silent "config parses" ~rule:"SRC00" r;
   check_silent "config suppresses" ~rule:"DOM01" r;
-  Alcotest.(check int) "suppressed recorded" 1 (List.length r.AD.Driver.suppressed)
+  Alcotest.(check int) "suppressed recorded" 1
+    (List.length r.lint.L.Engine.suppressed)
 
 let test_stale_dom_marker () =
   let path = "lib/x/clean.ml" in
@@ -441,15 +538,17 @@ let test_stale_dom_marker () =
   in
   let r = analyze [ (path, src); (path ^ "i", "") ] in
   check_fires "stale DOM marker" ~rule:"DOM00" ~file:path ~line:1 r;
-  (* an unused SRC-only marker is hyplint's to police, not ours *)
+  (* an unused SRC-only marker is SRC00's to report *)
   let src =
     marker ("allow SRC03 " ^ em_dash ^ " printing moved away") ^ "\nlet x = 1\n"
   in
   let r = analyze [ (path, src); (path ^ "i", "") ] in
-  check_silent "SRC markers not ours" ~rule:"DOM00" r
+  check_silent "SRC markers not ours" ~rule:"DOM00" r;
+  check_fires "SRC00 owns it" ~rule:"SRC00" ~file:path ~line:1 r
 
-(* The mirror image: hyplint must not flag unused DOM-only markers as
-   stale SRC00 — those belong to the analyzer. *)
+(* One stale-marker pass: an unused DOM-only marker is one DOM00
+   warning, never an SRC00 as well — also through the SRC-only pipeline
+   the SRC fixture tests drive. *)
 let test_lint_ignores_dom_markers () =
   let path = "lib/x/clean.ml" in
   let src =
@@ -459,12 +558,14 @@ let test_lint_ignores_dom_markers () =
   let r =
     L.Engine.lint_sources ~root:"." [ (path, src); (path ^ "i", "") ]
   in
-  let src00 =
-    List.filter
-      (fun (f : L.Rules.finding) -> String.equal f.rule "SRC00")
-      r.L.Engine.findings
+  let count rule =
+    List.length
+      (List.filter
+         (fun (f : L.Rules.finding) -> String.equal f.rule rule)
+         r.L.Engine.findings)
   in
-  Alcotest.(check int) "no SRC00 for DOM markers" 0 (List.length src00)
+  Alcotest.(check int) "no SRC00 for DOM markers" 0 (count "SRC00");
+  Alcotest.(check int) "one DOM00" 1 (count "DOM00")
 
 (* ---- determinism -------------------------------------------------------- *)
 
@@ -475,23 +576,23 @@ let test_determinism () =
       ("lib/x/dom02_workspace_escape.ml", fixture "dom02_workspace_escape.ml");
       ("lib/x/dom03_global_random.ml", fixture "dom03_global_random.ml");
       ("lib/solvers/dom05_toplevel_hashtbl.ml", fixture "dom05_toplevel_hashtbl.ml");
+      ("lib/x/dom07_shared_writer.ml", fixture "dom07_shared_writer.ml");
     ]
   in
+  let entries = [ ("Dom01_hot_ref", "*"); ("Dom07_shared_writer", "*") ] in
   let run () =
-    let r = analyze ~entries:(entries_for "Dom01_hot_ref") files in
-    ( Obs.Json.to_string (AD.Driver.to_json r),
-      AD.Inventory.render r.inventory,
-      cert_of r )
+    let r = analyze ~entries files in
+    ( Obs.Json.to_string (L.Engine.to_json r.lint),
+      AD.Effects.certificate r.AD.Driver.effects )
   in
-  let j1, i1, c1 = run () in
-  let j2, i2, c2 = run () in
-  Alcotest.(check string) "analyze --json byte-match" j1 j2;
-  Alcotest.(check string) "inventory byte-match" i1 i2;
+  let j1, c1 = run () in
+  let j2, c2 = run () in
+  Alcotest.(check string) "lint --format json byte-match" j1 j2;
   Alcotest.(check string) "effects certificate byte-match" c1 c2;
-  (* the pretty renderings parse back *)
-  (match Obs.Json.parse i1 with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "inventory does not re-parse: %s" e);
+  (* one line per entry point, between a three-line head and a two-line
+     tail *)
+  Alcotest.(check int) "certificate lines" (3 + 3 + 2)
+    (List.length (String.split_on_char '\n' (String.trim c1)));
   match Obs.Json.parse c1 with
   | Ok j ->
       let schema =
@@ -499,7 +600,7 @@ let test_determinism () =
       in
       Alcotest.(check (option string))
         "certificate schema"
-        (Some "hypartition-effects/1") schema
+        (Some "hypartition-effects/2") schema
   | Error e -> Alcotest.failf "certificate does not re-parse: %s" e
 
 (* ---- the typed front, end to end over real .cmt files ------------------- *)
@@ -517,90 +618,44 @@ let typed_fixture_ws =
    end\n\n\
    let acquire n = Workspace.create n\n"
 
-(* [fetch]'s only effect is an unanalyzed external (Sys.getenv): under
-   the typed front that is DOM09, an error; [pick] stays pure through
-   the benign allowlist (String.length). *)
+(* [fetch]'s only effect is an unanalyzed external (Sys.getenv): DOM09,
+   an error; [pick] stays pure through the benign allowlist
+   (String.length). *)
 let typed_fixture_ext =
   "let fetch name = Sys.getenv name\n\nlet pick s = String.length s\n"
 
-let with_temp_tree f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hypartition_dom_%d" (Unix.getpid ()))
-  in
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm (Filename.concat path n)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  if Sys.file_exists dir then rm dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
-
-let write_file path content =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content)
-
 let test_typed_front () =
-  with_temp_tree (fun root ->
-      let libdir = Filename.concat root "lib" in
-      Sys.mkdir libdir 0o755;
-      Sys.mkdir (Filename.concat libdir "fix") 0o755;
-      write_file (Filename.concat libdir "fix/dom_typed.ml") typed_fixture_main;
-      write_file (Filename.concat libdir "fix/dom_typed_ws.ml") typed_fixture_ws;
-      write_file (Filename.concat libdir "fix/dom_typed_ext.ml") typed_fixture_ext;
-      let compile file =
-        let cmd =
-          Printf.sprintf "cd %s && ocamlc -bin-annot -w -a -c %s 2>/dev/null"
-            (Filename.quote root) (Filename.quote file)
-        in
-        Alcotest.(check int) ("compile " ^ file) 0 (Sys.command cmd)
-      in
-      compile "lib/fix/dom_typed.ml";
-      compile "lib/fix/dom_typed_ws.ml";
-      compile "lib/fix/dom_typed_ext.ml";
-      match
-        AD.Driver.run ~root ~build_dir:root
-          ~entries:
-            [ ("Dom_typed", "*"); ("Dom_typed_ws", "*"); ("Dom_typed_ext", "*") ]
-          ()
-      with
-      | Error e -> Alcotest.fail e
-      | Ok r ->
-          Alcotest.(check int) "all units typed" 3 r.AD.Driver.n_typed;
-          Alcotest.(check int) "no parse fallback" 0 r.AD.Driver.n_parse;
-          (* the harvest saw through the `t = counter` alias to the
-             mutable record — classification no syntax pass can make *)
-          check_fires "DOM01 via harvest" ~rule:"DOM01"
-            ~file:"lib/fix/dom_typed.ml" ~line:5 r;
-          (* the principal type of [acquire] mentions Workspace.t even
-             though the source never writes the type *)
-          check_fires "DOM02 via inferred return type" ~rule:"DOM02"
-            ~file:"lib/fix/dom_typed_ws.ml" ~line:7 r;
-          (* unsealed units with unsafe globals: DOM06 from the cmt *)
-          check_fires "DOM06 from typed unit" ~rule:"DOM06"
-            ~file:"lib/fix/dom_typed.ml" ~line:5 r;
-          (* the typed front's external widening is DOM09, an error *)
-          check_fires "DOM09 from typed unit" ~rule:"DOM09"
-            ~file:"lib/fix/dom_typed_ext.ml" ~line:1 r;
-          (match find_all ~rule:"DOM09" r with
-          | [ f ] ->
-              Alcotest.(check bool)
-                "DOM09 is an error" true
-                (f.L.Rules.severity = C.Error);
-              Alcotest.(check bool)
-                "DOM09 names the external" true
-                (contains f.L.Rules.message "Sys.getenv")
-          | l -> Alcotest.failf "expected one DOM09, got %d" (List.length l));
-          (* the benign allowlist keeps the sibling pure *)
-          match AD.Effects.find r.AD.Driver.effects "Dom_typed_ext.pick" with
-          | Some i ->
-              Alcotest.(check string)
-                "pick stays pure" "pure"
-                (AD.Effects.classification_to_string i.AD.Effects.e_class)
-          | None -> Alcotest.fail "pick not in the effect table")
+  let r =
+    analyze
+      ~entries:
+        [ ("Dom_typed", "*"); ("Dom_typed_ws", "*"); ("Dom_typed_ext", "*") ]
+      [
+        ("lib/fix/dom_typed.ml", typed_fixture_main);
+        ("lib/fix/dom_typed_ws.ml", typed_fixture_ws);
+        ("lib/fix/dom_typed_ext.ml", typed_fixture_ext);
+      ]
+  in
+  Alcotest.(check int) "all units typed" 3 r.lint.L.Engine.units;
+  (* the harvest saw through the `t = counter` alias to the mutable
+     record — classification no syntax pass can make *)
+  check_fires "DOM01 via harvest" ~rule:"DOM01" ~file:"lib/fix/dom_typed.ml"
+    ~line:5 r;
+  (* the principal type of [acquire] mentions Workspace.t even though
+     the source never writes the type *)
+  check_fires "DOM02 via inferred return type" ~rule:"DOM02"
+    ~file:"lib/fix/dom_typed_ws.ml" ~line:7 r;
+  (* unsealed units with unsafe globals: DOM06 from the cmt *)
+  check_fires "DOM06 from typed unit" ~rule:"DOM06"
+    ~file:"lib/fix/dom_typed.ml" ~line:5 r;
+  check_fires "DOM09 from typed unit" ~rule:"DOM09"
+    ~file:"lib/fix/dom_typed_ext.ml" ~line:1 r;
+  (* the benign allowlist keeps the sibling pure *)
+  match AD.Effects.find r.AD.Driver.effects "Dom_typed_ext.pick" with
+  | Some i ->
+      Alcotest.(check string)
+        "pick stays pure" "pure"
+        (AD.Effects.classification_to_string i.AD.Effects.e_class)
+  | None -> Alcotest.fail "pick not in the effect table"
 
 (* ---- docs stay in sync with both catalogues ----------------------------- *)
 
@@ -611,7 +666,7 @@ let test_docs_in_sync () =
     (fun (id, _) ->
       Alcotest.(check bool) ("README mentions " ^ id) true (contains readme id);
       Alcotest.(check bool) ("DESIGN mentions " ^ id) true (contains design id))
-    (L.catalogue @ AD.Dom_rules.catalogue)
+    AD.Driver.catalogue
 
 let suite =
   [
@@ -624,7 +679,7 @@ let suite =
     Alcotest.test_case "DOM06 unsealed mutable" `Quick test_dom06;
     Alcotest.test_case "DOM07 hot shared writer" `Quick test_dom07;
     Alcotest.test_case "DOM08 workspace interior escape" `Quick test_dom08;
-    Alcotest.test_case "DOM10 parse-front unknown" `Quick test_dom10;
+    Alcotest.test_case "DOM09 unanalyzed external" `Quick test_dom09;
     Alcotest.test_case "DOM11 certificate staleness" `Quick test_dom11;
     Alcotest.test_case "DOM00 parse error" `Quick test_dom00_parse_error;
     Alcotest.test_case "suppression with reasons" `Quick test_suppression;

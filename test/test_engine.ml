@@ -492,6 +492,99 @@ let test_cache_concurrent_stores () =
   in
   Alcotest.(check (list string)) "no temp files survive" [] leftovers
 
+(* A worker that has closed its status pipe but not yet exited keeps its
+   pool entry while a second slot forks, and the new worker's pipe gets
+   the lowest free descriptor: the one the finished entry just closed.
+   Worker A is held in exactly that window — it reports, closes its
+   pipe, then blocks flushing stdout into a pipe this test keeps full —
+   while worker B runs.  B's payload must reach B; A must finish once
+   the test drains the pipe. *)
+let test_pool_fd_reuse () =
+  let job = gen_job ~n:30 () in
+  let fp = fingerprint_exn job in
+  let worker (j : E.Spec.job) =
+    (* Buffered until the worker's exit flush, after its status pipe
+       is closed. *)
+    if j.E.Spec.seed = 1 then print_string "held";
+    {
+      E.Record.p_status = `Done;
+      p_metrics = [ ("seed", Obs.Json.Int j.E.Spec.seed) ];
+      p_observed = None;
+    }
+  in
+  let fill fd size =
+    let block = Bytes.make size 'x' in
+    try
+      while true do
+        ignore (Unix.write fd block 0 size : int)
+      done
+    with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let out_r, out_w = Unix.pipe () in
+  Unix.set_nonblock out_w;
+  fill out_w 4096;
+  fill out_w 1;
+  Unix.clear_nonblock out_w;
+  Unix.dup2 out_w Unix.stdout;
+  Unix.close out_w;
+  let drain () =
+    Unix.set_nonblock out_r;
+    let buf = Bytes.create 65536 in
+    try
+      while Unix.read out_r buf 0 65536 > 0 do
+        ()
+      done
+    with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  let restore () =
+    drain ();
+    Unix.dup2 saved Unix.stdout;
+    Unix.close saved;
+    Unix.close out_r
+  in
+  Fun.protect ~finally:restore @@ fun () ->
+  let pool =
+    E.Pool.create
+      { (quiet_pool 2) with E.Pool.silence_worker_stdout = false }
+      ~worker
+  in
+  let completed = ref [] in
+  let step () =
+    let records, _ = E.Pool.step ~timeout:0.01 pool in
+    completed := records @ !completed
+  in
+  let step_until what index =
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while not (List.mem_assoc index !completed) do
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "timed out waiting for %s" what;
+      step ()
+    done
+  in
+  let check_record what index seed =
+    let r = List.assoc index !completed in
+    Alcotest.(check string) (what ^ " ok") "ok"
+      (E.Record.status_name r.E.Record.status);
+    Alcotest.(check int) (what ^ " ran once") 1 r.E.Record.timing.E.Record.attempts;
+    Alcotest.(check bool) (what ^ " got its own payload") true
+      (List.assoc_opt "seed" r.E.Record.metrics = Some (Obs.Json.Int seed))
+  in
+  E.Pool.submit pool ~index:0 ~fingerprint:fp { job with E.Spec.seed = 1 };
+  let until = Unix.gettimeofday () +. 0.3 in
+  while Unix.gettimeofday () < until do
+    step ()
+  done;
+  Alcotest.(check int) "A is held before it exits" 0 (List.length !completed);
+  E.Pool.submit pool ~index:1 ~fingerprint:fp { job with E.Spec.seed = 2 };
+  step_until "worker B" 1;
+  check_record "B" 1 2;
+  drain ();
+  step_until "worker A" 0;
+  check_record "A" 0 1;
+  Alcotest.(check bool) "pool idle" true (E.Pool.idle pool)
+
 let test_cache_reader_racing_writer () =
   (* A reader racing a single writer through the entry's whole life:
      before the first store it misses cleanly; from the first successful
@@ -775,6 +868,8 @@ let suite =
       test_cache_concurrent_stores;
     Alcotest.test_case "cache reader racing writer" `Quick
       test_cache_reader_racing_writer;
+    Alcotest.test_case "pool descriptor reuse after EOF" `Quick
+      test_pool_fd_reuse;
     Alcotest.test_case "batch cache second pass" `Quick
       test_batch_cache_second_pass;
     Alcotest.test_case "trace structure across parallelism" `Quick

@@ -173,6 +173,25 @@ let test_metric_aggregation () =
   Alcotest.(check int) "handle survives reset_stats" 1 (Obs.Counter.value c);
   Obs.reset_for_tests ()
 
+(* A histogram restarted by reset_stats reports only what it observed
+   since: a forked batch worker resets after the fork and must not carry
+   the coordinator's sums into its own snapshot. *)
+let test_reset_restarts_histogram_sum () =
+  Obs.reset_for_tests ();
+  Obs.set_enabled true;
+  let h = Obs.Histogram.make "reset.hist" in
+  List.iter (Obs.Histogram.observe h) [ 5.0; 7.0 ];
+  Obs.reset_stats ();
+  Obs.Histogram.observe h 3.0;
+  (match (Obs.snapshot ()).Obs.histograms with
+  | [ ("reset.hist", s) ] ->
+      Alcotest.(check int) "count restarted" 1 s.Obs.h_count;
+      Alcotest.(check (float 1e-9)) "sum restarted" 3.0 s.Obs.h_sum;
+      Alcotest.(check (float 1e-9)) "min restarted" 3.0 s.Obs.h_min;
+      Alcotest.(check (float 1e-9)) "max restarted" 3.0 s.Obs.h_max
+  | other -> Alcotest.failf "unexpected histograms (%d)" (List.length other));
+  Obs.reset_for_tests ()
+
 (* The FM inner loop runs counter increments and span entries with obs
    off; those must not allocate, or the hot path pays a GC tax for
    instrumentation nobody asked for. *)
@@ -497,6 +516,8 @@ let suite =
       test_trace_roundtrip;
     Alcotest.test_case "metric aggregation and reset" `Quick
       test_metric_aggregation;
+    Alcotest.test_case "reset restarts histogram sums" `Quick
+      test_reset_restarts_histogram_sum;
     Alcotest.test_case "disabled instrumentation does not allocate" `Quick
       test_disabled_no_alloc;
     Alcotest.test_case "Span.timed measures when disabled" `Quick

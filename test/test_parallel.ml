@@ -1,7 +1,7 @@
 (* lib/parallel and the multicore multilevel path: pool fork-join
-   semantics (index-slot gather, deterministic fold order, exception
-   selection), the threads-1-vs-N determinism contract of
-   Multilevel.partition with [threads >= 1] — identical assignments,
+   semantics (index-slot gather, exception selection), the
+   threads-1-vs-N determinism contract of Multilevel.partition with
+   [threads >= 1] — identical assignments,
    costs, byte-identical engine records — and threads-independence of
    the fm.* / lp.* observability totals (per-domain accumulators must
    neither lose nor double-count). *)
@@ -37,30 +37,6 @@ let test_map_worker_ids () =
           Alcotest.(check bool) "worker id in range" true (w >= 0 && w < 4))
         workers)
 
-let test_fold_deterministic_order () =
-  Parallel.run ~threads:4 (fun pool ->
-      (* Order-sensitive combine: deterministic fold must reduce in task
-         index order regardless of which worker finished first. *)
-      let r =
-        Parallel.fold pool ~deterministic:true ~n:50
-          ~f:(fun ~worker:_ i -> i)
-          ~combine:(fun acc i -> i :: acc)
-          ~init:[]
-      in
-      Alcotest.(check (list int))
-        "index order" (List.init 50 Fun.id) (List.rev r);
-      (* The relaxed fold loses the order guarantee but not the
-         multiset of results. *)
-      let relaxed =
-        Parallel.fold pool ~deterministic:false ~n:50
-          ~f:(fun ~worker:_ i -> i)
-          ~combine:(fun acc i -> i :: acc)
-          ~init:[]
-      in
-      Alcotest.(check (list int))
-        "relaxed fold is a permutation" (List.init 50 Fun.id)
-        (List.sort Int.compare relaxed))
-
 exception Task_failed of int
 
 let test_map_exception_selection () =
@@ -87,7 +63,7 @@ let test_run_bracket () =
 (* ---- threads-1-vs-N determinism ------------------------------------------ *)
 
 let par_config ~threads =
-  { Solvers.Multilevel.default_config with threads; deterministic = true }
+  { Solvers.Multilevel.default_config with threads }
 
 let solve_par ~threads hg ~k ~seed =
   let rng = Support.Rng.create seed in
@@ -251,8 +227,6 @@ let suite =
   [
     Alcotest.test_case "pool: map gathers by index" `Quick test_map_basic;
     Alcotest.test_case "pool: worker ids" `Quick test_map_worker_ids;
-    Alcotest.test_case "pool: fold order" `Quick
-      test_fold_deterministic_order;
     Alcotest.test_case "pool: smallest-index exception" `Quick
       test_map_exception_selection;
     Alcotest.test_case "pool: run bracket" `Quick test_run_bracket;

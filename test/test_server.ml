@@ -613,8 +613,11 @@ let test_serve_drain () =
   let clients = [ c ] in
   (* Get job 1 running (forked), keep job 2 queued, then shut down:
      drain must finish the running worker, skip the queued one, and
-     still answer both waiters. *)
-  S.Client.request c (S.Protocol.Submit { id = 1; job = gen_job ~seed:61 () });
+     still answer both waiters.  Job 1 is a half-second spin drill, so
+     it is still running when the status reply comes back — a small
+     solve can finish inside one pool select round. *)
+  let spin = { (gen_job ~seed:61 ()) with E.Spec.instance = E.Spec.Spin 0.5 } in
+  S.Client.request c (S.Protocol.Submit { id = 1; job = spin });
   pump ~daemon ~clients "job 1 running" (fun () ->
       S.Client.request c (S.Protocol.Status { id = 1 });
       S.Daemon.step ~timeout:0.002 daemon;
