@@ -9,7 +9,12 @@
 
    mu_p = n/2 (zero idle time) iff the integers split into triplets of sum
    b: a perfect schedule must advance the main path every step, so the
-   small paths must jointly supply the complementary processor sequence. *)
+   small paths must jointly supply the complementary processor sequence.
+
+   [perfect_schedule_exists] decides this exactly by a search over
+   small-path progress vectors that treats small paths of equal length as
+   interchangeable: repeated numbers collapse the search, distinct ones
+   do not, so the worst case stays exponential. *)
 
 type t = {
   instance : Npc.Three_partition.instance;
@@ -74,19 +79,32 @@ let build ?(rooted = false) instance =
 
 (* Decide mu_p = target directly: a perfect schedule runs one main-path
    node and one complementary small-path node every step, so search over
-   small-path progress vectors (BFS with memoization; polynomial in
-   practice at the instance sizes of the experiments, though worst-case
-   exponential — the problem is NP-hard after all). *)
+   small-path progress vectors (BFS with memoization; worst-case
+   exponential — the problem is NP-hard after all).
+
+   Small paths of equal length have identical colour sequences, so two
+   progress vectors that differ only by permuting equal-a_i paths are the
+   same state.  The search runs on a sorted copy of the numbers and keeps
+   progress non-increasing within each run of equal a_i: only the first
+   path of a run of equal (a_i, progress) may advance, which preserves
+   that canonical form without sorting per transition.  The frontier is
+   then the set of canonical forms of the full frontier, so the decision
+   is the same; with all a_i distinct nothing collapses. *)
 let perfect_schedule_exists t =
-  let numbers = Npc.Three_partition.numbers t.instance in
+  let numbers = Array.copy (Npc.Three_partition.numbers t.instance) in
+  Array.sort Int.compare numbers;
   let b = Npc.Three_partition.target t.instance in
-  let paths = Array.length t.small_paths in
+  let paths = Array.length numbers in
   let steps = Array.length t.main_path in
   (* Color of the main-path node at step s (0-based): s / b mod 2; the
      complement is what the small paths must supply. *)
   let needed s = 1 - (s / b mod 2) in
   (* Color of small path i at progress q: 1 while q < a_i, then 0. *)
   let small_color i q = if q < numbers.(i) then 1 else 0 in
+  (* Path i is interchangeable with path i-1 at the same progress. *)
+  let shadowed progress i =
+    i > 0 && numbers.(i - 1) = numbers.(i) && progress.(i - 1) = progress.(i)
+  in
   let module Key = struct
     type t = int array
 
@@ -94,10 +112,7 @@ let perfect_schedule_exists t =
     let hash = Support.Order.int_array_hash
   end in
   let module Tbl = Hashtbl.Make (Key) in
-  let visited = Tbl.create 1024 in
-  let start = Array.make paths 0 in
-  Tbl.replace visited start ();
-  let frontier = ref [ start ] in
+  let frontier = ref [ Array.make paths 0 ] in
   let step = ref 0 in
   while !frontier <> [] && !step < steps do
     let want = needed !step in
@@ -106,7 +121,11 @@ let perfect_schedule_exists t =
       (fun progress ->
         for i = 0 to paths - 1 do
           let q = progress.(i) in
-          if q < 2 * numbers.(i) && small_color i q = want then begin
+          if
+            q < 2 * numbers.(i)
+            && small_color i q = want
+            && not (shadowed progress i)
+          then begin
             let progress' = Array.copy progress in
             progress'.(i) <- q + 1;
             if not (Tbl.mem next progress') then Tbl.replace next progress' ()

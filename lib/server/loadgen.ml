@@ -6,7 +6,9 @@
    submits fire on a fixed schedule whatever the server is doing, which
    is what exposes queueing and backpressure (closed-loop benchmarks
    famously hide both; the daemon's Busy frames only show up when
-   arrivals do not wait for completions).
+   arrivals do not wait for completions).  An open-loop request is timed
+   from when it was due, not from when it was sent, so a generator that
+   falls behind its schedule does not hide the wait from the latencies.
 
    The request mix is controlled by [distinct]: requests cycle through
    that many distinct jobs, so distinct >= requests is a cold sweep
@@ -50,7 +52,7 @@ let default_config =
 type cstate = {
   c_client : Client.t;
   mutable c_next_id : int;
-  mutable c_outstanding : (int * int64) list;  (* id -> submit time *)
+  mutable c_outstanding : (int * int64) list;  (* id -> latency start *)
   mutable c_accounted : bool;  (* dead client's outstanding written off *)
 }
 
@@ -109,13 +111,17 @@ let create config =
           shutdown_sent = false;
         }
 
-let submit_one t s =
+(* A request's latency starts at [start_ns]: its due time in the open
+   loop, so a stall in the generator is charged to the requests it
+   delays, and the send itself in the closed loop, where the two are the
+   same. *)
+let submit_one t s ~start_ns =
   let id = s.c_next_id in
   s.c_next_id <- id + 1;
   let job = job_for t t.sent in
   t.sent <- t.sent + 1;
   Client.request s.c_client (Protocol.Submit { id; job });
-  s.c_outstanding <- (id, Support.Util.monotonic_ns ()) :: s.c_outstanding
+  s.c_outstanding <- (id, start_ns) :: s.c_outstanding
 
 let outcome_of_source = function
   | Protocol.Cache -> Slo.Ok_cache
@@ -125,11 +131,11 @@ let outcome_of_source = function
 let settle t s id outcome =
   match List.assoc_opt id s.c_outstanding with
   | None -> () (* duplicate result frame or late busy; already settled *)
-  | Some submit_ns ->
+  | Some start_ns ->
       s.c_outstanding <- List.remove_assoc id s.c_outstanding;
       let latency_s =
         Support.Util.seconds_of_ns
-          (Int64.sub (Support.Util.monotonic_ns ()) submit_ns)
+          (Int64.sub (Support.Util.monotonic_ns ()) start_ns)
       in
       Slo.record t.slo outcome ~latency_s
 
@@ -176,7 +182,7 @@ let step t =
             t.sent < t.config.requests
             && s.c_outstanding = []
             && not (Client.closed s.c_client)
-          then submit_one t s)
+          then submit_one t s ~start_ns:(Support.Util.monotonic_ns ()))
         t.states
   | Open_rate rate ->
       let interval_ns = Int64.of_float (1e9 /. Float.max 0.001 rate) in
@@ -194,7 +200,7 @@ let step t =
         else begin
           let s = live.(t.rr mod Array.length live) in
           t.rr <- t.rr + 1;
-          submit_one t s;
+          submit_one t s ~start_ns:t.next_due_ns;
           t.next_due_ns <- Int64.add t.next_due_ns interval_ns
         end
       done);

@@ -4,7 +4,9 @@
     Closed loop keeps one request outstanding per client (the server
     sets the pace — a saturation probe).  Open loop fires submits on a
     fixed schedule regardless of completions — the mode that actually
-    exposes queueing and [Busy] backpressure.  [distinct] shapes the
+    exposes queueing and [Busy] backpressure — and times each request
+    from when it was due, so a stall in the generator is charged to the
+    requests it delays.  [distinct] shapes the
     mix: [distinct >= requests] is a cold sweep, a small [distinct] is
     duplicate-heavy (cache + single-flight should collapse it), and a
     re-run against a warm cache dir is the warm mix.

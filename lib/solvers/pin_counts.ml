@@ -72,29 +72,37 @@ let move ?on_transition t v ~src ~dst =
     done
   end
 
+(* Cost change on one edge of weight [w] when one of its pins moves from a
+   part holding [src_count] of its pins to one holding [dst_count], with
+   λ = [lambda] before the move: the per-edge term of [move_delta], shared
+   with the refiners that evaluate a move under counts that differ from
+   the maintained ones (a KL swap's second move). *)
+let edge_delta metric ~w ~lambda ~src_count ~dst_count =
+  let leaving_empties = src_count = 1 in
+  let entering_fresh = dst_count = 0 in
+  match metric with
+  | Partition.Connectivity ->
+      (if entering_fresh then w else 0) - if leaving_empties then w else 0
+  | Partition.Cut_net ->
+      let l' =
+        lambda
+        - (if leaving_empties then 1 else 0)
+        + if entering_fresh then 1 else 0
+      in
+      let cut l = if l > 1 then w else 0 in
+      cut l' - cut lambda
+
 (* Cost change if node v moved from [src] to [dst] (not performing it). *)
 let move_delta ?(metric = Partition.Connectivity) t v ~src ~dst =
   if src = dst then 0
   else begin
     let delta = ref 0 in
     Hypergraph.iter_incident t.hg v (fun e ->
-        let w = Hypergraph.edge_weight t.hg e in
-        let leaving_empties = count t e src = 1 in
-        let entering_fresh = count t e dst = 0 in
-        match metric with
-        | Partition.Connectivity ->
-            if leaving_empties then delta := !delta - w;
-            if entering_fresh then delta := !delta + w
-        | Partition.Cut_net ->
-            let l = lambda t e in
-            let l' =
-              l
-              - (if leaving_empties then 1 else 0)
-              + if entering_fresh then 1 else 0
-            in
-            let cut b = if b then 1 else 0 in
-            delta := !delta + (w * (cut (l' > 1) - cut (l > 1))))
-    ;
+        delta :=
+          !delta
+          + edge_delta metric ~w:(Hypergraph.edge_weight t.hg e)
+              ~lambda:(lambda t e) ~src_count:(count t e src)
+              ~dst_count:(count t e dst));
     !delta
   end
 

@@ -31,6 +31,14 @@ val move : ?on_transition:(int -> transition -> unit) -> t -> int -> src:int -> 
     [on_transition e tr] fires after edge [e]'s counts and λ are fully
     updated — at most one src-side and one dst-side transition per edge. *)
 
+val edge_delta :
+  Partition.metric -> w:int -> lambda:int -> src_count:int -> dst_count:int -> int
+(** Cost change on one edge of weight [w] when a pin moves from a part
+    holding [src_count] of its pins to one holding [dst_count], with λ =
+    [lambda] before the move.  {!move_delta} is its sum over the incident
+    edges; callers use it directly to price a move under counts other than
+    the maintained ones. *)
+
 val move_delta :
   ?metric:Partition.metric -> t -> int -> src:int -> dst:int -> int
 (** Cost change of moving node [v] from [src] to [dst], without moving. *)

@@ -209,6 +209,128 @@ let prop_move_delta_exact =
       done;
       !ok)
 
+(* The exact Kernighan-Lin pass that Kl_swap's cached-gain pass must
+   reproduce swap for swap: every candidate pair is priced by applying the
+   first move, evaluating the second and undoing it, in the same pair
+   order, with the same (delta, shared edges) tie-break, locks and
+   rollback. *)
+module Kl_reference = struct
+  module Pc = Solvers.Pin_counts
+
+  let boundary_nodes h p =
+    let mark = Array.make (H.num_nodes h) false in
+    for e = 0 to H.num_edges h - 1 do
+      if P.is_cut h p e then H.iter_pins h e (fun v -> mark.(v) <- true)
+    done;
+    List.filter (fun v -> mark.(v)) (List.init (H.num_nodes h) Fun.id)
+    |> Array.of_list
+
+  let swap_delta metric counts a v u =
+    let cv = a.(v) and cu = a.(u) in
+    let d1 = Pc.move_delta ~metric counts v ~src:cv ~dst:cu in
+    Pc.move counts v ~src:cv ~dst:cu;
+    let d2 = Pc.move_delta ~metric counts u ~src:cu ~dst:cv in
+    Pc.move counts v ~src:cu ~dst:cv;
+    d1 + d2
+
+  let apply_swap counts a v u =
+    let cv = a.(v) and cu = a.(u) in
+    Pc.move counts v ~src:cv ~dst:cu;
+    a.(v) <- cu;
+    Pc.move counts u ~src:cu ~dst:cv;
+    a.(u) <- cv
+
+  let shared_edges h v u =
+    H.fold_incident h v (fun acc e -> if H.edge_mem h e u then acc + 1 else acc) 0
+
+  let pass (cfg : Solvers.Kl_swap.config) h counts p =
+    let a = P.assignment p in
+    let boundary = boundary_nodes h p in
+    let len = Array.length boundary in
+    let locked = Array.make (H.num_nodes h) false in
+    let limit =
+      if cfg.max_swaps_per_pass > 0 then cfg.max_swaps_per_pass else len
+    in
+    let swaps = ref [] and cum = ref 0 and best_cum = ref 0 in
+    let nswaps = ref 0 and best_len = ref 0 and continue = ref true in
+    while !continue && !nswaps < limit do
+      let best = ref None in
+      for i = 0 to len - 1 do
+        let v = boundary.(i) in
+        if not locked.(v) then
+          for j = i + 1 to len - 1 do
+            let u = boundary.(j) in
+            if
+              (not locked.(u)) && a.(v) <> a.(u)
+              && H.node_weight h v = H.node_weight h u
+            then begin
+              let d = swap_delta cfg.metric counts a v u in
+              let s = shared_edges h v u in
+              match !best with
+              | Some (_, _, bd, bs) when bd < d || (bd = d && bs <= s) -> ()
+              | _ -> best := Some (v, u, d, s)
+            end
+          done
+      done;
+      match !best with
+      | None -> continue := false
+      | Some (v, u, d, _) ->
+          apply_swap counts a v u;
+          locked.(v) <- true;
+          locked.(u) <- true;
+          swaps := (v, u) :: !swaps;
+          incr nswaps;
+          cum := !cum + d;
+          if !cum < !best_cum then begin
+            best_cum := !cum;
+            best_len := !nswaps
+          end
+    done;
+    List.iteri
+      (fun i (v, u) -> if !nswaps - i > !best_len then apply_swap counts a v u)
+      !swaps;
+    - !best_cum
+
+  let refine (cfg : Solvers.Kl_swap.config) h p =
+    let counts = Pc.create h p in
+    let passes = ref 0 and improving = ref true in
+    while !improving && !passes < cfg.max_passes do
+      incr passes;
+      if pass cfg h counts p <= 0 then improving := false
+    done;
+    Pc.cost ~metric:cfg.metric counts
+end
+
+let prop_kl_matches_exact_evaluation =
+  QCheck.Test.make ~name:"KL cached gains = exact evaluation, swap for swap"
+    ~count:500
+    QCheck.(pair (arb_hypergraph ~max_n:40 ~max_m:40) small_int)
+    (fun (h, seed) ->
+      let rng = Support.Rng.create seed in
+      let n = H.num_nodes h and m = H.num_edges h in
+      (* Reweight: node weights 1-2 exercise the equal-weight filter. *)
+      let h =
+        H.of_edges
+          ~node_weights:(Array.init n (fun _ -> 1 + Support.Rng.int rng 2))
+          ~edge_weights:(Array.init m (fun _ -> 1 + Support.Rng.int rng 3))
+          ~n (H.edges h)
+      in
+      let k = 2 + Support.Rng.int rng 3 in
+      let metric =
+        if Support.Rng.int rng 2 = 0 then P.Connectivity else P.Cut_net
+      in
+      let max_swaps_per_pass =
+        if Support.Rng.int rng 2 = 0 then 0 else 1 + Support.Rng.int rng 4
+      in
+      let config =
+        { Solvers.Kl_swap.default_config with metric; max_swaps_per_pass }
+      in
+      let p1 = P.random rng ~k ~n in
+      let p2 = P.copy p1 in
+      let c1 = Solvers.Kl_swap.refine ~config h p1 in
+      let c2 = Kl_reference.refine config h p2 in
+      c1 = c2 && P.assignment p1 = P.assignment p2)
+
 (* Workspace reuse is pure recycling: refining through a workspace dirtied
    by an unrelated solve must produce the same partition and cost as a
    fresh workspace (and as the internally allocated one). *)
@@ -256,6 +378,7 @@ let suite =
       prop_exact_below_heuristics;
       prop_optimum_monotone_in_eps;
       prop_refinement_never_worse;
+      prop_kl_matches_exact_evaluation;
       prop_hyperdag_edge_bound;
       prop_layering_envelope;
       prop_mu_p_dominates_mu;

@@ -354,15 +354,51 @@ let test_sched_from_three_partition_no () =
   Alcotest.(check bool) "no perfect schedule (Thm 5.5)" false
     (R.Sched_from_three_partition.perfect_schedule_exists red)
 
+(* Every valid 3-Partition instance as a sorted multiset: 3t numbers with
+   b/4 < a_i < b/2 summing to t * b, for every b <= max_b. *)
+let three_partition_instances ~t ~max_b =
+  let acc = ref [] in
+  for b = 1 to max_b do
+    let lo = (b / 4) + 1 and hi = (b - 1) / 2 in
+    let rec go len first sum prefix =
+      if len = 3 * t then begin
+        if sum = t * b then acc := Array.of_list (List.rev prefix) :: !acc
+      end
+      else
+        for a = first to hi do
+          if sum + (a * ((3 * t) - len)) <= t * b then
+            go (len + 1) a (sum + a) (a :: prefix)
+        done
+    in
+    go 0 lo 0 []
+  done;
+  List.rev !acc
+
+(* The mu_p search must decide no-instances as exactly as yes-instances:
+   check it against the 3-Partition solver on every small instance. *)
 let test_sched_from_three_partition_agrees_with_solver () =
-  let rng = Support.Rng.create 17 in
-  for _ = 1 to 5 do
-    let inst = Npc.Three_partition.random_yes rng ~t:2 ~b:9 in
-    let red = R.Sched_from_three_partition.build inst in
-    Alcotest.(check bool) "reduction decision = solver decision"
-      (Npc.Three_partition.solve inst <> None)
-      (R.Sched_from_three_partition.perfect_schedule_exists red)
-  done
+  List.iter
+    (fun (t, max_b, total, no) ->
+      let instances = three_partition_instances ~t ~max_b in
+      Alcotest.(check int)
+        (Printf.sprintf "t=%d, b<=%d: instances" t max_b)
+        total (List.length instances);
+      let unsolvable = ref 0 in
+      List.iter
+        (fun numbers ->
+          let inst = Npc.Three_partition.create numbers in
+          let solvable = Npc.Three_partition.solve inst <> None in
+          if not solvable then incr unsolvable;
+          Alcotest.(check bool)
+            (Fmt.str "mu_p = n/2 on %a" Fmt.(Dump.array int) numbers)
+            solvable
+            (R.Sched_from_three_partition.perfect_schedule_exists
+               (R.Sched_from_three_partition.build inst)))
+        instances;
+      Alcotest.(check int)
+        (Printf.sprintf "t=%d, b<=%d: no-instances" t max_b)
+        no !unsolvable)
+    [ (2, 20, 51, 9); (3, 13, 12, 1) ]
 
 let test_sched_from_three_partition_dag_class () =
   let inst = Npc.Three_partition.create [| 3; 3; 4 |] in

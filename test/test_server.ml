@@ -723,6 +723,50 @@ let test_serve_loadgen () =
     (num_exn "hit_ratio" cache > 0.0);
   Alcotest.(check bool) "no orphan workers" true (E.Pool.no_live_children ())
 
+(* Open loop times a request from when it was due, not from when it was
+   sent: a generator that first steps 200 ms after [create] sends all four
+   requests (due 0-3 ms after [create]) at once, and each must be charged
+   the 200 ms it waited. *)
+let test_loadgen_open_loop_due_time () =
+  let dir = temp_dir "hyp_loaddue" in
+  let socket = Filename.concat dir "d.sock" in
+  let daemon = create_daemon (daemon_config ~jobs:1 ~socket ()) in
+  let config =
+    {
+      S.Loadgen.default_config with
+      S.Loadgen.endpoint = S.Daemon.Unix_socket socket;
+      clients = 1;
+      requests = 4;
+      mode = S.Loadgen.Open_rate 1000.0;
+      distinct = 1;
+      n = 20;
+      shutdown_at_end = true;
+    }
+  in
+  let gen =
+    match S.Loadgen.create config with
+    | Ok g -> g
+    | Error e -> Alcotest.failf "loadgen create failed: %s" e
+  in
+  Unix.sleepf 0.2;
+  let steps = ref 0 in
+  while not (S.Loadgen.finished gen) && !steps < 5000 do
+    incr steps;
+    S.Loadgen.step gen;
+    S.Daemon.step ~timeout:0.002 daemon
+  done;
+  Alcotest.(check bool) "load run completes" true (S.Loadgen.finished gen);
+  pump ~daemon ~clients:[] "drain" (fun () -> S.Daemon.finished daemon);
+  S.Daemon.close daemon;
+  let report = S.Loadgen.report gen in
+  S.Loadgen.close gen;
+  Alcotest.(check int) "every request succeeded" 4
+    (int_exn "ok" (member_exn "totals" report));
+  let p50 = num_exn "p50" (member_exn "latency_s" report) in
+  Alcotest.(check bool)
+    (Printf.sprintf "p50 %.3f s includes the 200 ms stall" p50)
+    true (p50 >= 0.19)
+
 (* A client that vanishes without reading its answers must cost exactly
    its connection.  The write to the closed peer raises EPIPE (the test
    ignores SIGPIPE, as [Daemon.run] does in production — the default
@@ -789,6 +833,8 @@ let suite =
       test_serve_drain;
     Alcotest.test_case "loadgen SLO bench in-process" `Quick
       test_serve_loadgen;
+    Alcotest.test_case "loadgen open loop times from the due time" `Quick
+      test_loadgen_open_loop_due_time;
     Alcotest.test_case "vanishing client costs only its connection" `Quick
       test_serve_client_vanish;
   ]
