@@ -7,12 +7,11 @@
    report (schema Obs.bench_schema_version) to BENCH_<gitrev>.json.
 
    usage: main.exe [--micro] [--experiments] [E<k> ...] [--out FILE]
-                   [--jobs N] [--threads N] [--timeout SECS] [--cache-dir DIR]
+                   [--jobs N] [--timeout SECS] [--cache-dir DIR]
                    [--no-cache]
 
-     --micro          micro-benchmarks only (plus any E<k> given)
-     --threads N      solver domains per worker, stamped into provenance
-                      (the scaling-curve micro rows always sweep 1/2/4/8)
+     --micro          micro-benchmarks only (plus any E<k> given; the
+                      scaling-curve micro rows sweep threads 1/2/4/8)
      --experiments    experiment suite only
      E<k> ...         run just the named experiments
      --out FILE       write the JSON report to FILE instead of
@@ -83,13 +82,13 @@ let multilevel_bench () =
     (Staged.stage (fun () ->
          ignore (Solvers.Multilevel.partition rng hg ~k:4)))
 
-(* Scaling curve for the domain-based multilevel path: the same solve at
-   threads = 1, 2, 4, 8.  The threads=1 row is the parallel algorithm run
-   entirely on the caller — its gap to "multilevel end-to-end" prices the
-   propose/commit structure itself; the higher rows are the scaling.  All
-   four rows compute the identical partition (deterministic mode), so the
-   curve isolates wall-clock.  New row names: a baseline without them
-   reports, never gates (micro rows are informational). *)
+(* Scaling curve for the multilevel solver's domain pool: the same solve
+   at threads = 1, 2, 4, 8, where only the coarsest-level portfolio's FM
+   runs on the pool.  All four rows compute the partition of the default
+   config, so the curve isolates wall-clock: pool start-up and join
+   against the portfolio's share of the solve.  The row names predate
+   the single driver and are kept so reports stay comparable (micro rows
+   are informational). *)
 let par_multilevel_bench ~threads () =
   let rng = Support.Rng.create 5 in
   let hg = Workloads.Rand_hg.uniform rng ~n:2000 ~m:3000 ~min_size:2 ~max_size:6 in
@@ -219,7 +218,7 @@ let experiment_row (o : Engine.Batch.outcome) =
       ]
     @ observed_fields)
 
-let write_report ~out ~rev ~jobs ~threads ~report ~micro =
+let write_report ~out ~rev ~jobs ~report ~micro =
   let open Obs.Json in
   let engine_section =
     match (report : Engine.Batch.report option) with
@@ -248,11 +247,7 @@ let write_report ~out ~rev ~jobs ~threads ~report ~micro =
         (* Full provenance object (hostname, word size, ...) — git_rev and
            ocaml_version stay at the top level too so bench/2 consumers
            keep working unchanged. *)
-        ( "provenance",
-          Obj
-            (Engine.Provenance.collect ~jobs
-               ?threads:(if threads > 0 then Some threads else None)
-               ()) );
+        ("provenance", Obj (Engine.Provenance.collect ~jobs ()));
         ("unix_time", Float (Unix.time ()));
         ("engine", engine_section);
         ("experiments", Arr experiments);
@@ -272,7 +267,7 @@ let write_report ~out ~rev ~jobs ~threads ~report ~micro =
 let usage () =
   prerr_endline
     "usage: main.exe [--micro] [--experiments] [E<k> ...] [--out FILE]\n\
-    \                [--jobs N] [--threads N] [--timeout SECS] [--cache-dir DIR]\n\
+    \                [--jobs N] [--timeout SECS] [--cache-dir DIR]\n\
     \                [--no-cache]\n\
     \                [--compare BASELINE.json] [--threshold PCT]"
 
@@ -290,7 +285,6 @@ let () =
   let picked = ref [] in
   let out = ref None in
   let jobs = ref 1 in
-  let threads = ref 0 in
   let timeout = ref None in
   let cache_dir = ref Engine.Batch.default_cache_dir in
   let no_cache = ref false in
@@ -320,9 +314,6 @@ let () =
     | "--jobs" :: v :: rest ->
         jobs := int_value "--jobs" v;
         parse rest
-    | "--threads" :: v :: rest ->
-        threads := int_value "--threads" v;
-        parse rest
     | "--timeout" :: v :: rest ->
         timeout := Some (float_value "--timeout" v);
         parse rest
@@ -338,8 +329,8 @@ let () =
     | "--threshold" :: v :: rest ->
         threshold := float_value "--threshold" v;
         parse rest
-    | [ ("--out" | "--jobs" | "--threads" | "--timeout" | "--cache-dir"
-        | "--compare" | "--threshold") as flag ] ->
+    | [ ("--out" | "--jobs" | "--timeout" | "--cache-dir" | "--compare"
+        | "--threshold") as flag ] ->
         die "%s needs a value" flag
     | id :: rest when String.length id >= 2 && id.[0] = 'E' ->
         if List.mem id Experiments.ids then begin
@@ -380,7 +371,6 @@ let () =
               jobs = !jobs;
               default_timeout_s = !timeout;
               handle_sigint = true;
-              solver_threads = !threads;
             };
           cache_dir = (if !no_cache then None else Some !cache_dir);
         }
@@ -415,9 +405,9 @@ let () =
     end
   in
   (* Micro rows must stay AFTER the experiment pool: the parallel
-     multilevel rows spawn domains, and the runtime refuses Unix.fork
-     in a process that ever created one (fork first, domains second —
-     the lib/parallel lifecycle contract). *)
+     multilevel rows at threads >= 2 spawn domains, and the runtime
+     refuses Unix.fork in a process that ever created one (fork first,
+     domains second — the lib/parallel lifecycle contract). *)
   let micro_rows = if run_micro then micro_benchmarks () else [] in
   let rev = Engine.Provenance.git_rev () in
   let out =
@@ -425,8 +415,7 @@ let () =
     | Some file -> file
     | None -> Printf.sprintf "BENCH_%s.json" rev
   in
-  write_report ~out ~rev ~jobs:!jobs ~threads:!threads ~report
-    ~micro:micro_rows;
+  write_report ~out ~rev ~jobs:!jobs ~report ~micro:micro_rows;
   (* Regression gate: compare the report just written against a committed
      baseline.  Experiments gate on wall time at the given threshold; micro
      rows are informational (see Engine.Bench_compare). *)

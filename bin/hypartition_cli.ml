@@ -80,10 +80,9 @@ let algorithm_arg =
 
 let threads_arg =
   let doc =
-    "Solver domains for the multilevel parallel path (0 = the sequential \
-     path).  The parallel path's result is identical for every N >= 1; \
-     it is a different algorithm from the sequential path and does not \
-     reproduce its partitions."
+    "Domains that FM-refine the multilevel solver's coarsest-level \
+     portfolio (0 or 1 = none spawned).  Every N writes the same \
+     partition as the default."
   in
   Arg.(value & opt int 0 & info [ "threads" ] ~docv:"N" ~doc)
 
@@ -1299,9 +1298,8 @@ let serve_cmd =
   in
   let solver_threads_arg =
     let doc =
-      "Solver domains per worker for submitted jobs marked parallel \
-       (0 = run even those sequentially).  Changes only wall-clock, never \
-       results: parallel jobs are thread-count-independent."
+      "Solver domains per worker for every submitted multilevel job (0 = \
+       none spawned).  Changes only wall-clock, never results."
     in
     Arg.(value & opt int 0 & info [ "threads" ] ~docv:"N" ~doc)
   in
@@ -1389,7 +1387,7 @@ let run_batch trace stats manifest files experiments k eps seed algorithm
     metric threads jobs timeout cache_dir no_cache retries format =
   setup_obs trace stats;
   let config =
-    { Engine.Spec.k; eps; algorithm; metric; parallel = threads > 0 }
+    { Engine.Spec.k; eps; algorithm; metric }
   in
   let manifest_jobs =
     match manifest with
@@ -1521,10 +1519,9 @@ let batch_cmd =
   in
   let solver_threads_arg =
     let doc =
-      "Solver domains per worker for ad-hoc FILE jobs (0 = sequential \
-       path).  Marks those jobs parallel — a different algorithm, hence a \
-       different cache fingerprint — while the result stays independent \
-       of N (the engine always runs the parallel solver deterministically)."
+      "Solver domains per worker for every multilevel job (0 = none \
+       spawned).  Changes only wall-clock, never results or cache \
+       fingerprints."
     in
     Arg.(value & opt int 0 & info [ "threads" ] ~docv:"N" ~doc)
   in

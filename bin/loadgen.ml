@@ -30,7 +30,6 @@ type mix = {
   m_n : int option;
   m_k : int option;
   m_seed : int option;
-  m_threads : int option;
 }
 
 let empty_mix =
@@ -43,7 +42,6 @@ let empty_mix =
     m_n = None;
     m_k = None;
     m_seed = None;
-    m_threads = None;
   }
 
 let load_mix path =
@@ -77,11 +75,10 @@ let load_mix path =
               m_n = int "n";
               m_k = int "k";
               m_seed = int "seed";
-              m_threads = int "threads";
             })
 
 let run socket tcp mix_file clients requests mode rate distinct n k seed
-    threads shutdown out =
+    shutdown out =
   let endpoint =
     match tcp with
     | None -> Ok (Server.Daemon.Unix_socket socket)
@@ -130,7 +127,6 @@ let run socket tcp mix_file clients requests mode rate distinct n k seed
           n = pick n mix.m_n d.Server.Loadgen.n;
           k = pick k mix.m_k d.Server.Loadgen.k;
           seed = pick seed mix.m_seed d.Server.Loadgen.seed;
-          threads = pick threads mix.m_threads d.Server.Loadgen.threads;
           shutdown_at_end = shutdown;
         }
       in
@@ -170,8 +166,8 @@ let main =
   in
   let mix_arg =
     let doc =
-      "Mix preset (JSON: clients/requests/mode/rate/distinct/n/k/seed/threads — \
-       see bench/mixes/); explicit flags override preset values."
+      "Mix preset (JSON: clients/requests/mode/rate/distinct/n/k/seed — see \
+       bench/mixes/); explicit flags override preset values."
     in
     Arg.(
       value & opt (some file) None & info [ "mix-file" ] ~docv:"MIX" ~doc)
@@ -217,14 +213,6 @@ let main =
     let doc = "Base random seed (job i uses seed + i mod distinct)." in
     Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~doc)
   in
-  let threads_arg =
-    let doc =
-      "Mark the generated jobs parallel (domain-based solver); > 0 only \
-       asks the daemon to use its configured solver domains — results are \
-       thread-count-independent."
-    in
-    Arg.(value & opt (some int) None & info [ "threads" ] ~docv:"N" ~doc)
-  in
   let shutdown_arg =
     let doc =
       "Send a shutdown frame once every request settles — CI smoke uses \
@@ -248,6 +236,6 @@ let main =
     Term.(
       const run $ socket_arg $ tcp_arg $ mix_arg $ clients_arg
       $ requests_arg $ mode_arg $ rate_arg $ distinct_arg $ n_arg $ k_arg
-      $ seed_arg $ threads_arg $ shutdown_arg $ out_arg)
+      $ seed_arg $ shutdown_arg $ out_arg)
 
 let () = exit (Cmd.eval' main)

@@ -122,7 +122,7 @@ let run ?(on_event = fun (_ : event) -> ()) config jobs =
       let pool_records =
         if to_run = [] then []
         else
-          let threads = max 1 config.pool.Pool.solver_threads in
+          let threads = config.pool.Pool.solver_threads in
           Pool.run
             ~on_event:(fun e -> on_event (Pool e))
             config.pool

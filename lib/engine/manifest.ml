@@ -35,9 +35,6 @@ let get_float_opt name json = Option.bind (opt_member name json) Obs.Json.get_fl
 let get_int_opt name json = Option.bind (opt_member name json) Obs.Json.get_int
 let get_str_opt name json = Option.bind (opt_member name json) Obs.Json.get_str
 
-let get_bool_opt name json =
-  match opt_member name json with Some (Obs.Json.Bool b) -> Some b | _ -> None
-
 let enum_opt assoc ~what name json =
   match get_str_opt name json with
   | None -> Ok None
@@ -59,8 +56,6 @@ let config_overlay ~(base : Spec.config) json =
       eps = Option.value ~default:base.Spec.eps (get_float_opt "eps" json);
       algorithm = Option.value ~default:base.Spec.algorithm algorithm;
       metric = Option.value ~default:base.Spec.metric metric;
-      parallel =
-        Option.value ~default:base.Spec.parallel (get_bool_opt "parallel" json);
     }
 
 let instance_of_entry ~known_experiments json =

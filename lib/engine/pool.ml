@@ -38,9 +38,9 @@ type config = {
   silence_worker_stdout : bool;
   handle_sigint : bool;
   solver_threads : int;
-      (* domains per worker's solver, stamped on record timing; 0 =
-         sequential.  The pool itself never creates domains — a forked
-         worker spawns (and joins) its own inside the solve. *)
+      (* domains per worker's multilevel solve, stamped on record timing;
+         0 = none spawned.  The pool itself never creates domains — a
+         forked worker spawns (and joins) its own inside the solve. *)
 }
 
 let default_config =

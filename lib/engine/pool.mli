@@ -32,8 +32,9 @@ type config = {
           queued jobs become [Skipped], in-flight workers finish, the
           cache stays consistent *)
   solver_threads : int;
-      (** solver domains each worker is configured with, stamped on
-          record timing as provenance; [0] = sequential.  The pool never
+      (** {!Solvers.Multilevel.config.threads} for every multilevel job a
+          worker runs, stamped on record timing as provenance; [0] = no
+          spawned domains.  It never changes a result.  The pool never
           creates domains itself — a forked worker spawns and joins its
           own strictly inside the solve, so domains never cross the fork
           boundary. *)
@@ -41,7 +42,7 @@ type config = {
 
 val default_config : config
 (** 1 worker, 1 retry, 0.1 s backoff, no default timeout, inherited
-    stdout, no signal handler, sequential solver. *)
+    stdout, no signal handler, no solver domains. *)
 
 type event =
   | Started of { index : int; job : Spec.job; worker : int; attempt : int }

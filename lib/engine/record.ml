@@ -139,9 +139,8 @@ let to_json ?(deterministic = false) t =
                     ("worker", Int t.timing.worker);
                   ]
                  @
-                 (* Solver domains, when the run was parallel; omitted
-                    for sequential runs so existing renderings are
-                    byte-stable. *)
+                 (* Solver domains, when any were configured; omitted
+                    at 0 so existing renderings are byte-stable. *)
                  if t.timing.threads > 0 then
                    [ ("threads", Int t.timing.threads) ]
                  else []) );

@@ -24,10 +24,10 @@ type timing = {
   attempts : int;  (** 1 + retries consumed *)
   worker : int;  (** worker slot, [-1] for cache hits and skipped jobs *)
   threads : int;
-      (** solver domains the run was configured with; [0] = sequential.
-          Provenance only (rendered in the ["timing"] section, and only
-          when positive): the parallel solver's output is
-          thread-count-independent. *)
+      (** solver domains the run was configured with; [0] = none
+          spawned.  Provenance only (rendered in the ["timing"] section,
+          and only when positive): every thread count returns the same
+          result. *)
 }
 
 val no_timing : timing

@@ -89,24 +89,14 @@ let generate_dag ~seed:_ (kind : Spec.gen_kind) n =
   | _ -> None
 
 let solve (config : Spec.config) ~threads ~seed hg =
-  let { Spec.k; eps; algorithm; metric; parallel } = config in
+  let { Spec.k; eps; algorithm; metric } = config in
   let rng = Support.Rng.create seed in
   match algorithm with
   | Spec.Multilevel ->
-      (* A parallel job runs the domain-based path, whose record is a
-         pure function of the plan whatever [threads] the host was given
-         (threads bounds the run like a timeout does; it is not part of
-         the job's identity). *)
-      let mthreads = if parallel then max 1 threads else 0 in
       Ok
         (Solvers.Multilevel.partition
            ~config:
-             {
-               Solvers.Multilevel.default_config with
-               eps;
-               metric;
-               threads = mthreads;
-             }
+             { Solvers.Multilevel.default_config with eps; metric; threads }
            rng hg ~k)
   | Spec.Recursive ->
       Ok
@@ -246,7 +236,7 @@ let run_job ?(lookup = fun (_ : string) -> None) ~threads (job : Spec.job) =
          protocol, exactly like a real crash would. *)
       Unix._exit code
 
-let execute ?lookup ?(threads = 1) (job : Spec.job) =
+let execute ?lookup ?(threads = 0) (job : Spec.job) =
   match Spec.validate job with
   | Error msg -> { Record.p_status = `Failed msg; p_metrics = []; p_observed = None }
   | Ok () ->

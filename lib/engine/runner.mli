@@ -22,11 +22,10 @@ val execute :
     visible to forked workers through copy-on-write.  A [None] falls back
     to loading the file.
 
-    [?threads] (default 1) is the domain count for jobs whose config has
-    [parallel = true]; it bounds the run without changing its result —
-    the engine always drives the parallel solver in deterministic mode,
-    so the payload is a pure function of the plan.  Sequential jobs
-    ignore it. *)
+    [?threads] (default 0) is {!Solvers.Multilevel.config.threads} for
+    multilevel jobs; other jobs ignore it.  It bounds the run without
+    changing its result, so the payload is a pure function of the
+    plan. *)
 
 val snapshot_to_json : Obs.snapshot -> Obs.Json.t
 (** The ["observed"] rendering of an observability snapshot (counters,

@@ -31,7 +31,6 @@ type config = {
   eps : float;
   algorithm : algorithm;
   metric : Partition.metric;
-  parallel : bool;
 }
 
 let default_config =
@@ -40,7 +39,6 @@ let default_config =
     eps = 0.03;
     algorithm = Multilevel;
     metric = Partition.Connectivity;
-    parallel = false;
   }
 
 type job = {
@@ -148,20 +146,15 @@ let canonical ~schema job =
   | Error e -> Error e
   | Ok inst ->
       if config_sensitive job then
-        (* [parallel] switches the multilevel solver to a different
-           algorithm, so it must take part in the job's identity — but
-           only when set: the marker is appended conditionally so every
-           sequential fingerprint (the entire existing cache and every
-           recorded baseline) is unchanged.  The thread count is
-           deliberately absent: the parallel path's output is
-           N-independent, so threads bound a run like a timeout does. *)
+        (* The solver's thread count is deliberately absent: every count
+           returns the same result, so it bounds a run like a timeout
+           does. *)
         Ok
-          (Printf.sprintf "%s|instance=%s|k=%d|eps=%s|alg=%s|metric=%s|seed=%d%s"
+          (Printf.sprintf "%s|instance=%s|k=%d|eps=%s|alg=%s|metric=%s|seed=%d"
              schema inst job.config.k (float_canon job.config.eps)
              (algorithm_name job.config.algorithm)
              (metric_name job.config.metric)
-             job.seed
-             (if job.config.parallel then "|parallel=1" else ""))
+             job.seed)
       else Ok (Printf.sprintf "%s|instance=%s" schema inst)
 
 let fingerprint ~schema job =
@@ -193,7 +186,6 @@ let to_json job =
        ("metric", Str (metric_name job.config.metric));
        ("seed", Int job.seed);
      ]
-    @ (if job.config.parallel then [ ("parallel", Bool true) ] else [])
     @ match job.timeout_s with None -> [] | Some t -> [ ("timeout_s", Float t) ])
 
 (* Decoding is total over well-formed records: any shape defect is an
@@ -263,18 +255,13 @@ let of_json json =
   let* algorithm = enum_field algorithms "algorithm" json in
   let* metric = enum_field metrics "metric" json in
   let* seed = int_field "seed" json in
-  let parallel =
-    match Obs.Json.member "parallel" json with
-    | Some (Obs.Json.Bool b) -> b
-    | _ -> false
-  in
   let timeout_s =
     Option.bind (Obs.Json.member "timeout_s" json) Obs.Json.get_float
   in
   Ok
     {
       instance;
-      config = { k; eps; algorithm; metric; parallel };
+      config = { k; eps; algorithm; metric };
       seed;
       timeout_s;
     }

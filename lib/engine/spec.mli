@@ -30,17 +30,13 @@ type config = {
   eps : float;
   algorithm : algorithm;
   metric : Partition.metric;
-  parallel : bool;
-      (** run the multilevel solver's parallel (domain-based) path.  Part
-          of the job's identity — the parallel path is a different
-          algorithm — but the canonical string only gains its marker when
-          set, so sequential fingerprints are unchanged.  The thread
-          count is {e not} part of identity: the parallel path's output
-          is thread-count-independent by construction. *)
 }
+(** The solver's thread count is not part of a job: it is a property of
+    the host running it ({!Pool.config.solver_threads}), and every count
+    returns the same result. *)
 
 val default_config : config
-(** k = 2, ε = 0.03, multilevel, connectivity, sequential. *)
+(** k = 2, ε = 0.03, multilevel, connectivity. *)
 
 type job = {
   instance : instance;

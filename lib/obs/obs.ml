@@ -471,9 +471,9 @@ let init_from_env () =
 (* Worker domains see an inert library: the registries, the span stack
    and the sink list are plain single-domain state, so every entry point
    guards on [enabled ()] and [enabled ()] itself answers [false] off
-   the main domain.  The parallel solver (lib/parallel) relies on this —
-   task bodies may run instrumented code (Refine, Coarsen) verbatim, and
-   all its emissions vanish instead of racing; per-domain measurements
+   the main domain.  The multilevel portfolio's pool tasks rely on this
+   — they run instrumented code (Refine) verbatim, and all their
+   emissions off the main domain vanish instead of racing; measurements
    that must survive travel through Solvers.Fm_stats accumulators and
    are committed on the main domain at the join barrier.  The guard also
    keeps the lazy env init single-domain. *)

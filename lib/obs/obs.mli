@@ -36,8 +36,8 @@ type attr = Str of string | Int of int | Float of float | Bool of bool
 val enabled : unit -> bool
 (** Whether any collection is active.  First call reads the environment.
     Always [false] on a non-main domain: the registries are single-domain
-    state, so instrumentation reached from worker domains (the parallel
-    solver's task bodies) is inert — batch per-domain measurements and
+    state, so instrumentation reached from worker domains (the multilevel
+    portfolio's FM tasks) is inert — batch per-domain measurements and
     commit them from the main domain at a join barrier (see
     {!Histogram.merge} and the Solvers.Fm_stats accumulator). *)
 

@@ -128,10 +128,10 @@ let create config =
           let instances = Instances.create ~capacity:config.lru_capacity in
           (* The worker closure runs in the forked child; the LRU's
              parsed instances are visible there through copy-on-write.
-             Solver domains (for jobs marked parallel) are spawned and
-             joined inside the child's solve — they never exist when the
-             pool forks, so the fork/domain hazard cannot arise. *)
-          let threads = max 1 config.pool.Engine.Pool.solver_threads in
+             A multilevel job's solver domains are spawned and joined
+             inside the child's solve — they never exist when the pool
+             forks, so the fork/domain hazard cannot arise. *)
+          let threads = config.pool.Engine.Pool.solver_threads in
           let worker job =
             Engine.Runner.execute ~lookup:(Instances.lookup instances) ~threads
               job

@@ -31,7 +31,6 @@ type config = {
   n : int;  (* generated-instance size *)
   k : int;
   seed : int;
-  threads : int;  (* > 0 marks the jobs parallel (domain-based solver) *)
   shutdown_at_end : bool;  (* finish with a Shutdown frame (CI smoke) *)
 }
 
@@ -45,7 +44,6 @@ let default_config =
     n = 40;
     k = 2;
     seed = 1;
-    threads = 0;
     shutdown_at_end = false;
   }
 
@@ -71,12 +69,7 @@ let job_for t i =
   {
     Engine.Spec.instance =
       Engine.Spec.Generated { kind = Engine.Spec.Uniform; n = t.config.n };
-    config =
-      {
-        Engine.Spec.default_config with
-        Engine.Spec.k = t.config.k;
-        parallel = t.config.threads > 0;
-      };
+    config = { Engine.Spec.default_config with Engine.Spec.k = t.config.k };
     seed = t.config.seed + (i mod max 1 t.config.distinct);
     timeout_s = Some 60.0;
   }

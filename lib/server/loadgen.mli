@@ -24,10 +24,6 @@ type config = {
   n : int;  (** generated-instance size *)
   k : int;
   seed : int;
-  threads : int;
-      (** [> 0] marks the generated jobs parallel, so the daemon's
-          workers run the domain-based solver (with however many domains
-          the daemon was started with); [0] = sequential jobs *)
   shutdown_at_end : bool;
       (** send [Shutdown] once all requests settle — CI smoke uses this
           to test graceful drain *)
@@ -35,7 +31,7 @@ type config = {
 
 val default_config : config
 (** 4 clients, 32 closed-loop requests over 4 distinct jobs, n = 40,
-    k = 2, sequential jobs, no shutdown. *)
+    k = 2, no shutdown. *)
 
 type t
 

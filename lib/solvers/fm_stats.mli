@@ -4,11 +4,13 @@
     {!Obs.enabled} = [false]), so refinement running on a pool worker
     would silently drop its counters.  Instead {!Refine.refine} takes an
     optional [?stats] accumulator that captures every [fm.*] counter and
-    histogram emission the call would otherwise make; the parallel
-    driver gives each task its own accumulator and commits them to the
-    real registries on the main domain, in task-index order at the join
-    barrier ({!commit}) — the same batch-then-absorb shape the engine
-    uses for worker-process trace shards.  Totals are therefore independent of the thread count and
+    histogram emission the call would otherwise make.
+    {!Multilevel.partition} gives each coarsest-level portfolio task its
+    own accumulator, whichever worker runs it (the caller included), and
+    commits them to the real registries on the main domain, in
+    task-index order at the join barrier ({!commit}) — the same
+    batch-then-absorb shape the engine uses for worker-process trace
+    shards.  Totals are therefore independent of the thread count and
     free of double-counts: each emission lands in exactly one
     accumulator, and each accumulator is committed exactly once. *)
 

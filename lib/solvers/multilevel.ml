@@ -13,7 +13,7 @@ type config = {
   refine_passes : int;
   initial_tries : int; (* random restarts at the coarsest level *)
   stop_nodes : int; (* stop coarsening below this many nodes *)
-  threads : int; (* 0 = the sequential path; N >= 1 = the parallel path *)
+  threads : int; (* pool size for the portfolio's FM; never changes results *)
 }
 
 let default_config =
@@ -37,8 +37,14 @@ let refine_config (c : config) : Refine.config =
   }
 
 (* Portfolio at the coarsest level: several random-balanced and BFS-growth
-   starts, each FM-refined; keep the best, preferring feasible ones. *)
-let initial_partition cfg ws rng hg ~k =
+   starts, each FM-refined; keep the best, preferring feasible ones.  The
+   candidates are drawn on the caller, in a fixed order, before the pool
+   sees any of them; only their FM refinement and feasibility score run as
+   pool tasks, each on its worker's workspace with a private [Fm_stats]
+   accumulator committed at the join.  FM draws no randomness and the
+   winner is reduced in task-index order (ties keep the earlier
+   candidate), so the result does not depend on the pool size. *)
+let initial_partition cfg pool wss rng hg ~k =
   Obs.Span.with_ "multilevel.initial"
     ~attrs:
       [
@@ -47,31 +53,40 @@ let initial_partition cfg ws rng hg ~k =
       ]
     (fun () ->
       let candidates =
-        List.concat
-          [
-            Support.Util.list_init cfg.initial_tries (fun _ ->
-                Initial.random_balanced ~variant:cfg.variant ~eps:cfg.eps rng hg
-                  ~k);
-            Support.Util.list_init (max 1 (cfg.initial_tries / 2)) (fun _ ->
-                Initial.bfs_growth ~variant:cfg.variant ~eps:cfg.eps rng hg ~k);
-            [ Initial.round_robin hg ~k ];
-          ]
+        Array.of_list
+          (List.concat
+             [
+               Support.Util.list_init cfg.initial_tries (fun _ ->
+                   Initial.random_balanced ~variant:cfg.variant ~eps:cfg.eps
+                     rng hg ~k);
+               Support.Util.list_init (max 1 (cfg.initial_tries / 2))
+                 (fun _ ->
+                   Initial.bfs_growth ~variant:cfg.variant ~eps:cfg.eps rng hg
+                     ~k);
+               [ Initial.round_robin hg ~k ];
+             ])
       in
-      let score part =
-        let cost = Refine.refine ~config:(refine_config cfg) ~workspace:ws hg part in
+      let score ~worker i =
+        let part = candidates.(i) in
+        let stats = Fm_stats.create () in
+        let cost =
+          Refine.refine ~config:(refine_config cfg) ~workspace:wss.(worker)
+            ~stats hg part
+        in
         let feasible =
           Partition.is_balanced ~variant:cfg.variant ~eps:cfg.eps hg part
         in
-        ((if feasible then 0 else 1), cost)
+        (((if feasible then 0 else 1), cost), part, stats)
       in
       let best =
-        List.fold_left
-          (fun acc p ->
-            let s = score p in
+        Array.fold_left
+          (fun acc (s, p, stats) ->
+            Fm_stats.commit stats;
             match acc with
             | Some (bs, _) when bs <= s -> acc
             | _ -> Some (s, p))
-          None candidates
+          None
+          (Parallel.map pool ~n:(Array.length candidates) score)
       in
       match best with
       | Some ((infeasible, cost), p) ->
@@ -82,166 +97,56 @@ let initial_partition cfg ws rng hg ~k =
 
 let h_instance_nodes = Obs.Histogram.make "multilevel.instance_nodes"
 
-let partition_seq config rng hg ~k =
-  Obs.Span.with_ "multilevel"
-    ~attrs:
-      [
-        ("n", Obs.Int (Hypergraph.num_nodes hg));
-        ("m", Obs.Int (Hypergraph.num_edges hg));
-        ("k", Obs.Int k);
-      ]
-    (fun () ->
-      Obs.Histogram.observe_int h_instance_nodes (Hypergraph.num_nodes hg);
-      (* One workspace for the whole solve: scratch arrays, gain rows and
-         the bucket queue are shared by every clustering level, initial
-         candidate and uncoarsening refinement below. *)
-      let ws = Workspace.create () in
-      let coarsest, levels =
-        Coarsen.hierarchy ~workspace:ws rng hg ~k
-          ~stop_nodes:(max config.stop_nodes (4 * k))
-      in
-      let levels = Array.of_list levels in
-      Log.debug (fun m ->
-          m "coarsened %d -> %d nodes over %d levels"
-            (Hypergraph.num_nodes hg)
-            (Hypergraph.num_nodes coarsest)
-            (Array.length levels));
-      (* Depth d hypergraph: [hg] for d = 0, else [levels.(d-1).coarse]. *)
-      let hypergraph_at d =
-        if d = 0 then hg else levels.(d - 1).Coarsen.coarse
-      in
-      let part = ref (initial_partition config ws rng coarsest ~k) in
-      Obs.Span.with_ "multilevel.uncoarsen"
-        ~attrs:[ ("levels", Obs.Int (Array.length levels)) ]
-        (fun () ->
-          for d = Array.length levels - 1 downto 0 do
-            part := Coarsen.project levels.(d) !part;
-            ignore
-              (Refine.refine ~config:(refine_config config) ~workspace:ws
-                 (hypergraph_at d) !part)
-          done);
-      Audit_gate.checked hg !part)
-
-(* Coarsest-level portfolio, parallel edition: the same candidate mix as
-   [initial_partition], but each candidate is generated and FM-refined
-   as an independent pool task.  Task i's generator is split off the
-   caller's rng before the scatter, so the candidate set is a pure
-   function of (rng, config) however tasks land on workers; per-worker
-   workspaces keep the scratch disjoint, and each task's fm.* emissions
-   ride a private Fm_stats accumulator committed at the barrier.  The
-   winner is reduced in task-index order (ties keep the earlier
-   candidate, matching the sequential fold). *)
-let initial_partition_par cfg pool wss rng hg ~k =
-  Obs.Span.with_ "multilevel.initial"
-    ~attrs:
-      [
-        ("nodes", Obs.Int (Hypergraph.num_nodes hg));
-        ("tries", Obs.Int cfg.initial_tries);
-        ("threads", Obs.Int (Parallel.threads pool));
-      ]
-    (fun () ->
-      let kinds =
-        Array.of_list
-          (List.concat
-             [
-               Support.Util.list_init cfg.initial_tries (fun _ -> `Random);
-               Support.Util.list_init
-                 (max 1 (cfg.initial_tries / 2))
-                 (fun _ -> `Bfs);
-               [ `Round_robin ];
-             ])
-      in
-      let rngs = Array.map (fun _ -> Support.Rng.split rng) kinds in
-      let task ~worker i =
-        let trng = rngs.(i) in
-        let cand =
-          match kinds.(i) with
-          | `Random ->
-              Initial.random_balanced ~variant:cfg.variant ~eps:cfg.eps trng
-                hg ~k
-          | `Bfs ->
-              Initial.bfs_growth ~variant:cfg.variant ~eps:cfg.eps trng hg ~k
-          | `Round_robin -> Initial.round_robin hg ~k
-        in
-        let stats = Fm_stats.create () in
-        let cost =
-          Refine.refine ~config:(refine_config cfg) ~workspace:wss.(worker)
-            ~stats hg cand
-        in
-        let feasible =
-          Partition.is_balanced ~variant:cfg.variant ~eps:cfg.eps hg cand
-        in
-        (((if feasible then 0 else 1), cost), cand, stats)
-      in
-      let best =
-        Array.fold_left
-          (fun acc (s, p, stats) ->
-            Fm_stats.commit stats;
-            match acc with
-            | Some (bs, _) when bs <= s -> acc
-            | _ -> Some (s, p))
-          None
-          (Parallel.map pool ~n:(Array.length kinds) task)
-      in
-      match best with
-      | Some ((infeasible, cost), p) ->
-          Obs.Span.attr "best_cost" (Obs.Int cost);
-          Obs.Span.attr "feasible" (Obs.Bool (infeasible = 0));
-          p
-      | None -> assert false)
-
-(* The parallel driver: domain-pool lifecycle strictly inside one solve
-   (never live across the engine's fork-based pool), parallel
-   propose/commit coarsening, the parallel initial portfolio above, and
-   synchronized label-propagation refinement per uncoarsening level.
-   Every cross-domain merge is index-ordered, so the result is a pure
-   function of (hypergraph, rng, config) — identical bytes for every
-   [threads]. *)
-let partition_par config rng hg ~k =
-  Obs.Span.with_ "multilevel"
-    ~attrs:
-      [
-        ("n", Obs.Int (Hypergraph.num_nodes hg));
-        ("m", Obs.Int (Hypergraph.num_edges hg));
-        ("k", Obs.Int k);
-        ("threads", Obs.Int config.threads);
-      ]
-    (fun () ->
-      Obs.Histogram.observe_int h_instance_nodes (Hypergraph.num_nodes hg);
-      Parallel.run ~threads:config.threads @@ fun pool ->
-      let wss =
-        Array.init (Parallel.threads pool) (fun _ -> Workspace.create ())
-      in
-      let coarsest, levels =
-        Par_coarsen.hierarchy pool wss hg ~k
-          ~stop_nodes:(max config.stop_nodes (4 * k))
-      in
-      let levels = Array.of_list levels in
-      Log.debug (fun m ->
-          m "coarsened %d -> %d nodes over %d levels (%d threads)"
-            (Hypergraph.num_nodes hg)
-            (Hypergraph.num_nodes coarsest)
-            (Array.length levels) config.threads);
-      let hypergraph_at d =
-        if d = 0 then hg else levels.(d - 1).Coarsen.coarse
-      in
-      let part = ref (initial_partition_par config pool wss rng coarsest ~k) in
-      Obs.Span.with_ "multilevel.uncoarsen"
-        ~attrs:[ ("levels", Obs.Int (Array.length levels)) ]
-        (fun () ->
-          for d = Array.length levels - 1 downto 0 do
-            part := Coarsen.project levels.(d) !part;
-            ignore
-              (Par_refine.refine pool wss ~config:(refine_config config)
-                 (hypergraph_at d) !part)
-          done);
-      Audit_gate.checked hg !part)
-
+(* The pool is created and shut down inside one solve, so it never lives
+   across the engine's fork-based worker pool.  Everything but the
+   portfolio's FM runs on the caller, which is why every [threads] value
+   returns the same partition. *)
 let partition ?(config = default_config) rng hg ~k =
   if k < 1 then invalid_arg "Multilevel.partition: k must be >= 1";
   if Hypergraph.num_nodes hg = 0 then Partition.create ~k [||]
-  else if config.threads <= 0 then partition_seq config rng hg ~k
-  else partition_par config rng hg ~k
+  else
+    Obs.Span.with_ "multilevel"
+      ~attrs:
+        [
+          ("n", Obs.Int (Hypergraph.num_nodes hg));
+          ("m", Obs.Int (Hypergraph.num_edges hg));
+          ("k", Obs.Int k);
+        ]
+      (fun () ->
+        Obs.Histogram.observe_int h_instance_nodes (Hypergraph.num_nodes hg);
+        Parallel.run ~threads:config.threads @@ fun pool ->
+        (* One workspace per worker.  Worker 0 is the caller, so [ws]
+           serves every clustering level and uncoarsening refinement, as
+           well as the portfolio tasks the caller claims. *)
+        let wss =
+          Array.init (Parallel.threads pool) (fun _ -> Workspace.create ())
+        in
+        let ws = wss.(0) in
+        let coarsest, levels =
+          Coarsen.hierarchy ~workspace:ws rng hg ~k
+            ~stop_nodes:(max config.stop_nodes (4 * k))
+        in
+        let levels = Array.of_list levels in
+        Log.debug (fun m ->
+            m "coarsened %d -> %d nodes over %d levels"
+              (Hypergraph.num_nodes hg)
+              (Hypergraph.num_nodes coarsest)
+              (Array.length levels));
+        (* Depth d hypergraph: [hg] for d = 0, else [levels.(d-1).coarse]. *)
+        let hypergraph_at d =
+          if d = 0 then hg else levels.(d - 1).Coarsen.coarse
+        in
+        let part = ref (initial_partition config pool wss rng coarsest ~k) in
+        Obs.Span.with_ "multilevel.uncoarsen"
+          ~attrs:[ ("levels", Obs.Int (Array.length levels)) ]
+          (fun () ->
+            for d = Array.length levels - 1 downto 0 do
+              part := Coarsen.project levels.(d) !part;
+              ignore
+                (Refine.refine ~config:(refine_config config) ~workspace:ws
+                   (hypergraph_at d) !part)
+            done);
+        Audit_gate.checked hg !part)
 
 let h_cost = Obs.Histogram.make "multilevel.cost"
 

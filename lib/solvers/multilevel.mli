@@ -9,19 +9,15 @@ type config = {
   initial_tries : int;
   stop_nodes : int;
   threads : int;
-      (** [0] (the default) runs the original sequential path untouched.
-          [N >= 1] runs the parallel path — propose/commit coarsening
-          ({!Par_coarsen}), a scattered initial portfolio, synchronized
-          label-propagation refinement ({!Par_refine}) — on a pool of
-          [N] workers created and shut down inside the solve.  The
-          parallel path's output is a pure function of (hypergraph,
-          rng, config): [threads = 1] and [threads = 8] produce
-          identical partitions (it is a {e different} algorithm from
-          the sequential path, whose results it does not reproduce). *)
+      (** Size of the domain pool that FM-refines the coarsest-level
+          portfolio, created and shut down inside the solve; [0] and [1]
+          run everything on the caller.  Coarsening, candidate generation
+          and uncoarsening always run on the caller, and FM draws no
+          randomness, so every value returns the same partition. *)
 }
 
 val default_config : config
-(** ε = 0.03, strict balance, connectivity metric, sequential
+(** ε = 0.03, strict balance, connectivity metric, no spawned domains
     ([threads = 0]). *)
 
 val partition :

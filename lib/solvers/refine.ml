@@ -109,9 +109,9 @@ type ctx = {
   mutable n_hits : int;
   mutable n_misses : int;
   mutable n_patches : int;
-  (* Off-main-domain calls capture their fm.* emissions here instead of
-     the Obs registries (which are inert on worker domains); the
-     parallel driver commits the batch at its join barrier. *)
+  (* Pool tasks capture their fm.* emissions here instead of the Obs
+     registries (which are inert on worker domains); the multilevel
+     portfolio commits the batch at its join barrier. *)
   stats : Fm_stats.t option;
 }
 

@@ -27,9 +27,10 @@ val refine :
 
     With [?stats], every [fm.*] counter / histogram emission of the call
     is captured in the accumulator instead of the Obs registries — the
-    contract for calls running on worker domains, where Obs is inert;
-    the parallel driver commits accumulators in task-index order at its
-    join barrier so totals are thread-count-independent.
+    contract for calls running as pool tasks, which may land on worker
+    domains where Obs is inert; {!Multilevel.partition}'s portfolio
+    commits accumulators in task-index order at its join barrier so
+    totals are thread-count-independent.
 
     The pass is boundary-driven: only nodes incident to cut edges enter
     the gain queue, gains come from a per-node cache kept exact by

@@ -1,18 +1,18 @@
-(* lib/parallel and the multicore multilevel path: pool fork-join
-   semantics (index-slot gather, exception selection), the
-   threads-1-vs-N determinism contract of Multilevel.partition with
-   [threads >= 1] — identical assignments,
-   costs, byte-identical engine records — and threads-independence of
-   the fm.* / lp.* observability totals (per-domain accumulators must
-   neither lose nor double-count). *)
+(* lib/parallel and the multilevel solver's domain pool: pool fork-join
+   semantics (index-slot gather, exception selection), the contract that
+   every [threads] value returns the default config's result — identical
+   assignments, costs, byte-identical engine records — and
+   threads-independence of the fm.* observability totals (per-task
+   accumulators must neither lose nor double-count). *)
 
 module E = Engine
 module H = Hypergraph
 module P = Partition
 
-(* Worker counts exercised against the threads=1 baseline.  The host may
-   have a single core; correctness and determinism must not care. *)
-let multi_threads = [ 2; 4 ]
+(* Pool sizes exercised against the default config (threads = 0, no
+   spawned domain).  The host may have a single core; correctness and
+   determinism must not care. *)
+let thread_counts = [ 1; 2; 4 ]
 
 (* ---- pool ---------------------------------------------------------------- *)
 
@@ -60,44 +60,30 @@ let test_run_bracket () =
   Alcotest.(check int) "run returns the body's value" 42
     (Parallel.run ~threads:2 (fun _ -> 42))
 
-(* ---- threads-1-vs-N determinism ------------------------------------------ *)
+(* ---- every thread count returns the default's result -------------------- *)
 
-let par_config ~threads =
-  { Solvers.Multilevel.default_config with threads }
-
-let solve_par ~threads hg ~k ~seed =
+let solve ?(config = Solvers.Multilevel.default_config) hg ~k ~seed =
   let rng = Support.Rng.create seed in
-  let part =
-    Solvers.Multilevel.partition ~config:(par_config ~threads) rng hg ~k
-  in
+  let part = Solvers.Multilevel.partition ~config rng hg ~k in
   (P.assignment part, P.connectivity_cost hg part)
+
+let solve_at ~threads =
+  solve ~config:{ Solvers.Multilevel.default_config with threads }
 
 let test_corpus_threads_independent () =
   List.iter
     (fun (name, hg, k, _) ->
-      let base_assign, base_cost = solve_par ~threads:1 hg ~k ~seed:1 in
+      let base_assign, base_cost = solve hg ~k ~seed:1 in
       List.iter
         (fun threads ->
-          let assign, cost = solve_par ~threads hg ~k ~seed:1 in
+          let assign, cost = solve_at ~threads hg ~k ~seed:1 in
           Alcotest.(check int)
             (Printf.sprintf "%s: cost at threads=%d" name threads)
             base_cost cost;
           Alcotest.(check (array int))
             (Printf.sprintf "%s: assignment at threads=%d" name threads)
             base_assign assign)
-        multi_threads)
-    (Test_corpus.corpus ())
-
-let test_corpus_parallel_feasible () =
-  List.iter
-    (fun (name, hg, k, _) ->
-      let rng = Support.Rng.create 1 in
-      let part =
-        Solvers.Multilevel.partition ~config:(par_config ~threads:2) rng hg ~k
-      in
-      if not (P.is_balanced ~eps:0.03 hg part) then
-        Alcotest.failf "%s: parallel path produced an infeasible partition"
-          name)
+        thread_counts)
     (Test_corpus.corpus ())
 
 let prop_threads_independent =
@@ -116,34 +102,34 @@ let prop_threads_independent =
           ~max_size:4
       in
       let k = 2 + (seed mod 3) in
-      let base = solve_par ~threads:1 hg ~k ~seed in
-      List.for_all (fun threads -> solve_par ~threads hg ~k ~seed = base)
-        [ 3; 5 ])
+      let base = solve hg ~k ~seed in
+      List.for_all (fun threads -> solve_at ~threads hg ~k ~seed = base)
+        [ 1; 3; 5 ])
 
 (* ---- engine records ------------------------------------------------------ *)
 
-let par_job ~n ~seed =
+let plain_job ~n ~seed =
   {
     E.Spec.instance = E.Spec.Generated { kind = E.Spec.Uniform; n };
-    config = { E.Spec.default_config with E.Spec.k = 4; parallel = true };
+    config = { E.Spec.default_config with E.Spec.k = 4 };
     seed;
     timeout_s = None;
   }
 
-let record_of ~threads job =
-  let p = E.Runner.execute ~threads job in
-  let fingerprint =
-    match E.Spec.fingerprint ~schema:E.Record.schema_version job with
-    | Ok fp -> fp
-    | Error e -> Alcotest.failf "fingerprint: %s" e
-  in
+let fingerprint job =
+  match E.Spec.fingerprint ~schema:E.Record.schema_version job with
+  | Ok fp -> fp
+  | Error e -> Alcotest.failf "fingerprint: %s" e
+
+let record_of ?threads job =
+  let p = E.Runner.execute ?threads job in
   let status =
     match p.E.Record.p_status with
     | `Done -> E.Record.Done
     | `Failed e -> E.Record.Failed e
   in
   {
-    E.Record.fingerprint;
+    E.Record.fingerprint = fingerprint job;
     job;
     status;
     metrics = p.E.Record.p_metrics;
@@ -154,39 +140,57 @@ let record_of ~threads job =
 let test_record_threads_independent () =
   List.iter
     (fun seed ->
-      let job = par_job ~n:60 ~seed in
-      let base = E.Record.deterministic_string (record_of ~threads:1 job) in
+      let job = plain_job ~n:60 ~seed in
+      let base = E.Record.deterministic_string (record_of job) in
       List.iter
         (fun threads ->
           Alcotest.(check string)
             (Printf.sprintf "seed %d: record at threads=%d" seed threads)
             base
             (E.Record.deterministic_string (record_of ~threads job)))
-        multi_threads)
+        thread_counts)
     [ 1; 2; 3 ]
 
-let test_parallel_marks_identity () =
-  (* parallel=true is a different algorithm, so it must change the job
-     fingerprint; the thread count must not exist in the plan at all. *)
-  let seq = { (par_job ~n:40 ~seed:1) with E.Spec.config = E.Spec.default_config } in
-  let seq = { seq with E.Spec.config = { seq.E.Spec.config with E.Spec.k = 4 } } in
-  let par = par_job ~n:40 ~seed:1 in
-  let fp job =
-    match E.Spec.fingerprint ~schema:E.Record.schema_version job with
-    | Ok fp -> fp
-    | Error e -> Alcotest.failf "fingerprint: %s" e
+let test_retired_parallel_key () =
+  (* Jobs and manifests written before the single driver may carry
+     "parallel": true.  The key is ignored: such an entry is the same job,
+     with the same fingerprint, as the entry without it. *)
+  let job = plain_job ~n:40 ~seed:1 in
+  let with_parallel =
+    match E.Spec.to_json job with
+    | Obs.Json.Obj fields ->
+        Obs.Json.Obj (fields @ [ ("parallel", Obs.Json.Bool true) ])
+    | _ -> Alcotest.fail "a job encodes as an object"
   in
-  Alcotest.(check bool) "parallel flag changes the fingerprint" true
-    (fp seq <> fp par);
-  match E.Spec.of_json (E.Spec.to_json par) with
-  | Ok job' ->
-      Alcotest.(check bool) "parallel survives the codec" true
-        job'.E.Spec.config.E.Spec.parallel
-  | Error e -> Alcotest.failf "roundtrip: %s" e
+  (match E.Spec.of_json with_parallel with
+  | Ok decoded ->
+      Alcotest.(check bool) "job JSON decodes to the same job" true
+        (decoded = job);
+      Alcotest.(check string) "job JSON keeps the fingerprint"
+        (fingerprint job) (fingerprint decoded)
+  | Error e -> Alcotest.failf "decode: %s" e);
+  let manifest config =
+    Printf.sprintf
+      {|{"schema": "hypartition-manifest/1",
+         "instances": [{"generate": "uniform", "n": 40}],
+         "configs": [%s], "seeds": [1]}|}
+      config
+  in
+  let expand text =
+    match E.Manifest.of_string ~known_experiments:[] text with
+    | Ok jobs -> jobs
+    | Error e -> Alcotest.failf "manifest: %s" e
+  in
+  let plain = expand (manifest {|{"k": 4}|}) in
+  let marked = expand (manifest {|{"k": 4, "parallel": true}|}) in
+  Alcotest.(check bool) "manifest entry expands to the same jobs" true
+    (plain = marked && plain = [ job ]);
+  Alcotest.(check (list string)) "manifest entry keeps the fingerprints"
+    (List.map fingerprint plain) (List.map fingerprint marked)
 
 (* ---- observability totals ------------------------------------------------ *)
 
-let obs_totals ~threads hg ~k =
+let fm_totals ~threads hg ~k =
   Obs.reset_stats ();
   Obs.set_enabled true;
   Fun.protect
@@ -194,34 +198,30 @@ let obs_totals ~threads hg ~k =
       Obs.set_enabled false;
       Obs.reset_stats ())
     (fun () ->
-      let rng = Support.Rng.create 7 in
-      ignore
-        (Solvers.Multilevel.partition ~config:(par_config ~threads) rng hg ~k);
+      ignore (solve_at ~threads hg ~k ~seed:7);
       let snap = Obs.snapshot () in
       List.filter
-        (fun (name, _) ->
-          String.length name >= 3
-          && (String.sub name 0 3 = "fm." || String.sub name 0 3 = "lp."))
+        (fun (name, _) -> String.starts_with ~prefix:"fm." name)
         snap.Obs.counters)
 
 let test_counter_totals_threads_independent () =
-  (* Per-domain Fm_stats accumulators committed at the join barrier must
+  (* Per-task Fm_stats accumulators committed at the join barrier must
      neither lose nor double-count: totals are a function of the plan,
      not the schedule. *)
   let hg =
     Workloads.Rand_hg.uniform (Support.Rng.create 11) ~n:300 ~m:450
       ~min_size:2 ~max_size:5
   in
-  let base = obs_totals ~threads:1 hg ~k:4 in
-  Alcotest.(check bool) "threads=1 run emitted fm./lp. counters" true
+  let base = fm_totals ~threads:0 hg ~k:4 in
+  Alcotest.(check bool) "threads=0 run emitted fm. counters" true
     (base <> []);
   List.iter
     (fun threads ->
-      let got = obs_totals ~threads hg ~k:4 in
+      let got = fm_totals ~threads hg ~k:4 in
       Alcotest.(check (list (pair string int)))
         (Printf.sprintf "counter totals at threads=%d" threads)
         base got)
-    multi_threads
+    thread_counts
 
 let suite =
   [
@@ -232,13 +232,11 @@ let suite =
     Alcotest.test_case "pool: run bracket" `Quick test_run_bracket;
     Alcotest.test_case "corpus: threads-1-vs-N identical" `Slow
       test_corpus_threads_independent;
-    Alcotest.test_case "corpus: parallel path feasible" `Slow
-      test_corpus_parallel_feasible;
     QCheck_alcotest.to_alcotest prop_threads_independent;
     Alcotest.test_case "records: byte-identical across threads" `Slow
       test_record_threads_independent;
-    Alcotest.test_case "records: parallel flag is identity" `Quick
-      test_parallel_marks_identity;
+    Alcotest.test_case "records: retired parallel key ignored" `Quick
+      test_retired_parallel_key;
     Alcotest.test_case "obs: counter totals threads-independent" `Slow
       test_counter_totals_threads_independent;
   ]
