@@ -567,10 +567,10 @@ let check_cmd =
       $ check_parts_arg $ eps_arg $ variant_arg $ branching_arg $ costs_arg
       $ rules_flag)
 
-(* trace: validate an emitted observability artifact — either a JSONL span
-   trace (HYPARTITION_TRACE / --trace) or a BENCH_<gitrev>.json bench
-   report — against its schema.  CI runs this over the artifacts it
-   uploads. *)
+(* trace: validate an emitted observability artifact — a JSONL span
+   trace (HYPARTITION_TRACE / --trace), a batch or loadgen report, or a
+   serve frame log — against its schema.  CI runs this over the
+   artifacts it uploads. *)
 
 let run_trace_validate path =
   let ( let* ) r f = match r with Error msg -> Error msg | Ok v -> f v in
@@ -587,39 +587,6 @@ let run_trace_validate path =
     match Option.bind (Obs.Json.member name json) Obs.Json.get_float with
     | Some f -> Ok f
     | None -> Error (Printf.sprintf "missing numeric field %S" name)
-  in
-  let validate_bench doc =
-    let* rev = str_field "git_rev" doc in
-    let* experiments =
-      match Obs.Json.member "experiments" doc with
-      | Some (Obs.Json.Arr l) -> Ok l
-      | _ -> Error "missing array field \"experiments\""
-    in
-    let* () =
-      List.fold_left
-        (fun acc e ->
-          let* () = acc in
-          let* id = str_field "id" e in
-          let* wall = num_field "wall_s" e in
-          if wall < 0.0 then
-            Error (Printf.sprintf "experiment %s: negative wall_s" id)
-          else Ok ())
-        (Ok ()) experiments
-    in
-    (* hypartition-bench/2: experiments run through the batch engine, so
-       the report also carries the engine section (worker count, cache
-       statistics). *)
-    let* () =
-      match Obs.Json.member "engine" doc with
-      | Some (Obs.Json.Obj _ as engine) -> (
-          match Obs.Json.member "jobs" engine with
-          | Some (Obs.Json.Int j) when j >= 1 -> Ok ()
-          | _ -> Error "engine section lacks a positive integer \"jobs\"")
-      | _ -> Error "missing object field \"engine\""
-    in
-    Printf.printf "valid bench report (schema %s, git %s): %d experiments\n"
-      Obs.bench_schema_version rev (List.length experiments);
-    Ok ()
   in
   let validate_batch doc =
     (* hypartition-batch/1: the `batch` subcommand's JSON report — engine
@@ -801,10 +768,7 @@ let run_trace_validate path =
   in
   let validate_trace lines =
     (* First line is the meta record; span records follow, each child
-       emitted before its parent (spans are written as they end).  Both
-       trace schema generations validate: /1 traces predate the merged
-       multi-process timeline, /2 adds provenance records and per-span
-       trace ids. *)
+       emitted before its parent (spans are written as they end). *)
     let* schema =
       match lines with
       | meta :: _ -> (
@@ -814,13 +778,10 @@ let run_trace_validate path =
           let* ty = str_field "type" doc in
           let* schema = str_field "schema" doc in
           if ty <> "meta" then Error "first line is not a meta record"
-          else if
-            schema <> Obs.trace_schema_version
-            && schema <> Obs.trace_schema_v1
-          then
+          else if schema <> Obs.trace_schema_version then
             Error
-              (Printf.sprintf "unsupported trace schema %S (expected %S or %S)"
-                 schema Obs.trace_schema_v1 Obs.trace_schema_version)
+              (Printf.sprintf "unsupported trace schema %S (expected %S)"
+                 schema Obs.trace_schema_version)
           else Ok schema)
       | [] -> Error "empty trace"
     in
@@ -943,11 +904,12 @@ let run_trace_validate path =
         (fun l -> String.trim l <> "")
         (String.split_on_char '\n' content)
     in
-    (* Dispatch on the first line's schema tag: a bench report is a single
-       JSON object, a trace or serve frame log is JSONL.  A raw serve
-       capture is length-prefixed — bare-integer lines interleave the
-       frames — so when the first line is such a prefix, dispatch peeks
-       past it and the prefixes are stripped before validation. *)
+    (* Dispatch on the first line's schema tag: a batch or loadgen report
+       is a single JSON object, a trace or serve frame log is JSONL.  A
+       raw serve capture is length-prefixed — bare-integer lines
+       interleave the frames — so when the first line is such a prefix,
+       dispatch peeks past it and the prefixes are stripped before
+       validation. *)
     let is_len_line l =
       let s = String.trim l in
       s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
@@ -967,9 +929,6 @@ let run_trace_validate path =
           else (first, lines)
         in
         match schema_of first with
-        | Some s when s = Obs.bench_schema_version ->
-            let* doc = Obs.Json.parse (String.trim content) in
-            validate_bench doc
         | Some s when s = Engine.Batch.schema_version ->
             let* doc = Obs.Json.parse (String.trim content) in
             validate_batch doc
@@ -978,9 +937,7 @@ let run_trace_validate path =
         | Some s when s = Server.Slo.schema_version ->
             let* doc = Obs.Json.parse (String.trim content) in
             validate_slo doc
-        | Some s
-          when s = Obs.trace_schema_version || s = Obs.trace_schema_v1 ->
-            validate_trace lines
+        | Some s when s = Obs.trace_schema_version -> validate_trace lines
         | Some other -> Error (Printf.sprintf "unknown schema %S" other)
         | None -> Error "first line has no schema tag")
   in
@@ -991,9 +948,9 @@ let run_trace_validate path =
       1
 
 (* lint: the one source-analysis verb.  SRC rules over the Parsetree of
-   every source under lib/, bin/, bench/ and test/; DOM rules over the
-   typed .cmt front of lib/, bin/ and bench/ (a prior `dune build @check`
-   provides the .cmt files); one suppression pass over both, with
+   every source under lib/, bin/ and test/; DOM rules over the typed .cmt
+   front of lib/ and bin/ (a prior `dune build @check` provides the .cmt
+   files); one suppression pass over both, with
    written reasons — inline `hyplint: allow SRC03 — reason` markers or
    lint.config entries.  Zero unsuppressed findings is a hard gate (CI
    runs this). *)
@@ -1031,9 +988,8 @@ let run_lint root config_path rules format effects effects_out =
 let lint_cmd =
   let root_arg =
     let doc =
-      "Repository root to lint (SRC rules walk lib/, bin/, bench/, test/; \
-       DOM rules read the .cmt files of lib/, bin/, bench/ under \
-       ROOT/_build/default)."
+      "Repository root to lint (SRC rules walk lib/, bin/, test/; DOM \
+       rules read the .cmt files of lib/ and bin/ under ROOT/_build/default)."
     in
     Arg.(value & pos 0 dir "." & info [] ~docv:"ROOT" ~doc)
   in
@@ -1088,70 +1044,11 @@ let lint_cmd =
       const run_lint $ root_arg $ config_arg $ rules_flag $ format_arg
       $ effects_flag $ effects_out_arg)
 
-(* bench: compare a fresh bench report against a committed baseline and
-   gate on experiment wall-time regressions (the CI perf-smoke check).
-   Producing the reports is bench/main.exe's job; this subcommand only
-   reads them, so it stays cheap enough to run anywhere. *)
-
-let run_bench_compare current baseline threshold format =
-  match
-    Engine.Bench_compare.compare_files ~threshold_pct:threshold ~baseline
-      ~current ()
-  with
-  | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      2
-  | Ok cmp ->
-      (match format with
-      | `Text -> print_string (Engine.Bench_compare.render cmp)
-      | `Json ->
-          print_endline
-            (Obs.Json.to_string (Engine.Bench_compare.to_json cmp)));
-      if Engine.Bench_compare.ok cmp then 0 else 1
-
-let bench_cmd =
-  let current_arg =
-    let doc = "Current bench report (BENCH_<gitrev>.json, written by \
-               bench/main.exe)." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"CURRENT" ~doc)
-  in
-  let compare_arg =
-    let doc = "Baseline bench report to compare against (e.g. the committed \
-               bench/baseline/BENCH_*.json)." in
-    Arg.(
-      required
-      & opt (some file) None
-      & info [ "compare" ] ~docv:"BASELINE" ~doc)
-  in
-  let threshold_arg =
-    let doc = "Regression threshold in percent: fail when some experiment's \
-               wall time exceeds baseline by more than this." in
-    Arg.(value & opt float 25.0 & info [ "threshold" ] ~docv:"PCT" ~doc)
-  in
-  let format_arg =
-    let doc = "Output format: text or json (hypartition-bench-compare/1)." in
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc)
-  in
-  let info =
-    Cmd.info "bench"
-      ~doc:
-        "Compare a bench report against a baseline: per-row speedups, with \
-         a non-zero exit if any experiment's wall time regressed beyond \
-         the threshold (micro rows are informational)."
-  in
-  Cmd.v info
-    Term.(
-      const run_bench_compare $ current_arg $ compare_arg $ threshold_arg
-      $ format_arg)
-
 let trace_cmd =
   let file_arg =
     let doc =
-      "File to validate: span trace (JSONL), bench/batch/loadgen report \
-       (JSON) or serve frame log (JSONL, raw length-prefixed captures \
+      "File to validate: span trace (JSONL), batch/loadgen report (JSON) \
+       or serve frame log (JSONL, raw length-prefixed captures \
        accepted)."
     in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
@@ -1160,13 +1057,13 @@ let trace_cmd =
     Cmd.info "trace"
       ~doc:
         "Validate an observability artifact against its schema — JSONL \
-         span trace, bench JSON, batch-report JSON, serve frame log \
+         span trace, batch-report JSON, serve frame log \
          (hypartition-serve/1) or loadgen SLO report \
          (hypartition-loadgen/1); non-zero exit if malformed."
   in
   Cmd.v info Term.(const run_trace_validate $ file_arg)
 
-(* report: the analytics layer over the same artifacts `trace` validates.
+(* report: the analytics layer over the span traces `trace` validates.
    Where `trace` answers "is this file well-formed", `report` answers
    "where did the time go": per-phase wall/self-time tables, the critical
    path under each engine.job span, top spans, GC gauge summaries — or,
@@ -1185,10 +1082,8 @@ let run_report path folded top =
 let report_cmd =
   let file_arg =
     let doc =
-      Printf.sprintf
-        "Span trace (JSONL, schema %s or %s) or bench report (JSON, schema \
-         %s) to analyze."
-        Obs.trace_schema_v1 Obs.trace_schema_version Obs.bench_schema_version
+      Printf.sprintf "Span trace (JSONL, schema %s) to analyze."
+        Obs.trace_schema_version
     in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
@@ -1208,7 +1103,7 @@ let report_cmd =
       ~doc:
         "Analyze an observability artifact: per-phase wall/self time, \
          per-job critical paths, top spans and GC summaries from a span \
-         trace or bench report; --folded writes flamegraph input."
+         trace; --folded writes flamegraph input."
   in
   Cmd.v info Term.(const run_report $ file_arg $ folded_flag $ top_arg)
 
@@ -1429,13 +1324,16 @@ let run_batch trace stats manifest files experiments k eps seed algorithm
              --experiment ids)\n";
           2
       | None -> (
+          (* In text mode, experiment jobs print their tables to stdout
+             (the paper suite's regeneration path); with --format json,
+             stdout stays one batch/1 document. *)
           let pool =
             {
               Engine.Pool.default_config with
               jobs;
               retries;
               default_timeout_s = timeout;
-              silence_worker_stdout = true;
+              silence_worker_stdout = format = `Json;
               handle_sigint = true;
               solver_threads = threads;
             }
@@ -1549,7 +1447,11 @@ let batch_cmd =
     Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N" ~doc)
   in
   let format_arg =
-    let doc = "Output format: text or json (hypartition-batch/1)." in
+    let doc =
+      "Output format: text or json (hypartition-batch/1).  In text mode \
+       experiment jobs print their tables to stdout; json keeps stdout \
+       one report."
+    in
     Arg.(
       value
       & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
@@ -1578,7 +1480,7 @@ let main =
     [
       partition_cmd; stats_cmd; recognize_cmd; hierarchical_cmd;
       schedule_cmd; convert_cmd; evaluate_cmd; generate_cmd; check_cmd;
-      lint_cmd; bench_cmd; trace_cmd; report_cmd; batch_cmd;
+      lint_cmd; trace_cmd; report_cmd; batch_cmd;
       serve_cmd;
     ]
 

@@ -11,8 +11,8 @@ module I = Ir
 let catalogue =
   [
     ( "DOM00",
-      "analyzer hygiene: a lib/bin/bench source no .cmt covers (run `dune \
-       build @check`), and DOM suppressions that matched nothing" );
+      "analyzer hygiene: a lib/bin source no .cmt covers (run `dune build \
+       @check`), and DOM suppressions that matched nothing" );
     ( "DOM01",
       "module-global mutable state reachable from the solver hot path \
        without Atomic/Mutex or documented confinement" );

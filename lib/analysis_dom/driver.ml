@@ -13,7 +13,7 @@ let catalogue = Lint.Rules.catalogue @ Dom_rules.catalogue
 (* Directories the DOM rules cover under the root.  [test] is
    deliberately absent: the domain-safety contract covers shipped code,
    and the DOM fixture files under test/ violate it on purpose. *)
-let default_subdirs = [ "lib"; "bin"; "bench" ]
+let default_subdirs = [ "lib"; "bin" ]
 
 let certificate_path = "analysis/effects.json"
 

@@ -1,6 +1,6 @@
 (** [hypartition lint], end to end: one walk and one [lint.config]
     parse ({!Lint.Engine.load}), the DOM rules over the typed [.cmt]
-    front of [lib/], [bin/] and [bench/], and one suppression pass and
+    front of [lib/] and [bin/], and one suppression pass and
     report over the SRC and DOM findings together
     ({!Lint.Engine.lint_sources}). *)
 
@@ -22,7 +22,7 @@ val run :
   (result, string) Stdlib.result
 (** Lint [root]: SRC rules over every source, DOM rules over every unit
     a [.cmt] under [build_dir] (default [root/_build/default]) covers.
-    A [lib/], [bin/] or [bench/] implementation no [.cmt] covers is a
-    DOM00 error.  [entries] defaults to {!Callgraph.default_entries}.
-    When [root/analysis/effects.json] exists, DOM11 checks it against
-    this run. *)
+    A [lib/] or [bin/] implementation no [.cmt] covers is a DOM00
+    error.  [entries] defaults to {!Callgraph.default_entries}.  When
+    [root/analysis/effects.json] exists, DOM11 checks it against this
+    run. *)

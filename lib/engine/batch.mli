@@ -52,8 +52,6 @@ val run :
 val schema_version : string
 (** ["hypartition-batch/1"], the tag on {!report_to_json} documents. *)
 
-val stats_to_json : stats -> Obs.Json.t
-
 val report_to_json : ?deterministic:bool -> jobs:int -> report -> Obs.Json.t
 (** The ["hypartition-batch/1"] rendering ([jobs] = worker count).  With
     [~deterministic:true], drop wall-clock and per-record timing/observed

@@ -9,4 +9,3 @@ module Pool = Pool
 module Provenance = Provenance
 module Runner = Runner
 module Batch = Batch
-module Bench_compare = Bench_compare

@@ -25,8 +25,9 @@ type config = {
   default_timeout_s : float option;
       (** budget for jobs that carry none; [None] = unbounded *)
   silence_worker_stdout : bool;
-      (** redirect worker stdout to /dev/null (batch CLI); workers keep
-          stderr either way *)
+      (** redirect worker stdout to /dev/null (the serve daemon, and
+          [batch --format json], whose stdout is one report); workers
+          keep stderr either way *)
   handle_sigint : bool;
       (** install a draining SIGINT handler for the duration of {!run}:
           queued jobs become [Skipped], in-flight workers finish, the

@@ -1,8 +1,8 @@
-(* Run provenance: the facts that make a bench report or trace from one
-   machine comparable with one from another.  The PR 5 baseline ambiguity
+(* Run provenance: the facts that make a trace from one machine
+   comparable with one from another.  A timing quoted without them
    ("6.4x here vs 4.2x there" — same code? same machine? different
-   OCaml?) is exactly what these five fields disambiguate, so both the
-   bench harness and the engine stamp them on everything they write. *)
+   OCaml?) is ambiguous in exactly the ways these five fields settle, so
+   the CLI and the batch engine stamp them on every trace they write. *)
 
 let hostname () =
   match Unix.gethostname () with

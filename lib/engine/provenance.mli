@@ -1,7 +1,6 @@
 (** Run provenance: hostname, OCaml version, word size, git revision and
-    (optionally) worker and solver-thread counts — stamped into bench
-    reports and trace headers so cross-machine baseline comparisons are
-    self-describing. *)
+    (optionally) worker and solver-thread counts — stamped into trace
+    headers so cross-machine comparisons are self-describing. *)
 
 val git_rev : unit -> string
 (** Short git revision of the working tree, or ["unknown"] outside a

@@ -29,5 +29,4 @@ val execute :
 
 val snapshot_to_json : Obs.snapshot -> Obs.Json.t
 (** The ["observed"] rendering of an observability snapshot (counters,
-    gauges, histograms, span rollup) shared by result records and the
-    bench report. *)
+    gauges, histograms, span rollup) carried by result records. *)

@@ -41,18 +41,3 @@ let all =
   ]
 
 let ids = List.map (fun (id, _, _) -> id) all
-
-let run_all () =
-  List.iter
-    (fun (id, what, run) ->
-      Printf.printf "\n%s\n### %s — %s\n%s\n"
-        (String.make 72 '#') id what (String.make 72 '#');
-      run ())
-    all
-
-let run_one id =
-  match List.find_opt (fun (i, _, _) -> i = id) all with
-  | Some (_, _, run) ->
-      run ();
-      true
-  | None -> false

@@ -1,7 +1,8 @@
 (** Library root: the experiment harness.  Each experiment module
     regenerates the series/rows of one paper anchor (see DESIGN.md's
     per-experiment index and EXPERIMENTS.md for paper-vs-measured
-    notes); this root names them and drives them by id. *)
+    notes); this root names them.  [Engine.Runner] runs them by id, as
+    the jobs of [hypartition batch]. *)
 
 module Table = Table
 
@@ -28,10 +29,3 @@ val all : (string * string * (unit -> unit)) list
 
 val ids : string list
 (** The experiment ids of {!all}, in order ("E1" .. "E16"). *)
-
-val run_all : unit -> unit
-(** Run every experiment in order, with a banner per experiment. *)
-
-val run_one : string -> bool
-(** Run the experiment with the given id; [false] if the id is
-    unknown. *)

@@ -2,9 +2,9 @@
     columns, a header rule, and a caption line tying the table back to
     the paper anchor it reproduces.
 
-    This module (with {!Experiments.run_all}'s banners) is the
-    experiment harness's designated stdout writer — the lint.config
-    SRC03 allowlist names this directory for exactly that reason. *)
+    This module is the experiment harness's designated stdout writer —
+    the lint.config SRC03 allowlist names this directory for exactly
+    that reason. *)
 
 type cell = Int of int | Float of float | Str of string | Bool of bool
 

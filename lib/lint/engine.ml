@@ -11,7 +11,7 @@ module Check = Analysis_core.Check
 let schema_version = "hypartition-lint/2"
 
 (* Directories walked relative to the root, in order. *)
-let default_subdirs = [ "lib"; "bin"; "bench"; "test" ]
+let default_subdirs = [ "lib"; "bin"; "test" ]
 
 type result = {
   root : string;

@@ -9,7 +9,7 @@ val schema_version : string
 (** Schema tag of the [--format json] output, ["hypartition-lint/2"]. *)
 
 val default_subdirs : string list
-(** Directories walked under the root: [lib], [bin], [bench], [test]. *)
+(** Directories walked under the root: [lib], [bin], [test]. *)
 
 type result = {
   root : string;

@@ -1,7 +1,7 @@
 (** hyplint — the AST-level half of [hypartition lint].
 
     A compiler-libs pass ([Parse] + [Ast_iterator]) over every [.ml] /
-    [.mli] under [lib/], [bin/], [bench/] and [test/], with repo-specific
+    [.mli] under [lib/], [bin/] and [test/], with repo-specific
     rules (stable ids [SRC00]..[SRC12], catalogued in DESIGN.md), inline
     [(* hyplint: allow ... — reason *)] suppressions and a [lint.config]
     allowlist that also cover the typed DOM rules of {!Analysis_dom}.

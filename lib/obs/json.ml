@@ -1,6 +1,6 @@
 (* A deliberately small JSON value type, printer and parser — enough to
-   emit the trace / bench files and to parse them back for validation and
-   reporting, without an external dependency.  Extracted from the Obs
+   emit traces, result records and reports and to parse them back for
+   validation and reporting, without an external dependency.  Extracted from the Obs
    main module so that sibling modules (Report) can share it; external
    code keeps using it as [Obs.Json]. *)
 

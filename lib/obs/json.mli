@@ -1,6 +1,6 @@
 (** A deliberately small JSON value type, printer and parser — enough to
-    emit the trace / bench files and to parse them back for validation
-    and reporting, without an external dependency.  Re-exported as
+    emit traces, result records and reports and to parse them back for
+    validation and reporting, without an external dependency.  Re-exported as
     [Obs.Json]. *)
 
 type t =

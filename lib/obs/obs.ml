@@ -5,8 +5,9 @@
    1. disabled instrumentation must cost ~nothing on the FM hot path — a
       couple of loads and a branch, and zero allocation;
    2. no external dependencies (the clock comes from Support.Util);
-   3. machine-readable output (JSONL trace, metric snapshots) so the bench
-      harness and CI can consume what humans see in the summary tree.
+   3. machine-readable output (JSONL trace, metric snapshots) so result
+      records, reports and CI can consume what humans see in the summary
+      tree.
 
    Cross-process model: the coordinator owns the trace file; each forked
    worker writes its own shard (`<trace>.worker.<pid>.jsonl`) carrying the
@@ -22,8 +23,6 @@ type attr = Str of string | Int of int | Float of float | Bool of bool
 module Json = Json
 
 let trace_schema_version = Schema.trace_v2
-let trace_schema_v1 = Schema.trace_v1
-let bench_schema_version = Schema.bench_v2
 
 let now_ns = Support.Util.monotonic_ns
 

@@ -43,7 +43,8 @@ val enabled : unit -> bool
 
 val set_enabled : bool -> unit
 (** Turn metric / span collection on or off without attaching a sink
-    (used by the bench harness, which reads {!snapshot} directly). *)
+    (used by the engine's job runner, which reads {!snapshot} directly
+    into each result record). *)
 
 val enable_trace : string -> unit
 (** Attach a JSONL trace sink writing to the given path (truncates) and
@@ -230,7 +231,8 @@ end
 
 (** {1 Snapshots}
 
-    The bench harness and the summary sink read collected data through a
+    The engine's job runner (into each result record's ["observed"]
+    section) and the summary sink read collected data through a
     snapshot: metric values plus the span rollup (aggregated by path,
     i.e. the ["/"]-joined span names from the root). *)
 
@@ -261,7 +263,8 @@ val snapshot : unit -> snapshot
 
 val reset_stats : unit -> unit
 (** Zero all metrics and clear the span rollup, keeping sinks and the
-    enabled flag — the bench harness calls this between experiments. *)
+    enabled flag — the engine's job runner calls this at the start of
+    every job, so a record observes only its own job. *)
 
 val print_summary : Format.formatter -> unit
 (** Render the current {!snapshot} as the human-readable summary tree. *)
@@ -273,22 +276,11 @@ val trace_schema_version : string
     records, and shard meta headers carry ["trace"] / ["parent_span"] /
     ["pid"]. *)
 
-val trace_schema_v1 : string
-(** The previous trace schema, ["hypartition-trace/1"] — still accepted
-    by the validator and {!Report}. *)
-
-val bench_schema_version : string
-(** The schema tag of the machine-readable bench output
-    ([BENCH_<gitrev>.json]), ["hypartition-bench/2"]: experiments run
-    through the lib/engine batch engine, so each section carries engine
-    timing (wall time, attempts, worker slot, cached flag) and the report
-    carries an ["engine"] section with worker count and cache statistics. *)
-
 (** {1 JSON}
 
     A deliberately small JSON value type, printer and parser — enough to
-    emit the trace / bench files and to parse them back for validation,
-    without an external dependency. *)
+    emit traces, result records and reports and to parse them back for
+    validation, without an external dependency. *)
 
 module Json = Json
 

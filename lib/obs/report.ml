@@ -1,18 +1,13 @@
-(* Trace / bench analytics: turn the raw observability files into the
-   tables a human asks for first — where did the time go (per-phase wall
-   and self time), what was the longest dependency chain per job, which
-   individual spans dominated, what did the GC do — plus folded-stack
-   output consumable by standard flamegraph tooling.
+(* Trace analytics: turn a JSONL span trace (schema hypartition-trace/2,
+   whose merged timeline carries per-span trace ids and provenance
+   records) into the tables a human asks for first — where did the time
+   go (per-phase wall and self time), what was the longest dependency
+   chain per job, which individual spans dominated, what did the GC do —
+   plus folded-stack output consumable by standard flamegraph tooling.
 
-   Reads both kinds of file the repo emits:
-   - JSONL span traces, schema hypartition-trace/1 or /2 (the /2 merged
-     timeline carries per-span trace ids and provenance records);
-   - bench reports, schema hypartition-bench/2, whose experiment rows
-     embed each worker's span rollup (path / count / total_s).
-
-   This module deliberately does not depend on the Obs main module (the
-   library is wrapped; siblings share Json and Schema instead), so it can
-   be reused by the bench comparison gate. *)
+   This module does not depend on the Obs main module (the library is
+   wrapped; siblings share Json and Schema instead), so the main module
+   can re-export it. *)
 
 type phase_row = {
   ph_path : string;
@@ -30,7 +25,7 @@ type span = {
   sp_trace : string option;
 }
 
-type trace_data = {
+type t = {
   tr_schema : string;
   tr_spans : span list; (* file order: children precede parents *)
   tr_counters : (string * int) list;
@@ -38,26 +33,7 @@ type trace_data = {
   tr_provenance : (string * Json.t) list list;
 }
 
-type experiment = {
-  ex_id : string;
-  ex_status : string;
-  ex_wall_s : float;
-  ex_rows : phase_row list;
-  ex_gauges : (string * float) list;
-}
-
-type bench_data = {
-  be_schema : string;
-  be_provenance : (string * Json.t) list;
-  be_experiments : experiment list;
-  be_micro : (string * float) list;
-}
-
-type t = Trace of trace_data | Bench of bench_data
-
-let schema = function
-  | Trace tr -> tr.tr_schema
-  | Bench be -> be.be_schema
+let schema tr = tr.tr_schema
 
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
@@ -88,13 +64,13 @@ let span_of_json j =
         }
   | _ -> None
 
-let parse_trace lines =
+let load_string content =
   let records =
     List.filter_map
       (fun line ->
         if String.trim line = "" then None
         else match Json.parse line with Ok v -> Some v | Error _ -> None)
-      lines
+      (String.split_on_char '\n' content)
   in
   let typ j = field "type" Json.get_str j in
   match List.find_opt (fun j -> typ j = Some "meta") records with
@@ -102,7 +78,7 @@ let parse_trace lines =
   | Some meta -> (
       match field "schema" Json.get_str meta with
       | None -> Error "trace meta has no schema"
-      | Some s when not (Schema.is_trace s) ->
+      | Some s when s <> Schema.trace_v2 ->
           Error (Printf.sprintf "unsupported trace schema %s" s)
       | Some s ->
           let spans =
@@ -137,159 +113,13 @@ let parse_trace lines =
               records
           in
           Ok
-            (Trace
-               {
-                 tr_schema = s;
-                 tr_spans = spans;
-                 tr_counters = counters;
-                 tr_gauges = gauges;
-                 tr_provenance = provenance;
-               }))
-
-let ns_of_s s = Int64.of_float (s *. 1e9)
-
-(* Self time over a rollup: rows carry totals per path; a row's children
-   are the rows exactly one "/" deeper, so self = total - sum(children). *)
-let rollup_self rows =
-  let parent_of path =
-    match String.rindex_opt path '/' with
-    | Some i -> Some (String.sub path 0 i)
-    | None -> None
-  in
-  let child_sum : (string, int64) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (path, _count, total) ->
-      match parent_of path with
-      | None -> ()
-      | Some p ->
-          let prev =
-            match Hashtbl.find_opt child_sum p with Some v -> v | None -> 0L
-          in
-          Hashtbl.replace child_sum p (Int64.add prev total))
-    rows;
-  List.map
-    (fun (path, count, total) ->
-      let kids =
-        match Hashtbl.find_opt child_sum path with Some v -> v | None -> 0L
-      in
-      let self = Int64.sub total kids in
-      {
-        ph_path = path;
-        ph_count = count;
-        ph_total_ns = total;
-        ph_self_ns = (if Int64.compare self 0L < 0 then 0L else self);
-      })
-    rows
-  |> List.sort (fun a b -> String.compare a.ph_path b.ph_path)
-
-let experiment_of_json j =
-  match field "id" Json.get_str j with
-  | None -> None
-  | Some id ->
-      let rows =
-        match Json.member "spans" j with
-        | Some (Json.Arr items) ->
-            List.filter_map
-              (fun row ->
-                match
-                  ( field "path" Json.get_str row,
-                    field "count" Json.get_int row,
-                    field "total_s" Json.get_float row )
-                with
-                | Some path, Some count, Some total_s ->
-                    Some (path, count, ns_of_s total_s)
-                | _ -> None)
-              items
-        | _ -> []
-      in
-      let gauges =
-        match Json.member "gauges" j with
-        | Some (Json.Obj kvs) ->
-            List.filter_map
-              (fun (k, v) ->
-                match Json.get_float v with
-                | Some f -> Some (k, f)
-                | None -> None)
-              kvs
-        | _ -> []
-      in
-      Some
-        {
-          ex_id = id;
-          ex_status =
-            (match field "status" Json.get_str j with
-            | Some s -> s
-            | None -> "unknown");
-          ex_wall_s =
-            (match field "wall_s" Json.get_float j with
-            | Some w -> w
-            | None -> 0.0);
-          ex_rows = rollup_self rows;
-          ex_gauges = gauges;
-        }
-
-let parse_bench doc =
-  match field "schema" Json.get_str doc with
-  | None -> Error "bench report has no schema"
-  | Some s when s <> Schema.bench_v2 ->
-      Error (Printf.sprintf "unsupported bench schema %s" s)
-  | Some s ->
-      let provenance =
-        match Json.member "provenance" doc with
-        | Some (Json.Obj fields) -> fields
-        | _ -> (
-            (* Pre-provenance reports: lift what bench/1..2 always had. *)
-            match
-              (Json.member "git_rev" doc, Json.member "ocaml_version" doc)
-            with
-            | Some rev, Some v -> [ ("git_rev", rev); ("ocaml_version", v) ]
-            | _ -> [])
-      in
-      let experiments =
-        match Json.member "experiments" doc with
-        | Some (Json.Arr items) -> List.filter_map experiment_of_json items
-        | _ -> []
-      in
-      let micro =
-        match Json.member "micro" doc with
-        | Some (Json.Arr items) ->
-            List.filter_map
-              (fun row ->
-                match
-                  ( field "name" Json.get_str row,
-                    field "ns_per_run" Json.get_float row )
-                with
-                | Some name, Some ns -> Some (name, ns)
-                | _ -> None)
-              items
-        | _ -> []
-      in
-      Ok
-        (Bench
-           {
-             be_schema = s;
-             be_provenance = provenance;
-             be_experiments = experiments;
-             be_micro = micro;
-           })
-
-let load_string content =
-  let first_line =
-    match String.index_opt content '\n' with
-    | Some i -> String.sub content 0 i
-    | None -> content
-  in
-  let looks_like_trace =
-    match Json.parse (String.trim first_line) with
-    | Ok j -> field "type" Json.get_str j = Some "meta"
-    | Error _ -> false
-  in
-  if looks_like_trace then
-    parse_trace (String.split_on_char '\n' content)
-  else
-    match Json.parse (String.trim content) with
-    | Error msg -> Error (Printf.sprintf "not a trace and not JSON: %s" msg)
-    | Ok doc -> parse_bench doc
+            {
+              tr_schema = s;
+              tr_spans = spans;
+              tr_counters = counters;
+              tr_gauges = gauges;
+              tr_provenance = provenance;
+            })
 
 let load path =
   match
@@ -301,7 +131,7 @@ let load path =
 (* ------------------------------------------------------------------ *)
 (* Derived views *)
 
-let trace_phase_rows spans =
+let phase_rows tr =
   let child_sum : (int, int64) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun s ->
@@ -313,7 +143,7 @@ let trace_phase_rows spans =
         in
         Hashtbl.replace child_sum s.sp_parent (Int64.add prev s.sp_dur_ns)
       end)
-    spans;
+    tr.tr_spans;
   let agg : (string, int * int64 * int64) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun s ->
@@ -329,7 +159,7 @@ let trace_phase_rows spans =
       in
       Hashtbl.replace agg s.sp_path
         (count + 1, Int64.add total s.sp_dur_ns, Int64.add self_acc self))
-    spans;
+    tr.tr_spans;
   Hashtbl.fold
     (fun path (count, total, self) acc ->
       { ph_path = path; ph_count = count; ph_total_ns = total; ph_self_ns = self }
@@ -337,86 +167,63 @@ let trace_phase_rows spans =
     agg []
   |> List.sort (fun a b -> String.compare a.ph_path b.ph_path)
 
-let phase_rows = function
-  | Trace tr -> trace_phase_rows tr.tr_spans
-  | Bench be ->
-      List.concat_map
-        (fun ex ->
-          List.map
-            (fun r -> { r with ph_path = ex.ex_id ^ "/" ^ r.ph_path })
-            ex.ex_rows)
-        be.be_experiments
 
 let fold_path path = String.map (fun c -> if c = '/' then ';' else c) path
 
-let folded_of_rows prefix rows =
-  List.filter_map
-    (fun r ->
-      let self = Int64.to_int r.ph_self_ns in
-      if self <= 0 then None
-      else Some (Printf.sprintf "%s%s %d" prefix (fold_path r.ph_path) self))
-    rows
-
-let folded = function
-  | Trace tr ->
-      String.concat ""
-        (List.map (fun l -> l ^ "\n")
-           (folded_of_rows "" (trace_phase_rows tr.tr_spans)))
-  | Bench be ->
-      String.concat ""
-        (List.concat_map
-           (fun ex ->
-             List.map (fun l -> l ^ "\n")
-               (folded_of_rows (ex.ex_id ^ ";") ex.ex_rows))
-           be.be_experiments)
+let folded tr =
+  String.concat ""
+    (List.filter_map
+       (fun r ->
+         let self = Int64.to_int r.ph_self_ns in
+         if self <= 0 then None
+         else Some (Printf.sprintf "%s %d\n" (fold_path r.ph_path) self))
+       (phase_rows tr))
 
 (* Canonical span-tree rendering, modulo ids and timestamps: node name
    plus trace id, children sorted by their own canonical form.  Two runs
    of the same manifest must produce equal strings whatever the worker
    interleaving was. *)
-let structure = function
-  | Bench _ -> ""
-  | Trace tr ->
-      let children : (int, span list) Hashtbl.t = Hashtbl.create 64 in
-      let ids = Hashtbl.create 64 in
-      List.iter (fun s -> Hashtbl.replace ids s.sp_id ()) tr.tr_spans;
-      let roots =
-        List.filter
-          (fun s ->
-            if s.sp_parent >= 0 && Hashtbl.mem ids s.sp_parent then begin
-              let siblings =
-                match Hashtbl.find_opt children s.sp_parent with
-                | Some l -> l
-                | None -> []
-              in
-              Hashtbl.replace children s.sp_parent (s :: siblings);
-              false
-            end
-            else true)
-          tr.tr_spans
-      in
-      let visiting = Hashtbl.create 16 in
-      let rec canon s =
-        if Hashtbl.mem visiting s.sp_id then "<cycle>"
-        else begin
-          Hashtbl.replace visiting s.sp_id ();
-          let label =
-            match s.sp_trace with
-            | Some t -> s.sp_name ^ "[" ^ t ^ "]"
-            | None -> s.sp_name
-          in
-          let kids =
-            match Hashtbl.find_opt children s.sp_id with
-            | Some l -> List.sort String.compare (List.map canon l)
+let structure tr =
+  let children : (int, span list) Hashtbl.t = Hashtbl.create 64 in
+  let ids = Hashtbl.create 64 in
+  List.iter (fun s -> Hashtbl.replace ids s.sp_id ()) tr.tr_spans;
+  let roots =
+    List.filter
+      (fun s ->
+        if s.sp_parent >= 0 && Hashtbl.mem ids s.sp_parent then begin
+          let siblings =
+            match Hashtbl.find_opt children s.sp_parent with
+            | Some l -> l
             | None -> []
           in
-          Hashtbl.remove visiting s.sp_id;
-          match kids with
-          | [] -> label
-          | _ -> label ^ "(" ^ String.concat "," kids ^ ")"
+          Hashtbl.replace children s.sp_parent (s :: siblings);
+          false
         end
+        else true)
+      tr.tr_spans
+  in
+  let visiting = Hashtbl.create 16 in
+  let rec canon s =
+    if Hashtbl.mem visiting s.sp_id then "<cycle>"
+    else begin
+      Hashtbl.replace visiting s.sp_id ();
+      let label =
+        match s.sp_trace with
+        | Some t -> s.sp_name ^ "[" ^ t ^ "]"
+        | None -> s.sp_name
       in
-      String.concat "\n" (List.sort String.compare (List.map canon roots))
+      let kids =
+        match Hashtbl.find_opt children s.sp_id with
+        | Some l -> List.sort String.compare (List.map canon l)
+        | None -> []
+      in
+      Hashtbl.remove visiting s.sp_id;
+      match kids with
+      | [] -> label
+      | _ -> label ^ "(" ^ String.concat "," kids ^ ")"
+    end
+  in
+  String.concat "\n" (List.sort String.compare (List.map canon roots))
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
@@ -536,45 +343,31 @@ let pp_top_spans ppf ~top spans =
       sorted
   end
 
-let render ?(top = 10) ppf = function
-  | Trace tr ->
-      Fmt.pf ppf "trace report — schema %s, %d spans@." tr.tr_schema
-        (List.length tr.tr_spans);
-      (* A merged trace may carry several provenance records (the CLI
-         header, then the engine's richer one); fold them with later
-         fields overriding earlier ones. *)
-      (match tr.tr_provenance with
-      | [] -> ()
-      | records ->
-          let merged =
-            List.rev
-              (List.fold_left
-                 (fun acc (k, v) ->
-                   (k, v) :: List.filter (fun (k2, _) -> k2 <> k) acc)
-                 [] (List.concat records))
-          in
-          pp_provenance ppf merged);
-      Fmt.pf ppf "== per-phase time ==@.";
-      pp_phase_table ppf (trace_phase_rows tr.tr_spans);
-      pp_critical_paths ppf tr.tr_spans;
-      pp_top_spans ppf ~top tr.tr_spans;
-      pp_gc ppf tr.tr_gauges;
-      if tr.tr_counters <> [] then begin
-        Fmt.pf ppf "== counters ==@.";
-        List.iter
-          (fun (k, v) -> Fmt.pf ppf "  %-44s %12d@." k v)
-          tr.tr_counters
-      end
-  | Bench be ->
-      Fmt.pf ppf "bench report — schema %s, %d experiments, %d micro rows@."
-        be.be_schema
-        (List.length be.be_experiments)
-        (List.length be.be_micro);
-      pp_provenance ppf be.be_provenance;
-      List.iter
-        (fun ex ->
-          Fmt.pf ppf "== experiment %s — %s, wall %.3fs ==@." ex.ex_id
-            ex.ex_status ex.ex_wall_s;
-          pp_phase_table ppf ex.ex_rows;
-          pp_gc ppf ex.ex_gauges)
-        be.be_experiments
+let render ?(top = 10) ppf tr =
+  Fmt.pf ppf "trace report — schema %s, %d spans@." tr.tr_schema
+    (List.length tr.tr_spans);
+  (* A merged trace may carry several provenance records (the CLI
+     header, then the engine's richer one); fold them with later
+     fields overriding earlier ones. *)
+  (match tr.tr_provenance with
+  | [] -> ()
+  | records ->
+      let merged =
+        List.rev
+          (List.fold_left
+             (fun acc (k, v) ->
+               (k, v) :: List.filter (fun (k2, _) -> k2 <> k) acc)
+             [] (List.concat records))
+      in
+      pp_provenance ppf merged);
+  Fmt.pf ppf "== per-phase time ==@.";
+  pp_phase_table ppf (phase_rows tr);
+  pp_critical_paths ppf tr.tr_spans;
+  pp_top_spans ppf ~top tr.tr_spans;
+  pp_gc ppf tr.tr_gauges;
+  if tr.tr_counters <> [] then begin
+    Fmt.pf ppf "== counters ==@.";
+    List.iter
+      (fun (k, v) -> Fmt.pf ppf "  %-44s %12d@." k v)
+      tr.tr_counters
+  end

@@ -1,9 +1,8 @@
-(** Analytics over the observability files: per-phase wall/self-time
-    tables, per-job critical paths, top spans, GC summaries, and
-    folded-stack (flamegraph) output.  Reads JSONL span traces
-    (hypartition-trace/1 and /2) and bench reports (hypartition-bench/2).
-    Re-exported as [Obs.Report]; the [hypartition report] subcommand is a
-    thin wrapper over it. *)
+(** Analytics over JSONL span traces (schema hypartition-trace/2):
+    per-phase wall/self-time tables, per-job critical paths, top spans,
+    GC summaries, and folded-stack (flamegraph) output.  Re-exported as
+    [Obs.Report]; the [hypartition report] subcommand is a thin wrapper
+    over it. *)
 
 type phase_row = {
   ph_path : string;  (** "/"-joined span path from the root *)
@@ -15,30 +14,26 @@ type phase_row = {
 type t
 
 val load : string -> (t, string) result
-(** Read a file and dispatch on its shape: a JSONL stream whose first
-    line is a trace meta record, otherwise a single bench/2 JSON
-    document. *)
+(** Read a JSONL trace file: its meta record must carry the trace/2
+    schema tag. *)
 
 val load_string : string -> (t, string) result
-(** Same dispatch over in-memory content. *)
+(** Same over in-memory content. *)
 
 val schema : t -> string
 
 val phase_rows : t -> phase_row list
-(** Per-phase aggregation sorted by path.  For bench reports the rows of
-    every experiment are returned with the experiment id as the path
-    root. *)
+(** Per-phase aggregation sorted by path. *)
 
 val folded : t -> string
 (** Folded-stack lines ["a;b;c <self-ns>\n"], one per phase with positive
-    self time — the input format of standard flamegraph tooling.  Bench
-    stacks are rooted at the experiment id. *)
+    self time — the input format of standard flamegraph tooling. *)
 
 val structure : t -> string
 (** Canonical rendering of the span forest modulo span ids and
     timestamps: names plus trace ids, children sorted canonically.  Two
     runs of the same deterministic workload compare equal regardless of
-    worker count or interleaving.  Empty for bench reports. *)
+    worker count or interleaving. *)
 
 val render : ?top:int -> Format.formatter -> t -> unit
 (** The human-readable report: provenance, per-phase table, critical path

@@ -1,13 +1,8 @@
-(* The observability schema tags, in one place so the writer (Obs), the
+(* The observability schema tag, in one place so the writer (Obs), the
    reader (Report) and the validator (`hypartition trace`) cannot drift
-   apart.  trace/1 is the flat single-process span trace of PR 2;
-   trace/2 adds cross-process context: optional provenance records, a
-   per-span "trace" id (the fingerprint of the engine job the span came
-   from), and shard meta headers ("trace"/"parent_span"/"pid") on the
-   per-worker files that are merged into the final timeline. *)
+   apart.  trace/2 carries cross-process context: optional provenance
+   records, a per-span "trace" id (the fingerprint of the engine job the
+   span came from), and shard meta headers ("trace"/"parent_span"/"pid")
+   on the per-worker files that are merged into the final timeline. *)
 
-let trace_v1 = "hypartition-trace/1"
 let trace_v2 = "hypartition-trace/2"
-let bench_v2 = "hypartition-bench/2"
-
-let is_trace s = s = trace_v1 || s = trace_v2

@@ -1,15 +1,7 @@
-(** Schema tags shared by the trace writer (Obs), the analytics reader
+(** The schema tag shared by the trace writer (Obs), the analytics reader
     (Report) and the [hypartition trace] validator. *)
 
-val trace_v1 : string
-(** ["hypartition-trace/1"]: the flat single-process span trace. *)
-
 val trace_v2 : string
-(** ["hypartition-trace/2"]: adds provenance records, per-span trace ids
-    and worker-shard meta headers (merged timelines). *)
-
-val bench_v2 : string
-(** ["hypartition-bench/2"]: the machine-readable bench report. *)
-
-val is_trace : string -> bool
-(** Whether the tag is a trace schema this library can read (v1 or v2). *)
+(** ["hypartition-trace/2"]: span records with per-span trace ids,
+    provenance records and worker-shard meta headers (merged
+    timelines). *)

@@ -102,8 +102,8 @@ let all_lambdas hg t =
       lambda_with hg t ~mark ~stamp:e e)
 
 (* Every full cost evaluation feeds an obs histogram, so any workload that
-   scores partitions (experiments, CLI, audits) reports cut quality in the
-   machine-readable bench output without further plumbing. *)
+   scores partitions (experiments, CLI, audits) reports cut quality in its
+   result record and trace without further plumbing. *)
 let h_connectivity = Obs.Histogram.make "cost.connectivity"
 let h_cutnet = Obs.Histogram.make "cost.cutnet"
 

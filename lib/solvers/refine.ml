@@ -46,7 +46,7 @@ let default_config =
 
 (* Hot-path instrumentation: pre-interned counters only — each update is a
    branch and an int store, and a no-op allocation-free branch when obs is
-   disabled (the FM micro-benchmark budget is < 2% overhead). *)
+   disabled (test: "disabled instrumentation does not allocate"). *)
 let c_pops = Obs.Counter.make "fm.pops"
 let c_stale = Obs.Counter.make "fm.stale_reinserts"
 let c_applied = Obs.Counter.make "fm.moves_applied"

@@ -235,9 +235,9 @@ let test_dom03 () =
   let ok = "let jitter state n = n + (state mod 3)\n" in
   let r = analyze [ (path, ok); (path ^ "i", "") ] in
   check_silent "explicit state" ~rule:"DOM03" r;
-  (* bench/ may seed however it likes — the rule covers lib/ only *)
-  let r = analyze [ ("bench/x.ml", fixture "dom03_global_random.ml") ] in
-  check_silent "bench exempt" ~rule:"DOM03" r
+  (* bin/ may seed however it likes — the rule covers lib/ only *)
+  let r = analyze [ ("bin/x.ml", fixture "dom03_global_random.ml") ] in
+  check_silent "bin exempt" ~rule:"DOM03" r
 
 (* ---- DOM04: per-event obs emission in a hot loop ------------------------ *)
 
@@ -486,7 +486,7 @@ let test_dom00_parse_error () =
         "says how to fix it" true
         (contains f.L.Rules.message "dune build @check")
   | l -> Alcotest.failf "expected one DOM00, got %d" (List.length l));
-  (* bin/ and bench/ are covered too; test/ is not *)
+  (* bin/ is covered too; test/ is not *)
   let r = analyze [ ("bin/x.ml", "let x : int = \"s\"\n") ] in
   check_fires "bin source" ~rule:"DOM00" ~file:"bin/x.ml" ~line:1 r;
   let r = analyze [ ("test/x.ml", "let x : int = \"s\"\n") ] in

@@ -3,7 +3,8 @@
    connectivity costs.  The boundary-driven gain-cache FM must stay
    feasible, deterministic per seed, and never exceed the recorded cost —
    a quality ratchet protecting the hot path against silent regressions
-   (the perf side is the bench --compare gate).
+   (the perf side is the repository benchmark's same-machine A/B,
+   benchmark/README.md).
 
    The recorded bounds are the measured costs of the current
    implementation.  Versus the pre-rewrite solver the corpus total

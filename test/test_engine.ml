@@ -297,6 +297,26 @@ let test_manifest_errors () =
         "defaults": { "k": 0 },
         "instances": [ { "generate": "uniform", "n": 4 } ] }|}
 
+(* The committed paper-suite manifest, the one `hypartition batch
+   --manifest examples/manifests/paper.json` regenerates the paper from:
+   exactly one experiment job per registered id, in paper order. *)
+let test_paper_manifest () =
+  match
+    E.Manifest.load ~known_experiments:Experiments.ids
+      "../examples/manifests/paper.json"
+  with
+  | Error e -> Alcotest.failf "paper manifest: %s" e
+  | Ok jobs ->
+      Alcotest.(check (list string))
+        "one experiment job per id, in order" Experiments.ids
+        (List.map
+           (fun (j : E.Spec.job) ->
+             match j.E.Spec.instance with
+             | E.Spec.Experiment id -> id
+             | _ ->
+                 Alcotest.failf "not an experiment job: %s" (E.Spec.describe j))
+           jobs)
+
 (* ---- runner (in-process) ------------------------------------------------- *)
 
 let test_runner_execute () =
@@ -314,9 +334,24 @@ let test_runner_execute () =
   let bad =
     { (gen_job ()) with E.Spec.instance = E.Spec.Hmetis_file "/absent.hgr" }
   in
-  match (E.Runner.execute bad).E.Record.p_status with
+  (match (E.Runner.execute bad).E.Record.p_status with
   | `Failed _ -> ()
-  | `Done -> Alcotest.fail "missing instance must fail"
+  | `Done -> Alcotest.fail "missing instance must fail");
+  (* The runner is the one experiment dispatcher: an unknown id fails
+     with the list of valid ones. *)
+  let unknown =
+    { (gen_job ()) with E.Spec.instance = E.Spec.Experiment "E99" }
+  in
+  match (E.Runner.execute unknown).E.Record.p_status with
+  | `Failed msg ->
+      let valid = String.concat " " Experiments.ids in
+      let n = String.length msg and m = String.length valid in
+      let rec has i =
+        i + m <= n && (String.sub msg i m = valid || has (i + 1))
+      in
+      if not (has 0) then
+        Alcotest.failf "message %S does not list the valid ids %S" msg valid
+  | `Done -> Alcotest.fail "unknown experiment must fail"
 
 let test_runner_determinism () =
   let p1 = E.Runner.execute (gen_job ~n:30 ()) in
@@ -749,103 +784,6 @@ let test_trace_structure_across_parallelism () =
   Alcotest.(check string)
     "span forest identical across worker counts" serial parallel
 
-(* Bench comparison: the report diffing behind `hypartition bench
-   --compare` and the CI perf-smoke gate. *)
-
-let bench_doc ?(rev = "abc1234") ~experiments ~micro () =
-  let open Obs.Json in
-  Obj
-    [
-      ("schema", Str Obs.bench_schema_version);
-      ("git_rev", Str rev);
-      ( "experiments",
-        Arr
-          (List.map
-             (fun (id, wall) ->
-               Obj [ ("id", Str id); ("wall_s", Float wall) ])
-             experiments) );
-      ( "micro",
-        Arr
-          (List.map
-             (fun (name, ns) ->
-               Obj [ ("name", Str name); ("ns_per_run", Float ns) ])
-             micro) );
-    ]
-
-let compare_docs ?threshold_pct ~baseline ~current () =
-  match E.Bench_compare.compare_json ?threshold_pct ~baseline ~current () with
-  | Ok cmp -> cmp
-  | Error msg -> Alcotest.failf "compare_json failed: %s" msg
-
-let test_bench_compare_gate () =
-  let baseline =
-    bench_doc ~rev:"old0000"
-      ~experiments:[ ("E7", 1.0); ("E13", 2.0) ]
-      ~micro:[ ("fm", 5.0e6) ] ()
-  in
-  (* Within threshold: 20% slower on E7 passes at the default 25%. *)
-  let current =
-    bench_doc ~experiments:[ ("E7", 1.2); ("E13", 1.0) ] ~micro:[] ()
-  in
-  let cmp = compare_docs ~baseline ~current () in
-  Alcotest.(check bool) "20% regression passes at 25%" true
-    (E.Bench_compare.ok cmp);
-  Alcotest.(check (list string)) "retired rows reported" [ "fm" ]
-    cmp.E.Bench_compare.only_baseline;
-  (* Beyond threshold: the same report fails a 10% gate, blaming E7. *)
-  let cmp = compare_docs ~threshold_pct:10.0 ~baseline ~current () in
-  Alcotest.(check bool) "20% regression fails at 10%" false
-    (E.Bench_compare.ok cmp);
-  (match E.Bench_compare.regressions cmp with
-  | [ r ] -> Alcotest.(check string) "E7 is the regression" "E7" r.E.Bench_compare.name
-  | rs -> Alcotest.failf "expected one regression, got %d" (List.length rs));
-  Alcotest.(check bool) "speedup of the E13 row" true
-    (match cmp.E.Bench_compare.rows with
-    | _ :: r :: _ -> abs_float (E.Bench_compare.speedup r -. 2.0) < 1e-9
-    | _ -> false)
-
-let test_bench_compare_micro_informational () =
-  (* A 10x micro regression never gates; a missing current row never
-     gates (an old baseline must stay usable as benchmarks change). *)
-  let baseline =
-    bench_doc ~experiments:[ ("E7", 1.0) ] ~micro:[ ("fm", 1.0e6) ] ()
-  in
-  let current =
-    bench_doc
-      ~experiments:[ ("E7", 1.0); ("E9", 5.0) ]
-      ~micro:[ ("fm", 1.0e7) ] ()
-  in
-  let cmp = compare_docs ~threshold_pct:5.0 ~baseline ~current () in
-  Alcotest.(check bool) "micro rows never gate" true (E.Bench_compare.ok cmp);
-  Alcotest.(check (list string)) "new rows reported" [ "E9" ]
-    cmp.E.Bench_compare.only_current
-
-let test_bench_compare_json_roundtrip () =
-  let baseline = bench_doc ~experiments:[ ("E7", 1.0) ] ~micro:[] () in
-  let current = bench_doc ~experiments:[ ("E7", 2.0) ] ~micro:[] () in
-  let cmp = compare_docs ~baseline ~current () in
-  (match Obs.Json.parse (Obs.Json.to_string (E.Bench_compare.to_json cmp)) with
-  | Error e -> Alcotest.failf "compare JSON does not reparse: %s" e
-  | Ok doc ->
-      (match Option.bind (Obs.Json.member "schema" doc) Obs.Json.get_str with
-      | Some s ->
-          Alcotest.(check string) "schema tag" E.Bench_compare.schema_version s
-      | None -> Alcotest.fail "missing schema tag");
-      (match Obs.Json.member "ok" doc with
-      | Some (Obs.Json.Bool false) -> ()
-      | _ -> Alcotest.fail "ok must be false for a 2x regression"));
-  (* Malformed inputs surface as errors, not exceptions. *)
-  (match
-     E.Bench_compare.compare_json ~baseline:(Obs.Json.Obj [])
-       ~current:(Obs.Json.Obj [ ("experiments", Obs.Json.Arr [ Obs.Json.Obj [] ]) ])
-       ()
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "row without id/wall_s must be rejected");
-  match E.Bench_compare.compare_json ~threshold_pct:0.0 ~baseline ~current () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-positive threshold must be rejected"
-
 let suite =
   [
     Alcotest.test_case "FNV-1a golden vectors" `Quick test_fnv1a_golden;
@@ -858,6 +796,7 @@ let suite =
     Alcotest.test_case "cache rejects defects" `Quick test_cache_rejects_defects;
     Alcotest.test_case "manifest expansion" `Quick test_manifest_expansion;
     Alcotest.test_case "manifest errors" `Quick test_manifest_errors;
+    Alcotest.test_case "paper manifest" `Quick test_paper_manifest;
     Alcotest.test_case "runner execute" `Quick test_runner_execute;
     Alcotest.test_case "runner determinism" `Quick test_runner_determinism;
     Alcotest.test_case "pool crash isolation" `Quick test_pool_crash_isolation;
@@ -876,9 +815,4 @@ let suite =
       test_trace_structure_across_parallelism;
     Alcotest.test_case "batch determinism across parallelism" `Quick
       test_batch_determinism_across_parallelism;
-    Alcotest.test_case "bench compare gate" `Quick test_bench_compare_gate;
-    Alcotest.test_case "bench compare micro informational" `Quick
-      test_bench_compare_micro_informational;
-    Alcotest.test_case "bench compare JSON + errors" `Quick
-      test_bench_compare_json_roundtrip;
   ]

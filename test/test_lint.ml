@@ -177,7 +177,7 @@ let test_src07 () =
   check_silent "sealed module is fine" ~rule:"SRC07" r;
   let r = lint [ ("lib/a/root.ml", "module Fix = A.Fix\ninclude A.Fix\n") ] in
   check_silent "pure re-export root is exempt" ~rule:"SRC07" r;
-  let r = lint [ ("bench/fix.ml", source) ] in
+  let r = lint [ ("bin/fix.ml", source) ] in
   check_silent "non-library code is exempt" ~rule:"SRC07" r
 
 (* ---- SRC08: process management outside lib/engine ----------------------- *)
@@ -234,8 +234,8 @@ let test_src09 () =
   (* Cold-path code may keep its polymorphic tables. *)
   let r = lint (sealed "lib/workloads/fix.ml" source) in
   check_silent "other libraries are exempt" ~rule:"SRC09" r;
-  let r = lint [ ("bench/fix.ml", source) ] in
-  check_silent "bench code is exempt" ~rule:"SRC09" r;
+  let r = lint [ ("bin/fix.ml", source) ] in
+  check_silent "bin code is exempt" ~rule:"SRC09" r;
   (* Hashtbl.hash is SRC01's finding, not a duplicate SRC09. *)
   let r =
     lint (sealed "lib/solvers/fix.ml" "let h x = Hashtbl.hash x\n")

@@ -500,12 +500,18 @@ let test_report_analytics () =
     [ "git_rev"; "engine.job"; "critical path"; "gc.heap_words"; "fm.moves" ]
 
 let test_report_rejects_garbage () =
-  (match Obs.Report.load_string "{\"schema\":\"nope/1\"}" with
-  | Ok _ -> Alcotest.fail "accepted an unknown schema"
-  | Error _ -> ());
-  match Obs.Report.load_string "" with
-  | Ok _ -> Alcotest.fail "accepted empty input"
-  | Error _ -> ()
+  let reject name input =
+    match Obs.Report.load_string input with
+    | Ok _ -> Alcotest.failf "accepted %s" name
+    | Error _ -> ()
+  in
+  reject "an unknown schema" "{\"schema\":\"nope/1\"}";
+  reject "empty input" "";
+  (* Retired schemas: trace/1 and the bench/2 report. *)
+  reject "a trace/1 meta line"
+    {|{"type":"meta","schema":"hypartition-trace/1","clock":"monotonic_ns"}|};
+  reject "a bench/2 document"
+    {|{"schema":"hypartition-bench/2","git_rev":"abc","experiments":[{"id":"E1","wall_s":0.1}],"micro":[]}|}
 
 let suite =
   [
