@@ -62,21 +62,14 @@ let setup_obs trace stats =
   if stats then Obs.enable_summary ()
 
 let algorithm_arg =
-  let algs =
-    [
-      ("multilevel", `Multilevel);
-      ("recursive", `Recursive);
-      ("fm", `Fm);
-      ("bfs", `Bfs);
-      ("random", `Random);
-      ("exact", `Exact);
-    ]
-  in
   let doc =
     Printf.sprintf "Partitioning algorithm: %s."
-      (String.concat ", " (List.map fst algs))
+      (String.concat ", " (List.map fst Engine.Spec.algorithms))
   in
-  Arg.(value & opt (enum algs) `Multilevel & info [ "a"; "algorithm" ] ~doc)
+  Arg.(
+    value
+    & opt (enum Engine.Spec.algorithms) Engine.Spec.Multilevel
+    & info [ "a"; "algorithm" ] ~doc)
 
 let threads_arg =
   let doc =
@@ -90,9 +83,7 @@ let metric_arg =
   let doc = "Cost metric: connectivity (sum of lambda-1) or cutnet." in
   Arg.(
     value
-    & opt (enum [ ("connectivity", Partition.Connectivity);
-                  ("cutnet", Partition.Cut_net) ])
-        Partition.Connectivity
+    & opt (enum Engine.Spec.metrics) Partition.Connectivity
     & info [ "metric" ] ~doc)
 
 let output_arg =
@@ -116,54 +107,21 @@ let report hg part metric =
 let run_partition trace stats path k eps seed algorithm metric threads output
     dot =
   setup_obs trace stats;
-  if threads > 0 && algorithm <> `Multilevel then begin
+  if threads > 0 && algorithm <> Engine.Spec.Multilevel then begin
     Printf.eprintf "error: --threads applies to the multilevel algorithm only\n";
     exit 1
   end;
-  match load_hypergraph path with
+  let solved =
+    Result.bind (load_hypergraph path) (fun hg ->
+        Engine.Runner.solve { Engine.Spec.k; eps; algorithm; metric } ~threads
+          ~seed hg
+        |> Result.map (fun part -> (hg, part)))
+  in
+  match solved with
   | Error msg ->
       Printf.eprintf "error: %s\n" msg;
       1
-  | Ok hg ->
-      let rng = Support.Rng.create seed in
-      let part =
-        match algorithm with
-        | `Multilevel ->
-            Solvers.Multilevel.partition
-              ~config:
-                {
-                  Solvers.Multilevel.default_config with
-                  eps;
-                  metric;
-                  threads;
-                }
-              rng hg ~k
-        | `Recursive ->
-            Solvers.Recursive_bisection.partition ~eps
-              ~bisector:(Solvers.Recursive_bisection.multilevel_bisector rng)
-              hg ~k
-        | `Fm ->
-            let p = Solvers.Initial.random_balanced ~eps rng hg ~k in
-            ignore
-              (Solvers.Refine.refine
-                 ~config:{ Solvers.Refine.default_config with eps; metric }
-                 hg p);
-            p
-        | `Bfs -> Solvers.Initial.bfs_growth ~eps rng hg ~k
-        | `Random -> Solvers.Initial.random_balanced ~eps rng hg ~k
-        | `Exact -> (
-            if Hypergraph.num_nodes hg > 24 then begin
-              Printf.eprintf
-                "error: exact solver limited to 24 nodes (got %d)\n"
-                (Hypergraph.num_nodes hg);
-              exit 1
-            end;
-            match Solvers.Exact.solve ~metric ~eps hg ~k with
-            | Some { Solvers.Exact.part; _ } -> part
-            | None ->
-                Printf.eprintf "error: no eps-balanced partition exists\n";
-                exit 1)
-      in
+  | Ok (hg, part) ->
       report hg part metric;
       (match output with
       | Some out ->
@@ -569,8 +527,10 @@ let check_cmd =
 
 (* trace: validate an emitted observability artifact — a JSONL span
    trace (HYPARTITION_TRACE / --trace), a batch or loadgen report, or a
-   serve frame log — against its schema.  CI runs this over the
-   artifacts it uploads. *)
+   serve frame log — against its schema.  Span traces go through
+   Obs.Report's strict loader and batch reports through
+   Engine.Batch.check_report, the readers that sit next to their
+   writers.  CI runs this over the artifacts it uploads. *)
 
 let run_trace_validate path =
   let ( let* ) r f = match r with Error msg -> Error msg | Ok v -> f v in
@@ -578,80 +538,10 @@ let run_trace_validate path =
     try Ok (In_channel.with_open_text path In_channel.input_all)
     with Sys_error msg -> Error msg
   in
-  let str_field name json =
-    match Option.bind (Obs.Json.member name json) Obs.Json.get_str with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "missing string field %S" name)
-  in
   let num_field name json =
     match Option.bind (Obs.Json.member name json) Obs.Json.get_float with
     | Some f -> Ok f
     | None -> Error (Printf.sprintf "missing numeric field %S" name)
-  in
-  let validate_batch doc =
-    (* hypartition-batch/1: the `batch` subcommand's JSON report — engine
-       stats plus one result record per plan, each echoing its cache
-       provenance. *)
-    let int_field name json =
-      match Option.bind (Obs.Json.member name json) Obs.Json.get_int with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "missing integer field %S" name)
-    in
-    let* stats =
-      match Obs.Json.member "stats" doc with
-      | Some (Obs.Json.Obj _ as s) -> Ok s
-      | _ -> Error "missing object field \"stats\""
-    in
-    let* total = int_field "total" stats in
-    let* from_cache = int_field "from_cache" stats in
-    let* results =
-      match Obs.Json.member "results" doc with
-      | Some (Obs.Json.Arr l) -> Ok l
-      | _ -> Error "missing array field \"results\""
-    in
-    let* () =
-      if List.length results <> total then
-        Error
-          (Printf.sprintf "stats.total = %d but %d results" total
-             (List.length results))
-      else Ok ()
-    in
-    let known_status s =
-      List.mem s [ "ok"; "failed"; "timeout"; "crashed"; "skipped" ]
-    in
-    let* cached_count =
-      List.fold_left
-        (fun acc (lineno, r) ->
-          let* n = acc in
-          let* fp = str_field "fingerprint" r in
-          let* status = str_field "status" r in
-          let* () =
-            if known_status status then Ok ()
-            else
-              Error
-                (Printf.sprintf "result %d (%s): unknown status %S" lineno fp
-                   status)
-          in
-          match Obs.Json.member "cached" r with
-          | Some (Obs.Json.Bool b) -> Ok (if b then n + 1 else n)
-          | _ ->
-              Error
-                (Printf.sprintf "result %d (%s): missing boolean \"cached\""
-                   lineno fp))
-        (Ok 0)
-        (List.mapi (fun i r -> (i, r)) results)
-    in
-    let* () =
-      if cached_count <> from_cache then
-        Error
-          (Printf.sprintf "stats.from_cache = %d but %d results marked cached"
-             from_cache cached_count)
-      else Ok ()
-    in
-    Printf.printf
-      "valid batch report (schema %s): %d results, %d from cache\n"
-      Engine.Batch.schema_version total from_cache;
-    Ok ()
   in
   let validate_serve_log frames =
     (* hypartition-serve/1: a captured daemon frame stream.  Raw captures
@@ -766,137 +656,6 @@ let run_trace_validate path =
       Server.Slo.schema_version requests ok p99 hit_ratio;
     Ok ()
   in
-  let validate_trace lines =
-    (* First line is the meta record; span records follow, each child
-       emitted before its parent (spans are written as they end). *)
-    let* schema =
-      match lines with
-      | meta :: _ -> (
-          let* doc =
-            Result.map_error (fun e -> "meta line: " ^ e) (Obs.Json.parse meta)
-          in
-          let* ty = str_field "type" doc in
-          let* schema = str_field "schema" doc in
-          if ty <> "meta" then Error "first line is not a meta record"
-          else if schema <> Obs.trace_schema_version then
-            Error
-              (Printf.sprintf "unsupported trace schema %S (expected %S)"
-                 schema Obs.trace_schema_version)
-          else Ok schema)
-      | [] -> Error "empty trace"
-    in
-    let spans = Hashtbl.create 64 in
-    (* span id -> (parent id option, depth, path, name, trace id option) *)
-    let counts = Hashtbl.create 8 in
-    let count ty =
-      Hashtbl.replace counts ty (1 + Option.value ~default:0 (Hashtbl.find_opt counts ty))
-    in
-    let* () =
-      List.fold_left
-        (fun acc (lineno, line) ->
-          let* () = acc in
-          let* doc =
-            Result.map_error
-              (fun e -> Printf.sprintf "line %d: %s" lineno e)
-              (Obs.Json.parse line)
-          in
-          let* ty = str_field "type" doc in
-          count ty;
-          match ty with
-          | "span" ->
-              let* id =
-                match Option.bind (Obs.Json.member "id" doc) Obs.Json.get_int with
-                | Some i -> Ok i
-                | None -> Error (Printf.sprintf "line %d: span without id" lineno)
-              in
-              let parent =
-                Option.bind (Obs.Json.member "parent" doc) Obs.Json.get_int
-              in
-              let* depth = num_field "depth" doc in
-              let* path = str_field "path" doc in
-              let* name = str_field "name" doc in
-              let trace =
-                Option.bind (Obs.Json.member "trace" doc) Obs.Json.get_str
-              in
-              let* dur = num_field "dur_ns" doc in
-              if dur < 0.0 then
-                Error (Printf.sprintf "line %d: negative dur_ns" lineno)
-              else begin
-                Hashtbl.replace spans id
-                  (parent, int_of_float depth, path, name, trace);
-                Ok ()
-              end
-          | "meta" | "counter" | "gauge" | "histogram" | "provenance" -> Ok ()
-          | other -> Error (Printf.sprintf "line %d: unknown record type %S" lineno other))
-        (Ok ())
-        (List.mapi (fun i l -> (i + 2, l)) (List.tl lines))
-    in
-    (* Structural check: every parent exists, and a child sits one level
-       below its parent with the parent's path as a proper prefix. *)
-    let* () =
-      Hashtbl.fold
-        (fun id (parent, depth, path, _, _) acc ->
-          let* () = acc in
-          match parent with
-          | None -> Ok ()
-          | Some p -> (
-              match Hashtbl.find_opt spans p with
-              | None ->
-                  Error (Printf.sprintf "span %d references missing parent %d" id p)
-              | Some (_, pdepth, ppath, _, _) ->
-                  if depth <> pdepth + 1 then
-                    Error (Printf.sprintf "span %d: depth %d under parent depth %d" id depth pdepth)
-                  else if not (String.starts_with ~prefix:(ppath ^ "/") path) then
-                    Error (Printf.sprintf "span %d: path %S not under parent %S" id path ppath)
-                  else Ok ()))
-        spans (Ok ())
-    in
-    (* Server-side request trees (the serve daemon): every server.request
-       span must carry a trace id (the job fingerprint — it is how a
-       request's spans and absorbed worker shards correlate), and a
-       queue_wait span only means something directly under its
-       server.request root. *)
-    let* () =
-      Hashtbl.fold
-        (fun id (parent, _, _, name, trace) acc ->
-          let* () = acc in
-          match name with
-          | "server.request" ->
-              if trace = None then
-                Error
-                  (Printf.sprintf "span %d (server.request) has no trace id"
-                     id)
-              else Ok ()
-          | "queue_wait" -> (
-              match
-                Option.bind parent (fun p -> Hashtbl.find_opt spans p)
-              with
-              | Some (_, _, _, "server.request", _) -> Ok ()
-              | Some (_, _, _, pname, _) ->
-                  Error
-                    (Printf.sprintf
-                       "span %d (queue_wait) parented under %S, expected \
-                        server.request"
-                       id pname)
-              | None ->
-                  Error
-                    (Printf.sprintf
-                       "span %d (queue_wait) has no server.request parent" id))
-          | _ -> Ok ())
-        spans (Ok ())
-    in
-    let n ty = Option.value ~default:0 (Hashtbl.find_opt counts ty) in
-    let roots =
-      Hashtbl.fold
-        (fun _ (parent, _, _, _, _) a -> if parent = None then a + 1 else a)
-        spans 0
-    in
-    Printf.printf
-      "valid trace (schema %s): %d spans (%d roots), %d counters, %d gauges, %d histograms\n"
-      schema (n "span") roots (n "counter") (n "gauge")
-      (n "histogram");
-    Ok ()
-  in
   let result =
     let* content = read () in
     let lines =
@@ -931,13 +690,31 @@ let run_trace_validate path =
         match schema_of first with
         | Some s when s = Engine.Batch.schema_version ->
             let* doc = Obs.Json.parse (String.trim content) in
-            validate_batch doc
+            let* outcomes = Engine.Batch.check_report doc in
+            Printf.printf
+              "valid batch report (schema %s): %d results, %d from cache\n" s
+              (List.length outcomes)
+              (List.length
+                 (List.filter (fun o -> o.Engine.Batch.cached) outcomes));
+            Ok ()
         | Some s when s = Server.Protocol.schema_version ->
             validate_serve_log lines
         | Some s when s = Server.Slo.schema_version ->
             let* doc = Obs.Json.parse (String.trim content) in
             validate_slo doc
-        | Some s when s = Obs.trace_schema_version -> validate_trace lines
+        | Some s when s = Obs.trace_schema_version ->
+            let* data = Obs.Report.load_string content in
+            let n = List.length in
+            Printf.printf
+              "valid trace (schema %s): %d spans (%d roots), %d counters, %d \
+               gauges, %d histograms\n"
+              s (n data.Obs.Report.spans)
+              (n
+                 (List.filter
+                    (fun sp -> Option.is_none sp.Obs.Schema.parent)
+                    data.spans))
+              (n data.counters) (n data.gauges) (n data.histograms);
+            Ok ()
         | Some other -> Error (Printf.sprintf "unknown schema %S" other)
         | None -> Error "first line has no schema tag")
   in
@@ -1049,7 +826,8 @@ let trace_cmd =
     let doc =
       "File to validate: span trace (JSONL), batch/loadgen report (JSON) \
        or serve frame log (JSONL, raw length-prefixed captures \
-       accepted)."
+       accepted).  A span trace passes exactly when `report` accepts \
+       it."
     in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
@@ -1057,14 +835,18 @@ let trace_cmd =
     Cmd.info "trace"
       ~doc:
         "Validate an observability artifact against its schema — JSONL \
-         span trace, batch-report JSON, serve frame log \
+         span trace (read by the same strict loader as `report`: meta \
+         first, every line decodes, parents present with consistent \
+         depths and paths, no negative durations), batch-report JSON \
+         (every result a decodable record), serve frame log \
          (hypartition-serve/1) or loadgen SLO report \
          (hypartition-loadgen/1); non-zero exit if malformed."
   in
   Cmd.v info Term.(const run_trace_validate $ file_arg)
 
 (* report: the analytics layer over the span traces `trace` validates.
-   Where `trace` answers "is this file well-formed", `report` answers
+   Both read through Obs.Report.load, so they reject the same files;
+   where `trace` answers "is this file well-formed", `report` answers
    "where did the time go": per-phase wall/self-time tables, the critical
    path under each engine.job span, top spans, GC gauge summaries — or,
    with --folded, flamegraph-ready folded stacks on stdout. *)
@@ -1082,7 +864,10 @@ let run_report path folded top =
 let report_cmd =
   let file_arg =
     let doc =
-      Printf.sprintf "Span trace (JSONL, schema %s) to analyze."
+      Printf.sprintf
+        "Span trace (JSONL, schema %s) to analyze.  It is read by the \
+         same strict loader as `trace`, so a file `trace` rejects is an \
+         error here too."
         Obs.trace_schema_version
     in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
@@ -1394,23 +1179,6 @@ let batch_cmd =
     Arg.(
       value & opt_all string [] & info [ "experiment" ] ~docv:"ID" ~doc)
   in
-  let spec_algorithm_arg =
-    let doc =
-      Printf.sprintf "Algorithm for ad-hoc FILE jobs: %s."
-        (String.concat ", " (List.map fst Engine.Spec.algorithms))
-    in
-    Arg.(
-      value
-      & opt (enum Engine.Spec.algorithms) Engine.Spec.Multilevel
-      & info [ "a"; "algorithm" ] ~doc)
-  in
-  let spec_metric_arg =
-    let doc = "Cost metric for ad-hoc FILE jobs: connectivity or cutnet." in
-    Arg.(
-      value
-      & opt (enum Engine.Spec.metrics) Partition.Connectivity
-      & info [ "metric" ] ~doc)
-  in
   let jobs_arg =
     let doc = "Worker processes to run in parallel." in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
@@ -1467,8 +1235,8 @@ let batch_cmd =
   Cmd.v info
     Term.(
       const run_batch $ trace_arg $ stats_flag $ manifest_arg $ files_arg
-      $ experiments_arg $ k_arg $ eps_arg $ seed_arg $ spec_algorithm_arg
-      $ spec_metric_arg $ solver_threads_arg $ jobs_arg $ timeout_arg
+      $ experiments_arg $ k_arg $ eps_arg $ seed_arg $ algorithm_arg
+      $ metric_arg $ solver_threads_arg $ jobs_arg $ timeout_arg
       $ cache_dir_arg $ no_cache_arg $ retries_arg $ format_arg)
 
 let main =

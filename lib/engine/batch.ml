@@ -184,3 +184,70 @@ let report_to_json ?(deterministic = false) ~jobs report =
                  | other -> other)
                report.outcomes) );
       ])
+
+(* The batch/1 reader, next to its writer: every result decodes as a
+   record once its ["cached"] flag is dropped, and the stats agree with
+   the results. *)
+let check_report json =
+  let ( let* ) = Result.bind in
+  let int_field name j =
+    match Option.bind (Obs.Json.member name j) Obs.Json.get_int with
+    | Some i -> Ok i
+    | None -> Error (Printf.sprintf "missing integer field %S" name)
+  in
+  let* () =
+    match Option.bind (Obs.Json.member "schema" json) Obs.Json.get_str with
+    | Some s when String.equal s schema_version -> Ok ()
+    | Some s ->
+        Error
+          (Printf.sprintf "unsupported batch schema %S (expected %S)" s
+             schema_version)
+    | None -> Error "batch report without schema tag"
+  in
+  let* stats =
+    match Obs.Json.member "stats" json with
+    | Some (Obs.Json.Obj _ as s) -> Ok s
+    | _ -> Error "missing object field \"stats\""
+  in
+  let* total = int_field "total" stats in
+  let* from_cache = int_field "from_cache" stats in
+  let* results =
+    match Obs.Json.member "results" json with
+    | Some (Obs.Json.Arr l) -> Ok l
+    | _ -> Error "missing array field \"results\""
+  in
+  let* () =
+    if List.length results = total then Ok ()
+    else
+      Error
+        (Printf.sprintf "stats.total = %d but %d results" total
+           (List.length results))
+  in
+  let outcome i r =
+    let fail msg = Error (Printf.sprintf "result %d: %s" i msg) in
+    match r with
+    | Obs.Json.Obj fields -> (
+        match List.assoc_opt "cached" fields with
+        | Some (Obs.Json.Bool cached) -> (
+            match
+              Record.of_json (Obs.Json.Obj (List.remove_assoc "cached" fields))
+            with
+            | Ok record -> Ok { record; cached }
+            | Error msg -> fail msg)
+        | _ -> fail "missing boolean \"cached\"")
+    | _ -> fail "not an object"
+  in
+  let rec decode i = function
+    | [] -> Ok []
+    | r :: rest ->
+        let* o = outcome i r in
+        let* os = decode (i + 1) rest in
+        Ok (o :: os)
+  in
+  let* outcomes = decode 0 results in
+  let cached = List.length (List.filter (fun o -> o.cached) outcomes) in
+  if cached = from_cache then Ok outcomes
+  else
+    Error
+      (Printf.sprintf "stats.from_cache = %d but %d results marked cached"
+         from_cache cached)

@@ -56,3 +56,9 @@ val report_to_json : ?deterministic:bool -> jobs:int -> report -> Obs.Json.t
 (** The ["hypartition-batch/1"] rendering ([jobs] = worker count).  With
     [~deterministic:true], drop wall-clock and per-record timing/observed
     sections. *)
+
+val check_report : Obs.Json.t -> (outcome list, string) result
+(** Read a ["hypartition-batch/1"] document back: every result is a
+    record {!Record.of_json} accepts plus a boolean ["cached"], and
+    [stats.total] and [stats.from_cache] count the results and the
+    cached ones.  An [Error] names the first result that fails. *)

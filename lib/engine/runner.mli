@@ -27,6 +27,17 @@ val execute :
     changing its result, so the payload is a pure function of the
     plan. *)
 
+val solve :
+  Spec.config ->
+  threads:int ->
+  seed:int ->
+  Hypergraph.t ->
+  (Partition.t, string) result
+(** The solver dispatch behind every partition job and the [partition]
+    verb: run [config]'s algorithm with a fresh rng from [seed].  An
+    [Error] when the exact solver is given more than 24 nodes or no
+    ε-balanced partition exists. *)
+
 val snapshot_to_json : Obs.snapshot -> Obs.Json.t
 (** The ["observed"] rendering of an observability snapshot (counters,
     gauges, histograms, span rollup) carried by result records. *)

@@ -18,9 +18,14 @@
    file is one consistent timeline.  Within each process the library
    stays single-threaded, like the solvers. *)
 
-type attr = Str of string | Int of int | Float of float | Bool of bool
+type attr = Schema.attr =
+  | Str of string
+  | Int of int
+  | Float of float
+  | Bool of bool
 
 module Json = Json
+module Schema = Schema
 
 let trace_schema_version = Schema.trace_v2
 
@@ -73,18 +78,6 @@ let histogram_handle name =
 (* ------------------------------------------------------------------ *)
 (* Span stack and rollup *)
 
-type finished_span = {
-  fs_id : int;
-  fs_parent : int; (* -1 for roots *)
-  fs_name : string;
-  fs_path : string; (* "/"-joined names from the root *)
-  fs_depth : int;
-  fs_start_ns : int64;
-  fs_dur_ns : int64;
-  fs_attrs : (string * attr) list; (* in insertion order *)
-  fs_trace : string option; (* trace id — the engine job fingerprint *)
-}
-
 type frame = {
   f_id : int;
   f_name : string;
@@ -101,11 +94,7 @@ type agg = {
   mutable a_max_ns : int64;
 }
 
-type sink = {
-  on_span : finished_span -> unit;
-  on_record : Json.t -> unit; (* raw JSONL records, e.g. provenance *)
-  on_close : unit -> unit;
-}
+type sink = { write : Schema.record -> unit; on_close : unit -> unit }
 
 let enabled_flag = ref false
 let initialized = ref false
@@ -137,7 +126,7 @@ let note_rollup path dur =
 (* ------------------------------------------------------------------ *)
 (* Snapshots *)
 
-type histogram_stat = {
+type histogram_stat = Schema.histogram_stat = {
   h_count : int;
   h_sum : float;
   h_min : float;
@@ -277,13 +266,6 @@ let init_prof_from_env () =
 (* ------------------------------------------------------------------ *)
 (* Summary rendering *)
 
-let pp_ns ppf ns =
-  let f = Int64.to_float ns in
-  if f >= 1e9 then Fmt.pf ppf "%8.2f s " (f /. 1e9)
-  else if f >= 1e6 then Fmt.pf ppf "%8.2f ms" (f /. 1e6)
-  else if f >= 1e3 then Fmt.pf ppf "%8.2f us" (f /. 1e3)
-  else Fmt.pf ppf "%8.0f ns" f
-
 let print_summary ppf =
   let snap = snapshot () in
   if snap.spans <> [] then begin
@@ -305,7 +287,7 @@ let print_summary ppf =
         in
         Fmt.pf ppf "%-44s %8d %a %a@."
           (String.make (2 * depth) ' ' ^ name)
-          s.s_count pp_ns s.s_total_ns pp_ns mean_ns)
+          s.s_count Report.pp_ns s.s_total_ns Report.pp_ns mean_ns)
       snap.spans
   end;
   if snap.counters <> [] then begin
@@ -346,88 +328,26 @@ let register_exit_hook () =
     at_exit close
   end
 
-let json_of_attr = function
-  | Str s -> Json.Str s
-  | Int i -> Json.Int i
-  | Float f -> Json.Float f
-  | Bool b -> Json.Bool b
+let no_context = Schema.Meta { trace = None; parent_span = None; pid = None }
 
-let jsonl_sink ?(meta_extra = []) oc =
-  let line json =
-    output_string oc (Json.to_string json);
+let jsonl_sink ?(meta = no_context) oc =
+  let write record =
+    output_string oc (Json.to_string (Schema.to_json record));
     output_char oc '\n'
   in
-  line
-    (Json.Obj
-       ([
-          ("type", Json.Str "meta");
-          ("schema", Json.Str trace_schema_version);
-          ("clock", Json.Str "monotonic_ns");
-        ]
-       @ meta_extra));
-  let on_span fs =
-    line
-      (Json.Obj
-         ([
-            ("type", Json.Str "span");
-            ("id", Json.Int fs.fs_id);
-            ( "parent",
-              if fs.fs_parent < 0 then Json.Null else Json.Int fs.fs_parent );
-            ("name", Json.Str fs.fs_name);
-            ("path", Json.Str fs.fs_path);
-            ("depth", Json.Int fs.fs_depth);
-            ("start_ns", Json.Int (Int64.to_int fs.fs_start_ns));
-            ("dur_ns", Json.Int (Int64.to_int fs.fs_dur_ns));
-            ( "attrs",
-              Json.Obj
-                (List.map (fun (k, v) -> (k, json_of_attr v)) fs.fs_attrs) );
-          ]
-         @
-         match fs.fs_trace with
-         | Some t -> [ ("trace", Json.Str t) ]
-         | None -> []))
-  in
-  let on_record json = line json in
+  write meta;
   let on_close () =
     let snap = snapshot () in
-    List.iter
-      (fun (name, v) ->
-        line
-          (Json.Obj
-             [
-               ("type", Json.Str "counter");
-               ("name", Json.Str name);
-               ("value", Json.Int v);
-             ]))
+    List.iter (fun (name, value) -> write (Schema.Counter { name; value }))
       snap.counters;
-    List.iter
-      (fun (name, v) ->
-        line
-          (Json.Obj
-             [
-               ("type", Json.Str "gauge");
-               ("name", Json.Str name);
-               ("value", Json.Float v);
-             ]))
+    List.iter (fun (name, value) -> write (Schema.Gauge { name; value }))
       snap.gauges;
-    List.iter
-      (fun (name, h) ->
-        line
-          (Json.Obj
-             [
-               ("type", Json.Str "histogram");
-               ("name", Json.Str name);
-               ("count", Json.Int h.h_count);
-               ("sum", Json.Float h.h_sum);
-               ("min", Json.Float h.h_min);
-               ("max", Json.Float h.h_max);
-               ("last", Json.Float h.h_last);
-             ]))
+    List.iter (fun (name, stat) -> write (Schema.Histogram { name; stat }))
       snap.histograms;
     flush oc;
     close_out_noerr oc
   in
-  { on_span; on_record; on_close }
+  { write; on_close }
 
 let enable_trace path =
   let oc = open_out path in
@@ -438,14 +358,10 @@ let enable_trace path =
 
 let enable_trace_shard ~trace_id ?parent_span ~pid path =
   let oc = open_out path in
-  let meta_extra =
-    [ ("trace", Json.Str trace_id) ]
-    @ (match parent_span with
-      | Some id -> [ ("parent_span", Json.Int id) ]
-      | None -> [])
-    @ [ ("pid", Json.Int pid) ]
+  let meta =
+    Schema.Meta { trace = Some trace_id; parent_span; pid = Some pid }
   in
-  sinks := jsonl_sink ~meta_extra oc :: !sinks;
+  sinks := jsonl_sink ~meta oc :: !sinks;
   trace_path := Some path;
   current_trace := Some trace_id;
   enabled_flag := true;
@@ -512,10 +428,7 @@ let reset_for_tests () =
 (* Provenance *)
 
 let emit_provenance fields =
-  if !sinks <> [] then begin
-    let record = Json.Obj (("type", Json.Str "provenance") :: fields) in
-    List.iter (fun s -> s.on_record record) !sinks
-  end
+  List.iter (fun s -> s.write (Schema.Provenance fields)) !sinks
 
 (* ------------------------------------------------------------------ *)
 (* Spans *)
@@ -549,23 +462,20 @@ module Span = struct
         let dur = if Int64.compare dur 0L < 0 then 0L else dur in
         note_rollup frame.f_path dur;
         if !sinks <> [] then begin
-          let parent =
-            match rest with [] -> -1 | top :: _ -> top.f_id
-          in
-          let fs =
+          let span =
             {
-              fs_id = frame.f_id;
-              fs_parent = parent;
-              fs_name = frame.f_name;
-              fs_path = frame.f_path;
-              fs_depth = frame.f_depth;
-              fs_start_ns = frame.f_start_ns;
-              fs_dur_ns = dur;
-              fs_attrs = List.rev frame.f_attrs;
-              fs_trace = !current_trace;
+              Schema.id = frame.f_id;
+              parent = (match rest with [] -> None | top :: _ -> Some top.f_id);
+              name = frame.f_name;
+              path = frame.f_path;
+              depth = frame.f_depth;
+              start_ns = frame.f_start_ns;
+              dur_ns = dur;
+              attrs = List.rev frame.f_attrs;
+              trace = !current_trace;
             }
           in
-          List.iter (fun s -> s.on_span fs) !sinks
+          List.iter (fun s -> s.write (Schema.Span span)) !sinks
         end;
         (* Root boundary: a top-level unit of work just finished — record
            the GC state it left behind (gauges land in the close lines). *)
@@ -612,28 +522,28 @@ module Manual = struct
     else begin
       let parent_id, path, depth =
         match parent with
-        | None -> (-1, name, 0)
-        | Some p -> (p.m_id, p.m_path ^ "/" ^ name, p.m_depth + 1)
+        | None -> (None, name, 0)
+        | Some p -> (Some p.m_id, p.m_path ^ "/" ^ name, p.m_depth + 1)
       in
       let id = !next_span_id in
       incr next_span_id;
       let dur = if Int64.compare dur_ns 0L < 0 then 0L else dur_ns in
       note_rollup path dur;
       if !sinks <> [] then begin
-        let fs =
+        let span =
           {
-            fs_id = id;
-            fs_parent = parent_id;
-            fs_name = name;
-            fs_path = path;
-            fs_depth = depth;
-            fs_start_ns = start_ns;
-            fs_dur_ns = dur;
-            fs_attrs = attrs;
-            fs_trace = (match trace with Some _ as t -> t | None -> !current_trace);
+            Schema.id;
+            parent = parent_id;
+            name;
+            path;
+            depth;
+            start_ns;
+            dur_ns = dur;
+            attrs;
+            trace = (match trace with Some _ as t -> t | None -> !current_trace);
           }
         in
-        List.iter (fun s -> s.on_span fs) !sinks
+        List.iter (fun s -> s.write (Schema.Span span)) !sinks
       end;
       Some { m_id = id; m_path = path; m_depth = depth }
     end
@@ -642,102 +552,46 @@ end
 (* ------------------------------------------------------------------ *)
 (* Shard absorption *)
 
-let attr_of_json = function
-  | Json.Str s -> Str s
-  | Json.Int i -> Int i
-  | Json.Float f -> Float f
-  | Json.Bool b -> Bool b
-  | v -> Str (Json.to_string v)
-
-type shard_span = {
-  sh_id : int;
-  sh_parent : int option;
-  sh_name : string;
-  sh_path : string;
-  sh_depth : int;
-  sh_start_ns : int64;
-  sh_dur_ns : int64;
-  sh_attrs : (string * attr) list;
-  sh_trace : string option;
-}
-
-let shard_span_of_json j =
-  let field name get = Option.bind (Json.member name j) get in
-  match
-    ( field "id" Json.get_int,
-      field "name" Json.get_str,
-      field "path" Json.get_str,
-      field "depth" Json.get_int,
-      field "start_ns" Json.get_int,
-      field "dur_ns" Json.get_int )
-  with
-  | Some id, Some name, Some path, Some depth, Some start_ns, Some dur_ns ->
-      let parent =
-        match Json.member "parent" j with
-        | Some p -> Json.get_int p
-        | None -> None
-      in
-      let attrs =
-        match Json.member "attrs" j with
-        | Some (Json.Obj kvs) ->
-            List.map (fun (k, v) -> (k, attr_of_json v)) kvs
-        | _ -> []
-      in
-      Some
-        {
-          sh_id = id;
-          sh_parent = parent;
-          sh_name = name;
-          sh_path = path;
-          sh_depth = depth;
-          sh_start_ns = Int64.of_int start_ns;
-          sh_dur_ns = Int64.of_int dur_ns;
-          sh_attrs = attrs;
-          sh_trace = field "trace" Json.get_str;
-        }
-  | _ -> None
-
-let read_lines path =
-  match open_in path with
-  | exception Sys_error _ -> []
-  | ic ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file ->
-            close_in_noerr ic;
-            List.rev acc
-      in
-      go []
+(* Fold an aggregated batch of observations into a histogram: shard
+   absorption and {!Histogram.merge} share it. *)
+let merge_histogram h (stat : histogram_stat) =
+  if h.hg_count = 0 then begin
+    h.hg_min <- stat.h_min;
+    h.hg_max <- stat.h_max
+  end
+  else begin
+    if stat.h_min < h.hg_min then h.hg_min <- stat.h_min;
+    if stat.h_max > h.hg_max then h.hg_max <- stat.h_max
+  end;
+  h.hg_count <- h.hg_count + stat.h_count;
+  h.hg_sum <- h.hg_sum +. stat.h_sum;
+  h.hg_last <- stat.h_last
 
 let absorb_shard ?parent path =
+  (* Killed workers leave partial shards: a torn final line is expected,
+     not an error, so lines that do not decode are skipped. *)
   let records =
-    List.filter_map
-      (fun line ->
-        if String.trim line = "" then None
-        else
-          (* Killed workers leave partial shards: a torn final line is
-             expected, not an error. *)
-          match Json.parse line with Ok v -> Some v | Error _ -> None)
-      (read_lines path)
+    match In_channel.with_open_text path In_channel.input_lines with
+    | exception Sys_error _ -> []
+    | lines ->
+        List.filter_map (fun l -> Result.to_option (Schema.of_line l)) lines
   in
-  let typ j = Option.bind (Json.member "type" j) Json.get_str in
-  let meta = List.find_opt (fun j -> typ j = Some "meta") records in
-  let meta_field name get =
-    Option.bind meta (fun m -> Option.bind (Json.member name m) get)
-  in
-  let meta_trace = meta_field "trace" Json.get_str in
-  let meta_parent = meta_field "parent_span" Json.get_int in
-  let spans =
-    List.filter_map
-      (fun j -> if typ j = Some "span" then shard_span_of_json j else None)
+  let meta_trace, meta_parent =
+    List.find_map
+      (function
+        | Schema.Meta { trace; parent_span; _ } -> Some (trace, parent_span)
+        | _ -> None)
       records
+    |> Option.value ~default:(None, None)
+  in
+  let spans =
+    List.filter_map (function Schema.Span s -> Some s | _ -> None) records
   in
   (* A span is kept only if its whole parent chain resolves within the
      shard: enclosing spans of a killed worker never closed, so their
      descendants are orphans and are dropped rather than re-rooted. *)
-  let by_id : (int, shard_span) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace by_id s.sh_id s) spans;
+  let by_id : (int, Schema.span) Hashtbl.t = Hashtbl.create 64 in
+  List.iter (fun (s : Schema.span) -> Hashtbl.replace by_id s.id s) spans;
   let resolved : (int, bool) Hashtbl.t = Hashtbl.create 64 in
   let rec resolves id =
     match Hashtbl.find_opt resolved id with
@@ -748,97 +602,64 @@ let absorb_shard ?parent path =
           match Hashtbl.find_opt by_id id with
           | None -> false
           | Some s -> (
-              match s.sh_parent with None -> true | Some p -> resolves p)
+              match s.Schema.parent with None -> true | Some p -> resolves p)
         in
         Hashtbl.replace resolved id r;
         r
   in
-  let kept = List.filter (fun s -> resolves s.sh_id) spans in
+  let kept = List.filter (fun (s : Schema.span) -> resolves s.id) spans in
   let rb_parent, rb_path, rb_depth =
     match parent with
     (* Caller-chosen parent (a manual span): the serve daemon absorbs a
        worker's shard under that request's solve span, overriding the
        fork-time meta parent (no request span was open at fork). *)
     | Some (h : Manual.handle) ->
-        (h.Manual.m_id, h.Manual.m_path ^ "/", h.Manual.m_depth + 1)
+        (Some h.Manual.m_id, h.Manual.m_path ^ "/", h.Manual.m_depth + 1)
     | None -> (
         match
           Option.bind meta_parent (fun pid ->
               List.find_opt (fun f -> f.f_id = pid) !stack)
         with
-        | Some f -> (f.f_id, f.f_path ^ "/", f.f_depth + 1)
-        | None -> (-1, "", 0))
+        | Some f -> (Some f.f_id, f.f_path ^ "/", f.f_depth + 1)
+        | None -> (None, "", 0))
   in
   let id_map : (int, int) Hashtbl.t = Hashtbl.create 64 in
   List.iter
-    (fun s ->
-      Hashtbl.replace id_map s.sh_id !next_span_id;
+    (fun (s : Schema.span) ->
+      Hashtbl.replace id_map s.id !next_span_id;
       incr next_span_id)
     kept;
   List.iter
-    (fun s ->
-      let fs =
+    (fun (s : Schema.span) ->
+      let span =
         {
-          fs_id = Hashtbl.find id_map s.sh_id;
-          fs_parent =
-            (match s.sh_parent with
+          s with
+          id = Hashtbl.find id_map s.id;
+          parent =
+            (match s.parent with
             | None -> rb_parent
-            | Some p -> Hashtbl.find id_map p);
-          fs_name = s.sh_name;
-          fs_path = rb_path ^ s.sh_path;
-          fs_depth = s.sh_depth + rb_depth;
-          fs_start_ns = s.sh_start_ns;
-          fs_dur_ns = s.sh_dur_ns;
-          fs_attrs = s.sh_attrs;
-          fs_trace = (match s.sh_trace with Some _ as t -> t | None -> meta_trace);
+            | Some p -> Some (Hashtbl.find id_map p));
+          path = rb_path ^ s.path;
+          depth = s.depth + rb_depth;
+          trace = (match s.trace with Some _ as t -> t | None -> meta_trace);
         }
       in
-      note_rollup fs.fs_path fs.fs_dur_ns;
-      List.iter (fun snk -> snk.on_span fs) !sinks)
+      note_rollup span.path span.dur_ns;
+      List.iter (fun snk -> snk.write (Schema.Span span)) !sinks)
     kept;
   (* Fold the worker's close-time metric lines into the coordinator's
      registries: counters add, gauges overwrite, histograms merge. *)
   List.iter
-    (fun j ->
-      let field name get = Option.bind (Json.member name j) get in
-      match typ j with
-      | Some "counter" -> (
-          match (field "name" Json.get_str, field "value" Json.get_int) with
-          | Some name, Some v ->
-              let c = counter_handle name in
-              c.c_value <- c.c_value + v
-          | _ -> ())
-      | Some "gauge" -> (
-          match (field "name" Json.get_str, field "value" Json.get_float) with
-          | Some name, Some v ->
-              let g = gauge_handle name in
-              g.g_value <- v;
-              g.g_set <- true
-          | _ -> ())
-      | Some "histogram" -> (
-          match
-            ( field "name" Json.get_str,
-              field "count" Json.get_int,
-              field "sum" Json.get_float,
-              field "min" Json.get_float,
-              field "max" Json.get_float,
-              field "last" Json.get_float )
-          with
-          | Some name, Some count, Some sum, Some mn, Some mx, Some last
-            when count > 0 ->
-              let h = histogram_handle name in
-              if h.hg_count = 0 then begin
-                h.hg_min <- mn;
-                h.hg_max <- mx
-              end
-              else begin
-                if mn < h.hg_min then h.hg_min <- mn;
-                if mx > h.hg_max then h.hg_max <- mx
-              end;
-              h.hg_count <- h.hg_count + count;
-              h.hg_sum <- h.hg_sum +. sum;
-              h.hg_last <- last
-          | _ -> ())
+    (function
+      | Schema.Counter { name; value } ->
+          let c = counter_handle name in
+          c.c_value <- c.c_value + value
+      | Schema.Gauge { name; value } ->
+          let g = gauge_handle name in
+          g.g_value <- value;
+          g.g_set <- true
+      | Schema.Histogram { name; stat } when stat.h_count > 0 ->
+          merge_histogram (histogram_handle name) stat
       | _ -> ())
     records;
   List.length kept
@@ -896,19 +717,9 @@ module Histogram = struct
      [last] should be the batch's final observation; committing batches
      in worker-index order keeps it deterministic. *)
   let merge h ~count ~sum ~min ~max ~last =
-    if count > 0 && enabled () then begin
-      if h.hg_count = 0 then begin
-        h.hg_min <- min;
-        h.hg_max <- max
-      end
-      else begin
-        if min < h.hg_min then h.hg_min <- min;
-        if max > h.hg_max then h.hg_max <- max
-      end;
-      h.hg_count <- h.hg_count + count;
-      h.hg_sum <- h.hg_sum +. sum;
-      h.hg_last <- last
-    end
+    if count > 0 && enabled () then
+      merge_histogram h
+        { h_count = count; h_sum = sum; h_min = min; h_max = max; h_last = last }
 end
 
 (* ------------------------------------------------------------------ *)

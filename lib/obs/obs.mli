@@ -29,7 +29,11 @@
 
 (** {1 Attributes} *)
 
-type attr = Str of string | Int of int | Float of float | Bool of bool
+type attr = Schema.attr =
+  | Str of string
+  | Int of int
+  | Float of float
+  | Bool of bool
 
 (** {1 Lifecycle} *)
 
@@ -236,7 +240,7 @@ end
     snapshot: metric values plus the span rollup (aggregated by path,
     i.e. the ["/"]-joined span names from the root). *)
 
-type histogram_stat = {
+type histogram_stat = Schema.histogram_stat = {
   h_count : int;
   h_sum : float;
   h_min : float;
@@ -274,7 +278,7 @@ val trace_schema_version : string
     ["hypartition-trace/2"]: span records may carry a ["trace"] id (the
     engine job fingerprint), the stream may carry ["provenance"]
     records, and shard meta headers carry ["trace"] / ["parent_span"] /
-    ["pid"]. *)
+    ["pid"].  {!Schema} is the codec for its lines. *)
 
 (** {1 JSON}
 
@@ -284,9 +288,22 @@ val trace_schema_version : string
 
 module Json = Json
 
+(** {1 The trace/2 codec}
+
+    One record type per trace line with its writer and its total reader.
+    The JSONL sink writes through it and {!absorb_shard} reads through
+    it. *)
+
+module Schema = Schema
+
 (** {1 Analytics}
 
-    Readers for the files this library writes: per-phase tables, critical
-    paths, folded stacks.  See {!Report.load}. *)
+    {!Report.load} is the one strict reader of trace/2 files: every line
+    decodes through {!Schema}, meta comes first, and the spans form a
+    forest (parents present, depths and paths consistent, durations
+    non-negative); its errors name the line or span.  The [hypartition
+    trace] verb validates through it and [hypartition report] renders
+    it — per-phase tables, critical paths, folded stacks — so the two
+    verbs accept and reject the same files. *)
 
 module Report = Report

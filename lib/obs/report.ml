@@ -1,9 +1,12 @@
-(* Trace analytics: turn a JSONL span trace (schema hypartition-trace/2,
-   whose merged timeline carries per-span trace ids and provenance
-   records) into the tables a human asks for first — where did the time
-   go (per-phase wall and self time), what was the longest dependency
-   chain per job, which individual spans dominated, what did the GC do —
-   plus folded-stack output consumable by standard flamegraph tooling.
+(* The strict trace/2 loader and the analytics over it.  [load] decodes
+   every line through the Schema codec and checks the span forest, so
+   `hypartition trace` (which validates through it) and `hypartition
+   report` accept and reject the same files.  The analytics turn a
+   loaded trace into the tables a human asks for first — where did the
+   time go (per-phase wall and self time), what was the longest
+   dependency chain per job, which individual spans dominated, what did
+   the GC do — plus folded-stack output consumable by standard
+   flamegraph tooling.
 
    This module does not depend on the Obs main module (the library is
    wrapped; siblings share Json and Schema instead), so the main module
@@ -16,110 +19,102 @@ type phase_row = {
   ph_self_ns : int64;
 }
 
-type span = {
-  sp_id : int;
-  sp_parent : int; (* -1 for roots *)
-  sp_name : string;
-  sp_path : string;
-  sp_dur_ns : int64;
-  sp_trace : string option;
-}
-
 type t = {
-  tr_schema : string;
-  tr_spans : span list; (* file order: children precede parents *)
-  tr_counters : (string * int) list;
-  tr_gauges : (string * float) list;
-  tr_provenance : (string * Json.t) list list;
+  spans : Schema.span list;
+  counters : (string * int) list;
+  gauges : (string * float) list;
+  histograms : (string * Schema.histogram_stat) list;
+  provenance : (string * Json.t) list list;
 }
-
-let schema tr = tr.tr_schema
 
 (* ------------------------------------------------------------------ *)
-(* Parsing *)
+(* The strict loader *)
 
-let field name get j = Option.bind (Json.member name j) get
+let ( let* ) = Result.bind
 
-let span_of_json j =
-  match
-    ( field "id" Json.get_int j,
-      field "name" Json.get_str j,
-      field "path" Json.get_str j,
-      field "depth" Json.get_int j,
-      field "start_ns" Json.get_int j,
-      field "dur_ns" Json.get_int j )
-  with
-  | Some id, Some name, Some path, Some _depth, Some _start_ns, Some dur_ns ->
-      Some
-        {
-          sp_id = id;
-          sp_parent =
-            (match field "parent" Json.get_int j with
-            | Some p -> p
-            | None -> -1);
-          sp_name = name;
-          sp_path = path;
-          sp_dur_ns = Int64.of_int dur_ns;
-          sp_trace = field "trace" Json.get_str j;
-        }
-  | _ -> None
+(* Decode every non-blank line, numbered from 1 as in the file; the
+   first must be the meta record and no other may be. *)
+let decode_lines content =
+  let rec go acc = function
+    | [] -> if List.is_empty acc then Error "empty trace" else Ok (List.rev acc)
+    | (lineno, line) :: rest -> (
+        let fail msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
+        match Schema.of_line line with
+        | Error msg -> fail msg
+        | Ok r ->
+            let is_meta = match r with Schema.Meta _ -> true | _ -> false in
+            if is_meta = List.is_empty acc then go ((lineno, r) :: acc) rest
+            else if is_meta then fail "meta record after the first line"
+            else fail "first record is not meta")
+  in
+  go []
+    (List.filter
+       (fun (_, l) -> String.trim l <> "")
+       (List.mapi (fun i l -> (i + 1, l)) (String.split_on_char '\n' content)))
+
+(* Span ids are unique and every parent is present, one level up, with
+   a path that is a proper prefix: the spans form a forest, which the
+   derived views rely on. *)
+let check_forest (spans : (int * Schema.span) list) =
+  let fail lineno (s : Schema.span) fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Error (Printf.sprintf "span %d (line %d): %s" s.id lineno msg))
+      fmt
+  in
+  (* The first error of [f] over the spans, in file order. *)
+  let each f =
+    List.fold_left
+      (fun acc span -> Result.bind acc (fun () -> f span))
+      (Ok ()) spans
+  in
+  let by_id = Hashtbl.create 64 in
+  let* () =
+    each (fun (lineno, (s : Schema.span)) ->
+        match Hashtbl.find_opt by_id s.id with
+        | Some (first, _) -> fail lineno s "id already used on line %d" first
+        | None -> Ok (Hashtbl.replace by_id s.id (lineno, s)))
+  in
+  each (fun (lineno, (s : Schema.span)) ->
+      match Option.map (fun p -> (p, Hashtbl.find_opt by_id p)) s.parent with
+      | None -> Ok ()
+      | Some (p, None) -> fail lineno s "missing parent %d" p
+      | Some (p, Some (_, (parent : Schema.span))) ->
+          if s.depth <> parent.depth + 1 then
+            fail lineno s "depth %d under parent %d of depth %d" s.depth p
+              parent.depth
+          else if not (String.starts_with ~prefix:(parent.path ^ "/") s.path)
+          then
+            fail lineno s "path %S not under parent %d's %S" s.path p
+              parent.path
+          else Ok ())
 
 let load_string content =
-  let records =
+  let* records = decode_lines content in
+  let spans =
     List.filter_map
-      (fun line ->
-        if String.trim line = "" then None
-        else match Json.parse line with Ok v -> Some v | Error _ -> None)
-      (String.split_on_char '\n' content)
+      (function lineno, Schema.Span s -> Some (lineno, s) | _ -> None)
+      records
   in
-  let typ j = field "type" Json.get_str j in
-  match List.find_opt (fun j -> typ j = Some "meta") records with
-  | None -> Error "trace has no meta record"
-  | Some meta -> (
-      match field "schema" Json.get_str meta with
-      | None -> Error "trace meta has no schema"
-      | Some s when s <> Schema.trace_v2 ->
-          Error (Printf.sprintf "unsupported trace schema %s" s)
-      | Some s ->
-          let spans =
-            List.filter_map
-              (fun j -> if typ j = Some "span" then span_of_json j else None)
-              records
-          in
-          let named get j =
-            match (field "name" Json.get_str j, field "value" get j) with
-            | Some name, Some v -> Some (name, v)
-            | _ -> None
-          in
-          let counters =
-            List.filter_map
-              (fun j ->
-                if typ j = Some "counter" then named Json.get_int j else None)
-              records
-          in
-          let gauges =
-            List.filter_map
-              (fun j ->
-                if typ j = Some "gauge" then named Json.get_float j else None)
-              records
-          in
-          let provenance =
-            List.filter_map
-              (fun j ->
-                match (typ j, j) with
-                | Some "provenance", Json.Obj fields ->
-                    Some (List.filter (fun (k, _) -> k <> "type") fields)
-                | _ -> None)
-              records
-          in
-          Ok
-            {
-              tr_schema = s;
-              tr_spans = spans;
-              tr_counters = counters;
-              tr_gauges = gauges;
-              tr_provenance = provenance;
-            })
+  let* () = check_forest spans in
+  let pick f = List.filter_map (fun (_, r) -> f r) records in
+  Ok
+    {
+      spans = List.map snd spans;
+      counters =
+        pick (function
+          | Schema.Counter { name; value } -> Some (name, value)
+          | _ -> None);
+      gauges =
+        pick (function
+          | Schema.Gauge { name; value } -> Some (name, value)
+          | _ -> None);
+      histograms =
+        pick (function
+          | Schema.Histogram { name; stat } -> Some (name, stat)
+          | _ -> None);
+      provenance = pick (function Schema.Provenance f -> Some f | _ -> None);
+    }
 
 let load path =
   match
@@ -131,42 +126,46 @@ let load path =
 (* ------------------------------------------------------------------ *)
 (* Derived views *)
 
-let phase_rows tr =
-  let child_sum : (int, int64) Hashtbl.t = Hashtbl.create 64 in
+(* Direct children by parent id, each list in reverse file order. *)
+let children spans =
+  let tbl : (int, Schema.span list) Hashtbl.t = Hashtbl.create 64 in
   List.iter
-    (fun s ->
-      if s.sp_parent >= 0 then begin
-        let prev =
-          match Hashtbl.find_opt child_sum s.sp_parent with
-          | Some v -> v
-          | None -> 0L
-        in
-        Hashtbl.replace child_sum s.sp_parent (Int64.add prev s.sp_dur_ns)
-      end)
-    tr.tr_spans;
+    (fun (s : Schema.span) ->
+      Option.iter
+        (fun p ->
+          let siblings = Option.value ~default:[] (Hashtbl.find_opt tbl p) in
+          Hashtbl.replace tbl p (s :: siblings))
+        s.parent)
+    spans;
+  tbl
+
+let phase_rows tr =
+  let kids = children tr.spans in
   let agg : (string, int * int64 * int64) Hashtbl.t = Hashtbl.create 64 in
   List.iter
-    (fun s ->
-      let kids =
-        match Hashtbl.find_opt child_sum s.sp_id with Some v -> v | None -> 0L
+    (fun (s : Schema.span) ->
+      let kids_ns =
+        List.fold_left
+          (fun acc (k : Schema.span) -> Int64.add acc k.dur_ns)
+          0L
+          (Option.value ~default:[] (Hashtbl.find_opt kids s.id))
       in
-      let self = Int64.sub s.sp_dur_ns kids in
+      let self = Int64.sub s.dur_ns kids_ns in
       let self = if Int64.compare self 0L < 0 then 0L else self in
       let count, total, self_acc =
-        match Hashtbl.find_opt agg s.sp_path with
+        match Hashtbl.find_opt agg s.path with
         | Some row -> row
         | None -> (0, 0L, 0L)
       in
-      Hashtbl.replace agg s.sp_path
-        (count + 1, Int64.add total s.sp_dur_ns, Int64.add self_acc self))
-    tr.tr_spans;
+      Hashtbl.replace agg s.path
+        (count + 1, Int64.add total s.dur_ns, Int64.add self_acc self))
+    tr.spans;
   Hashtbl.fold
     (fun path (count, total, self) acc ->
       { ph_path = path; ph_count = count; ph_total_ns = total; ph_self_ns = self }
       :: acc)
     agg []
   |> List.sort (fun a b -> String.compare a.ph_path b.ph_path)
-
 
 let fold_path path = String.map (fun c -> if c = '/' then ';' else c) path
 
@@ -182,48 +181,25 @@ let folded tr =
 (* Canonical span-tree rendering, modulo ids and timestamps: node name
    plus trace id, children sorted by their own canonical form.  Two runs
    of the same manifest must produce equal strings whatever the worker
-   interleaving was. *)
+   interleaving was.  The loader guarantees a forest, so every span is
+   reached exactly once from a root. *)
 let structure tr =
-  let children : (int, span list) Hashtbl.t = Hashtbl.create 64 in
-  let ids = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace ids s.sp_id ()) tr.tr_spans;
-  let roots =
-    List.filter
-      (fun s ->
-        if s.sp_parent >= 0 && Hashtbl.mem ids s.sp_parent then begin
-          let siblings =
-            match Hashtbl.find_opt children s.sp_parent with
-            | Some l -> l
-            | None -> []
-          in
-          Hashtbl.replace children s.sp_parent (s :: siblings);
-          false
-        end
-        else true)
-      tr.tr_spans
+  let kids = children tr.spans in
+  let rec canon (s : Schema.span) =
+    let label =
+      match s.trace with Some t -> s.name ^ "[" ^ t ^ "]" | None -> s.name
+    in
+    match Hashtbl.find_opt kids s.id with
+    | None -> label
+    | Some l ->
+        let kids = List.sort String.compare (List.map canon l) in
+        label ^ "(" ^ String.concat "," kids ^ ")"
   in
-  let visiting = Hashtbl.create 16 in
-  let rec canon s =
-    if Hashtbl.mem visiting s.sp_id then "<cycle>"
-    else begin
-      Hashtbl.replace visiting s.sp_id ();
-      let label =
-        match s.sp_trace with
-        | Some t -> s.sp_name ^ "[" ^ t ^ "]"
-        | None -> s.sp_name
-      in
-      let kids =
-        match Hashtbl.find_opt children s.sp_id with
-        | Some l -> List.sort String.compare (List.map canon l)
-        | None -> []
-      in
-      Hashtbl.remove visiting s.sp_id;
-      match kids with
-      | [] -> label
-      | _ -> label ^ "(" ^ String.concat "," kids ^ ")"
-    end
-  in
-  String.concat "\n" (List.sort String.compare (List.map canon roots))
+  tr.spans
+  |> List.filter (fun (s : Schema.span) -> Option.is_none s.parent)
+  |> List.map canon
+  |> List.sort String.compare
+  |> String.concat "\n"
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
@@ -286,44 +262,31 @@ let pp_gc ppf gauges =
   end
 
 let pp_critical_paths ppf spans =
-  let children : (int, span list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun s ->
-      if s.sp_parent >= 0 then begin
-        let siblings =
-          match Hashtbl.find_opt children s.sp_parent with
-          | Some l -> l
-          | None -> []
-        in
-        Hashtbl.replace children s.sp_parent (s :: siblings)
-      end)
-    spans;
-  let jobs = List.filter (fun s -> s.sp_name = "engine.job") spans in
+  let kids = children spans in
+  let jobs = List.filter (fun (s : Schema.span) -> s.name = "engine.job") spans in
   if jobs <> [] then begin
     Fmt.pf ppf "== critical path per job ==@.";
     List.iter
-      (fun job ->
-        let rec chain s acc =
-          match Hashtbl.find_opt children s.sp_id with
+      (fun (job : Schema.span) ->
+        let rec chain (s : Schema.span) acc =
+          match Hashtbl.find_opt kids s.id with
           | None | Some [] -> List.rev (s :: acc)
-          | Some kids ->
+          | Some (first :: rest) ->
               let widest =
                 List.fold_left
-                  (fun best k ->
-                    if Int64.compare k.sp_dur_ns best.sp_dur_ns > 0 then k
-                    else best)
-                  (List.hd kids) (List.tl kids)
+                  (fun (best : Schema.span) (k : Schema.span) ->
+                    if Int64.compare k.dur_ns best.dur_ns > 0 then k else best)
+                  first rest
               in
               chain widest (s :: acc)
         in
-        let steps = chain job [] in
         let label =
-          match job.sp_trace with Some t -> t | None -> string_of_int job.sp_id
+          match job.trace with Some t -> t | None -> string_of_int job.id
         in
         Fmt.pf ppf "  %s:@." label;
         List.iter
-          (fun s -> Fmt.pf ppf "    %a  %s@." pp_ns s.sp_dur_ns s.sp_name)
-          steps)
+          (fun (s : Schema.span) -> Fmt.pf ppf "    %a  %s@." pp_ns s.dur_ns s.name)
+          (chain job []))
       jobs
   end
 
@@ -331,25 +294,25 @@ let pp_top_spans ppf ~top spans =
   if spans <> [] then begin
     Fmt.pf ppf "== top %d spans by duration ==@." top;
     let sorted =
-      List.sort (fun a b -> Int64.compare b.sp_dur_ns a.sp_dur_ns) spans
+      List.sort
+        (fun (a : Schema.span) (b : Schema.span) -> Int64.compare b.dur_ns a.dur_ns)
+        spans
     in
     List.iteri
-      (fun i s ->
+      (fun i (s : Schema.span) ->
         if i < top then
-          Fmt.pf ppf "  %a  %s%s@." pp_ns s.sp_dur_ns s.sp_path
-            (match s.sp_trace with
-            | Some t -> "  [" ^ t ^ "]"
-            | None -> ""))
+          Fmt.pf ppf "  %a  %s%s@." pp_ns s.dur_ns s.path
+            (match s.trace with Some t -> "  [" ^ t ^ "]" | None -> ""))
       sorted
   end
 
 let render ?(top = 10) ppf tr =
-  Fmt.pf ppf "trace report — schema %s, %d spans@." tr.tr_schema
-    (List.length tr.tr_spans);
+  Fmt.pf ppf "trace report — schema %s, %d spans@." Schema.trace_v2
+    (List.length tr.spans);
   (* A merged trace may carry several provenance records (the CLI
      header, then the engine's richer one); fold them with later
      fields overriding earlier ones. *)
-  (match tr.tr_provenance with
+  (match tr.provenance with
   | [] -> ()
   | records ->
       let merged =
@@ -362,12 +325,10 @@ let render ?(top = 10) ppf tr =
       pp_provenance ppf merged);
   Fmt.pf ppf "== per-phase time ==@.";
   pp_phase_table ppf (phase_rows tr);
-  pp_critical_paths ppf tr.tr_spans;
-  pp_top_spans ppf ~top tr.tr_spans;
-  pp_gc ppf tr.tr_gauges;
-  if tr.tr_counters <> [] then begin
+  pp_critical_paths ppf tr.spans;
+  pp_top_spans ppf ~top tr.spans;
+  pp_gc ppf tr.gauges;
+  if tr.counters <> [] then begin
     Fmt.pf ppf "== counters ==@.";
-    List.iter
-      (fun (k, v) -> Fmt.pf ppf "  %-44s %12d@." k v)
-      tr.tr_counters
+    List.iter (fun (k, v) -> Fmt.pf ppf "  %-44s %12d@." k v) tr.counters
   end

@@ -707,6 +707,60 @@ let test_batch_cache_second_pass () =
           (E.Record.deterministic_string b.E.Batch.record))
     first.E.Batch.outcomes second.E.Batch.outcomes
 
+(* The batch/1 reader accepts what the writer produces — fresh, cached,
+   crashed and unrunnable results, timed or deterministic — and rejects
+   a result that is no record or stats that disagree with the results. *)
+let test_batch_check_report () =
+  let dir = Some (temp_dir "hyp_check") in
+  let plans =
+    [
+      gen_job ~seed:1 ~n:30 ();
+      { (gen_job ()) with E.Spec.instance = E.Spec.Crash 3 };
+      { (gen_job ()) with E.Spec.instance = E.Spec.Hmetis_file "/nonexistent.hgr" };
+    ]
+  in
+  ignore (run_batch ~jobs:1 ~cache_dir:dir plans : E.Batch.report);
+  let report = run_batch ~jobs:1 ~cache_dir:dir plans in
+  List.iter
+    (fun deterministic ->
+      match
+        E.Batch.check_report (E.Batch.report_to_json ~deterministic ~jobs:1 report)
+      with
+      | Error e -> Alcotest.failf "real report rejected: %s" e
+      | Ok outcomes ->
+          Alcotest.(check (list bool))
+            "cached flags" [ true; false; false ]
+            (List.map (fun (o : E.Batch.outcome) -> o.E.Batch.cached) outcomes);
+          List.iter2
+            (fun (a : E.Batch.outcome) (b : E.Batch.outcome) ->
+              Alcotest.(check string) "records decode unchanged"
+                (E.Record.deterministic_string a.E.Batch.record)
+                (E.Record.deterministic_string b.E.Batch.record))
+            report.E.Batch.outcomes outcomes)
+    [ false; true ];
+  let reject name json =
+    match E.Batch.check_report json with
+    | Ok _ -> Alcotest.failf "accepted %s" name
+    | Error _ -> ()
+  in
+  let parse s =
+    match Obs.Json.parse s with Ok j -> j | Error e -> Alcotest.failf "%s" e
+  in
+  reject "a result that is no record"
+    (parse
+       {|{"schema":"hypartition-batch/1","jobs":1,"stats":{"total":1,"from_cache":0},"results":[{"cached":false,"fingerprint":"zz","status":"ok"}]}|});
+  let rec set path v json =
+    match (path, json) with
+    | [], _ -> v
+    | key :: rest, Obs.Json.Obj fields ->
+        Obs.Json.Obj
+          (List.map (fun (k, x) -> if k = key then (k, set rest v x) else (k, x)) fields)
+    | _, other -> other
+  in
+  let real = E.Batch.report_to_json ~jobs:1 report in
+  reject "a from_cache mismatch" (set [ "stats"; "from_cache" ] (Obs.Json.Int 0) real);
+  reject "a total mismatch" (set [ "stats"; "total" ] (Obs.Json.Int 4) real)
+
 let test_batch_determinism_across_parallelism () =
   (* The headline guarantee: the same manifest at --jobs 1 and --jobs 8
      yields byte-identical records modulo the timing/observed sections. *)
@@ -811,6 +865,7 @@ let suite =
       test_pool_fd_reuse;
     Alcotest.test_case "batch cache second pass" `Quick
       test_batch_cache_second_pass;
+    Alcotest.test_case "batch report check" `Quick test_batch_check_report;
     Alcotest.test_case "trace structure across parallelism" `Quick
       test_trace_structure_across_parallelism;
     Alcotest.test_case "batch determinism across parallelism" `Quick

@@ -1,5 +1,7 @@
 (* Tests for lib/obs: the JSON codec, the JSONL trace sink (span tree
-   round-trip through a file), metric aggregation, the zero-allocation
+   round-trip through a file), the trace/2 codec and its strict loader
+   (malformed traces rejected with the line or span named, damaged
+   traces never raising), metric aggregation, the zero-allocation
    guarantee of disabled instrumentation, and the per-rule audit timings
    that Check derives from the monotonic clock. *)
 
@@ -461,8 +463,10 @@ let test_report_analytics () =
     | Ok d -> d
     | Error msg -> Alcotest.failf "load_string: %s" msg
   in
-  Alcotest.(check string) "schema detected" Obs.trace_schema_version
-    (Obs.Report.schema data);
+  Alcotest.(check (list string))
+    "spans decoded in file order"
+    [ "coarsen"; "refine"; "engine.job"; "engine.batch" ]
+    (List.map (fun s -> s.Obs.Schema.name) data.Obs.Report.spans);
   let rows = Obs.Report.phase_rows data in
   let row path =
     match
@@ -499,6 +503,17 @@ let test_report_analytics () =
         (contains_substring rendered needle))
     [ "git_rev"; "engine.job"; "critical path"; "gc.heap_words"; "fm.moves" ]
 
+(* The synthetic trace with one line replaced, dropped or added: each
+   variant must be an [Error] that names the offending line or span. *)
+let synthetic_lines = String.split_on_char '\n' synthetic_trace
+
+let with_line n replacement =
+  String.concat "\n"
+    (List.concat
+       (List.mapi
+          (fun i l -> if i + 1 = n then replacement else [ l ])
+          synthetic_lines))
+
 let test_report_rejects_garbage () =
   let reject name input =
     match Obs.Report.load_string input with
@@ -511,7 +526,142 @@ let test_report_rejects_garbage () =
   reject "a trace/1 meta line"
     {|{"type":"meta","schema":"hypartition-trace/1","clock":"monotonic_ns"}|};
   reject "a bench/2 document"
-    {|{"schema":"hypartition-bench/2","git_rev":"abc","experiments":[{"id":"E1","wall_s":0.1}],"micro":[]}|}
+    {|{"schema":"hypartition-bench/2","git_rev":"abc","experiments":[{"id":"E1","wall_s":0.1}],"micro":[]}|};
+  let reject_naming name ~where input =
+    match Obs.Report.load_string input with
+    | Ok _ -> Alcotest.failf "accepted %s" name
+    | Error msg ->
+        if not (contains_substring msg where) then
+          Alcotest.failf "%s: error %S does not name %S" name msg where
+  in
+  (* Line 6 is the root span 0; lines 3-5 are its descendants. *)
+  reject_naming "a missing parent" ~where:"span 1 (line 5)"
+    (with_line 6 []);
+  reject_naming "a torn line" ~where:"line 9"
+    (synthetic_trace ^ "\n" ^ {|{"type":"span","id":4,"parent":3,"na|});
+  reject_naming "an unknown record type" ~where:"line 9"
+    (synthetic_trace ^ "\n" ^ {|{"type":"bogus","name":"x"}|});
+  reject_naming "meta not on the first line" ~where:"line 1"
+    (String.concat "\n"
+       (List.nth synthetic_lines 1 :: List.hd synthetic_lines
+       :: List.tl (List.tl synthetic_lines)));
+  reject_naming "a second meta line" ~where:"line 9"
+    (synthetic_trace ^ "\n" ^ List.hd synthetic_lines);
+  reject_naming "a negative dur_ns" ~where:"line 4"
+    (with_line 4
+       [ {|{"type":"span","id":3,"parent":1,"name":"refine","path":"engine.batch/engine.job/refine","depth":2,"start_ns":700,"dur_ns":-200,"attrs":{},"trace":"fp-1"}|} ]);
+  reject_naming "a depth that skips a level" ~where:"span 3 (line 4)"
+    (with_line 4
+       [ {|{"type":"span","id":3,"parent":1,"name":"refine","path":"engine.batch/engine.job/refine","depth":3,"start_ns":700,"dur_ns":200,"attrs":{},"trace":"fp-1"}|} ]);
+  reject_naming "a path outside the parent's" ~where:"span 3 (line 4)"
+    (with_line 4
+       [ {|{"type":"span","id":3,"parent":1,"name":"refine","path":"engine.batch/refine","depth":2,"start_ns":700,"dur_ns":200,"attrs":{},"trace":"fp-1"}|} ]);
+  reject_naming "a duplicate span id" ~where:"span 2 (line 4)"
+    (with_line 4
+       [ {|{"type":"span","id":2,"parent":1,"name":"refine","path":"engine.batch/engine.job/refine","depth":2,"start_ns":700,"dur_ns":200,"attrs":{},"trace":"fp-1"}|} ]);
+  (* A child without start_ns is not dropped: its parent's self time
+     would silently grow by the child's duration. *)
+  reject_naming "a child span without start_ns" ~where:"line 4"
+    (with_line 4
+       [ {|{"type":"span","id":3,"parent":1,"name":"refine","path":"engine.batch/engine.job/refine","depth":2,"dur_ns":200,"attrs":{},"trace":"fp-1"}|} ])
+
+(* Every record kind survives the codec, as a JSON value and as a line. *)
+let test_schema_roundtrip () =
+  let module S = Obs.Schema in
+  let span =
+    {
+      S.id = 5;
+      parent = Some 2;
+      name = "refine";
+      path = "multilevel/refine";
+      depth = 1;
+      start_ns = 123_456_789L;
+      dur_ns = 42L;
+      attrs =
+        [ ("label", S.Str "x \"q\""); ("n", S.Int (-7)); ("ratio", S.Float 0.25);
+          ("ok", S.Bool true) ];
+      trace = Some "0123456789abcdef";
+    }
+  in
+  let stat =
+    { S.h_count = 3; h_sum = 10.5; h_min = 1.0; h_max = 6.25; h_last = 3.25 }
+  in
+  List.iter
+    (fun r ->
+      let json = S.to_json r in
+      let line = Obs.Json.to_string json in
+      if S.of_json json <> Ok r then Alcotest.failf "of_json (to_json r) <> Ok r: %s" line;
+      if S.of_line line <> Ok r then Alcotest.failf "line round-trip differs: %s" line)
+    [
+      S.Meta { trace = None; parent_span = None; pid = None };
+      S.Meta { trace = Some "fp-1"; parent_span = Some 7; pid = Some 4242 };
+      S.Span span;
+      S.Span { span with parent = None; depth = 0; path = "refine"; attrs = []; trace = None };
+      S.Counter { name = "fm.moves"; value = 17 };
+      S.Gauge { name = "gc.heap_words"; value = 4096.0 };
+      S.Histogram { name = "cost.connectivity"; stat };
+      S.Provenance [ ("hostname", Obs.Json.Str "h"); ("workers", Obs.Json.Int 2) ];
+    ];
+  (* The writer renders a non-finite float as null, which reads back as
+     nan rather than failing the line. *)
+  let reread r = S.of_line (Obs.Json.to_string (S.to_json r)) in
+  (match reread (S.Gauge { name = "g"; value = Float.infinity }) with
+  | Ok (S.Gauge { value; _ }) when Float.is_nan value -> ()
+  | _ -> Alcotest.fail "an infinite gauge does not read back as nan");
+  match reread (S.Span { span with attrs = [ ("cost", S.Float Float.infinity) ] }) with
+  | Ok (S.Span { attrs = [ ("cost", S.Float f) ]; _ }) when Float.is_nan f -> ()
+  | _ -> Alcotest.fail "an infinite attribute does not read back as nan"
+
+(* A trace the sink wrote, cut at any byte or with any one byte changed,
+   loads or is rejected — the loader and the views over what it accepts
+   never raise. *)
+let sink_written_trace =
+  lazy
+    (let path = Filename.temp_file "obs_fuzz" ".jsonl" in
+     Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+     Obs.reset_for_tests ();
+     Obs.enable_trace path;
+     Obs.emit_provenance [ ("hostname", Obs.Json.Str "h") ];
+     let c = Obs.Counter.make "fuzz.events" in
+     let g = Obs.Gauge.make "fuzz.gauge" in
+     let h = Obs.Histogram.make "fuzz.hist" in
+     Obs.Span.with_ "outer" ~attrs:[ ("n", Obs.Int 3) ] (fun () ->
+         Obs.Span.with_ "inner" (fun () -> Obs.Counter.add c 2);
+         Obs.Span.with_ "inner" ~attrs:[ ("ok", Obs.Bool true) ] (fun () ->
+             Obs.Gauge.set g 1.5;
+             Obs.Histogram.observe h 2.0));
+     Obs.close ();
+     Obs.reset_for_tests ();
+     In_channel.with_open_bin path In_channel.input_all)
+
+let prop_load_never_raises =
+  QCheck.Test.make ~name:"report loader never raises on a damaged trace"
+    ~count:200
+    QCheck.(triple bool (int_bound 1_000_000) (int_range 1 255))
+    (fun (truncate, at, xor) ->
+      let trace = Lazy.force sink_written_trace in
+      let at = at mod String.length trace in
+      let damaged =
+        if truncate then String.sub trace 0 at
+        else
+          String.mapi
+            (fun i c -> if i = at then Char.chr (Char.code c lxor xor) else c)
+            trace
+      in
+      match Obs.Report.load_string damaged with
+      | Error _ -> true
+      | Ok data ->
+          ignore (Obs.Report.structure data);
+          ignore (Obs.Report.folded data);
+          ignore (Fmt.str "%a" (Obs.Report.render ~top:3) data);
+          true)
+
+let test_sink_trace_loads () =
+  match Obs.Report.load_string (Lazy.force sink_written_trace) with
+  | Error msg -> Alcotest.failf "sink-written trace rejected: %s" msg
+  | Ok data ->
+      Alcotest.(check int) "three spans" 3 (List.length data.Obs.Report.spans);
+      Alcotest.(check int) "one histogram" 1 (List.length data.histograms)
 
 let suite =
   [
@@ -538,4 +688,9 @@ let suite =
       test_report_analytics;
     Alcotest.test_case "report rejects malformed input" `Quick
       test_report_rejects_garbage;
+    Alcotest.test_case "schema codec round-trips every record kind" `Quick
+      test_schema_roundtrip;
+    Alcotest.test_case "report loads a sink-written trace" `Quick
+      test_sink_trace_loads;
+    QCheck_alcotest.to_alcotest prop_load_never_raises;
   ]

@@ -670,7 +670,32 @@ let test_serve_drain () =
            && (String.sub folded i (String.length re) = re
               || contains (i + 1))
          in
-         contains 0)
+         contains 0);
+      (* Request trees hold together: a server.request carries its job
+         fingerprint as trace id (how its spans and the absorbed worker
+         shard correlate), and queue_wait sits directly under one. *)
+      let spans = data.Obs.Report.spans in
+      let named n = List.filter (fun s -> s.Obs.Schema.name = n) spans in
+      List.iter
+        (fun s ->
+          if Option.is_none s.Obs.Schema.trace then
+            Alcotest.failf "span %d (server.request) has no trace id"
+              s.Obs.Schema.id)
+        (named "server.request");
+      List.iter
+        (fun s ->
+          match
+            List.find_opt
+              (fun p -> Some p.Obs.Schema.id = s.Obs.Schema.parent)
+              spans
+          with
+          | Some { Obs.Schema.name = "server.request"; _ } -> ()
+          | Some p ->
+              Alcotest.failf "span %d (queue_wait) under %S, not server.request"
+                s.Obs.Schema.id p.Obs.Schema.name
+          | None ->
+              Alcotest.failf "span %d (queue_wait) has no parent" s.Obs.Schema.id)
+        (named "queue_wait")
 
 let test_serve_loadgen () =
   let dir = temp_dir "hyp_loadbench" in
