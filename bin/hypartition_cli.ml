@@ -526,135 +526,16 @@ let check_cmd =
       $ rules_flag)
 
 (* trace: validate an emitted observability artifact — a JSONL span
-   trace (HYPARTITION_TRACE / --trace), a batch or loadgen report, or a
-   serve frame log — against its schema.  Span traces go through
-   Obs.Report's strict loader and batch reports through
-   Engine.Batch.check_report, the readers that sit next to their
-   writers.  CI runs this over the artifacts it uploads. *)
+   trace (HYPARTITION_TRACE / --trace) or a batch report — against its
+   schema.  Span traces go through Obs.Report's strict loader and batch
+   reports through Engine.Batch.check_report, the readers that sit next
+   to their writers.  CI runs this over the artifacts it uploads. *)
 
 let run_trace_validate path =
   let ( let* ) r f = match r with Error msg -> Error msg | Ok v -> f v in
   let read () =
     try Ok (In_channel.with_open_text path In_channel.input_all)
     with Sys_error msg -> Error msg
-  in
-  let num_field name json =
-    match Option.bind (Obs.Json.member name json) Obs.Json.get_float with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "missing numeric field %S" name)
-  in
-  let validate_serve_log frames =
-    (* hypartition-serve/1: a captured daemon frame stream.  Raw captures
-       keep their length-prefix lines (bare integers) — those are
-       stripped by the dispatcher below; every remaining line must decode
-       as a well-formed protocol frame.  Frames that only parse one way
-       classify unambiguously; a handful (e.g. a bare stats request) are
-       also syntactically valid in the other direction, so the
-       request/response split is informational, not a schema property. *)
-    let* nreq, nresp =
-      List.fold_left
-        (fun acc (lineno, line) ->
-          let* nreq, nresp = acc in
-          let* doc =
-            Result.map_error
-              (fun e -> Printf.sprintf "frame %d: %s" lineno e)
-              (Obs.Json.parse line)
-          in
-          match Server.Protocol.response_of_json doc with
-          | Ok _ -> Ok (nreq, nresp + 1)
-          | Error resp_err -> (
-              match Server.Protocol.request_of_json doc with
-              | Ok _ -> Ok (nreq + 1, nresp)
-              | Error req_err ->
-                  Error
-                    (Printf.sprintf
-                       "frame %d: neither a request (%s) nor a response (%s)"
-                       lineno req_err resp_err)))
-        (Ok (0, 0))
-        (List.mapi (fun i l -> (i + 1, l)) frames)
-    in
-    Printf.printf
-      "valid serve frame log (schema %s): %d frames (%d requests, %d \
-       responses)\n"
-      Server.Protocol.schema_version (nreq + nresp) nreq nresp;
-    Ok ()
-  in
-  let validate_slo doc =
-    (* hypartition-loadgen/1: the load generator's latency-SLO report.
-       Beyond field presence this checks internal consistency — totals
-       add up, quantiles are monotone, rates and the cache-hit ratio are
-       probabilities — which is what lets CI gate on jq extracts of the
-       same document without re-deriving them. *)
-    let int_field name json =
-      match Option.bind (Obs.Json.member name json) Obs.Json.get_int with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "missing integer field %S" name)
-    in
-    let obj_field name json =
-      match Obs.Json.member name json with
-      | Some (Obs.Json.Obj _ as o) -> Ok o
-      | _ -> Error (Printf.sprintf "missing object field %S" name)
-    in
-    let unit_interval name v =
-      if v < 0.0 || v > 1.0 then
-        Error (Printf.sprintf "%s = %g outside [0, 1]" name v)
-      else Ok ()
-    in
-    let* totals = obj_field "totals" doc in
-    let* requests = int_field "requests" totals in
-    let* ok = int_field "ok" totals in
-    let* busy = int_field "busy" totals in
-    let* errors = int_field "errors" totals in
-    let* () =
-      if requests <> ok + busy + errors then
-        Error
-          (Printf.sprintf "totals.requests = %d but ok+busy+errors = %d"
-             requests (ok + busy + errors))
-      else Ok ()
-    in
-    let* lat = obj_field "latency_s" doc in
-    let* p50 = num_field "p50" lat in
-    let* p99 = num_field "p99" lat in
-    let* p999 = num_field "p999" lat in
-    let* () =
-      if p50 < 0.0 then Error "latency_s.p50 is negative"
-      else if p50 > p99 || p99 > p999 then
-        Error
-          (Printf.sprintf
-             "latency quantiles not monotone: p50 %g, p99 %g, p999 %g" p50
-             p99 p999)
-      else Ok ()
-    in
-    let* thr = num_field "throughput_rps" doc in
-    let* () =
-      if thr < 0.0 then Error "negative throughput_rps" else Ok ()
-    in
-    let* rates = obj_field "rates" doc in
-    let* err_rate = num_field "error" rates in
-    let* bp_rate = num_field "backpressure" rates in
-    let* () = unit_interval "rates.error" err_rate in
-    let* () = unit_interval "rates.backpressure" bp_rate in
-    let* cache = obj_field "cache" doc in
-    let* n_cache = int_field "cache" cache in
-    let* n_solve = int_field "solve" cache in
-    let* n_collapsed = int_field "collapsed" cache in
-    let* hit_ratio = num_field "hit_ratio" cache in
-    let* () = unit_interval "cache.hit_ratio" hit_ratio in
-    let* () =
-      if n_cache + n_solve + n_collapsed <> ok then
-        Error
-          (Printf.sprintf "cache sources sum to %d but totals.ok = %d"
-             (n_cache + n_solve + n_collapsed)
-             ok)
-      else Ok ()
-    in
-    let* wall = num_field "wall_s" doc in
-    let* () = if wall < 0.0 then Error "negative wall_s" else Ok () in
-    Printf.printf
-      "valid loadgen report (schema %s): %d requests (%d ok), p99 %.6fs, \
-       hit ratio %.2f\n"
-      Server.Slo.schema_version requests ok p99 hit_ratio;
-    Ok ()
   in
   let result =
     let* content = read () in
@@ -663,16 +544,8 @@ let run_trace_validate path =
         (fun l -> String.trim l <> "")
         (String.split_on_char '\n' content)
     in
-    (* Dispatch on the first line's schema tag: a batch or loadgen report
-       is a single JSON object, a trace or serve frame log is JSONL.  A
-       raw serve capture is length-prefixed — bare-integer lines
-       interleave the frames — so when the first line is such a prefix,
-       dispatch peeks past it and the prefixes are stripped before
-       validation. *)
-    let is_len_line l =
-      let s = String.trim l in
-      s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
-    in
+    (* Dispatch on the first line's schema tag: a batch report is a
+       single JSON object, a trace is JSONL. *)
     let schema_of l =
       Option.bind
         (Result.to_option (Obs.Json.parse l))
@@ -681,12 +554,6 @@ let run_trace_validate path =
     match lines with
     | [] -> Error "empty file"
     | first :: _ -> (
-        let first, lines =
-          if is_len_line first then
-            let frames = List.filter (fun l -> not (is_len_line l)) lines in
-            match frames with f :: _ -> (f, frames) | [] -> (first, lines)
-          else (first, lines)
-        in
         match schema_of first with
         | Some s when s = Engine.Batch.schema_version ->
             let* doc = Obs.Json.parse (String.trim content) in
@@ -697,11 +564,6 @@ let run_trace_validate path =
               (List.length
                  (List.filter (fun o -> o.Engine.Batch.cached) outcomes));
             Ok ()
-        | Some s when s = Server.Protocol.schema_version ->
-            validate_serve_log lines
-        | Some s when s = Server.Slo.schema_version ->
-            let* doc = Obs.Json.parse (String.trim content) in
-            validate_slo doc
         | Some s when s = Obs.trace_schema_version ->
             let* data = Obs.Report.load_string content in
             let n = List.length in
@@ -824,10 +686,8 @@ let lint_cmd =
 let trace_cmd =
   let file_arg =
     let doc =
-      "File to validate: span trace (JSONL), batch/loadgen report (JSON) \
-       or serve frame log (JSONL, raw length-prefixed captures \
-       accepted).  A span trace passes exactly when `report` accepts \
-       it."
+      "File to validate: span trace (JSONL) or batch report (JSON).  A \
+       span trace passes exactly when `report` accepts it."
     in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
@@ -837,10 +697,9 @@ let trace_cmd =
         "Validate an observability artifact against its schema — JSONL \
          span trace (read by the same strict loader as `report`: meta \
          first, every line decodes, parents present with consistent \
-         depths and paths, no negative durations), batch-report JSON \
-         (every result a decodable record), serve frame log \
-         (hypartition-serve/1) or loadgen SLO report \
-         (hypartition-loadgen/1); non-zero exit if malformed."
+         depths and paths, no negative durations) or batch-report JSON \
+         (every result a decodable record); any other schema is \
+         reported as unknown.  Non-zero exit if malformed."
   in
   Cmd.v info Term.(const run_trace_validate $ file_arg)
 

@@ -215,7 +215,6 @@ let reset_stats () =
    coherent surface instead of ad-hoc Gc.stat calls in solvers. *)
 
 let prof_on = ref false
-let prof_alarm : Gc.alarm option ref = ref None
 
 let g_minor_collections = gauge_handle "gc.minor_collections"
 let g_major_collections = gauge_handle "gc.major_collections"
@@ -243,24 +242,9 @@ let prof_sample_now () =
 
 let prof_sample () = if !prof_on && !enabled_flag then prof_sample_now ()
 
-let prof_start_alarm () =
-  match !prof_alarm with
-  | Some _ -> ()
-  | None -> prof_alarm := Some (Gc.create_alarm prof_sample)
-
-let prof_stop_alarm () =
-  match !prof_alarm with
-  | Some a ->
-      Gc.delete_alarm a;
-      prof_alarm := None
-  | None -> ()
-
 let init_prof_from_env () =
   match Sys.getenv_opt "HYPARTITION_PROF" with
   | Some ("1" | "on" | "sample") -> prof_on := true
-  | Some "alarm" ->
-      prof_on := true;
-      prof_start_alarm ()
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -416,7 +400,6 @@ let reset_for_tests () =
   trace_path := None;
   current_trace := None;
   prof_on := false;
-  prof_stop_alarm ();
   (* Zero the registries rather than dropping them: module-level handles
      (solver counters, the gc.* gauges) are interned once at program
      start, and a forked worker resets right after the fork — dropping
@@ -728,9 +711,7 @@ end
 module Prof = struct
   let enabled () = !prof_on
 
-  let set_enabled b =
-    prof_on := b;
-    if not b then prof_stop_alarm ()
+  let set_enabled b = prof_on := b
 
   let sample () = prof_sample ()
 

@@ -13,8 +13,7 @@
       span tree and metric table to stderr at exit; [off] (the default)
       disables everything;
     - [HYPARTITION_PROF=on] (also ["1"]/["sample"]) records GC gauges at
-      root-span boundaries; ["alarm"] additionally samples at the end of
-      every major collection.  Takes effect only while collection is
+      root-span boundaries.  Takes effect only while collection is
       enabled.
 
     When disabled, the instrumentation calls compiled into the hot paths
@@ -221,8 +220,7 @@ module Prof : sig
   (** Whether profiling is armed ([HYPARTITION_PROF] or {!set_enabled}). *)
 
   val set_enabled : bool -> unit
-  (** Arm or disarm profiling programmatically.  Disarming also cancels
-      the major-collection alarm if one was installed. *)
+  (** Arm or disarm profiling programmatically. *)
 
   val sample : unit -> unit
   (** Record the current [Gc.quick_stat] as gauges.  No-op unless both

@@ -3,9 +3,7 @@
    Deliberately not a blocking convenience wrapper: the test suite runs
    daemon and clients interleaved in ONE thread (tests can neither fork
    nor spawn threads — SRC08 and the repo's single-threaded design), so
-   every operation here is non-blocking and progress happens in [step].
-   The load generator drives many of these concurrently off one select
-   loop for the same reason. *)
+   every operation here is non-blocking and progress happens in [step]. *)
 
 type t = {
   fd : Unix.file_descr;
@@ -53,7 +51,6 @@ let request t req =
   if not t.closed then
     Buffer.add_string t.out (Protocol.encode (Protocol.request_to_json req))
 
-let pending_output t = Buffer.length t.out > 0
 let closed t = t.closed
 let error t = t.error
 

@@ -3,8 +3,7 @@
     Non-blocking by construction: {!request} only buffers, {!step} makes
     all progress (flush, select, read, decode), {!recv} pops decoded
     responses in arrival order.  This shape lets the test suite
-    interleave a daemon and several clients in one thread, and lets the
-    load generator drive many connections off one loop. *)
+    interleave a daemon and several clients in one thread. *)
 
 type t
 
@@ -19,8 +18,6 @@ val step : ?timeout:float -> t -> unit
 
 val recv : t -> Protocol.response option
 (** Oldest not-yet-returned response, if any. *)
-
-val pending_output : t -> bool
 
 val closed : t -> bool
 (** Closed by {!close}, orderly daemon EOF, or a fatal error. *)

@@ -3,9 +3,7 @@
    Length-prefixed JSONL: every frame is `<len>\n<json>\n`, where <len>
    is the byte length of the JSON line including its trailing newline.
    The prefix lets a reader size its buffer before parsing and reject
-   oversized frames without reading them; stripping the length lines
-   yields plain JSONL, so a captured session (e.g. via socat) can be fed
-   to `hypartition trace` for validation.  Every frame carries the
+   oversized frames without reading them.  Every frame carries the
    schema tag so a frame stream is self-describing from its first line.
 
    One request type per client verb (submit/status/result/cancel/stats/

@@ -2,10 +2,8 @@
     frames over a Unix-domain or TCP socket.
 
     Every frame is [<len>\n<json>\n], where [<len>] is the byte length
-    of the JSON line including its newline; stripping the length lines
-    yields plain JSONL, which is what [hypartition trace] validates.
-    Every frame carries [("schema", "hypartition-serve/1")], so a
-    captured stream is self-describing from its first line.
+    of the JSON line including its newline.  Every frame carries
+    [("schema", "hypartition-serve/1")].
 
     Decoding is total: malformed frames are [Error]s the daemon answers
     with {!Error_frame}, never exceptions. *)

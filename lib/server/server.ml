@@ -7,4 +7,3 @@ module Jobs = Jobs
 module Slo = Slo
 module Daemon = Daemon
 module Client = Client
-module Loadgen = Loadgen

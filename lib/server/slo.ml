@@ -1,53 +1,3 @@
-(* Latency-SLO accounting for the load generator.
-
-   Samples accumulate per finished request; the report is the
-   hypartition-loadgen/1 JSON document CI validates and gates on:
-   latency quantiles (nearest-rank on the sorted sample set), thin-tail
-   p999 included deliberately — a serving layer is judged by its tail —
-   plus throughput and the two failure rates that matter to a client
-   (errors, and backpressure rejections, which are not errors but do
-   consume a retry budget). *)
-
-let schema_version = "hypartition-loadgen/1"
-
-type outcome = Ok_cache | Ok_solve | Ok_collapsed | Busy | Error
-
-type t = {
-  mutable latencies : float list;  (* completed requests only, seconds *)
-  mutable n_cache : int;
-  mutable n_solve : int;
-  mutable n_collapsed : int;
-  mutable n_busy : int;
-  mutable n_error : int;
-}
-
-let create () =
-  {
-    latencies = [];
-    n_cache = 0;
-    n_solve = 0;
-    n_collapsed = 0;
-    n_busy = 0;
-    n_error = 0;
-  }
-
-let record t outcome ~latency_s =
-  match outcome with
-  | Ok_cache ->
-      t.n_cache <- t.n_cache + 1;
-      t.latencies <- latency_s :: t.latencies
-  | Ok_solve ->
-      t.n_solve <- t.n_solve + 1;
-      t.latencies <- latency_s :: t.latencies
-  | Ok_collapsed ->
-      t.n_collapsed <- t.n_collapsed + 1;
-      t.latencies <- latency_s :: t.latencies
-  | Busy -> t.n_busy <- t.n_busy + 1
-  | Error -> t.n_error <- t.n_error + 1
-
-let completed t = t.n_cache + t.n_solve + t.n_collapsed
-let total t = completed t + t.n_busy + t.n_error
-
 (* Nearest-rank percentile over a sorted array: the smallest sample such
    that at least q of the distribution is at or below it.  Exact for
    small sample sets, no interpolation to invent latencies nobody saw. *)
@@ -58,56 +8,3 @@ let percentile sorted q =
     let rank = int_of_float (ceil (q *. float_of_int n)) in
     sorted.(max 0 (min (n - 1) (rank - 1)))
   end
-
-let report t ~wall_s =
-  let sorted = Array.of_list t.latencies in
-  Array.sort Float.compare sorted;
-  let n = Array.length sorted in
-  let sum = Array.fold_left ( +. ) 0.0 sorted in
-  let tot = total t in
-  let ok = completed t in
-  let rate count = if tot = 0 then 0.0 else float_of_int count /. float_of_int tot in
-  let hit_ratio =
-    if ok = 0 then 0.0
-    else float_of_int (t.n_cache + t.n_collapsed) /. float_of_int ok
-  in
-  let open Obs.Json in
-  Obj
-    [
-      ("schema", Str schema_version);
-      ( "totals",
-        Obj
-          [
-            ("requests", Int tot);
-            ("ok", Int ok);
-            ("busy", Int t.n_busy);
-            ("errors", Int t.n_error);
-          ] );
-      ( "latency_s",
-        Obj
-          [
-            ("p50", Float (percentile sorted 0.50));
-            ("p99", Float (percentile sorted 0.99));
-            ("p999", Float (percentile sorted 0.999));
-            ("min", Float (if n = 0 then 0.0 else sorted.(0)));
-            ("max", Float (if n = 0 then 0.0 else sorted.(n - 1)));
-            ("mean", Float (if n = 0 then 0.0 else sum /. float_of_int n));
-          ] );
-      ( "throughput_rps",
-        Float (if wall_s <= 0.0 then 0.0 else float_of_int ok /. wall_s) );
-      ( "rates",
-        Obj
-          [
-            ("error", Float (rate t.n_error));
-            ("backpressure", Float (rate t.n_busy));
-          ] );
-      ( "cache",
-        Obj
-          [
-            ("cache", Int t.n_cache);
-            ("solve", Int t.n_solve);
-            ("collapsed", Int t.n_collapsed);
-            ("hit_ratio", Float hit_ratio);
-          ] );
-      ("wall_s", Float wall_s);
-    ]

@@ -1,35 +1,8 @@
-(** Latency-SLO accounting: per-request samples in, the
-    [hypartition-loadgen/1] report out.
+(** Latency quantiles for serve-load reports.
 
-    Quantiles are nearest-rank over the completed-request latencies —
-    exact for small sample sets, no interpolation — with the tail
-    (p999) reported deliberately: a serving layer is judged by its
-    tail.  Backpressure rejections are counted separately from errors;
-    they are the admission controller doing its job, but a client still
-    pays a retry for each one. *)
-
-val schema_version : string
-(** ["hypartition-loadgen/1"]. *)
-
-type outcome =
-  | Ok_cache  (** result served from the content-addressed cache *)
-  | Ok_solve  (** result computed by a worker *)
-  | Ok_collapsed  (** rode on an identical in-flight request *)
-  | Busy  (** rejected with backpressure; no latency sample *)
-  | Error  (** protocol or job error; no latency sample *)
-
-type t
-
-val create : unit -> t
-val record : t -> outcome -> latency_s:float -> unit
-val completed : t -> int
-val total : t -> int
+    Nearest-rank over the completed-request latencies: exact for small
+    sample sets, no interpolation. *)
 
 val percentile : float array -> float -> float
 (** [percentile sorted q] with [sorted] ascending and [q] in [0, 1]:
     nearest-rank.  Empty input yields [0.0]. *)
-
-val report : t -> wall_s:float -> Obs.Json.t
-(** The [hypartition-loadgen/1] document: totals, latency quantiles,
-    throughput, error/backpressure rates, cache-hit ratio
-    ([(cache + collapsed) / ok]). *)

@@ -1,6 +1,5 @@
-(* Batched fm.* emissions for off-main-domain refinement; see the .mli.
-   The handles below intern the same metric names Refine's direct path
-   uses, so committed batches and direct emissions land in one series. *)
+(* Batched fm.* emissions for refinement; see the .mli.  The handles
+   below are the only place the fm.* metric names are interned. *)
 
 type acc = {
   mutable a_count : int;

@@ -2,9 +2,9 @@
 
     The Obs registries are main-domain-only (worker domains see
     {!Obs.enabled} = [false]), so refinement running on a pool worker
-    would silently drop its counters.  Instead {!Refine.refine} takes an
-    optional [?stats] accumulator that captures every [fm.*] counter and
-    histogram emission the call would otherwise make.
+    would silently drop its counters.  Instead {!Refine.refine} makes
+    every [fm.*] counter and histogram emission into an accumulator:
+    its own, committed before it returns, or the caller's [?stats].
     {!Multilevel.partition} gives each coarsest-level portfolio task its
     own accumulator, whichever worker runs it (the caller included), and
     commits them to the real registries on the main domain, in
@@ -47,4 +47,4 @@ val observe_int : acc -> int -> unit
 val commit : t -> unit
 (** Add the accumulated totals to the [fm.*] Obs registries.  Call once
     per accumulator, on the main domain; a no-op while collection is
-    disabled, like every direct emission it stands in for. *)
+    disabled. *)

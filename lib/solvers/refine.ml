@@ -44,23 +44,6 @@ let default_config =
   { eps = 0.0; variant = Partition.Strict; metric = Partition.Connectivity;
     max_passes = 8; max_fruitless = 350 }
 
-(* Hot-path instrumentation: pre-interned counters only — each update is a
-   branch and an int store, and a no-op allocation-free branch when obs is
-   disabled (test: "disabled instrumentation does not allocate"). *)
-let c_pops = Obs.Counter.make "fm.pops"
-let c_stale = Obs.Counter.make "fm.stale_reinserts"
-let c_applied = Obs.Counter.make "fm.moves_applied"
-let c_accepted = Obs.Counter.make "fm.moves_accepted"
-let c_rolled_back = Obs.Counter.make "fm.moves_rolled_back"
-let c_rebalance = Obs.Counter.make "fm.rebalance_moves"
-let c_cache_hits = Obs.Counter.make "fm.gain_cache.hits"
-let c_cache_misses = Obs.Counter.make "fm.gain_cache.misses"
-let c_delta_updates = Obs.Counter.make "fm.gain_cache.delta_updates"
-let h_pass_gain = Obs.Histogram.make "fm.pass_gain"
-let h_final_cost = Obs.Histogram.make "fm.final_cost"
-let h_boundary = Obs.Histogram.make "fm.boundary_size"
-let h_pass_alloc = Obs.Histogram.make "fm.pass_alloc_words"
-
 (* Mutable refinement state for one [refine] call.  [cache_stamp] marks
    valid gain rows; it starts fresh per call (rows from a previous
    hypergraph / partition can never leak in) and is bumped again after a
@@ -100,37 +83,28 @@ type ctx = {
      Lives in the ctx (one per solve) rather than at module level so
      concurrent solves cannot race on it. *)
   mutable best_delta : int;
-  (* Hot-loop counter shadows, flushed to the Obs counters once per pass:
-     an [Obs.Counter.incr] is cheap but not free, and the patch loops run
-     millions of times per solve. *)
+  (* Hot-loop counter shadows, flushed to [stats] once per pass: the
+     patch loops run millions of times per solve. *)
   mutable n_pops : int;
   mutable n_stale : int;
   mutable n_applied : int;
   mutable n_hits : int;
   mutable n_misses : int;
   mutable n_patches : int;
-  (* Pool tasks capture their fm.* emissions here instead of the Obs
-     registries (which are inert on worker domains); the multilevel
-     portfolio commits the batch at its join barrier. *)
-  stats : Fm_stats.t option;
+  (* The call's fm.* emissions, committed to the Obs registries on the
+     main domain: by [refine] itself, or by the multilevel portfolio at
+     its join barrier for pool tasks (Obs is inert on worker domains). *)
+  stats : Fm_stats.t;
 }
 
 let flush_counters ctx =
-  (match ctx.stats with
-  | Some s ->
-      s.Fm_stats.pops <- s.Fm_stats.pops + ctx.n_pops;
-      s.Fm_stats.stale <- s.Fm_stats.stale + ctx.n_stale;
-      s.Fm_stats.applied <- s.Fm_stats.applied + ctx.n_applied;
-      s.Fm_stats.cache_hits <- s.Fm_stats.cache_hits + ctx.n_hits;
-      s.Fm_stats.cache_misses <- s.Fm_stats.cache_misses + ctx.n_misses;
-      s.Fm_stats.delta_updates <- s.Fm_stats.delta_updates + ctx.n_patches
-  | None ->
-      Obs.Counter.add c_pops ctx.n_pops;
-      Obs.Counter.add c_stale ctx.n_stale;
-      Obs.Counter.add c_applied ctx.n_applied;
-      Obs.Counter.add c_cache_hits ctx.n_hits;
-      Obs.Counter.add c_cache_misses ctx.n_misses;
-      Obs.Counter.add c_delta_updates ctx.n_patches);
+  let s = ctx.stats in
+  s.Fm_stats.pops <- s.Fm_stats.pops + ctx.n_pops;
+  s.Fm_stats.stale <- s.Fm_stats.stale + ctx.n_stale;
+  s.Fm_stats.applied <- s.Fm_stats.applied + ctx.n_applied;
+  s.Fm_stats.cache_hits <- s.Fm_stats.cache_hits + ctx.n_hits;
+  s.Fm_stats.cache_misses <- s.Fm_stats.cache_misses + ctx.n_misses;
+  s.Fm_stats.delta_updates <- s.Fm_stats.delta_updates + ctx.n_patches;
   ctx.n_pops <- 0;
   ctx.n_stale <- 0;
   ctx.n_applied <- 0;
@@ -355,9 +329,7 @@ let seed_boundary ctx queue =
         end
       done
   done;
-  match ctx.stats with
-  | Some s -> Fm_stats.observe_int s.Fm_stats.boundary !boundary_size
-  | None -> Obs.Histogram.observe_int h_boundary !boundary_size
+  Fm_stats.observe_int ctx.stats.Fm_stats.boundary !boundary_size
 
 (* Full seeding: every node with a feasible move, as the pre-cache refiner
    did.  Used as a stall fallback — interior nodes only ever have
@@ -445,13 +417,9 @@ let fm_pass ctx queue hook ~full =
     done;
     ctx.cache_stamp <- Workspace.next_stamp ws
   end;
-  (match ctx.stats with
-  | Some s ->
-      s.Fm_stats.accepted <- s.Fm_stats.accepted + !best_len;
-      s.Fm_stats.rolled_back <- s.Fm_stats.rolled_back + (!len - !best_len)
-  | None ->
-      Obs.Counter.add c_accepted !best_len;
-      Obs.Counter.add c_rolled_back (!len - !best_len));
+  let s = ctx.stats in
+  s.Fm_stats.accepted <- s.Fm_stats.accepted + !best_len;
+  s.Fm_stats.rolled_back <- s.Fm_stats.rolled_back + (!len - !best_len);
   flush_counters ctx;
   !best_cum
 
@@ -499,22 +467,18 @@ let rebalance ctx queue hook =
             end
           end
     done;
-    match ctx.stats with
-    | Some s ->
-        s.Fm_stats.stale <- s.Fm_stats.stale + !stale;
-        s.Fm_stats.rebalance <- s.Fm_stats.rebalance + !moved
-    | None ->
-        Obs.Counter.add c_stale !stale;
-        Obs.Counter.add c_rebalance !moved
+    let s = ctx.stats in
+    s.Fm_stats.stale <- s.Fm_stats.stale + !stale;
+    s.Fm_stats.rebalance <- s.Fm_stats.rebalance + !moved
   end
 
 (* Refine [part] in place; returns the final cost.  An optional
    [workspace] lets callers (the multilevel driver) reuse scratch arrays,
    gain rows and the bucket queue across passes and levels; results are
-   identical with or without one.  An optional [stats] accumulator
-   captures the call's fm.* emissions instead of the Obs registries —
-   how refinement running on a pool worker domain (where Obs is inert)
-   keeps its counters; the caller commits the batch on the main domain. *)
+   identical with or without one.  The call's fm.* emissions go to a
+   [stats] accumulator: the caller's, which the caller commits on the
+   main domain — how refinement on a pool worker domain (where Obs is
+   inert) keeps its counters — or else a private one committed here. *)
 let refine ?(config = default_config) ?workspace ?stats hg part =
   Obs.Span.with_ "refine"
     ~attrs:
@@ -585,7 +549,8 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
           n_hits = 0;
           n_misses = 0;
           n_patches = 0;
-          stats;
+          stats =
+            (match stats with Some s -> s | None -> Fm_stats.create ());
         }
       in
       let hook = on_transition ctx in
@@ -612,16 +577,9 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
                 else 0.0
               in
               let gain = fm_pass ctx queue hook ~full:was_full in
-              if Obs.Prof.enabled () then begin
-                let words =
-                  int_of_float (Obs.Prof.allocated_words () -. alloc0)
-                in
-                match ctx.stats with
-                | Some s -> Fm_stats.observe_int s.Fm_stats.pass_alloc words
-                | None ->
-                    (* hyplint: allow DOM04 — one observation per FM pass, profiling-gated, bounded by config.max_passes *)
-                    Obs.Histogram.observe_int h_pass_alloc words
-              end;
+              if Obs.Prof.enabled () then
+                Fm_stats.observe_int ctx.stats.Fm_stats.pass_alloc
+                  (int_of_float (Obs.Prof.allocated_words () -. alloc0));
               (* Per-pass cost trajectory, only evaluated when observing. *)
               if Obs.enabled () then begin
                 Obs.Span.attr "gain" (Obs.Int gain);
@@ -630,11 +588,7 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
               end;
               gain)
         in
-        (match ctx.stats with
-        | Some s -> Fm_stats.observe_int s.Fm_stats.pass_gain gain
-        | None ->
-            (* hyplint: allow DOM04 — one observation per FM pass, bounded by config.max_passes, not per-event; batching would lose the gain trajectory *)
-            Obs.Histogram.observe_int h_pass_gain gain);
+        Fm_stats.observe_int ctx.stats.Fm_stats.pass_gain gain;
         if gain > 0 then full := false
         else if was_full then improving := false
         else full := true
@@ -642,7 +596,6 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
       let cost = Pin_counts.cost ~metric:config.metric counts in
       Obs.Span.attr "passes" (Obs.Int !passes);
       Obs.Span.attr "cost" (Obs.Int cost);
-      (match stats with
-      | Some s -> Fm_stats.observe_int s.Fm_stats.final_cost cost
-      | None -> Obs.Histogram.observe_int h_final_cost cost);
+      Fm_stats.observe_int ctx.stats.Fm_stats.final_cost cost;
+      if Option.is_none stats then Fm_stats.commit ctx.stats;
       Audit_gate.checked_cost ~metric:config.metric hg part cost)

@@ -25,12 +25,14 @@ val refine :
 (** Refines the partition in place (first rebalancing if some part exceeds
     capacity) and returns the final cost under the configured metric.
 
-    With [?stats], every [fm.*] counter / histogram emission of the call
-    is captured in the accumulator instead of the Obs registries — the
-    contract for calls running as pool tasks, which may land on worker
-    domains where Obs is inert; {!Multilevel.partition}'s portfolio
-    commits accumulators in task-index order at its join barrier so
-    totals are thread-count-independent.
+    Every [fm.*] counter / histogram emission of the call goes to an
+    {!Fm_stats} accumulator.  Without [?stats] the call commits a private
+    one to the Obs registries before returning.  With [?stats] the
+    caller commits it — the contract for calls running as pool tasks,
+    which may land on worker domains where Obs is inert;
+    {!Multilevel.partition}'s portfolio commits accumulators in
+    task-index order at its join barrier so totals are
+    thread-count-independent.
 
     The pass is boundary-driven: only nodes incident to cut edges enter
     the gain queue, gains come from a per-node cache kept exact by

@@ -1,10 +1,10 @@
 (* lib/server: the serving subsystem.  Protocol codec and incremental
    decoder, admission control, the hot-instance LRU, single-flight job
-   registry, SLO accounting — and end-to-end daemon/client runs over a
-   real Unix-domain socket.  Daemon, clients and load generator are all
-   steppable state machines, so a whole serving session interleaves in
-   this one thread (tests can neither fork nor spawn threads; forking
-   belongs to the engine pool the daemon drives). *)
+   registry, latency percentiles — and end-to-end daemon/client runs
+   over a real Unix-domain socket.  Daemon and clients are steppable
+   state machines, so a whole serving exchange interleaves in this one
+   thread (tests can neither fork nor spawn threads; forking belongs to
+   the engine pool the daemon drives). *)
 
 module S = Server
 module E = Engine
@@ -214,22 +214,7 @@ let test_instances_lru () =
   write_file bad "not a hypergraph\n";
   Alcotest.(check bool) "malformed file" true (S.Instances.load l bad = None)
 
-(* ---- SLO accounting ------------------------------------------------------ *)
-
-let member_exn name j =
-  match Obs.Json.member name j with
-  | Some v -> v
-  | None -> Alcotest.failf "report lacks %S" name
-
-let num_exn name j =
-  match Obs.Json.get_float (member_exn name j) with
-  | Some f -> f
-  | None -> Alcotest.failf "%S is not numeric" name
-
-let int_exn name j =
-  match Obs.Json.get_int (member_exn name j) with
-  | Some i -> i
-  | None -> Alcotest.failf "%S is not an integer" name
+(* ---- latency percentiles -------------------------------------------------- *)
 
 let test_slo () =
   (* Nearest-rank: exact for small sample sets. *)
@@ -241,35 +226,7 @@ let test_slo () =
   Alcotest.(check (float 0.0)) "p99 is the max" 4.0
     (S.Slo.percentile sorted 0.99);
   Alcotest.(check (float 0.0)) "empty set yields 0" 0.0
-    (S.Slo.percentile [||] 0.5);
-  let t = S.Slo.create () in
-  S.Slo.record t S.Slo.Ok_solve ~latency_s:0.4;
-  S.Slo.record t S.Slo.Ok_cache ~latency_s:0.1;
-  S.Slo.record t S.Slo.Ok_collapsed ~latency_s:0.2;
-  S.Slo.record t S.Slo.Busy ~latency_s:0.0;
-  S.Slo.record t S.Slo.Error ~latency_s:0.0;
-  Alcotest.(check int) "completed" 3 (S.Slo.completed t);
-  Alcotest.(check int) "total" 5 (S.Slo.total t);
-  let r = S.Slo.report t ~wall_s:2.0 in
-  (match member_exn "schema" r with
-  | Obs.Json.Str s ->
-      Alcotest.(check string) "schema" S.Slo.schema_version s
-  | _ -> Alcotest.fail "schema is not a string");
-  let totals = member_exn "totals" r in
-  Alcotest.(check int) "requests" 5 (int_exn "requests" totals);
-  Alcotest.(check int) "ok" 3 (int_exn "ok" totals);
-  let lat = member_exn "latency_s" r in
-  Alcotest.(check (float 1e-9)) "p50" 0.2 (num_exn "p50" lat);
-  Alcotest.(check (float 1e-9)) "p99 = max" 0.4 (num_exn "p99" lat);
-  Alcotest.(check (float 1e-9)) "throughput = ok / wall" 1.5
-    (num_exn "throughput_rps" r);
-  let rates = member_exn "rates" r in
-  Alcotest.(check (float 1e-9)) "error rate" 0.2 (num_exn "error" rates);
-  Alcotest.(check (float 1e-9)) "backpressure rate" 0.2
-    (num_exn "backpressure" rates);
-  let cache = member_exn "cache" r in
-  Alcotest.(check (float 1e-9)) "hit ratio = (cache+collapsed)/ok"
-    (2.0 /. 3.0) (num_exn "hit_ratio" cache)
+    (S.Slo.percentile [||] 0.5)
 
 (* ---- single-flight registry ---------------------------------------------- *)
 
@@ -380,6 +337,16 @@ let await_response ~daemon ~clients c what =
               true
           | None -> false));
   Option.get !slot
+
+let member_exn name j =
+  match Obs.Json.member name j with
+  | Some v -> v
+  | None -> Alcotest.failf "report lacks %S" name
+
+let int_exn name j =
+  match Obs.Json.get_int (member_exn name j) with
+  | Some i -> i
+  | None -> Alcotest.failf "%S is not an integer" name
 
 let record_status record =
   match Obs.Json.member "status" record with
@@ -648,6 +615,13 @@ let test_serve_drain () =
   S.Client.close c;
   Alcotest.(check bool) "zero orphan workers after drain" true
     (E.Pool.no_live_children ());
+  (* Every worker's trace shard was absorbed and removed. *)
+  Alcotest.(check (list string)) "no leftover worker shards" []
+    (List.filter
+       (fun f ->
+         Filename.check_suffix f ".jsonl"
+         && List.mem "worker" (String.split_on_char '.' f))
+       (Array.to_list (Sys.readdir dir)));
   (* The trace survives analysis: per-request span trees with the
      queue-wait/solve split, worker shards absorbed underneath. *)
   Obs.close ();
@@ -697,100 +671,73 @@ let test_serve_drain () =
               Alcotest.failf "span %d (queue_wait) has no parent" s.Obs.Schema.id)
         (named "queue_wait")
 
-let test_serve_loadgen () =
-  let dir = temp_dir "hyp_loadbench" in
+(* Closed loop against one daemon: [clients] connections each keep one
+   submit outstanding until [requests] results are in; submit i asks for
+   [job i].  Returns the result sources in arrival order.  Anything but
+   an ack or an ok result (busy, error, a transport failure) fails. *)
+let closed_loop ~daemon ~socket ~clients ~requests job =
+  let cs = Array.init clients (fun _ -> connect socket) in
+  let waiting = Array.make clients false in
+  let sent = ref 0 and sources = ref [] in
+  pump ~daemon ~clients:(Array.to_list cs) "closed loop" (fun () ->
+      Array.iteri
+        (fun i c ->
+          List.iter
+            (function
+              | S.Protocol.Ack _ -> ()
+              | S.Protocol.Result_frame { source; record; _ } ->
+                  Alcotest.(check string) "result ok" "ok"
+                    (record_status record);
+                  sources := S.Protocol.source_name source :: !sources;
+                  waiting.(i) <- false
+              | other ->
+                  Alcotest.failf "unexpected frame %s"
+                    (json_str (S.Protocol.response_to_json other)))
+            (recv_all c);
+          Option.iter
+            (fun e -> Alcotest.failf "client %d failed: %s" i e)
+            (S.Client.error c);
+          if (not waiting.(i)) && !sent < requests then begin
+            S.Client.request c
+              (S.Protocol.Submit { id = !sent + 1; job = job !sent });
+            incr sent;
+            waiting.(i) <- true
+          end)
+        cs;
+      List.length !sources = requests);
+  Array.iter S.Client.close cs;
+  List.rev !sources
+
+(* Duplicate-heavy load: 4 clients, 64 submits over 2 distinct jobs.
+   The shared result cache and single-flight collapsing absorb all but a
+   few solves, and a second daemon on the same cache dir answers every
+   submit from the cache. *)
+let test_serve_duplicate_load () =
+  let dir = temp_dir "hyp_dupload" in
   let socket = Filename.concat dir "d.sock" in
   let cache_dir = Filename.concat dir "cache" in
-  let daemon = create_daemon (daemon_config ~jobs:2 ~cache_dir ~socket ()) in
-  let config =
-    {
-      S.Loadgen.default_config with
-      S.Loadgen.endpoint = S.Daemon.Unix_socket socket;
-      clients = 2;
-      requests = 10;
-      distinct = 2;
-      n = 30;
-      shutdown_at_end = true;
-    }
+  let job i = gen_job ~n:40 ~k:2 ~seed:(1 + (i mod 2)) ~timeout_s:60.0 () in
+  let run () =
+    let daemon = create_daemon (daemon_config ~jobs:2 ~cache_dir ~socket ()) in
+    let sources = closed_loop ~daemon ~socket ~clients:4 ~requests:64 job in
+    S.Daemon.initiate_drain daemon;
+    pump ~daemon ~clients:[] "drain" (fun () -> S.Daemon.finished daemon);
+    S.Daemon.close daemon;
+    Alcotest.(check bool) "socket removed" false (Sys.file_exists socket);
+    Alcotest.(check bool) "no orphan workers" true
+      (E.Pool.no_live_children ());
+    sources
   in
-  let gen =
-    match S.Loadgen.create config with
-    | Ok g -> g
-    | Error e -> Alcotest.failf "loadgen create failed: %s" e
-  in
-  let steps = ref 0 in
-  while not (S.Loadgen.finished gen) && !steps < 5000 do
-    incr steps;
-    S.Loadgen.step gen;
-    S.Daemon.step ~timeout:0.002 daemon
-  done;
-  Alcotest.(check bool) "load run completes" true (S.Loadgen.finished gen);
-  (* The loadgen's shutdown frame drains the daemon. *)
-  let steps = ref 0 in
-  while not (S.Daemon.finished daemon) && !steps < 5000 do
-    incr steps;
-    S.Daemon.step ~timeout:0.002 daemon
-  done;
-  Alcotest.(check bool) "daemon drains after shutdown" true
-    (S.Daemon.finished daemon);
-  S.Daemon.close daemon;
-  let report = S.Loadgen.report gen in
-  S.Loadgen.close gen;
-  let totals = member_exn "totals" report in
-  Alcotest.(check int) "all requests settle" 10 (int_exn "requests" totals);
-  Alcotest.(check int) "every request succeeded" 10 (int_exn "ok" totals);
-  Alcotest.(check int) "no errors" 0 (int_exn "errors" totals);
-  let cache = member_exn "cache" report in
-  let solves = int_exn "solve" cache in
-  Alcotest.(check bool) "2 distinct jobs need at most a few solves" true
-    (solves >= 1 && solves <= 4);
-  Alcotest.(check bool) "duplicates were absorbed" true
-    (num_exn "hit_ratio" cache > 0.0);
-  Alcotest.(check bool) "no orphan workers" true (E.Pool.no_live_children ())
-
-(* Open loop times a request from when it was due, not from when it was
-   sent: a generator that first steps 200 ms after [create] sends all four
-   requests (due 0-3 ms after [create]) at once, and each must be charged
-   the 200 ms it waited. *)
-let test_loadgen_open_loop_due_time () =
-  let dir = temp_dir "hyp_loaddue" in
-  let socket = Filename.concat dir "d.sock" in
-  let daemon = create_daemon (daemon_config ~jobs:1 ~socket ()) in
-  let config =
-    {
-      S.Loadgen.default_config with
-      S.Loadgen.endpoint = S.Daemon.Unix_socket socket;
-      clients = 1;
-      requests = 4;
-      mode = S.Loadgen.Open_rate 1000.0;
-      distinct = 1;
-      n = 20;
-      shutdown_at_end = true;
-    }
-  in
-  let gen =
-    match S.Loadgen.create config with
-    | Ok g -> g
-    | Error e -> Alcotest.failf "loadgen create failed: %s" e
-  in
-  Unix.sleepf 0.2;
-  let steps = ref 0 in
-  while not (S.Loadgen.finished gen) && !steps < 5000 do
-    incr steps;
-    S.Loadgen.step gen;
-    S.Daemon.step ~timeout:0.002 daemon
-  done;
-  Alcotest.(check bool) "load run completes" true (S.Loadgen.finished gen);
-  pump ~daemon ~clients:[] "drain" (fun () -> S.Daemon.finished daemon);
-  S.Daemon.close daemon;
-  let report = S.Loadgen.report gen in
-  S.Loadgen.close gen;
-  Alcotest.(check int) "every request succeeded" 4
-    (int_exn "ok" (member_exn "totals" report));
-  let p50 = num_exn "p50" (member_exn "latency_s" report) in
+  let count source l = List.length (List.filter (String.equal source) l) in
+  let cold = run () in
+  let solves = count "solve" cold in
   Alcotest.(check bool)
-    (Printf.sprintf "p50 %.3f s includes the 200 ms stall" p50)
-    true (p50 >= 0.19)
+    (Printf.sprintf "%d solves for 2 distinct jobs" solves)
+    true
+    (solves >= 1 && solves <= 4);
+  Alcotest.(check int) "every other result is a hit" (64 - solves)
+    (count "cache" cold + count "collapsed" cold);
+  Alcotest.(check int) "warm restart solves nothing" 0 (count "solve" (run ()))
 
 (* A client that vanishes without reading its answers must cost exactly
    its connection.  The write to the closed peer raises EPIPE (the test
@@ -856,10 +803,8 @@ let suite =
     Alcotest.test_case "cancel a queued job" `Quick test_serve_cancel;
     Alcotest.test_case "graceful drain, zero orphans, valid trace" `Quick
       test_serve_drain;
-    Alcotest.test_case "loadgen SLO bench in-process" `Quick
-      test_serve_loadgen;
-    Alcotest.test_case "loadgen open loop times from the due time" `Quick
-      test_loadgen_open_loop_due_time;
+    Alcotest.test_case "duplicate-heavy load, warm restart" `Quick
+      test_serve_duplicate_load;
     Alcotest.test_case "vanishing client costs only its connection" `Quick
       test_serve_client_vanish;
   ]
