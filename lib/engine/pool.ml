@@ -13,6 +13,16 @@
    worker whose payload exceeds the kernel pipe buffer would otherwise
    deadlock against a coordinator waiting for its exit.
 
+   A worker closes its pipe a moment before it exits, and once its pipe
+   is at EOF nothing in the select set wakes the coordinator for the
+   exit.  So while any worker has closed its pipe but not been reaped,
+   the wait drops from the caller's timeout to 1 ms: a worker held after
+   EOF is polled every 1 ms until it exits or its deadline kills it.  A
+   SIGCHLD self-pipe would not do: OCaml runs signal handlers only at
+   safe points, so the handler's write still races the select, and a
+   process-wide handler makes every blocking call in the caller fail
+   with EINTR.
+
    Since the serve PR the coordinator state is an explicit value [t] with
    an incremental API — create / submit / step / cancel — so a long-lived
    caller (the `hypartition serve` daemon) can feed jobs one at a time
@@ -105,6 +115,10 @@ type t = {
 }
 
 let ns_of_s s = Int64.of_float (s *. 1e9)
+
+(* The select wait while a worker is at EOF but unreaped (see the header):
+   short enough that reaping adds no visible latency to a job. *)
+let reap_poll_s = 0.001
 
 (* ---- the worker side ---------------------------------------------------- *)
 
@@ -466,11 +480,17 @@ let step ?(on_event = fun (_ : event) -> ()) ?(extra_fds = []) ~timeout t =
   done;
   (* Drain status pipes; the select timeout also paces deadline and
      backoff checks, and multiplexes any caller fds (the daemon's
-     sockets) into the same wait. *)
+     sockets) into the same wait.  An entry at EOF is still running only
+     because its worker has not exited yet, and no fd will signal that. *)
   let fds =
     List.filter_map
       (fun r -> if r.r_eof then None else Some r.r_fd)
       t.running
+  in
+  let timeout =
+    if List.exists (fun r -> r.r_eof) t.running then
+      Float.min timeout reap_poll_s
+    else timeout
   in
   let readable_extra =
     match Unix.select (fds @ extra_fds) [] [] timeout with

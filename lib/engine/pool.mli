@@ -106,7 +106,11 @@ val step :
     enforce deadlines, reap and classify exited workers.  Returns the
     records completed during this step (in completion order) and the
     subset of [extra_fds] that became readable.  [on_event] fires in the
-    coordinator, in completion order. *)
+    coordinator, in completion order.
+
+    The wait drops to 1 ms while a worker has closed its pipe but not
+    exited, since no descriptor signals the exit: a worker held after
+    EOF is polled every 1 ms until it exits or its deadline kills it. *)
 
 val take_shards : t -> (int * string) list
 (** Drain the accumulated [(job index, worker trace shard path)] pairs,

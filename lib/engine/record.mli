@@ -20,7 +20,9 @@ type status =
   | Skipped of string  (** never ran (e.g. SIGINT drain) *)
 
 type timing = {
-  wall_s : float;  (** coordinator-measured wall clock *)
+  wall_s : float;
+      (** coordinator-measured wall clock, from the worker's fork to its
+          reap *)
   attempts : int;  (** 1 + retries consumed *)
   worker : int;  (** worker slot, [-1] for cache hits and skipped jobs *)
   threads : int;

@@ -17,7 +17,7 @@ type instance =
       (** workload generator, seeded from the job seed *)
   | Experiment of string  (** paper experiment id, ["E1"].. *)
   | Spin of float
-      (** fault-injection drill: busy-wait this many seconds (a timeout
+      (** fault-injection drill: sleep this many seconds (a timeout
           victim under a smaller budget) *)
   | Crash of int
       (** fault-injection drill: the worker exits immediately with this

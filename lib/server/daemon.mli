@@ -46,9 +46,10 @@ val create : config -> (t, string) result
 
 val step : ?timeout:float -> t -> unit
 (** One loop iteration: fork/reap workers, accept, read and answer
-    frames, flush output.  Blocks at most [timeout] (default 0.05 s).
-    Exposed so tests can interleave a daemon and its clients in one
-    thread. *)
+    frames, flush output.  Blocks at most [timeout] (default 0.05 s),
+    and at most 1 ms while a worker has closed its status pipe but not
+    exited ({!Engine.Pool.step}).  Exposed so tests can interleave a
+    daemon and its clients in one thread. *)
 
 val initiate_drain : t -> unit
 (** Begin graceful shutdown (idempotent): see the module preamble. *)

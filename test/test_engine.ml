@@ -437,6 +437,53 @@ let test_pool_failed_not_retried () =
     (E.Record.status_name (List.hd records).E.Record.status);
   Alcotest.(check int) "deterministic failures never retry" 0 !retries
 
+(* SIGINT during Pool.run drains: the running worker finishes, the queued
+   jobs come back skipped, and the caller's SIGINT disposition returns.
+   The signal goes through a shell: system(3) would ignore SIGINT here
+   while its child runs, and tests may not call Unix.kill (SRC08). *)
+let test_pool_sigint_drain () =
+  let plans =
+    [
+      { (gen_job ()) with E.Spec.instance = E.Spec.Spin 0.3 };
+      gen_job ();
+      gen_job ();
+    ]
+  in
+  let interrupts = ref [] in
+  let on_event = function
+    | E.Pool.Started { index = 0; _ } ->
+        let kill =
+          Unix.open_process_in
+            (Printf.sprintf "kill -INT %d" (Unix.getpid ()))
+        in
+        ignore (Unix.close_process_in kill : Unix.process_status)
+    | E.Pool.Interrupted { pending } -> interrupts := pending :: !interrupts
+    | _ -> ()
+  in
+  let original = Sys.signal Sys.sigint Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigint original)
+  @@ fun () ->
+  let records =
+    run_pool ~on_event
+      { (quiet_pool 1) with E.Pool.handle_sigint = true }
+      plans
+  in
+  Alcotest.(check (list string)) "running job finishes, queued jobs skipped"
+    [ "ok"; "skipped"; "skipped" ]
+    (List.map (fun r -> E.Record.status_name r.E.Record.status) records);
+  List.iter
+    (fun r ->
+      match r.E.Record.status with
+      | E.Record.Skipped reason ->
+          Alcotest.(check string) "skip reason" "interrupted (SIGINT)" reason
+      | _ -> ())
+    records;
+  Alcotest.(check (list int)) "one Interrupted event, both jobs pending"
+    [ 2 ] !interrupts;
+  match Sys.signal Sys.sigint original with
+  | Sys.Signal_ignore -> ()
+  | _ -> Alcotest.fail "Pool.run did not restore the SIGINT disposition"
+
 (* ---- cache under concurrent multi-process access ------------------------- *)
 
 let test_cache_concurrent_stores () =
@@ -527,26 +574,23 @@ let test_cache_concurrent_stores () =
   in
   Alcotest.(check (list string)) "no temp files survive" [] leftovers
 
-(* A worker that has closed its status pipe but not yet exited keeps its
-   pool entry while a second slot forks, and the new worker's pipe gets
-   the lowest free descriptor: the one the finished entry just closed.
-   Worker A is held in exactly that window — it reports, closes its
-   pipe, then blocks flushing stdout into a pipe this test keeps full —
-   while worker B runs.  B's payload must reach B; A must finish once
-   the test drains the pipe. *)
-let test_pool_fd_reuse () =
-  let job = gen_job ~n:30 () in
-  let fp = fingerprint_exn job in
-  let worker (j : E.Spec.job) =
-    (* Buffered until the worker's exit flush, after its status pipe
-       is closed. *)
-    if j.E.Spec.seed = 1 then print_string "held";
-    {
-      E.Record.p_status = `Done;
-      p_metrics = [ ("seed", Obs.Json.Int j.E.Spec.seed) ];
-      p_observed = None;
-    }
-  in
+(* ---- pool: workers held between EOF and exit ----------------------------- *)
+
+(* Reports its seed.  Seed 1 also prints, and a worker flushes its stdout
+   only as it exits, after it has reported and closed its status pipe. *)
+let held_worker (j : E.Spec.job) =
+  if j.E.Spec.seed = 1 then print_string "held";
+  {
+    E.Record.p_status = `Done;
+    p_metrics = [ ("seed", Obs.Json.Int j.E.Spec.seed) ];
+    p_observed = None;
+  }
+
+(* Runs [f drain] with this process's stdout on a pipe kept full, so a
+   forked seed-1 [held_worker] blocks in its exit flush — at EOF on its
+   status pipe but not exited — until [drain] empties the pipe.  Stdout
+   is restored afterwards. *)
+let with_full_stdout f =
   let fill fd size =
     let block = Bytes.make size 'x' in
     try
@@ -579,12 +623,23 @@ let test_pool_fd_reuse () =
     Unix.close saved;
     Unix.close out_r
   in
-  Fun.protect ~finally:restore @@ fun () ->
-  let pool =
-    E.Pool.create
-      { (quiet_pool 2) with E.Pool.silence_worker_stdout = false }
-      ~worker
-  in
+  Fun.protect ~finally:restore (fun () -> f drain)
+
+let held_pool slots =
+  E.Pool.create
+    { (quiet_pool slots) with E.Pool.silence_worker_stdout = false }
+    ~worker:held_worker
+
+(* A worker that has closed its status pipe but not yet exited keeps its
+   pool entry while a second slot forks, and the new worker's pipe gets
+   the lowest free descriptor: the one the finished entry just closed.
+   Worker A is held in exactly that window while worker B runs.  B's
+   payload must reach B; A must finish once the test drains stdout. *)
+let test_pool_fd_reuse () =
+  let job = gen_job ~n:30 () in
+  let fp = fingerprint_exn job in
+  with_full_stdout @@ fun drain ->
+  let pool = held_pool 2 in
   let completed = ref [] in
   let step () =
     let records, _ = E.Pool.step ~timeout:0.01 pool in
@@ -619,6 +674,51 @@ let test_pool_fd_reuse () =
   step_until "worker A" 0;
   check_record "A" 0 1;
   Alcotest.(check bool) "pool idle" true (E.Pool.idle pool)
+
+(* Once a worker's status pipe is at EOF, no descriptor in the select set
+   signals its exit.  Worker A is held in that window, then released: a
+   step given a 5 s timeout must still reap it within 1 s, with no caller
+   fds and with an idle one (the serve daemon's call shape). *)
+let test_pool_reaps_after_eof () =
+  let job = { (gen_job ~n:30 ()) with E.Spec.seed = 1 } in
+  let fp = fingerprint_exn job in
+  let reap_held ~extra_fds =
+    with_full_stdout @@ fun drain ->
+    let pool = held_pool 1 in
+    E.Pool.submit pool ~index:0 ~fingerprint:fp job;
+    let early = ref [] in
+    let until = Unix.gettimeofday () +. 0.3 in
+    while Unix.gettimeofday () < until do
+      let records, _ = E.Pool.step ~extra_fds ~timeout:0.01 pool in
+      early := List.rev_append records !early
+    done;
+    Alcotest.(check int) "A is held before it exits" 0 (List.length !early);
+    drain ();
+    let t0 = Support.Util.monotonic_ns () in
+    let reaped = ref [] in
+    while !reaped = [] do
+      let records, _ = E.Pool.step ~extra_fds ~timeout:5.0 pool in
+      reaped := records
+    done;
+    let wall =
+      Support.Util.seconds_of_ns (Int64.sub (Support.Util.monotonic_ns ()) t0)
+    in
+    if wall >= 1.0 then
+      Alcotest.failf "A reaped %.3f s after its release, want under 1 s" wall;
+    (match !reaped with
+    | [ (0, r) ] ->
+        Alcotest.(check string) "A ok" "ok"
+          (E.Record.status_name r.E.Record.status)
+    | _ -> Alcotest.fail "expected A's record alone");
+    Alcotest.(check bool) "pool idle" true (E.Pool.idle pool)
+  in
+  reap_held ~extra_fds:[];
+  let idle_r, idle_w = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close idle_r;
+      Unix.close idle_w)
+    (fun () -> reap_held ~extra_fds:[ idle_r ])
 
 let test_cache_reader_racing_writer () =
   (* A reader racing a single writer through the entry's whole life:
@@ -857,12 +957,16 @@ let suite =
     Alcotest.test_case "pool timeout kill" `Quick test_pool_timeout_kill;
     Alcotest.test_case "pool never retries deterministic failures" `Quick
       test_pool_failed_not_retried;
+    Alcotest.test_case "pool run drains on SIGINT" `Quick
+      test_pool_sigint_drain;
     Alcotest.test_case "cache concurrent same-fingerprint stores" `Quick
       test_cache_concurrent_stores;
     Alcotest.test_case "cache reader racing writer" `Quick
       test_cache_reader_racing_writer;
     Alcotest.test_case "pool descriptor reuse after EOF" `Quick
       test_pool_fd_reuse;
+    Alcotest.test_case "pool reaps a worker that exits after EOF" `Quick
+      test_pool_reaps_after_eof;
     Alcotest.test_case "batch cache second pass" `Quick
       test_batch_cache_second_pass;
     Alcotest.test_case "batch report check" `Quick test_batch_check_report;
