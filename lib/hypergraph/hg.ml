@@ -79,15 +79,17 @@ let total_edge_weight t = Support.Util.sum_array t.edge_weight
 
 let edges t = Array.init (num_edges t) (fun e -> edge_pins t e)
 
-(* Zero-copy CSR views: the refinement and coarsening hot paths iterate
-   pins millions of times, and every [iter_pins]/[iter_incident] call site
-   whose closure captures per-move state costs one allocation per call.
-   Handing out the live arrays lets those loops run allocation-free;
-   callers must treat them as read-only. *)
+(* Zero-copy CSR and weight views: the refinement and coarsening hot paths
+   iterate pins millions of times, and every [iter_pins]/[iter_incident]
+   call site whose closure captures per-move state costs one allocation
+   per call.  Handing out the live arrays lets those loops run
+   allocation-free; callers must treat them as read-only. *)
 let csr_pins t = t.pins
 let csr_edge_offsets t = t.edge_offsets
 let csr_incidence t = t.incidence
 let csr_node_offsets t = t.node_offsets
+let csr_edge_weights t = t.edge_weight
+let csr_node_weights t = t.node_weight
 
 (* Construction ----------------------------------------------------------- *)
 

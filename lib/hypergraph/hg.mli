@@ -43,10 +43,11 @@ val edges : t -> int array array
 
 (** {1 Flat CSR access}
 
-    Zero-copy views of the internal CSR arrays, for allocation-free
-    hot-path loops (closure-based {!iter_pins} costs an allocation per
-    call when the closure captures per-call state).  Edge [e]'s pins live
-    at indices [csr_edge_offsets t.(e) .. csr_edge_offsets t.(e+1) - 1] of
+    Zero-copy views of the internal CSR and weight arrays, for
+    allocation-free hot-path loops (closure-based {!iter_pins} costs an
+    allocation per call when the closure captures per-call state).  Edge
+    [e]'s pins live at indices
+    [csr_edge_offsets t.(e) .. csr_edge_offsets t.(e+1) - 1] of
     [csr_pins t], and symmetrically for node incidence.  The returned
     arrays are the live internals: callers must not mutate them. *)
 
@@ -57,6 +58,12 @@ val csr_edge_offsets : t -> int array
 val csr_incidence : t -> int array
 val csr_node_offsets : t -> int array
 (** Length [num_nodes t + 1]. *)
+
+val csr_edge_weights : t -> int array
+(** Length [num_edges t]: [csr_edge_weights t.(e) = edge_weight t e]. *)
+
+val csr_node_weights : t -> int array
+(** Length [num_nodes t]: [csr_node_weights t.(v) = node_weight t v]. *)
 
 (** {1 Construction} *)
 

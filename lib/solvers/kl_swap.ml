@@ -87,8 +87,8 @@ let create_ctx cfg hg part =
     inc_offs = Hypergraph.csr_node_offsets hg;
     pcounts = Pin_counts.raw_counts counts;
     plambdas = Pin_counts.raw_lambdas counts;
-    edge_w = Array.init (Hypergraph.num_edges hg) (Hypergraph.edge_weight hg);
-    node_w = Array.init n (Hypergraph.node_weight hg);
+    edge_w = Hypergraph.csr_edge_weights hg;
+    node_w = Hypergraph.csr_node_weights hg;
     rows = Array.make (n * k) 0;
     boundary = Array.make n 0;
     len = 0;

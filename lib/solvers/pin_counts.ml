@@ -27,19 +27,31 @@ type t = {
    reported after the edge's counts and λ are fully updated. *)
 type transition = Src_gone | Src_lone | Dst_first | Dst_paired
 
-let create hg part =
+(* [reuse] is refilled in place when it counts the physically same
+   hypergraph at the same k: the coarsest-level portfolio refines 13
+   candidates of one hypergraph, and one m*k array serves them all. *)
+let create ?reuse hg part =
   let k = Partition.k part in
   let m = Hypergraph.num_edges hg in
-  let counts = Array.make (m * k) 0 in
-  let lambdas = Array.make m 0 in
+  let t =
+    match reuse with
+    | Some t when t.hg == hg && t.k = k ->
+        Array.fill t.counts 0 (m * k) 0;
+        Array.fill t.lambdas 0 m 0;
+        t
+    | _ -> { hg; k; counts = Array.make (m * k) 0; lambdas = Array.make m 0 }
+  in
+  let counts = t.counts and lambdas = t.lambdas in
+  let pins = Hypergraph.csr_pins hg and offs = Hypergraph.csr_edge_offsets hg in
+  let colors = Partition.assignment part in
   for e = 0 to m - 1 do
-    Hypergraph.iter_pins hg e (fun v ->
-        let c = Partition.color part v in
-        let idx = (e * k) + c in
-        if counts.(idx) = 0 then lambdas.(e) <- lambdas.(e) + 1;
-        counts.(idx) <- counts.(idx) + 1)
+    for i = offs.(e) to offs.(e + 1) - 1 do
+      let idx = (e * k) + colors.(pins.(i)) in
+      if counts.(idx) = 0 then lambdas.(e) <- lambdas.(e) + 1;
+      counts.(idx) <- counts.(idx) + 1
+    done
   done;
-  { hg; k; counts; lambdas }
+  t
 
 let count t e c = t.counts.((e * t.k) + c)
 let lambda t e = t.lambdas.(e)

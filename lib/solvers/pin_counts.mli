@@ -11,7 +11,13 @@ type transition =
     exactly the events that can change another pin's gain under either
     metric, so a gain cache driven by them stays exact. *)
 
-val create : Hypergraph.t -> Partition.t -> t
+val create : ?reuse:t -> Hypergraph.t -> Partition.t -> t
+(** The counts of [part] on the hypergraph.  With [~reuse:r], where [r]
+    was built for the physically same hypergraph ([==]) and the same k,
+    [r]'s arrays are refilled in place and [r] itself is returned: [r] is
+    consumed, and its earlier counts are gone.  Otherwise [reuse] is
+    ignored and a fresh value is allocated. *)
+
 val count : t -> int -> int -> int
 (** [count t e c]: pins of edge [e] in part [c]. *)
 

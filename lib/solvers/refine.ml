@@ -15,9 +15,20 @@
      and  penalty(v, q) = Σ_{e ∋ v} w_e·[count(e, q) = 0],  updated in
      place by the four Pin_counts transitions of every applied move
      (count(e, src) hitting 1/0, count(e, dst) leaving 0/1 — exactly the
-     events that can flip one of the indicator terms).  Under cut-net the
-     same row caches the raw delta vector and transitions invalidate it,
-     so touched neighbours recompute once instead of at every pop.
+     events that can flip one of the indicator terms).  A row is built
+     as  penalty(v, q) = W(v) - Σ_{e ∋ v, q ∈ Λ(e)} w_e,  W(v) being v's
+     incident edge weight and Λ(e) the parts holding a pin of e, so the
+     work is proportional to the parts each edge spans: Λ(e) comes from
+     the pins of an edge with fewer than k of them, else from its k
+     counts.  Under cut-net the same row caches the raw delta vector and
+     transitions invalidate it, so touched neighbours recompute once
+     instead of at every pop.
+   - Valid rows stay exact through a pass's rollback: a short suffix is
+     replayed through the same hook, a long one bulk-invalidates (see
+     [fm_pass]).
+   - The pin counts live in the workspace and are refilled in place by
+     the next call on the same hypergraph and k, so the coarsest-level
+     portfolio allocates one m×k array, not one per candidate.
    - Selecting the best move of a cached node is O(k); the per-move accept
      check is O(1) against an incrementally maintained overweight-part
      count; the per-pass max-node-weight / max-gain scans are hoisted
@@ -47,12 +58,10 @@ let default_config =
 (* Mutable refinement state for one [refine] call.  [cache_stamp] marks
    valid gain rows; it starts fresh per call (rows from a previous
    hypergraph / partition can never leak in) and is bumped again after a
-   non-empty rollback, which bulk-invalidates every row in O(1) — cheaper
-   than patching rows along the rolled-back suffix, since a pass moves
-   essentially every boundary node and thereby invalidates its own row
-   anyway.  [lock_stamp] is refreshed per pass, and the current move's
-   endpoints live in [mv_*] so the Pin_counts hook is allocated once per
-   call, not once per move. *)
+   rollback too long to patch, which bulk-invalidates every row in O(1).
+   [lock_stamp] is refreshed per pass, and the current move's endpoints
+   live in [mv_*] so the Pin_counts hook is allocated once per call, not
+   once per move. *)
 type ctx = {
   cfg : config;
   hg : Hypergraph.t;
@@ -69,8 +78,8 @@ type ctx = {
   inc_offs : int array;
   pcounts : int array;
   plambdas : int array;
-  edge_w : int array; (* dense copies: an accessor call per read is *)
-  node_w : int array; (* measurable at hook frequencies *)
+  edge_w : int array; (* read-only weight views: an accessor call per *)
+  node_w : int array; (* read is measurable at hook frequencies *)
   mutable cache_stamp : int;
   mutable lock_stamp : int;
   mutable overweight : int; (* #parts with weight > cap, kept incrementally *)
@@ -115,9 +124,12 @@ let flush_counters ctx =
 let locked ctx v = ctx.ws.Workspace.locked.(v) = ctx.lock_stamp
 
 (* Build node v's gain row if its stamp is stale.  Connectivity fills the
-   benefit/penalty decomposition in one incident sweep; cut-net caches the
-   raw delta vector (k move_delta evaluations).  Either way the row then
-   answers best-move queries in O(k) until a transition invalidates it. *)
+   benefit/penalty decomposition in one incident sweep, subtracting each
+   edge's weight from the parts of Λ(e) and adding W(v) to every slot at
+   the end (the slot of v's own part, in every Λ(e), comes out 0); cut-net
+   caches the raw delta vector (k move_delta evaluations).  Either way the
+   row then answers best-move queries in O(k) until a transition
+   invalidates it. *)
 let ensure_row ctx v =
   let ws = ctx.ws in
   if ws.Workspace.cache_stamp.(v) = ctx.cache_stamp then
@@ -133,16 +145,34 @@ let ensure_row ctx v =
         for q = 0 to k - 1 do
           penalty.(base + q) <- 0
         done;
-        let benefit = ref 0 in
+        let mark = ws.Workspace.part_mark in
+        let benefit = ref 0 and incident = ref 0 in
         for i = ctx.inc_offs.(v) to ctx.inc_offs.(v + 1) - 1 do
           let e = ctx.inc.(i) in
           let w = ctx.edge_w.(e) in
           let row = e * k in
+          incident := !incident + w;
           if ctx.pcounts.(row + src) = 1 then benefit := !benefit + w;
-          for q = 0 to k - 1 do
-            if q <> src && ctx.pcounts.(row + q) = 0 then
-              penalty.(base + q) <- penalty.(base + q) + w
-          done
+          let lo = ctx.pin_offs.(e) and hi = ctx.pin_offs.(e + 1) in
+          if hi - lo < k then begin
+            (* Λ(e) from the pins' parts, each part once. *)
+            let stamp = Workspace.next_stamp ws in
+            for j = lo to hi - 1 do
+              let q = ctx.part.(ctx.pins.(j)) in
+              if mark.(q) <> stamp then begin
+                mark.(q) <- stamp;
+                penalty.(base + q) <- penalty.(base + q) - w
+              end
+            done
+          end
+          else
+            for q = 0 to k - 1 do
+              if ctx.pcounts.(row + q) > 0 then
+                penalty.(base + q) <- penalty.(base + q) - w
+            done
+        done;
+        for q = 0 to k - 1 do
+          penalty.(base + q) <- penalty.(base + q) + !incident
         done;
         ws.Workspace.benefit.(v) <- !benefit
     | Partition.Cut_net ->
@@ -266,7 +296,7 @@ let on_transition ctx e tr =
           done)
 
 (* Re-color v to dst and maintain weights plus the O(1) overweight count
-   (shared by applied moves and the hook-free rollback). *)
+   (shared by applied moves and the long, hook-free rollback). *)
 let shift_node ctx v ~src ~dst =
   ctx.part.(v) <- dst;
   let w = ctx.node_w.(v) in
@@ -310,7 +340,8 @@ let apply_move ctx queue hook v ~src ~dst ~activate =
       ws.Workspace.touched
 
 (* Seed the queue with the boundary: pins of edges with λ >= 2, each at
-   its cached best gain.  One sweep over the edges, stamp-deduplicated. *)
+   its cached best gain.  One sweep over the edges, stamp-deduplicated.
+   Returns the boundary size. *)
 let seed_boundary ctx queue =
   let ws = ctx.ws in
   let stamp = Workspace.next_stamp ws in
@@ -329,17 +360,54 @@ let seed_boundary ctx queue =
         end
       done
   done;
-  Fm_stats.observe_int ctx.stats.Fm_stats.boundary !boundary_size
+  Fm_stats.observe_int ctx.stats.Fm_stats.boundary !boundary_size;
+  !boundary_size
 
 (* Full seeding: every node with a feasible move, as the pre-cache refiner
    did.  Used as a stall fallback — interior nodes only ever have
    non-negative deltas, but chains of such moves (classic FM hill
    climbing) sometimes reach strictly better valleys that boundary-only
-   passes cannot, e.g. when whole clusters must migrate together. *)
+   passes cannot, e.g. when whole clusters must migrate together.
+   Returns n. *)
 let seed_all ctx queue =
-  for v = 0 to Array.length ctx.node_w - 1 do
+  let n = Hypergraph.num_nodes ctx.hg in
+  for v = 0 to n - 1 do
     let dst = best_move ctx v in
     if dst >= 0 then Support.Bucket_queue.insert queue v (-ctx.best_delta)
+  done;
+  n
+
+(* ANALYSIS_DEBUG self-check of the gain cache, run after every pass: each
+   valid row must hold the move deltas the current counts give.  A solver
+   invariant, not a paper rule, so it raises directly instead of joining
+   the audit catalogue. *)
+let audit_rows ctx =
+  let ws = ctx.ws and k = ctx.k in
+  for v = 0 to Hypergraph.num_nodes ctx.hg - 1 do
+    if ws.Workspace.cache_stamp.(v) = ctx.cache_stamp then begin
+      let src = ctx.part.(v) in
+      for q = 0 to k - 1 do
+        if q <> src then begin
+          let cached =
+            match ctx.cfg.metric with
+            | Partition.Connectivity ->
+                ws.Workspace.penalty.((v * k) + q) - ws.Workspace.benefit.(v)
+            | Partition.Cut_net -> ws.Workspace.penalty.((v * k) + q)
+          in
+          let exact =
+            Pin_counts.move_delta ~metric:ctx.cfg.metric ctx.counts v ~src
+              ~dst:q
+          in
+          if cached <> exact then
+            raise
+              (Analysis_core.Debug.Audit_failure
+                 (Printf.sprintf
+                    "Refine.fm_pass: gain row of node %d, part %d: cached \
+                     delta %d, exact %d"
+                    v q cached exact))
+        end
+      done
+    end
   done
 
 (* One FM pass; returns the (non-negative) total gain realized.
@@ -353,7 +421,7 @@ let fm_pass ctx queue hook ~full =
   ctx.lock_stamp <- Workspace.next_stamp ws;
   ctx.cap_limit <- ctx.cap + ws.Workspace.max_node_weight;
   Support.Bucket_queue.clear queue;
-  if full then seed_all ctx queue else seed_boundary ctx queue;
+  let seeded = if full then seed_all ctx queue else seed_boundary ctx queue in
   let start_overweight = ctx.overweight in
   let moves = ws.Workspace.moves in
   Support.Int_vec.clear moves;
@@ -401,22 +469,37 @@ let fm_pass ctx queue hook ~full =
           end
         end
   done;
-  (* Roll back the moves after the best (balance-acceptable) prefix with
-     plain (hook-free) count updates, then bulk-invalidate the gain cache
-     by bumping the call's stamp: a pass moves nearly every boundary node,
-     and a node's own move already invalidates its row, so patching rows
-     along the rolled-back suffix would mostly groom rows that are stale
-     regardless.  An empty rollback keeps every row valid. *)
+  (* Roll back the moves after the best (balance-acceptable) prefix.  A
+     replayed move patches about as many rows as the rolled-back node has
+     edges, and the next pass rebuilds about as many rows as this one
+     seeded.  So when the rolled-back nodes' degrees sum to at most the
+     seeded count, the suffix replays through the gain hook (with
+     activation off; each replayed node's own row is invalidated, as an
+     applied move does) and every valid row stays exact.  Otherwise it
+     replays hook-free and the call's stamp is bumped, which
+     bulk-invalidates every row.  An empty rollback keeps every row
+     valid. *)
   if !len > !best_len then begin
+    let degrees = ref 0 in
+    for i = !best_len to !len - 1 do
+      let v = Support.Int_vec.get moves (3 * i) in
+      degrees := !degrees + ctx.inc_offs.(v + 1) - ctx.inc_offs.(v)
+    done;
+    let patch = !degrees <= seeded in
     for i = !len - 1 downto !best_len do
       let v = Support.Int_vec.get moves (3 * i) in
       let src = Support.Int_vec.get moves ((3 * i) + 1) in
       let dst = Support.Int_vec.get moves ((3 * i) + 2) in
-      shift_node ctx v ~src:dst ~dst:src;
-      Pin_counts.move ctx.counts v ~src:dst ~dst:src
+      if patch then
+        apply_move ctx queue hook v ~src:dst ~dst:src ~activate:false
+      else begin
+        shift_node ctx v ~src:dst ~dst:src;
+        Pin_counts.move ctx.counts v ~src:dst ~dst:src
+      end
     done;
-    ctx.cache_stamp <- Workspace.next_stamp ws
+    if not patch then ctx.cache_stamp <- Workspace.next_stamp ws
   end;
+  if Analysis_core.Debug.enabled () then audit_rows ctx;
   let s = ctx.stats in
   s.Fm_stats.accepted <- s.Fm_stats.accepted + !best_len;
   s.Fm_stats.rolled_back <- s.Fm_stats.rolled_back + (!len - !best_len);
@@ -493,7 +576,8 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
         match workspace with Some ws -> ws | None -> Workspace.create ()
       in
       Workspace.ensure ws ~n ~k;
-      let counts = Pin_counts.create hg part in
+      let counts = Pin_counts.create ?reuse:ws.Workspace.counts hg part in
+      ws.Workspace.counts <- Some counts;
       let weights = Partition.part_weights hg part in
       let cap =
         Partition.capacity ~variant:config.variant ~eps:config.eps
@@ -531,9 +615,8 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
           inc_offs = Hypergraph.csr_node_offsets hg;
           pcounts = Pin_counts.raw_counts counts;
           plambdas = Pin_counts.raw_lambdas counts;
-          edge_w =
-            Array.init (Hypergraph.num_edges hg) (Hypergraph.edge_weight hg);
-          node_w = Array.init n (Hypergraph.node_weight hg);
+          edge_w = Hypergraph.csr_edge_weights hg;
+          node_w = Hypergraph.csr_node_weights hg;
           cache_stamp = Workspace.next_stamp ws;
           lock_stamp = Workspace.next_stamp ws;
           overweight = Support.Util.array_count (fun w -> w > cap) weights;

@@ -9,6 +9,11 @@
      record with no locking suffices;
    - arrays only ever grow; [ensure] resizes to the high-water mark of the
      (n, k) pairs seen, which in a multilevel solve is the finest level;
+   - the pin counts of the last [Refine.refine] call stay here and are
+     consumed by the next call on the physically same hypergraph and k
+     ([Pin_counts.create ~reuse]), so the portfolio's candidates on one
+     coarsest level share one m*k array; a call on another hypergraph
+     replaces them;
    - all per-use validity is stamp-based: a fresh stamp from [next_stamp]
      invalidates every node in O(1), so nothing is cleared between passes.
 
@@ -24,6 +29,8 @@ type t = {
   mutable benefit : int array; (* n *)
   mutable penalty : int array; (* n * k *)
   mutable cache_stamp : int array; (* n; row valid iff = the refine stamp *)
+  mutable part_mark : int array; (* k; parts of Λ(e) seen by a row build *)
+  mutable counts : Pin_counts.t option; (* the last refine call's *)
   (* Stamped per-node marks (locks, touched-dedup, boundary-seen). *)
   mutable locked : int array; (* n *)
   mutable touch : int array; (* n *)
@@ -51,6 +58,8 @@ let create () =
     benefit = [||];
     penalty = [||];
     cache_stamp = [||];
+    part_mark = [||];
+    counts = None;
     locked = [||];
     touch = [||];
     seen = [||];
@@ -72,6 +81,7 @@ let ensure t ~n ~k =
   t.benefit <- grow_int t.benefit n;
   t.penalty <- grow_int t.penalty (n * k);
   t.cache_stamp <- grow_int t.cache_stamp n;
+  t.part_mark <- grow_int t.part_mark k;
   t.locked <- grow_int t.locked n;
   t.touch <- grow_int t.touch n;
   t.seen <- grow_int t.seen n;

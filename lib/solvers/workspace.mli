@@ -1,7 +1,7 @@
 (** Reusable scratch state for the refinement/coarsening hot path: gain
-    cache rows, stamped mark arrays, move log, and the FM bucket queue,
-    allocated once per multilevel solve and shared across passes and
-    levels.
+    cache rows, stamped mark arrays, move log, the FM bucket queue and the
+    last refinement's pin counts, allocated once per multilevel solve and
+    shared across passes and levels.
 
     A workspace is owned by exactly one solver call tree at a time (the
     solvers are single-threaded); arrays only grow, and per-use validity
@@ -14,6 +14,8 @@ type t = {
   mutable benefit : int array;
   mutable penalty : int array;
   mutable cache_stamp : int array;
+  mutable part_mark : int array;
+  mutable counts : Pin_counts.t option;
   mutable locked : int array;
   mutable touch : int array;
   mutable seen : int array;
@@ -31,9 +33,10 @@ val create : unit -> t
 (** An empty workspace; arrays grow on first {!ensure}. *)
 
 val ensure : t -> n:int -> k:int -> unit
-(** Grow every per-node (and the [n * k] gain-row) array to hold [n]
-    nodes and [k] parts.  Existing contents are preserved or replaced by
-    zeroes; stamp discipline makes stale contents harmless. *)
+(** Grow every per-node (and the [n * k] gain-row and [k] part-mark)
+    array to hold [n] nodes and [k] parts.  Existing contents are
+    preserved or replaced by zeroes; stamp discipline makes stale
+    contents harmless. *)
 
 val next_stamp : t -> int
 (** A fresh stamp, distinct from every value currently stored in the

@@ -333,7 +333,10 @@ let prop_kl_matches_exact_evaluation =
 
 (* Workspace reuse is pure recycling: refining through a workspace dirtied
    by an unrelated solve must produce the same partition and cost as a
-   fresh workspace (and as the internally allocated one). *)
+   fresh workspace (and as the internally allocated one).  So must
+   refining after the workspace's pin counts were left by another
+   partition of the same hypergraph, at the same k (refilled in place)
+   and at another k (replaced). *)
 let prop_workspace_reuse_deterministic =
   QCheck.Test.make ~name:"refine: dirty shared workspace = fresh workspace"
     ~count:50
@@ -363,9 +366,56 @@ let prop_workspace_reuse_deterministic =
           h p2
       in
       let c3 = Solvers.Refine.refine ~config h p3 in
-      c1 = c2 && c2 = c3
-      && P.assignment p1 = P.assignment p2
-      && P.assignment p2 = P.assignment p3)
+      let after_dirty k' =
+        ignore
+          (Solvers.Refine.refine ~config ~workspace:ws h
+             (P.random rng ~k:k' ~n:(H.num_nodes h)));
+        let p = P.copy base in
+        (Solvers.Refine.refine ~config ~workspace:ws h p, p)
+      in
+      let c4, p4 = after_dirty k in
+      let c5, p5 = after_dirty (k + 1) in
+      List.for_all (fun c -> c = c2) [ c1; c3; c4; c5 ]
+      && List.for_all
+           (fun p -> P.assignment p = P.assignment p2)
+           [ p1; p3; p4; p5 ])
+
+(* Gain rows stay exact.  With the ANALYSIS_DEBUG gate forced on, Refine
+   checks every valid gain row against Pin_counts.move_delta after each
+   FM pass, rollback included, and raises on a mismatch.  Edge sizes 2-8
+   against k in 2-12 build rows from both sources of Λ(e) (the pins of an
+   edge smaller than k, else its counts); sparse and dense instances give
+   rollbacks short enough to patch the rows and long enough to
+   invalidate them. *)
+let prop_gain_rows_exact =
+  QCheck.Test.make ~name:"refine: valid gain rows exact after every pass"
+    ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Support.Rng.create seed in
+      let n = 8 + Support.Rng.int rng 33 in
+      let m = 1 + Support.Rng.int rng (2 * n) in
+      let h =
+        H.of_edges
+          ~node_weights:(Array.init n (fun _ -> 1 + Support.Rng.int rng 2))
+          ~edge_weights:(Array.init m (fun _ -> 1 + Support.Rng.int rng 3))
+          ~n
+          (Array.init m (fun _ ->
+               Support.Rng.sample_distinct rng ~n
+                 ~k:(2 + Support.Rng.int rng 7)))
+      in
+      let k = 2 + Support.Rng.int rng 11 in
+      let metric =
+        if Support.Rng.int rng 2 = 0 then P.Connectivity else P.Cut_net
+      in
+      let config = { Solvers.Refine.default_config with eps = 0.2; metric } in
+      let was = Analysis_core.Debug.enabled () in
+      Analysis_core.Debug.force true;
+      Fun.protect
+        ~finally:(fun () -> Analysis_core.Debug.force was)
+        (fun () ->
+          ignore (Solvers.Refine.refine ~config h (P.random rng ~k ~n));
+          true))
 
 let suite =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
@@ -374,6 +424,7 @@ let suite =
       prop_lambda_range;
       prop_move_delta_exact;
       prop_workspace_reuse_deterministic;
+      prop_gain_rows_exact;
       prop_contraction_preserves_cost;
       prop_exact_below_heuristics;
       prop_optimum_monotone_in_eps;

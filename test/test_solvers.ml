@@ -77,7 +77,27 @@ let test_pin_counts_consistency () =
       Alcotest.(check int) "incremental cost" (P.connectivity_cost h p)
         (S.Pin_counts.cost pc)
     end
-  done
+  done;
+  (* [~reuse] refills a value built for the same hypergraph and k in
+     place, and allocates afresh for another hypergraph or another k. *)
+  let q = P.random r ~k:3 ~n:15 in
+  let fresh = S.Pin_counts.create h q in
+  let reused = S.Pin_counts.create ~reuse:pc h q in
+  Alcotest.(check bool) "same hypergraph and k: refilled in place" true
+    (reused == pc);
+  for e = 0 to H.num_edges h - 1 do
+    for c = 0 to 2 do
+      Alcotest.(check int) "reused count" (S.Pin_counts.count fresh e c)
+        (S.Pin_counts.count reused e c)
+    done;
+    Alcotest.(check int) "reused lambda" (S.Pin_counts.lambda fresh e)
+      (S.Pin_counts.lambda reused e)
+  done;
+  let h' = H.of_edges ~n:15 (H.edges h) in
+  Alcotest.(check bool) "equal but other hypergraph: fresh" false
+    (S.Pin_counts.create ~reuse:reused h' q == reused);
+  Alcotest.(check bool) "other k: fresh" false
+    (S.Pin_counts.create ~reuse:reused h (P.random r ~k:4 ~n:15) == reused)
 
 (* Refinement ------------------------------------------------------------------ *)
 
