@@ -34,21 +34,39 @@ let def31_capacity ~variant ~eps ~total_weight ~k =
   | Strict -> int_of_float (floor (exact +. 1e-9))
   | Relaxed -> int_of_float (ceil (exact -. 1e-9))
 
-(* lambda_e by sorting the pin colors: no scratch marks, no stamps. *)
-let edge_lambda hg part e =
-  let colors = Hypergraph.fold_pins hg e (fun acc v -> Partition.color part v :: acc) [] in
-  List.length (List.sort_uniq Int.compare colors)
+(* Cut-net and connectivity costs from one lambda_e per edge, counted by
+   sorting a copy of the edge's pin colors: no scratch marks, no stamps.
+   An empty edge has lambda 0. *)
+let recompute_costs hg assignment =
+  let pins = Hypergraph.csr_pins hg in
+  let offsets = Hypergraph.csr_edge_offsets hg in
+  let m = Hypergraph.num_edges hg in
+  let widest = ref 0 in
+  for e = 0 to m - 1 do
+    widest := max !widest (offsets.(e + 1) - offsets.(e))
+  done;
+  let colors = Array.make !widest 0 in
+  let cut = ref 0 and conn = ref 0 in
+  for e = 0 to m - 1 do
+    let lo = offsets.(e) in
+    let size = offsets.(e + 1) - lo in
+    for i = 0 to size - 1 do
+      colors.(i) <- assignment.(pins.(lo + i))
+    done;
+    Support.Util.sort_int_range colors 0 size;
+    let lambda = ref (min size 1) in
+    for i = 1 to size - 1 do
+      if colors.(i) <> colors.(i - 1) then incr lambda
+    done;
+    let w = Hypergraph.edge_weight hg e in
+    if !lambda > 1 then cut := !cut + w;
+    conn := !conn + (w * (!lambda - 1))
+  done;
+  (!cut, !conn)
 
 let recompute_cost metric hg part =
-  let total = ref 0 in
-  for e = 0 to Hypergraph.num_edges hg - 1 do
-    let l = edge_lambda hg part e in
-    let w = Hypergraph.edge_weight hg e in
-    (match (metric : Partition.metric) with
-    | Cut_net -> if l > 1 then total := !total + w
-    | Connectivity -> total := !total + (w * (l - 1)))
-  done;
-  !total
+  let cut, conn = recompute_costs hg (Partition.assignment part) in
+  match (metric : Partition.metric) with Cut_net -> cut | Connectivity -> conn
 
 type claim = { metric : Partition.metric; cost : int }
 
@@ -98,8 +116,7 @@ let audit ?eps ?(variant = Partition.Strict) ?claimed ?bound ?preserved_weights
               "heaviest part weighs %d > capacity %d ((1+%g) * %d / %d)"
               heaviest cap eps !total_weight k));
     (* Cost cross-check and the metric sandwich. *)
-    let cut = recompute_cost Cut_net hg part in
-    let conn = recompute_cost Connectivity hg part in
+    let cut, conn = recompute_costs hg assignment in
     (match claimed with
     | None -> ()
     | Some { metric; cost } ->

@@ -93,6 +93,58 @@ let csr_node_weights t = t.node_weight
 
 (* Construction ----------------------------------------------------------- *)
 
+(* The one validating CSR builder behind [of_csr] and [of_edges]; [fn]
+   names the public entry point in its messages.  Slices are checked in
+   edge order, and within a slice pin by pin in sorted order, range before
+   duplicate. *)
+let csr fn ~n ~node_weight ~edge_weight ~offsets pins =
+  let m = Array.length edge_weight in
+  if Array.length node_weight <> n then invalid_arg (fn ^ ": node_weight length");
+  if Array.length offsets <> m + 1 then invalid_arg (fn ^ ": offsets length");
+  if offsets.(0) <> 0 || offsets.(m) <> Array.length pins then
+    invalid_arg (fn ^ ": offsets do not span the pins");
+  for e = 0 to m - 1 do
+    if offsets.(e + 1) < offsets.(e) then invalid_arg (fn ^ ": offsets decrease")
+  done;
+  for e = 0 to m - 1 do
+    let lo = offsets.(e) and hi = offsets.(e + 1) in
+    let i = ref (lo + 1) in
+    while !i < hi && pins.(!i - 1) < pins.(!i) do
+      incr i
+    done;
+    if !i < hi then Support.Util.sort_int_range pins lo (hi - lo);
+    for i = lo to hi - 1 do
+      let v = pins.(i) in
+      if v < 0 || v >= n then invalid_arg (fn ^ ": pin out of range");
+      if i > lo && pins.(i - 1) = v then
+        invalid_arg (fn ^ ": duplicate pin within an edge")
+    done
+  done;
+  (* Transpose: count degrees into node_offsets.(v), turn them into each
+     node's end offset, then place edges from the last one down so every
+     incidence list comes out in increasing edge order and each cursor
+     ends on its node's start. *)
+  let node_offsets = Array.make (n + 1) 0 in
+  Array.iter (fun v -> node_offsets.(v) <- node_offsets.(v) + 1) pins;
+  for v = 1 to n - 1 do
+    node_offsets.(v) <- node_offsets.(v) + node_offsets.(v - 1)
+  done;
+  let rho = Array.length pins in
+  node_offsets.(n) <- rho;
+  let incidence = Array.make rho 0 in
+  for e = m - 1 downto 0 do
+    for i = offsets.(e) to offsets.(e + 1) - 1 do
+      let v = pins.(i) in
+      let slot = node_offsets.(v) - 1 in
+      node_offsets.(v) <- slot;
+      incidence.(slot) <- e
+    done
+  done;
+  { n; node_weight; edge_weight; edge_offsets = offsets; pins; node_offsets; incidence }
+
+let of_csr ~n ~node_weight ~edge_weight ~offsets pins =
+  csr "Hg.of_csr" ~n ~node_weight ~edge_weight ~offsets pins
+
 let of_edges ?node_weights ?edge_weights ~n edge_list =
   let m = Array.length edge_list in
   let node_weight =
@@ -109,41 +161,15 @@ let of_edges ?node_weights ?edge_weights ~n edge_list =
         Array.copy w
     | None -> Array.make m 1
   in
-  let edge_offsets = Array.make (m + 1) 0 in
+  let offsets = Array.make (m + 1) 0 in
   for e = 0 to m - 1 do
-    edge_offsets.(e + 1) <- edge_offsets.(e) + Array.length edge_list.(e)
+    offsets.(e + 1) <- offsets.(e) + Array.length edge_list.(e)
   done;
-  let rho = edge_offsets.(m) in
-  let pins = Array.make rho 0 in
+  let pins = Array.make offsets.(m) 0 in
   for e = 0 to m - 1 do
-    let sorted = Array.copy edge_list.(e) in
-    Array.sort Int.compare sorted;
-    let base = edge_offsets.(e) in
-    Array.iteri
-      (fun i v ->
-        if v < 0 || v >= n then invalid_arg "Hg.of_edges: pin out of range";
-        if i > 0 && sorted.(i - 1) = v then
-          invalid_arg "Hg.of_edges: duplicate pin within an edge";
-        pins.(base + i) <- v)
-      sorted
+    Array.blit edge_list.(e) 0 pins offsets.(e) (Array.length edge_list.(e))
   done;
-  (* Transpose to get node -> incident edges (in increasing edge order). *)
-  let degree = Array.make n 0 in
-  Array.iter (fun v -> degree.(v) <- degree.(v) + 1) pins;
-  let node_offsets = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    node_offsets.(v + 1) <- node_offsets.(v) + degree.(v)
-  done;
-  let incidence = Array.make rho 0 in
-  let cursor = Array.copy node_offsets in
-  for e = 0 to m - 1 do
-    for i = edge_offsets.(e) to edge_offsets.(e + 1) - 1 do
-      let v = pins.(i) in
-      incidence.(cursor.(v)) <- e;
-      cursor.(v) <- cursor.(v) + 1
-    done
-  done;
-  { n; node_weight; edge_weight; edge_offsets; pins; node_offsets; incidence }
+  csr "Hg.of_edges" ~n ~node_weight ~edge_weight ~offsets pins
 
 let empty n = of_edges ~n [||]
 
@@ -252,8 +278,7 @@ let contract ?(drop_singletons = true) ?(merge_identical = true) t label count =
      slice), and identical edges merge by sorting edge indices with a
      slice-lexicographic comparator and summing weights along equal runs —
      no per-edge arrays, no hashing of structured keys.  The final edge
-     order (pins lexicographic, then weight) matches the old
-     list-and-table construction. *)
+     order is pins lexicographic, then weight. *)
   let m = num_edges t in
   let mark = Array.make count (-1) in
   let flat = Array.make (num_pins t) 0 in
@@ -264,13 +289,14 @@ let contract ?(drop_singletons = true) ?(merge_identical = true) t label count =
   let cursor = ref 0 in
   for e = 0 to m - 1 do
     let start = !cursor in
-    iter_pins t e (fun v ->
-        let l = label.(v) in
-        if mark.(l) <> e then begin
-          mark.(l) <- e;
-          flat.(!cursor) <- l;
-          incr cursor
-        end);
+    for i = t.edge_offsets.(e) to t.edge_offsets.(e + 1) - 1 do
+      let l = label.(t.pins.(i)) in
+      if mark.(l) <> e then begin
+        mark.(l) <- e;
+        flat.(!cursor) <- l;
+        incr cursor
+      end
+    done;
     let len = !cursor - start in
     if (not drop_singletons) || len > 1 then begin
       Support.Util.sort_int_range flat start len;
@@ -283,61 +309,61 @@ let contract ?(drop_singletons = true) ?(merge_identical = true) t label count =
   done;
   let kept = !kept in
   (* Lexicographic slice order with length as the tie-break prefix rule
-     (as Support.Order.int_array), then weight. *)
+     (as Support.Order.int_array), then weight.  Indices it calls equal
+     carry equal pins and weight, so the sort's stability is immaterial. *)
   let compare_kept a b =
     let sa = starts.(a) and sb = starts.(b) in
     let la = lens.(a) and lb = lens.(b) in
     let shared = if la < lb then la else lb in
-    let rec go i =
-      if i = shared then Int.compare la lb
-      else
-        let c = Int.compare flat.(sa + i) flat.(sb + i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    let c = go 0 in
-    if c <> 0 then c else Int.compare kept_weight.(a) kept_weight.(b)
+    let i = ref 0 in
+    while !i < shared && flat.(sa + !i) = flat.(sb + !i) do
+      incr i
+    done;
+    if !i < shared then Int.compare flat.(sa + !i) flat.(sb + !i)
+    else
+      let c = Int.compare la lb in
+      if c <> 0 then c else Int.compare kept_weight.(a) kept_weight.(b)
   in
   let idx = Array.init kept (fun i -> i) in
-  Array.sort compare_kept idx;
+  Array.stable_sort compare_kept idx;
   let equal_pins a b =
-    lens.(a) = lens.(b)
+    let len = lens.(a) in
+    len = lens.(b)
     &&
     let sa = starts.(a) and sb = starts.(b) in
-    let rec go i =
-      i = lens.(a) || (flat.(sa + i) = flat.(sb + i) && go (i + 1))
-    in
-    go 0
+    let i = ref 0 in
+    while !i < len && flat.(sa + !i) = flat.(sb + !i) do
+      incr i
+    done;
+    !i = len
   in
-  let out_pins = ref [] and out_weights = ref [] and out = ref 0 in
-  let emit i w =
-    out_pins := Array.sub flat starts.(i) lens.(i) :: !out_pins;
-    out_weights := w :: !out_weights;
-    incr out
-  in
+  (* Compact [idx] to one index per output edge, whose [kept_weight] slot
+     takes its run's summed weight, and size the output on the way. *)
+  let out = ref 0 and rho = ref 0 in
   let i = ref 0 in
   while !i < kept do
     let first = idx.(!i) in
-    if merge_identical then begin
-      let w = ref kept_weight.(first) in
-      incr i;
+    incr i;
+    if merge_identical then
       while !i < kept && equal_pins first idx.(!i) do
-        w := !w + kept_weight.(idx.(!i));
+        kept_weight.(first) <- kept_weight.(first) + kept_weight.(idx.(!i));
         incr i
       done;
-      emit first !w
-    end
-    else begin
-      emit first kept_weight.(first);
-      incr i
-    end
+    idx.(!out) <- first;
+    incr out;
+    rho := !rho + lens.(first)
   done;
-  let edge_weights = Array.make !out 0 in
-  let edge_pins = Array.make !out [||] in
-  List.iteri
-    (fun j w -> edge_weights.(!out - 1 - j) <- w)
-    !out_weights;
-  List.iteri (fun j p -> edge_pins.(!out - 1 - j) <- p) !out_pins;
-  of_edges ~n:count ~node_weights ~edge_weights edge_pins
+  let out = !out in
+  let edge_weight = Array.make out 0 in
+  let offsets = Array.make (out + 1) 0 in
+  let pins = Array.make !rho 0 in
+  for j = 0 to out - 1 do
+    let first = idx.(j) in
+    edge_weight.(j) <- kept_weight.(first);
+    Array.blit flat starts.(first) pins offsets.(j) lens.(first);
+    offsets.(j + 1) <- offsets.(j) + lens.(first)
+  done;
+  of_csr ~n:count ~node_weight:node_weights ~edge_weight ~offsets pins
 
 let connected_components t =
   let dsu = Support.Dsu.create t.n in

@@ -73,10 +73,34 @@ val of_edges :
   n:int ->
   int array array ->
   t
-(** [of_edges ~n edge_list] validates pins (in range, no duplicates within
-    an edge) and builds the CSR representation.  Empty edges are allowed
-    only through this low-level constructor and are never produced by the
-    builder. *)
+(** [of_edges ~n edge_list] copies the edges into one flat pin array and
+    builds it with {!of_csr}'s validation, raising
+    [Invalid_argument "Hg.of_edges: ..."] where {!of_csr} would raise.
+    Empty edges are allowed only through the low-level constructors and
+    are never produced by the builder. *)
+
+val of_csr :
+  n:int ->
+  node_weight:int array ->
+  edge_weight:int array ->
+  offsets:int array ->
+  int array ->
+  t
+(** [of_csr ~n ~node_weight ~edge_weight ~offsets pins] builds the
+    hypergraph whose edge [e] has the pins
+    [pins.(offsets.(e)) .. pins.(offsets.(e+1) - 1)], with
+    [m = Array.length edge_weight].
+
+    It takes ownership of all four arrays: they become the hypergraph's
+    internals (see {!csr_pins}), so the caller must not use them
+    afterwards.  A slice that is not strictly increasing is sorted in
+    place.  Each slice is then checked pin by pin in sorted order, edges
+    in order: a pin outside [\[0, n)] raises
+    [Invalid_argument "Hg.of_csr: pin out of range"], a repeated one
+    ["Hg.of_csr: duplicate pin within an edge"].  Before that, arrays of
+    the wrong length, and offsets that do not start at 0, decrease or end
+    short of [Array.length pins], raise [Invalid_argument] too.  Already
+    sorted slices cost one linear scan. *)
 
 val empty : int -> t
 (** [empty n] has [n] isolated nodes and no edges. *)

@@ -32,12 +32,17 @@ let find leader v =
 
 let cluster ?workspace ?within rng hg ~max_cluster_weight =
   let n = Hypergraph.num_nodes hg in
-  let same_side u v =
-    match within with None -> true | Some part -> part.(u) = part.(v)
+  let pins = Hypergraph.csr_pins hg in
+  let edge_offsets = Hypergraph.csr_edge_offsets hg in
+  let incidence = Hypergraph.csr_incidence hg in
+  let node_offsets = Hypergraph.csr_node_offsets hg in
+  let edge_weight = Hypergraph.csr_edge_weights hg in
+  let restricted, part =
+    match within with None -> (false, [||]) | Some part -> (true, part)
   in
   let leader = Array.init n (fun v -> v) in
   (* cluster weight, indexed by current leader *)
-  let weight = Array.init n (fun v -> Hypergraph.node_weight hg v) in
+  let weight = Array.copy (Hypergraph.csr_node_weights hg) in
   let order = Support.Rng.permutation rng n in
   (* Candidate ratings live in a flat score array, reset through the
      touched-candidate list — no per-node hash table, no clearing of
@@ -47,47 +52,49 @@ let cluster ?workspace ?within rng hg ~max_cluster_weight =
   let score = ws.Workspace.score in
   let seen = ws.Workspace.seen in
   let cand = ws.Workspace.cand in
-  Array.iter
-    (fun v ->
-      if leader.(v) = v then begin
-        let stamp = Workspace.next_stamp ws in
-        Support.Int_vec.clear cand;
-        Hypergraph.iter_incident hg v (fun e ->
-            let size = Hypergraph.edge_size hg e in
-            if size > 1 && size <= 64 then begin
-              let r =
-                float_of_int (Hypergraph.edge_weight hg e)
-                /. float_of_int (size - 1)
-              in
-              Hypergraph.iter_pins hg e (fun u ->
-                  let lu = find leader u in
-                  if lu <> v && same_side u v then begin
-                    if seen.(lu) <> stamp then begin
-                      seen.(lu) <- stamp;
-                      score.(lu) <- 0.0;
-                      Support.Int_vec.push cand lu
-                    end;
-                    score.(lu) <- score.(lu) +. r
-                  end)
-            end);
-        let best = ref (-1) and best_r = ref 0.0 in
-        Support.Int_vec.iter
-          (fun u ->
-            if
-              weight.(u) + weight.(v) <= max_cluster_weight
-              && (!best < 0 || score.(u) > !best_r)
-            then begin
-              best := u;
-              best_r := score.(u)
-            end)
-          cand;
-        if !best >= 0 then begin
-          let u = !best in
-          leader.(v) <- u;
-          weight.(u) <- weight.(u) + weight.(v)
+  for o = 0 to n - 1 do
+    let v = order.(o) in
+    if leader.(v) = v then begin
+      let stamp = Workspace.next_stamp ws in
+      Support.Int_vec.clear cand;
+      for a = node_offsets.(v) to node_offsets.(v + 1) - 1 do
+        let e = incidence.(a) in
+        let lo = edge_offsets.(e) and hi = edge_offsets.(e + 1) in
+        let size = hi - lo in
+        if size > 1 && size <= 64 then begin
+          let r = float_of_int edge_weight.(e) /. float_of_int (size - 1) in
+          for i = lo to hi - 1 do
+            let u = pins.(i) in
+            let lu = find leader u in
+            if lu <> v && ((not restricted) || part.(u) = part.(v)) then begin
+              if seen.(lu) <> stamp then begin
+                seen.(lu) <- stamp;
+                score.(lu) <- 0.0;
+                Support.Int_vec.push cand lu
+              end;
+              score.(lu) <- score.(lu) +. r
+            end
+          done
         end
-      end)
-    order;
+      done;
+      let best = ref (-1) and best_r = ref 0.0 in
+      for c = 0 to Support.Int_vec.length cand - 1 do
+        let u = Support.Int_vec.get cand c in
+        if
+          weight.(u) + weight.(v) <= max_cluster_weight
+          && (!best < 0 || score.(u) > !best_r)
+        then begin
+          best := u;
+          best_r := score.(u)
+        end
+      done;
+      if !best >= 0 then begin
+        let u = !best in
+        leader.(v) <- u;
+        weight.(u) <- weight.(u) + weight.(v)
+      end
+    end
+  done;
   (* Compact leaders to consecutive labels. *)
   let label = Array.make n (-1) in
   let next = ref 0 in

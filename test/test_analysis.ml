@@ -306,6 +306,86 @@ let test_gate_raises () =
   (* Gate off: the same call is a no-op. *)
   ignore (Solvers.Audit_gate.checked ~eps:0.0 hg bad)
 
+(* Audit_hg: corrupt a valid hypergraph through its live CSR views (the
+   constructors refuse to build a broken one) and demand exactly the
+   violated rules. *)
+let audit_hg_victim () =
+  H.of_edges ~n:5
+    [| [| 0; 1; 2 |]; [| 1; 3 |]; [| 2; 3; 4 |]; [| 0; 4 |] |]
+
+let check_hg_rules name corrupt expected =
+  let hg = audit_hg_victim () in
+  corrupt hg;
+  let r = A.Audit_hg.audit hg in
+  Alcotest.(check (list string)) name expected (A.Check.violated_rules r);
+  Alcotest.(check int) (name ^ ": one violation per rule")
+    (List.length expected) (List.length r.A.Check.violations)
+
+let test_audit_hg_corruptions () =
+  check_hg_rules "clean" ignore [];
+  check_hg_rules "swapped pins"
+    (fun hg ->
+      let pins = H.csr_pins hg in
+      pins.(0) <- 1;
+      pins.(1) <- 0)
+    [ "HG-PIN-SORTED" ];
+  check_hg_rules "pin set to n"
+    (fun hg -> (H.csr_pins hg).(4) <- 5)
+    [ "HG-PIN-RANGE"; "HG-TRANSPOSE" ];
+  check_hg_rules "pin repeated"
+    (fun hg -> (H.csr_pins hg).(2) <- 1)
+    [ "HG-PIN-SORTED"; "HG-TRANSPOSE" ];
+  check_hg_rules "incidence names a foreign edge"
+    (fun hg -> (H.csr_incidence hg).(1) <- 1)
+    [ "HG-TRANSPOSE" ];
+  check_hg_rules "incidence out of order"
+    (fun hg ->
+      let inc = H.csr_incidence hg in
+      inc.(0) <- 3;
+      inc.(1) <- 0)
+    [ "HG-TRANSPOSE" ];
+  check_hg_rules "last edge loses a pin"
+    (fun hg ->
+      let off = H.csr_edge_offsets hg in
+      off.(4) <- off.(4) - 1)
+    [ "HG-TRANSPOSE"; "HG-RHO" ];
+  check_hg_rules "zero node weight"
+    (fun hg -> (H.csr_node_weights hg).(3) <- 0)
+    [ "HG-WEIGHT-POS" ];
+  check_hg_rules "negative edge weight"
+    (fun hg -> (H.csr_edge_weights hg).(2) <- -1)
+    [ "HG-WEIGHT-POS" ];
+  let empty = A.Audit_hg.audit (H.of_edges ~n:2 [| [| 0; 1 |]; [||] |]) in
+  Alcotest.(check (list string)) "empty edge" [ "HG-EDGE-EMPTY" ]
+    (A.Check.violated_rules empty);
+  Alcotest.(check bool) "an empty edge only warns" true (A.Check.ok empty)
+
+let test_audit_hg_first_offender () =
+  let hg = audit_hg_victim () in
+  let pins = H.csr_pins hg in
+  (* Unsort edge 2 (pins 5..7), then edge 0 (pins 0..2). *)
+  pins.(5) <- 3;
+  pins.(6) <- 2;
+  pins.(0) <- 1;
+  pins.(1) <- 0;
+  match (A.Audit_hg.audit hg).A.Check.violations with
+  | [ v ] ->
+      Alcotest.(check string) "names the first edge"
+        "pins of edge 0 are not strictly increasing" v.A.Check.message
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
+let test_audit_hg_rules_run () =
+  List.iter
+    (fun hg ->
+      Alcotest.(check int)
+        (Printf.sprintf "rules run at m=%d" (H.num_edges hg))
+        6 (A.Audit_hg.audit hg).A.Check.rules_run)
+    [
+      H.empty 3;
+      audit_hg_victim ();
+      random_hg (Support.Rng.create 5);
+    ]
+
 let test_catalogue () =
   let ids = List.map fst A.catalogue in
   Alcotest.(check bool)
@@ -345,5 +425,11 @@ let suite =
     Alcotest.test_case "mutation: hierarchical cost" `Quick
       test_mutation_hierarchy;
     Alcotest.test_case "debug gate raises" `Quick test_gate_raises;
+    Alcotest.test_case "hypergraph audit: corruptions" `Quick
+      test_audit_hg_corruptions;
+    Alcotest.test_case "hypergraph audit: first offender" `Quick
+      test_audit_hg_first_offender;
+    Alcotest.test_case "hypergraph audit: one evaluation per rule" `Quick
+      test_audit_hg_rules_run;
     Alcotest.test_case "rule catalogue" `Quick test_catalogue;
   ]

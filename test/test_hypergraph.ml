@@ -36,7 +36,61 @@ let test_validation () =
       ignore (H.of_edges ~n:2 [| [| 0; 2 |] |]));
   Alcotest.check_raises "duplicate pin"
     (Invalid_argument "Hg.of_edges: duplicate pin within an edge") (fun () ->
-      ignore (H.of_edges ~n:3 [| [| 1; 1 |] |]))
+      ignore (H.of_edges ~n:3 [| [| 1; 1 |] |]));
+  (* An edge that is both out of range and duplicated: pins are checked
+     in sorted order, range before duplicate, so whichever fault sorts
+     first wins. *)
+  Alcotest.check_raises "out of range pin sorts first"
+    (Invalid_argument "Hg.of_edges: pin out of range") (fun () ->
+      ignore (H.of_edges ~n:3 [| [| 1; 1; -1 |] |]));
+  Alcotest.check_raises "duplicate sorts first"
+    (Invalid_argument "Hg.of_edges: duplicate pin within an edge") (fun () ->
+      ignore (H.of_edges ~n:3 [| [| 5; 0; 0 |] |]));
+  Alcotest.check_raises "earlier edge wins"
+    (Invalid_argument "Hg.of_edges: duplicate pin within an edge") (fun () ->
+      ignore (H.of_edges ~n:3 [| [| 2; 2 |]; [| 7 |] |]))
+
+(* The CSR views of a hypergraph, for exact comparison. *)
+let csr_views h =
+  [
+    [| H.num_nodes h |];
+    H.csr_pins h;
+    H.csr_edge_offsets h;
+    H.csr_incidence h;
+    H.csr_node_offsets h;
+    H.csr_edge_weights h;
+    H.csr_node_weights h;
+  ]
+
+let test_of_csr () =
+  let pins = [| 2; 0; 1; 3; 1 |] in
+  let h =
+    H.of_csr ~n:4 ~node_weight:[| 1; 2; 3; 4 |] ~edge_weight:[| 5; 6 |]
+      ~offsets:[| 0; 3; 5 |] pins
+  in
+  Alcotest.(check (array int)) "unsorted slice sorted" [| 0; 1; 2 |] (H.edge_pins h 0);
+  Alcotest.(check (array int)) "second slice sorted" [| 1; 3 |] (H.edge_pins h 1);
+  Alcotest.(check bool) "pins taken over, not copied" true (H.csr_pins h == pins);
+  Alcotest.(check bool) "same CSR as of_edges" true
+    (csr_views h
+    = csr_views
+        (H.of_edges ~n:4 ~node_weights:[| 1; 2; 3; 4 |] ~edge_weights:[| 5; 6 |]
+           [| [| 2; 0; 1 |]; [| 3; 1 |] |]));
+  Alcotest.(check (array int)) "incidence in edge order" [| 0; 1 |] (H.incident_edges h 1);
+  let raises name msg ?(n = 3) ?(node_weight = [| 1; 1; 1 |])
+      ?(edge_weight = [| 1 |]) offsets pins =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (H.of_csr ~n ~node_weight ~edge_weight ~offsets pins))
+  in
+  raises "pin out of range" "Hg.of_csr: pin out of range" [| 0; 2 |] [| 0; 3 |];
+  raises "duplicate pin" "Hg.of_csr: duplicate pin within an edge" [| 0; 2 |] [| 1; 1 |];
+  raises "node weights" "Hg.of_csr: node_weight length" ~node_weight:[| 1 |] [| 0; 1 |]
+    [| 0 |];
+  raises "offsets length" "Hg.of_csr: offsets length" [| 0 |] [||];
+  raises "offsets short of the pins" "Hg.of_csr: offsets do not span the pins"
+    [| 0; 1 |] [| 0; 1 |];
+  raises "offsets decrease" "Hg.of_csr: offsets decrease" ~edge_weight:[| 1; 1 |]
+    [| 0; 2; 1 |] [| 0 |]
 
 let test_builder () =
   let b = H.Builder.create () in
@@ -289,11 +343,196 @@ let qcheck_hmetis_roundtrip =
            (fun e -> H.edge_pins h e = H.edge_pins h' e)
            (List.init (H.num_edges h) Fun.id))
 
+(* A random hypergraph whose node and edge weights are each either all 1
+   or random, so [to_string] writes all four fmt variants (0, 1, 10, 11). *)
+let weighted_hypergraph rng =
+  let n = 1 + Support.Rng.int rng 12 in
+  let m = Support.Rng.int rng 10 in
+  let edges =
+    Array.init m (fun _ ->
+        Support.Rng.sample_distinct rng ~n ~k:(1 + Support.Rng.int rng (min n 5)))
+  in
+  let weights len =
+    if Support.Rng.bool rng then Array.make len 1
+    else Array.init len (fun _ -> 1 + Support.Rng.int rng 12)
+  in
+  let edge_weights = weights m in
+  let node_weights = weights n in
+  H.of_edges ~n ~node_weights ~edge_weights edges
+
+(* contract against a list-based statement of what it promises: labels
+   map the pins, repeated labels collapse, singletons go, and the rest
+   come out ordered by (pins, weight) with identical pin sets merged. *)
+let reference_contract h label count =
+  let node_weights = Array.make count 0 in
+  Array.iteri
+    (fun v l -> node_weights.(l) <- node_weights.(l) + H.node_weight h v)
+    label;
+  let mapped =
+    List.filter_map
+      (fun e ->
+        let pins =
+          List.sort_uniq Int.compare
+            (List.map (fun v -> label.(v)) (Array.to_list (H.edge_pins h e)))
+        in
+        if List.length pins > 1 then Some (pins, H.edge_weight h e) else None)
+      (List.init (H.num_edges h) Fun.id)
+  in
+  let rec merge = function
+    | (p, w) :: (q, w') :: rest when Support.Order.int_list p q = 0 ->
+        merge ((p, w + w') :: rest)
+    | x :: rest -> x :: merge rest
+    | [] -> []
+  in
+  let edges =
+    merge
+      (List.stable_sort
+         (Support.Order.pair Support.Order.int_list Int.compare)
+         mapped)
+  in
+  H.of_edges ~n:count ~node_weights
+    ~edge_weights:(Array.of_list (List.map snd edges))
+    (Array.of_list (List.map (fun (p, _) -> Array.of_list p) edges))
+
+let qcheck_contract_reference =
+  QCheck.Test.make ~name:"contract builds the reference CSR" ~count:200
+    QCheck.small_int
+    (fun seed ->
+      let rng = Support.Rng.create seed in
+      let h = weighted_hypergraph rng in
+      let count = 1 + Support.Rng.int rng (H.num_nodes h) in
+      let label = Array.init (H.num_nodes h) (fun _ -> Support.Rng.int rng count) in
+      csr_views (H.contract h label count) = csr_views (reference_contract h label count))
+
+(* hMETIS reader against the list-based reference ------------------------- *)
+
+(* The text as hand-edited files have it: comment and blank lines between
+   the data lines, runs of spaces and tabs between tokens, padding (form
+   feeds too) at both ends and CRLF line ends. *)
+let dress rng text =
+  let pick a = Support.Rng.choose rng a in
+  let buf = Buffer.create (2 * String.length text) in
+  let eol () = pick [| "\n"; "\n"; "\r\n" |] in
+  let pad () = pick [| ""; ""; " "; "\t"; " \t "; "\012" |] in
+  List.iter
+    (fun line ->
+      if Support.Rng.int rng 4 = 0 then
+        Buffer.add_string buf
+          (pick [| "% a comment"; "%"; "  %\tpadded"; ""; " \t "; "\r" |] ^ eol ());
+      Buffer.add_string buf (pad ());
+      String.iter
+        (fun c ->
+          if c = ' ' then Buffer.add_string buf (pick [| " "; "  "; "\t"; " \t" |])
+          else Buffer.add_char buf c)
+        line;
+      Buffer.add_string buf (pad ());
+      Buffer.add_string buf (eol ()))
+    (String.split_on_char '\n' text);
+  Buffer.contents buf
+
+(* One fault: the text cut at any byte, one byte replaced, or one token
+   replaced by a form that is not plain decimal (or is, with zeros). *)
+let damage rng text =
+  let len = String.length text in
+  match Support.Rng.int rng 3 with
+  | 0 -> String.sub text 0 (Support.Rng.int rng (len + 1))
+  | 1 when len > 0 ->
+      let b = Bytes.of_string text in
+      Bytes.set b (Support.Rng.int rng len)
+        (Support.Rng.choose rng
+           [| '0'; '7'; ' '; '\t'; '\n'; '\r'; '%'; 'x'; '-'; '+'; '_'; '\012' |]);
+      Bytes.to_string b
+  | _ ->
+      let is_gap c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012' in
+      let starts =
+        List.filter
+          (fun i -> (not (is_gap text.[i])) && (i = 0 || is_gap text.[i - 1]))
+          (List.init len Fun.id)
+      in
+      if starts = [] then text
+      else
+        let i = List.nth starts (Support.Rng.int rng (List.length starts)) in
+        let j = ref i in
+        while !j < len && not (is_gap text.[!j]) do
+          incr j
+        done;
+        String.sub text 0 i
+        ^ Support.Rng.choose rng [| "+5"; "0x1F"; "1_0"; "-3"; "007" |]
+        ^ String.sub text !j (len - !j)
+
+let hmetis_texts_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let rng = Support.Rng.create seed in
+    let h = weighted_hypergraph rng in
+    let text = dress rng (H.Hmetis.to_string h) in
+    let damaged =
+      List.init 4 (fun i -> if i < 2 then damage rng text else damage rng (damage rng text))
+    in
+    return (h, text, damaged))
+
+let outcome parse text =
+  match parse text with
+  | h -> Ok (csr_views h)
+  | exception e -> Error (Printexc.to_string e)
+
+(* Inputs whose faults race: which message wins is the checks' order. *)
+let test_hmetis_check_order () =
+  List.iter
+    (fun text ->
+      Alcotest.(check (result (list (array int)) string))
+        (Printf.sprintf "%S" text)
+        (outcome Hmetis_reference.of_string text)
+        (outcome H.Hmetis.of_string text))
+    [
+      "1 3\n4 x\n" (* every token of a line parses before its range check *);
+      "1 3\n9 9\n" (* range before duplicate *);
+      "2 3\n2 2\n1 x\n" (* duplicates only after every line parsed *);
+      "2 3 1\n1 1 3\n2 4\n" (* range, edge 2, before duplicate, edge 1 *);
+      "1 3 10\n1 4\n1\nx 2\n1\n" (* edge lines before node weights *);
+      "1 3 10\n1 2\n1\n2 x\n1\n" (* bad integer before malformed line *);
+      "1 3 10 x\n" (* bad integer before malformed header *);
+      "x 3 5\n" (* header parse before fmt *);
+      "-1 3 5\n" (* negative counts before fmt *);
+      "1 3 5\n" (* fmt before line count *);
+      "1 3\n" (* truncated *);
+      "0 3\n1\n" (* trailing *);
+      "1 2\n+5 -3 0x1F 1_0 007 99999999999999999999\n";
+      "1 2\n99999999999999999999\n";
+      "1 2\n0000000000000000001 2\n";
+    ]
+
+let load_outcome text =
+  let path = Filename.temp_file "hmetis" ".hgr" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      outcome H.Hmetis.load path)
+
+let qcheck_hmetis_reference =
+  QCheck.Test.make ~name:"hMETIS reader matches the list-based reference"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (_, text, damaged) ->
+         String.concat "\n---\n" (List.map (Printf.sprintf "%S") (text :: damaged)))
+       hmetis_texts_gen)
+    (fun (h, text, damaged) ->
+      outcome H.Hmetis.of_string text = Ok (csr_views h)
+      && List.for_all
+           (fun t ->
+             outcome H.Hmetis.of_string t = outcome Hmetis_reference.of_string t)
+           (text :: damaged)
+      && List.for_all
+           (fun t -> load_outcome t = outcome H.Hmetis.of_string t)
+           [ text; List.hd damaged ])
+
 let suite =
   [
     Alcotest.test_case "basic accessors" `Quick test_basic_accessors;
     Alcotest.test_case "weights" `Quick test_weights;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "of_csr" `Quick test_of_csr;
     Alcotest.test_case "builder" `Quick test_builder;
     Alcotest.test_case "induced subgraph" `Quick test_induced_subgraph;
     Alcotest.test_case "contract" `Quick test_contract;
@@ -312,8 +551,11 @@ let suite =
       test_hmetis_parse_reference;
     Alcotest.test_case "hMETIS errors" `Quick test_hmetis_errors;
     Alcotest.test_case "hMETIS malformed input" `Quick test_hmetis_malformed;
+    Alcotest.test_case "hMETIS check order" `Quick test_hmetis_check_order;
     Alcotest.test_case "DOT export" `Quick test_dot_export;
     QCheck_alcotest.to_alcotest qcheck_pin_count;
     QCheck_alcotest.to_alcotest qcheck_incidence_consistent;
     QCheck_alcotest.to_alcotest qcheck_hmetis_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_hmetis_reference;
+    QCheck_alcotest.to_alcotest qcheck_contract_reference;
   ]
