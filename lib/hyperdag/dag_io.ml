@@ -26,6 +26,10 @@ let of_string s =
       if n < 0 || m < 0 then
         failwith
           (Printf.sprintf "Dag_io.of_string: negative header counts (%d %d)" n m);
+      if n > Hypergraph.max_nodes then
+        failwith
+          (Printf.sprintf "Dag_io.of_string: %d nodes exceed the limit of %d" n
+             Hypergraph.max_nodes);
       let rest = Array.of_list rest in
       if Array.length rest < m then failwith "Dag_io.of_string: truncated file";
       if Array.length rest > m then

@@ -142,6 +142,8 @@ let csr fn ~n ~node_weight ~edge_weight ~offsets pins =
   done;
   { n; node_weight; edge_weight; edge_offsets = offsets; pins; node_offsets; incidence }
 
+let max_nodes = 1 lsl 24
+
 let of_csr ~n ~node_weight ~edge_weight ~offsets pins =
   csr "Hg.of_csr" ~n ~node_weight ~edge_weight ~offsets pins
 

@@ -67,6 +67,14 @@ val csr_node_weights : t -> int array
 
 (** {1 Construction} *)
 
+val max_nodes : int
+(** The largest node count the file readers accept: 2{^24} =
+    16,777,216.  [Hmetis] and [Dag_io] check a header's n against it,
+    and [Part_io] a part id (so k = 1 + the largest id stays within it),
+    before anything is sized from those numbers: an n that only a
+    header states, with no line to back it, cannot ask for an arbitrary
+    allocation. *)
+
 val of_edges :
   ?node_weights:int array ->
   ?edge_weights:int array ->

@@ -110,6 +110,12 @@ let of_string s =
   if m < 0 || n < 0 then
     failwith
       (Printf.sprintf "Hmetis.of_lines: negative header counts (%d %d)" m n);
+  (* m is bounded by the lines that must follow, n (without node
+     weights) by nothing but this limit. *)
+  if n > Hg.max_nodes then
+    failwith
+      (Printf.sprintf "Hmetis.of_lines: %d nodes exceed the limit of %d" n
+         Hg.max_nodes);
   if fmt <> 0 && fmt <> 1 && fmt <> 10 && fmt <> 11 then
     failwith "Hmetis.of_lines: unsupported fmt";
   let has_edge_weights = fmt = 1 || fmt = 11 in

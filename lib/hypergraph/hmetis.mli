@@ -8,7 +8,8 @@ val of_string : string -> Hg.t
     [Failure] with a ["Hmetis.of_lines: "] or ["Hmetis.ints_of_line: "]
     message on malformed input.  Checks run in a fixed order, so the
     message is a function of the input: the header's tokens, negative
-    counts, the fmt, too few or too many lines, then line by line every
+    counts, n against {!Hg.max_nodes}, the fmt, too few or too many
+    lines, then line by line every
     token before that edge's pins are range-checked, the node-weight
     lines, and last duplicate pins. *)
 

@@ -14,6 +14,13 @@ let of_string ~n s =
       (List.map
          (fun l ->
            match int_of_string_opt l with
+           | Some v when v >= Hypergraph.max_nodes ->
+               (* k = 1 + the largest id: bounded, it cannot overflow. *)
+               failwith
+                 (Printf.sprintf
+                    "Part_io.of_string: part id %d exceeds the limit of %d \
+                     parts"
+                    v Hypergraph.max_nodes)
            | Some v when v >= 0 -> v
            | _ -> failwith (Printf.sprintf "Part_io.of_string: bad entry %S" l))
          lines)

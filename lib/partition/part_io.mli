@@ -2,7 +2,8 @@
 
 val of_string : n:int -> string -> Part.t
 (** [k] is inferred as 1 + the largest id.  Raises [Failure] on malformed
-    input or entry-count mismatch. *)
+    input, entry-count mismatch or an id of {!Hypergraph.max_nodes} or
+    more. *)
 
 val to_string : Part.t -> string
 val load : n:int -> string -> Part.t

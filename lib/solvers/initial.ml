@@ -57,6 +57,11 @@ let bfs_growth ?variant ~eps rng hg ~k =
   let n = Hypergraph.num_nodes hg in
   let total = Hypergraph.total_node_weight hg in
   let cap = capacity ?variant ~eps hg ~k in
+  let node_w = Hypergraph.csr_node_weights hg in
+  let inc = Hypergraph.csr_incidence hg in
+  let inc_offs = Hypergraph.csr_node_offsets hg in
+  let pins = Hypergraph.csr_pins hg in
+  let pin_offs = Hypergraph.csr_edge_offsets hg in
   let colors = Array.make n (-1) in
   let order = Support.Rng.permutation rng n in
   let queue = Queue.create () in
@@ -100,16 +105,20 @@ let bfs_growth ?variant ~eps rng hg ~k =
       else begin
         let v = Queue.pop queue in
         if colors.(v) < 0 && blocked.(v) <> c then begin
-          let w = Hypergraph.node_weight hg v in
+          let w = node_w.(v) in
           if weights.(c) + w <= cap && weights.(c) < target then begin
             colors.(v) <- c;
             weights.(c) <- weights.(c) + w;
-            Hypergraph.iter_incident hg v (fun e ->
-                Hypergraph.iter_pins hg e (fun u ->
-                    if colors.(u) < 0 && queued.(u) <> c then begin
-                      queued.(u) <- c;
-                      Queue.add u queue
-                    end))
+            for i = inc_offs.(v) to inc_offs.(v + 1) - 1 do
+              let e = inc.(i) in
+              for j = pin_offs.(e) to pin_offs.(e + 1) - 1 do
+                let u = pins.(j) in
+                if colors.(u) < 0 && queued.(u) <> c then begin
+                  queued.(u) <- c;
+                  Queue.add u queue
+                end
+              done
+            done
           end
           else if weights.(c) >= target then continue := false
           else blocked.(v) <- c
@@ -124,7 +133,7 @@ let bfs_growth ?variant ~eps rng hg ~k =
   (* Any stragglers: lightest part with room. *)
   for v = 0 to n - 1 do
     if colors.(v) < 0 then begin
-      let w = Hypergraph.node_weight hg v in
+      let w = node_w.(v) in
       let best = ref 0 in
       for c = 1 to k - 1 do
         if weights.(c) < weights.(!best) then best := c

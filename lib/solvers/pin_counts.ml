@@ -2,13 +2,10 @@
    currently in part c.  This is the shared incremental state of the FM and
    k-way refinement passes; moving one node updates it in O(degree).
 
-   [move] can report the four pin-count boundary crossings of each incident
-   edge to an [on_transition] hook.  These crossings are exactly the events
-   that can change another pin's move gain under either metric — the
-   predicates entering [move_delta] are [count = 0], [count = 1] and λ, and
-   a count crossing 0 or 1 on the src side (or leaving 0 or 1 on the dst
-   side) is the only way any of them flips — so a gain cache subscribed to
-   the hook stays exact without rescanning neighbourhoods. *)
+   [Refine] keeps its gain rows exact by walking a moved node's edges
+   itself (it updates these arrays through [raw_counts]/[raw_lambdas] in
+   the same walk that patches the rows); [move] is the plain update every
+   other refiner and FM's bulk rollback use. *)
 
 type t = {
   hg : Hypergraph.t;
@@ -16,16 +13,6 @@ type t = {
   counts : int array; (* m * k *)
   lambdas : int array; (* m; number of non-empty colors per edge *)
 }
-
-(* Boundary crossings of one edge when a pin moves src -> dst:
-   - [Src_gone]: count(e, src) reached 0 (the edge left part src; λ fell),
-   - [Src_lone]: count(e, src) reached 1 (one pin of e remains in src),
-   - [Dst_first]: count(e, dst) left 0 (the edge entered part dst; λ rose),
-   - [Dst_paired]: count(e, dst) left 1 (the formerly lone dst pin got
-     company).
-   At most one src-side and one dst-side transition fire per edge; both are
-   reported after the edge's counts and λ are fully updated. *)
-type transition = Src_gone | Src_lone | Dst_first | Dst_paired
 
 (* [reuse] is refilled in place when it counts the physically same
    hypergraph at the same k: the coarsest-level portfolio refines 13
@@ -59,11 +46,10 @@ let raw_counts t = t.counts
 let raw_lambdas t = t.lambdas
 
 (* Record that node v moved from part [src] to part [dst]; the caller is
-   responsible for updating the partition itself (hooks that inspect pin
-   colors expect the partition to already place [v] in [dst]).  The loop
-   walks the CSR incidence directly: this runs once per applied or rolled
-   back move and must not allocate. *)
-let move ?on_transition t v ~src ~dst =
+   responsible for updating the partition itself.  The loop walks the CSR
+   incidence directly: this runs once per applied or rolled back move and
+   must not allocate. *)
+let move t v ~src ~dst =
   if src <> dst then begin
     let inc = Hypergraph.csr_incidence t.hg in
     let offs = Hypergraph.csr_node_offsets t.hg in
@@ -73,14 +59,7 @@ let move ?on_transition t v ~src ~dst =
       t.counts.(si) <- t.counts.(si) - 1;
       if t.counts.(si) = 0 then t.lambdas.(e) <- t.lambdas.(e) - 1;
       if t.counts.(di) = 0 then t.lambdas.(e) <- t.lambdas.(e) + 1;
-      t.counts.(di) <- t.counts.(di) + 1;
-      match on_transition with
-      | None -> ()
-      | Some f ->
-          if t.counts.(si) = 0 then f e Src_gone
-          else if t.counts.(si) = 1 then f e Src_lone;
-          if t.counts.(di) = 1 then f e Dst_first
-          else if t.counts.(di) = 2 then f e Dst_paired
+      t.counts.(di) <- t.counts.(di) + 1
     done
   end
 

@@ -2,15 +2,6 @@
 
 type t
 
-type transition =
-  | Src_gone  (** count(e, src) reached 0: the edge left part src, λ fell. *)
-  | Src_lone  (** count(e, src) reached 1: one pin of e remains in src. *)
-  | Dst_first  (** count(e, dst) left 0: the edge entered part dst, λ rose. *)
-  | Dst_paired  (** count(e, dst) left 1: the lone dst pin got company. *)
-(** Pin-count boundary crossings of one incident edge during {!move} —
-    exactly the events that can change another pin's gain under either
-    metric, so a gain cache driven by them stays exact. *)
-
 val create : ?reuse:t -> Hypergraph.t -> Partition.t -> t
 (** The counts of [part] on the hypergraph.  With [~reuse:r], where [r]
     was built for the physically same hypergraph ([==]) and the same k,
@@ -25,17 +16,16 @@ val lambda : t -> int -> int
 (** Maintained λ_e. *)
 
 val raw_counts : t -> int array
-(** The live m×k count matrix (edge [e]'s row starts at [e * k]); a
-    read-only view for allocation-free hot loops. *)
+(** The live m×k count matrix (edge [e]'s row starts at [e * k]), for
+    allocation-free hot loops.  Read-only, except to [Refine], whose move
+    walk updates it exactly as {!move} would. *)
 
 val raw_lambdas : t -> int array
-(** The live λ array, same read-only contract as {!raw_counts}. *)
+(** The live λ array, same contract as {!raw_counts}. *)
 
-val move : ?on_transition:(int -> transition -> unit) -> t -> int -> src:int -> dst:int -> unit
-(** Update counts for a node move (the partition itself is the caller's;
-    hooks that inspect pin colors expect it updated {e before} the call).
-    [on_transition e tr] fires after edge [e]'s counts and λ are fully
-    updated — at most one src-side and one dst-side transition per edge. *)
+val move : t -> int -> src:int -> dst:int -> unit
+(** Update counts and λ for a node move; the partition itself is the
+    caller's to update. *)
 
 val edge_delta :
   Partition.metric -> w:int -> lambda:int -> src_count:int -> dst_count:int -> int

@@ -12,20 +12,24 @@
    - Each node carries a cached gain row.  Under the connectivity metric
      the row is the exact decomposition  delta(v -> q) = penalty(v, q) -
      benefit(v)  with  benefit(v) = Σ_{e ∋ v} w_e·[count(e, part v) = 1]
-     and  penalty(v, q) = Σ_{e ∋ v} w_e·[count(e, q) = 0],  updated in
-     place by the four Pin_counts transitions of every applied move
-     (count(e, src) hitting 1/0, count(e, dst) leaving 0/1 — exactly the
-     events that can flip one of the indicator terms).  A row is built
+     and  penalty(v, q) = Σ_{e ∋ v} w_e·[count(e, q) = 0].  A row is built
      as  penalty(v, q) = W(v) - Σ_{e ∋ v, q ∈ Λ(e)} w_e,  W(v) being v's
      incident edge weight and Λ(e) the parts holding a pin of e, so the
      work is proportional to the parts each edge spans: Λ(e) comes from
      the pins of an edge with fewer than k of them, else from its k
-     counts.  Under cut-net the same row caches the raw delta vector and
-     transitions invalidate it, so touched neighbours recompute once
-     instead of at every pop.
+     counts.  Under cut-net the same row caches the raw delta vector.
+   - A move walks the moved node's edges once ([apply_move]).  Per edge it
+     updates the counts and λ, then detects the four pin-count boundary
+     crossings (count(e, src) reaching 1/0, count(e, dst) leaving 0/1 —
+     exactly the events that can flip one of the indicator terms) and, if
+     any fired, makes one pass over the edge's pins that applies them all:
+     row patches under connectivity, invalidations under cut-net (touched
+     neighbours recompute once instead of at every pop), activation
+     touches in pin order.
    - Valid rows stay exact through a pass's rollback: a short suffix is
-     replayed through the same hook, a long one bulk-invalidates (see
-     [fm_pass]).
+     replayed through the same walk, a long one bulk-invalidates, and a
+     bulk rollback to the pass start copies back the rows the pass seeded
+     (see [fm_pass]).
    - The pin counts live in the workspace and are refilled in place by
      the next call on the same hypergraph and k, so the coarsest-level
      portfolio allocates one m×k array, not one per candidate.
@@ -34,13 +38,13 @@
      count; the per-pass max-node-weight / max-gain scans are hoisted
      into the workspace and run once per [refine] call.
 
-   Queue priorities are deliberately lazy: a transition patches the gain
-   rows but does not reposition live queue entries — a popped node whose
+   Queue priorities are deliberately lazy: a move patches the gain rows
+   but does not reposition live queue entries — a popped node whose
    recorded gain no longer matches its cached best is re-inserted with the
    fresh value, which now costs O(k) from the row instead of a full
    O(deg·k) recompute.  Between two applied moves every node is corrected
    at most once, so a pass terminates.  The one eager queue operation is
-   activation: pins of an edge whose λ just left 1 (a Dst_first transition)
+   activation: pins of an edge whose λ just left 1 (count(e, dst) left 0)
    are newly boundary and enter the queue at their cached best gain. *)
 
 type config = {
@@ -59,9 +63,7 @@ let default_config =
    valid gain rows; it starts fresh per call (rows from a previous
    hypergraph / partition can never leak in) and is bumped again after a
    rollback too long to patch, which bulk-invalidates every row in O(1).
-   [lock_stamp] is refreshed per pass, and the current move's endpoints
-   live in [mv_*] so the Pin_counts hook is allocated once per call, not
-   once per move. *)
+   [lock_stamp] is refreshed per pass. *)
 type ctx = {
   cfg : config;
   hg : Hypergraph.t;
@@ -79,15 +81,11 @@ type ctx = {
   pcounts : int array;
   plambdas : int array;
   edge_w : int array; (* read-only weight views: an accessor call per *)
-  node_w : int array; (* read is measurable at hook frequencies *)
+  node_w : int array; (* read is measurable at move-walk frequencies *)
   mutable cache_stamp : int;
   mutable lock_stamp : int;
   mutable overweight : int; (* #parts with weight > cap, kept incrementally *)
   mutable cap_limit : int; (* feasibility bound of the current phase *)
-  mutable track_touch : bool; (* collect activation candidates? *)
-  mutable mv_v : int;
-  mutable mv_src : int;
-  mutable mv_dst : int;
   (* Delta of the move [best_move] last computed, read by its callers.
      Lives in the ctx (one per solve) rather than at module level so
      concurrent solves cannot race on it. *)
@@ -128,8 +126,8 @@ let locked ctx v = ctx.ws.Workspace.locked.(v) = ctx.lock_stamp
    edge's weight from the parts of Λ(e) and adding W(v) to every slot at
    the end (the slot of v's own part, in every Λ(e), comes out 0); cut-net
    caches the raw delta vector (k move_delta evaluations).  Either way the
-   row then answers best-move queries in O(k) until a transition
-   invalidates it. *)
+   row then answers best-move queries in O(k) until a move invalidates
+   it. *)
 let ensure_row ctx v =
   let ws = ctx.ws in
   if ws.Workspace.cache_stamp.(v) = ctx.cache_stamp then
@@ -210,93 +208,8 @@ let best_move ctx v =
   ctx.best_delta <- !best_delta;
   !best
 
-(* The Pin_counts transition hook: push exact delta-gain updates (or, for
-   cut-net, invalidations) to the moved node's neighbours.  Runs after the
-   edge's counts and λ are updated and after the partition places mv_v in
-   mv_dst.  Pins of a Dst_first edge are additionally collected as
-   activation candidates when [track_touch] is on: that edge's λ just left
-   1, so every pin of it is now boundary. *)
-let touch ctx u =
-  let ws = ctx.ws in
-  if ctx.track_touch && ws.Workspace.touch.(u) <> ws.Workspace.stamp
-  then begin
-    ws.Workspace.touch.(u) <- ws.Workspace.stamp;
-    Support.Int_vec.push ws.Workspace.touched u
-  end
-
-let on_transition ctx e tr =
-  let ws = ctx.ws in
-  let v = ctx.mv_v in
-  let stamp = ctx.cache_stamp in
-  let cache_stamp = ws.Workspace.cache_stamp in
-  let pins = ctx.pins in
-  let lo = ctx.pin_offs.(e) and hi = ctx.pin_offs.(e + 1) - 1 in
-  match ctx.cfg.metric with
-  | Partition.Cut_net ->
-      (* Any fired transition can change a pin's cached delta vector:
-         invalidate, and recompute lazily at the next pop. *)
-      for i = lo to hi do
-        let u = pins.(i) in
-        if u <> v then begin
-          if cache_stamp.(u) = stamp then begin
-            cache_stamp.(u) <- 0;
-            ctx.n_patches <- ctx.n_patches + 1
-          end;
-          if tr = Pin_counts.Dst_first then touch ctx u
-        end
-      done
-  | Partition.Connectivity -> (
-      let w = ctx.edge_w.(e) in
-      let k = ctx.k in
-      let penalty = ws.Workspace.penalty in
-      let benefit = ws.Workspace.benefit in
-      match tr with
-      | Pin_counts.Src_gone ->
-          (* No pin of e remains in src: src stopped costing anyone. *)
-          for i = lo to hi do
-            let u = pins.(i) in
-            if u <> v && cache_stamp.(u) = stamp then begin
-              let j = (u * k) + ctx.mv_src in
-              penalty.(j) <- penalty.(j) + w;
-              ctx.n_patches <- ctx.n_patches + 1
-            end
-          done
-      | Pin_counts.Src_lone ->
-          (* Exactly one pin of e is left in src: e is now lone for it. *)
-          for i = lo to hi do
-            let u = pins.(i) in
-            if u <> v && ctx.part.(u) = ctx.mv_src && cache_stamp.(u) = stamp
-            then begin
-              benefit.(u) <- benefit.(u) + w;
-              ctx.n_patches <- ctx.n_patches + 1
-            end
-          done
-      | Pin_counts.Dst_first ->
-          (* e reached dst: moving there no longer costs its pins. *)
-          for i = lo to hi do
-            let u = pins.(i) in
-            if u <> v then begin
-              if cache_stamp.(u) = stamp then begin
-                let j = (u * k) + ctx.mv_dst in
-                penalty.(j) <- penalty.(j) - w;
-                ctx.n_patches <- ctx.n_patches + 1
-              end;
-              touch ctx u
-            end
-          done
-      | Pin_counts.Dst_paired ->
-          (* The formerly lone dst pin of e got company. *)
-          for i = lo to hi do
-            let u = pins.(i) in
-            if u <> v && ctx.part.(u) = ctx.mv_dst && cache_stamp.(u) = stamp
-            then begin
-              benefit.(u) <- benefit.(u) - w;
-              ctx.n_patches <- ctx.n_patches + 1
-            end
-          done)
-
 (* Re-color v to dst and maintain weights plus the O(1) overweight count
-   (shared by applied moves and the long, hook-free rollback). *)
+   (shared by applied moves and the bulk rollback). *)
 let shift_node ctx v ~src ~dst =
   ctx.part.(v) <- dst;
   let w = ctx.node_w.(v) in
@@ -309,73 +222,183 @@ let shift_node ctx v ~src ~dst =
   if (not was_over) && ctx.weights.(dst) > ctx.cap then
     ctx.overweight <- ctx.overweight + 1
 
-(* Apply the move v: src -> dst — partition first (the hook reads pin
-   colors), then weights + the O(1) overweight count, then Pin_counts with
-   the delta-update hook.  With [activate] the newly-boundary neighbours
-   collected by the hook enter the queue at their cached best gain;
-   rebalancing skips that (its eligible set only shrinks) but still routes
-   through the hook so the gain cache stays exact. *)
-let apply_move ctx queue hook v ~src ~dst ~activate =
+(* Apply the move v: src -> dst (src <> dst) in one walk over v's edges.
+   The partition, weights and overweight count change first, and v's own
+   row is invalidated.  Then, per edge e: its counts and λ, and, if a
+   boundary crossing fired, one pass over its pins (v excepted) that
+   applies every crossing at once to each valid row:
+   - count(e, src) reached 0: src stopped costing anyone, penalty(u, src)
+     rises by w_e;
+   - count(e, src) reached 1: e is now lone for the pin left in src, its
+     benefit rises by w_e;
+   - count(e, dst) left 0: moving to dst no longer costs e's pins,
+     penalty(u, dst) falls by w_e;
+   - count(e, dst) left 1: the formerly lone dst pin got company, its
+     benefit falls by w_e.
+   Under cut-net any crossing invalidates the row instead.  With
+   [activate], the pins of an edge whose count(e, dst) left 0 (λ just left
+   1, so they are newly boundary) are collected in pin order, and after
+   the walk each unlocked one not in the queue enters it at its cached
+   best gain; rebalancing and rollback replay skip that (the walk still
+   keeps every valid row exact). *)
+let apply_move ctx queue v ~src ~dst ~activate =
   let ws = ctx.ws in
   shift_node ctx v ~src ~dst;
-  ws.Workspace.cache_stamp.(v) <- 0;
-  ctx.mv_v <- v;
-  ctx.mv_src <- src;
-  ctx.mv_dst <- dst;
-  ctx.track_touch <- activate;
-  if activate then begin
-    ignore (Workspace.next_stamp ws) (* touch-dedup stamp for this move *);
-    Support.Int_vec.clear ws.Workspace.touched
-  end;
-  Pin_counts.move ~on_transition:hook ctx.counts v ~src ~dst;
+  let cache_stamp = ws.Workspace.cache_stamp in
+  cache_stamp.(v) <- 0;
+  let touched = ws.Workspace.touched and touch = ws.Workspace.touch in
+  let touch_stamp = if activate then Workspace.next_stamp ws else 0 in
+  if activate then Support.Int_vec.clear touched;
+  let k = ctx.k and stamp = ctx.cache_stamp in
+  let pcounts = ctx.pcounts and plambdas = ctx.plambdas in
+  let pins = ctx.pins and pin_offs = ctx.pin_offs and part = ctx.part in
+  let inc = ctx.inc and edge_w = ctx.edge_w in
+  let penalty = ws.Workspace.penalty and benefit = ws.Workspace.benefit in
+  let connectivity = ctx.cfg.metric = Partition.Connectivity in
+  let patches = ref 0 in
+  for i = ctx.inc_offs.(v) to ctx.inc_offs.(v + 1) - 1 do
+    let e = inc.(i) in
+    let si = (e * k) + src and di = (e * k) + dst in
+    let cs = pcounts.(si) - 1 and cd = pcounts.(di) + 1 in
+    pcounts.(si) <- cs;
+    pcounts.(di) <- cd;
+    if cs = 0 then plambdas.(e) <- plambdas.(e) - 1;
+    if cd = 1 then plambdas.(e) <- plambdas.(e) + 1;
+    if cs <= 1 || cd <= 2 then begin
+      let collect = activate && cd = 1 in
+      let lo = pin_offs.(e) and hi = pin_offs.(e + 1) - 1 in
+      if connectivity then begin
+        let w = edge_w.(e) in
+        for j = lo to hi do
+          let u = pins.(j) in
+          if u <> v then begin
+            if cache_stamp.(u) = stamp then begin
+              if cs = 0 then begin
+                let slot = (u * k) + src in
+                penalty.(slot) <- penalty.(slot) + w;
+                incr patches
+              end
+              else if cs = 1 && part.(u) = src then begin
+                benefit.(u) <- benefit.(u) + w;
+                incr patches
+              end;
+              if cd = 1 then begin
+                let slot = (u * k) + dst in
+                penalty.(slot) <- penalty.(slot) - w;
+                incr patches
+              end
+              else if cd = 2 && part.(u) = dst then begin
+                benefit.(u) <- benefit.(u) - w;
+                incr patches
+              end
+            end;
+            if collect && touch.(u) <> touch_stamp then begin
+              touch.(u) <- touch_stamp;
+              Support.Int_vec.push touched u
+            end
+          end
+        done
+      end
+      else
+        for j = lo to hi do
+          let u = pins.(j) in
+          if u <> v then begin
+            if cache_stamp.(u) = stamp then begin
+              cache_stamp.(u) <- 0;
+              incr patches
+            end;
+            if collect && touch.(u) <> touch_stamp then begin
+              touch.(u) <- touch_stamp;
+              Support.Int_vec.push touched u
+            end
+          end
+        done
+    end
+  done;
+  ctx.n_patches <- ctx.n_patches + !patches;
   if activate then
-    Support.Int_vec.iter
-      (fun u ->
-        if (not (locked ctx u)) && not (Support.Bucket_queue.mem queue u)
-        then begin
-          let dst = best_move ctx u in
-          if dst >= 0 then
-            Support.Bucket_queue.insert queue u (-ctx.best_delta)
-        end)
-      ws.Workspace.touched
+    for i = 0 to Support.Int_vec.length touched - 1 do
+      let u = Support.Int_vec.get touched i in
+      if (not (locked ctx u)) && not (Support.Bucket_queue.mem queue u)
+      then begin
+        let dst = best_move ctx u in
+        if dst >= 0 then Support.Bucket_queue.insert queue u (-ctx.best_delta)
+      end
+    done
 
 (* Seed the queue with the boundary: pins of edges with λ >= 2, each at
-   its cached best gain.  One sweep over the edges, stamp-deduplicated.
-   Returns the boundary size. *)
+   its cached best gain.  One sweep over the edges, stamp-deduplicated;
+   every boundary node, movable or not, is listed in [ws.seeded]. *)
 let seed_boundary ctx queue =
   let ws = ctx.ws in
   let stamp = Workspace.next_stamp ws in
   let seen = ws.Workspace.seen in
-  let boundary_size = ref 0 in
   for e = 0 to Hypergraph.num_edges ctx.hg - 1 do
     if ctx.plambdas.(e) >= 2 then
       for i = ctx.pin_offs.(e) to ctx.pin_offs.(e + 1) - 1 do
         let v = ctx.pins.(i) in
         if seen.(v) <> stamp then begin
           seen.(v) <- stamp;
-          incr boundary_size;
+          Support.Int_vec.push ws.Workspace.seeded v;
           let dst = best_move ctx v in
           if dst >= 0 then
             Support.Bucket_queue.insert queue v (-ctx.best_delta)
         end
       done
   done;
-  Fm_stats.observe_int ctx.stats.Fm_stats.boundary !boundary_size;
-  !boundary_size
+  Fm_stats.observe_int ctx.stats.Fm_stats.boundary
+    (Support.Int_vec.length ws.Workspace.seeded)
 
 (* Full seeding: every node with a feasible move, as the pre-cache refiner
    did.  Used as a stall fallback — interior nodes only ever have
    non-negative deltas, but chains of such moves (classic FM hill
    climbing) sometimes reach strictly better valleys that boundary-only
-   passes cannot, e.g. when whole clusters must migrate together.
-   Returns n. *)
+   passes cannot, e.g. when whole clusters must migrate together.  Every
+   node is listed in [ws.seeded]. *)
 let seed_all ctx queue =
-  let n = Hypergraph.num_nodes ctx.hg in
-  for v = 0 to n - 1 do
+  for v = 0 to Hypergraph.num_nodes ctx.hg - 1 do
+    Support.Int_vec.push ctx.ws.Workspace.seeded v;
     let dst = best_move ctx v in
     if dst >= 0 then Support.Bucket_queue.insert queue v (-ctx.best_delta)
+  done
+
+(* Right after seeding, every seeded node's row is valid and was computed
+   from the pass-start partition.  Copy them into the workspace snapshot
+   when that is cheaper than rebuilding them: k + 1 slots a node against
+   a rebuild that walks at least every incident edge.  Returns whether
+   the snapshot was taken. *)
+let snapshot_rows ctx =
+  let ws = ctx.ws and k = ctx.k in
+  let seeded = ws.Workspace.seeded in
+  let len = Support.Int_vec.length seeded in
+  let degrees = ref 0 in
+  for i = 0 to len - 1 do
+    let v = Support.Int_vec.get seeded i in
+    degrees := !degrees + ctx.inc_offs.(v + 1) - ctx.inc_offs.(v)
   done;
-  n
+  if len * (k + 1) > !degrees then false
+  else begin
+    let snap = Workspace.grow_snapshot ws (len * (k + 1)) in
+    for i = 0 to len - 1 do
+      let v = Support.Int_vec.get seeded i in
+      Array.blit ws.Workspace.penalty (v * k) snap (i * (k + 1)) k;
+      snap.((i * (k + 1)) + k) <- ws.Workspace.benefit.(v)
+    done;
+    true
+  end
+
+(* After a bulk rollback to the pass start the partition and the counts
+   are again those the snapshot rows were computed from, so those rows are
+   exact: copy them back, valid under the current (just bumped) stamp. *)
+let restore_rows ctx =
+  let ws = ctx.ws and k = ctx.k in
+  let seeded = ws.Workspace.seeded and snap = ws.Workspace.snapshot in
+  for i = 0 to Support.Int_vec.length seeded - 1 do
+    let v = Support.Int_vec.get seeded i in
+    Array.blit snap (i * (k + 1)) ws.Workspace.penalty (v * k) k;
+    ws.Workspace.benefit.(v) <- snap.((i * (k + 1)) + k);
+    ws.Workspace.cache_stamp.(v) <- ctx.cache_stamp
+  done
 
 (* ANALYSIS_DEBUG self-check of the gain cache, run after every pass: each
    valid row must hold the move deltas the current counts give.  A solver
@@ -416,12 +439,15 @@ let audit_rows ctx =
    slack that lets a perfectly balanced bisection trade nodes); the
    rollback then only accepts prefixes whose imbalance is no worse than the
    starting one, so a feasible partition never degrades. *)
-let fm_pass ctx queue hook ~full =
+let fm_pass ctx queue ~full =
   let ws = ctx.ws in
   ctx.lock_stamp <- Workspace.next_stamp ws;
   ctx.cap_limit <- ctx.cap + ws.Workspace.max_node_weight;
   Support.Bucket_queue.clear queue;
-  let seeded = if full then seed_all ctx queue else seed_boundary ctx queue in
+  Support.Int_vec.clear ws.Workspace.seeded;
+  if full then seed_all ctx queue else seed_boundary ctx queue;
+  let seeded = Support.Int_vec.length ws.Workspace.seeded in
+  let snapped = snapshot_rows ctx in
   let start_overweight = ctx.overweight in
   let moves = ws.Workspace.moves in
   Support.Int_vec.clear moves;
@@ -445,7 +471,7 @@ let fm_pass ctx queue hook ~full =
             else begin
               let src = ctx.part.(v) in
               ctx.n_applied <- ctx.n_applied + 1;
-              apply_move ctx queue hook v ~src ~dst ~activate:true;
+              apply_move ctx queue v ~src ~dst ~activate:true;
               ws.Workspace.locked.(v) <- ctx.lock_stamp;
               Support.Int_vec.push moves v;
               Support.Int_vec.push moves src;
@@ -469,16 +495,21 @@ let fm_pass ctx queue hook ~full =
           end
         end
   done;
-  (* Roll back the moves after the best (balance-acceptable) prefix.  A
-     replayed move patches about as many rows as the rolled-back node has
-     edges, and the next pass rebuilds about as many rows as this one
-     seeded.  So when the rolled-back nodes' degrees sum to at most the
-     seeded count, the suffix replays through the gain hook (with
-     activation off; each replayed node's own row is invalidated, as an
-     applied move does) and every valid row stays exact.  Otherwise it
-     replays hook-free and the call's stamp is bumped, which
-     bulk-invalidates every row.  An empty rollback keeps every row
-     valid. *)
+  (* Roll back the moves after the best (balance-acceptable) prefix, one
+     of three ways.  A replayed move patches about as many rows as the
+     rolled-back node has edges, and the next pass rebuilds about as many
+     rows as this one seeded.
+     - Patched: when the rolled-back nodes' degrees sum to at most the
+       seeded count, the suffix replays through [apply_move] (activation
+       off; each replayed node's own row is invalidated, as an applied
+       move does) and every valid row stays exact.
+     - Bulk: otherwise it replays through [Pin_counts.move] alone and the
+       call's stamp is bumped, which invalidates every row in O(1).
+     - Bulk with restore: a bulk rollback of the whole pass returns to
+       the pass-start state, so when the pass took a snapshot the seeded
+       rows are copied back under the new stamp instead of being rebuilt
+       by the next pass.
+     An empty rollback keeps every row valid. *)
   if !len > !best_len then begin
     let degrees = ref 0 in
     for i = !best_len to !len - 1 do
@@ -490,14 +521,16 @@ let fm_pass ctx queue hook ~full =
       let v = Support.Int_vec.get moves (3 * i) in
       let src = Support.Int_vec.get moves ((3 * i) + 1) in
       let dst = Support.Int_vec.get moves ((3 * i) + 2) in
-      if patch then
-        apply_move ctx queue hook v ~src:dst ~dst:src ~activate:false
+      if patch then apply_move ctx queue v ~src:dst ~dst:src ~activate:false
       else begin
         shift_node ctx v ~src:dst ~dst:src;
         Pin_counts.move ctx.counts v ~src:dst ~dst:src
       end
     done;
-    if not patch then ctx.cache_stamp <- Workspace.next_stamp ws
+    if not patch then begin
+      ctx.cache_stamp <- Workspace.next_stamp ws;
+      if !best_len = 0 && snapped then restore_rows ctx
+    end
   end;
   if Analysis_core.Debug.enabled () then audit_rows ctx;
   let s = ctx.stats in
@@ -512,7 +545,7 @@ let fm_pass ctx queue hook ~full =
    strictly shrinks the total excess, dst parts only grow (so a node whose
    destinations are full never becomes movable again and is dropped), and
    stale priorities are corrected at pop time as in the FM pass. *)
-let rebalance ctx queue hook =
+let rebalance ctx queue =
   if ctx.overweight > 0 then begin
     let ws = ctx.ws in
     ctx.lock_stamp <- Workspace.next_stamp ws (* nothing is locked *);
@@ -544,7 +577,7 @@ let rebalance ctx queue hook =
               end
               else begin
                 incr moved;
-                apply_move ctx queue hook v ~src:(ctx.part.(v)) ~dst
+                apply_move ctx queue v ~src:(ctx.part.(v)) ~dst
                   ~activate:false
               end
             end
@@ -585,16 +618,18 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
           ~k ()
       in
       (* Hoisted per-instance scans (formerly per pass). *)
+      let node_w = Hypergraph.csr_node_weights hg in
+      let edge_w = Hypergraph.csr_edge_weights hg in
+      let inc = Hypergraph.csr_incidence hg in
+      let inc_offs = Hypergraph.csr_node_offsets hg in
       let max_node_weight = ref 0 and max_gain = ref 1 in
       for v = 0 to n - 1 do
-        if Hypergraph.node_weight hg v > !max_node_weight then
-          max_node_weight := Hypergraph.node_weight hg v;
-        let s =
-          Hypergraph.fold_incident hg v
-            (fun acc e -> acc + Hypergraph.edge_weight hg e)
-            0
-        in
-        if s > !max_gain then max_gain := s
+        if node_w.(v) > !max_node_weight then max_node_weight := node_w.(v);
+        let s = ref 0 in
+        for i = inc_offs.(v) to inc_offs.(v + 1) - 1 do
+          s := !s + edge_w.(inc.(i))
+        done;
+        if !s > !max_gain then max_gain := !s
       done;
       ws.Workspace.max_node_weight <- !max_node_weight;
       ws.Workspace.max_gain <- !max_gain;
@@ -611,20 +646,16 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
           ws;
           pins = Hypergraph.csr_pins hg;
           pin_offs = Hypergraph.csr_edge_offsets hg;
-          inc = Hypergraph.csr_incidence hg;
-          inc_offs = Hypergraph.csr_node_offsets hg;
+          inc;
+          inc_offs;
           pcounts = Pin_counts.raw_counts counts;
           plambdas = Pin_counts.raw_lambdas counts;
-          edge_w = Hypergraph.csr_edge_weights hg;
-          node_w = Hypergraph.csr_node_weights hg;
+          edge_w;
+          node_w;
           cache_stamp = Workspace.next_stamp ws;
           lock_stamp = Workspace.next_stamp ws;
           overweight = Support.Util.array_count (fun w -> w > cap) weights;
           cap_limit = cap;
-          track_touch = false;
-          mv_v = -1;
-          mv_src = -1;
-          mv_dst = -1;
           best_delta = 0;
           n_pops = 0;
           n_stale = 0;
@@ -636,8 +667,7 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
             (match stats with Some s -> s | None -> Fm_stats.create ());
         }
       in
-      let hook = on_transition ctx in
-      rebalance ctx queue hook;
+      rebalance ctx queue;
       (* Boundary-seeded passes until they stall, then one full-seeded
          fallback pass (interior hill-climb chains); stop when that stalls
          too.  A productive fallback hands control back to the cheap
@@ -659,7 +689,7 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
                 if Obs.Prof.enabled () then Obs.Prof.allocated_words ()
                 else 0.0
               in
-              let gain = fm_pass ctx queue hook ~full:was_full in
+              let gain = fm_pass ctx queue ~full:was_full in
               if Obs.Prof.enabled () then
                 Fm_stats.observe_int ctx.stats.Fm_stats.pass_alloc
                   (int_of_float (Obs.Prof.allocated_words () -. alloc0));

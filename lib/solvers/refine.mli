@@ -35,8 +35,8 @@ val refine :
     thread-count-independent.
 
     The pass is boundary-driven: only nodes incident to cut edges enter
-    the gain queue, gains come from a per-node cache kept exact by
-    {!Pin_counts} transition hooks, and the balance check is O(1) against
-    an incrementally maintained overweight-part count.  A shared
+    the gain queue, gains come from a per-node cache that each move keeps
+    exact in one walk over its edges, and the balance check is O(1)
+    against an incrementally maintained overweight-part count.  A shared
     [workspace] (as threaded by {!Multilevel}) reuses scratch arrays and
     the bucket queue across calls; results are identical either way. *)

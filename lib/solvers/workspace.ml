@@ -15,7 +15,9 @@
      coarsest level share one m*k array; a call on another hypergraph
      replaces them;
    - all per-use validity is stamp-based: a fresh stamp from [next_stamp]
-     invalidates every node in O(1), so nothing is cleared between passes.
+     invalidates every node in O(1), so nothing is cleared between passes;
+   - the snapshot buffer holds the gain rows one FM pass seeded, copied
+     right after seeding, and is only read back by that same pass.
 
    Stamp discipline: stamp arrays start at 0 and [stamp] at 1, so freshly
    grown regions are never accidentally valid; the counter only grows
@@ -23,14 +25,19 @@
 
 type t = {
   (* Gain cache (Refine): row v of [penalty] is k slots at [v * k]; under
-     the connectivity metric benefit/penalty are maintained exactly via
-     Pin_counts transitions, under cut-net the row caches the full delta
-     vector and transitions invalidate it. *)
+     the connectivity metric benefit/penalty are patched exactly by each
+     move's walk over its edges, under cut-net the row caches the full
+     delta vector and the walk invalidates it. *)
   mutable benefit : int array; (* n *)
   mutable penalty : int array; (* n * k *)
   mutable cache_stamp : int array; (* n; row valid iff = the refine stamp *)
   mutable part_mark : int array; (* k; parts of Λ(e) seen by a row build *)
   mutable counts : Pin_counts.t option; (* the last refine call's *)
+  (* The nodes the current FM pass seeded, and (when the pass took one)
+     a copy of their rows: k penalty slots then the benefit, k + 1 slots
+     per node in [seeded] order. *)
+  seeded : Support.Int_vec.t;
+  mutable snapshot : int array;
   (* Stamped per-node marks (locks, touched-dedup, boundary-seen). *)
   mutable locked : int array; (* n *)
   mutable touch : int array; (* n *)
@@ -60,6 +67,8 @@ let create () =
     cache_stamp = [||];
     part_mark = [||];
     counts = None;
+    seeded = Support.Int_vec.create ();
+    snapshot = [||];
     locked = [||];
     touch = [||];
     seen = [||];
@@ -86,6 +95,11 @@ let ensure t ~n ~k =
   t.touch <- grow_int t.touch n;
   t.seen <- grow_int t.seen n;
   t.score <- grow_float t.score n
+
+(* The snapshot buffer, grown to hold at least [len] slots. *)
+let grow_snapshot t len =
+  t.snapshot <- grow_int t.snapshot len;
+  t.snapshot
 
 let next_stamp t =
   let s = t.stamp + 1 in

@@ -1,7 +1,8 @@
 (** Reusable scratch state for the refinement/coarsening hot path: gain
-    cache rows, stamped mark arrays, move log, the FM bucket queue and the
-    last refinement's pin counts, allocated once per multilevel solve and
-    shared across passes and levels.
+    cache rows, stamped mark arrays, move log, the FM bucket queue, the
+    snapshot of one pass's seeded gain rows and the last refinement's pin
+    counts, allocated once per multilevel solve and shared across passes
+    and levels.
 
     A workspace is owned by exactly one solver call tree at a time (the
     solvers are single-threaded); arrays only grow, and per-use validity
@@ -16,6 +17,8 @@ type t = {
   mutable cache_stamp : int array;
   mutable part_mark : int array;
   mutable counts : Pin_counts.t option;
+  seeded : Support.Int_vec.t;
+  mutable snapshot : int array;
   mutable locked : int array;
   mutable touch : int array;
   mutable seen : int array;
@@ -37,6 +40,10 @@ val ensure : t -> n:int -> k:int -> unit
     array to hold [n] nodes and [k] parts.  Existing contents are
     preserved or replaced by zeroes; stamp discipline makes stale
     contents harmless. *)
+
+val grow_snapshot : t -> int -> int array
+(** The snapshot buffer, grown (contents not kept) to at least the given
+    number of slots: where an FM pass copies the gain rows it seeded. *)
 
 val next_stamp : t -> int
 (** A fresh stamp, distinct from every value currently stored in the

@@ -179,6 +179,15 @@ let test_dag_io_malformed () =
   expect_dag_io_failure "self-loop" "2 1\n1 1\n";
   expect_dag_io_failure "cycle" "2 2\n0 1\n1 0\n"
 
+(* The header's n is checked against the node limit before the DAG is
+   built: this header used to run the reader out of memory. *)
+let test_dag_io_node_limit () =
+  Alcotest.check_raises "n = 10^12"
+    (Failure
+       (Printf.sprintf "Dag_io.of_string: %d nodes exceed the limit of %d"
+          1_000_000_000_000 Hypergraph.max_nodes))
+    (fun () -> ignore (Hyperdag.Dag_io.of_string "1000000000000 0\n"))
+
 let test_dag_io_roundtrip () =
   let rng = Support.Rng.create 17 in
   for _ = 1 to 20 do
@@ -291,6 +300,7 @@ let suite =
     Alcotest.test_case "roundtrip dag <-> hyperDAG" `Quick
       test_roundtrip_dag_hyperdag;
     Alcotest.test_case "DAG IO malformed input" `Quick test_dag_io_malformed;
+    Alcotest.test_case "DAG IO node limit" `Quick test_dag_io_node_limit;
     Alcotest.test_case "DAG IO roundtrip" `Quick test_dag_io_roundtrip;
     Alcotest.test_case "generator assignment validation" `Quick
       test_generator_assignment_validation;

@@ -277,6 +277,21 @@ let test_hmetis_malformed () =
   expect_hmetis_failure "missing node weights" "1 2 10\n1 2\n";
   expect_hmetis_failure "malformed node weight line" "1 2 10\n1 2\n1 1\n1\n"
 
+(* n is checked against the node limit before anything is sized from it:
+   this 22-byte file used to raise Invalid_argument("Array.make"). *)
+let test_hmetis_node_limit () =
+  Alcotest.check_raises "n = max_int"
+    (Failure
+       (Printf.sprintf "Hmetis.of_lines: %d nodes exceed the limit of %d"
+          max_int H.max_nodes))
+    (fun () -> ignore (H.Hmetis.of_string "0 4611686018427387903"));
+  Alcotest.check_raises "one node beyond the limit"
+    (Failure
+       (Printf.sprintf "Hmetis.of_lines: %d nodes exceed the limit of %d"
+          (H.max_nodes + 1) H.max_nodes))
+    (fun () ->
+      ignore (H.Hmetis.of_string (Printf.sprintf "0 %d\n" (H.max_nodes + 1))))
+
 let string_contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i =
@@ -551,6 +566,7 @@ let suite =
       test_hmetis_parse_reference;
     Alcotest.test_case "hMETIS errors" `Quick test_hmetis_errors;
     Alcotest.test_case "hMETIS malformed input" `Quick test_hmetis_malformed;
+    Alcotest.test_case "hMETIS node limit" `Quick test_hmetis_node_limit;
     Alcotest.test_case "hMETIS check order" `Quick test_hmetis_check_order;
     Alcotest.test_case "DOT export" `Quick test_dot_export;
     QCheck_alcotest.to_alcotest qcheck_pin_count;

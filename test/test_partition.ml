@@ -203,6 +203,23 @@ let test_part_io_malformed () =
   Alcotest.(check int) "empty vector k" 1 (P.k p);
   Alcotest.(check (array int)) "empty vector" [||] (P.assignment p)
 
+(* A part id is bounded before k = 1 + the largest id is formed: an id of
+   max_int used to wrap k negative and raise Invalid_argument from
+   Part.create. *)
+let test_part_io_part_limit () =
+  let beyond id =
+    Failure
+      (Printf.sprintf "Part_io.of_string: part id %d exceeds the limit of %d \
+                       parts"
+         id H.max_nodes)
+  in
+  Alcotest.check_raises "id = max_int" (beyond max_int) (fun () ->
+      ignore (P.Io.of_string ~n:1 "4611686018427387903\n"));
+  Alcotest.check_raises "id = the limit" (beyond H.max_nodes) (fun () ->
+      ignore (P.Io.of_string ~n:1 (string_of_int H.max_nodes)));
+  Alcotest.(check int) "largest id below the limit" H.max_nodes
+    (P.k (P.Io.of_string ~n:1 (string_of_int (H.max_nodes - 1))))
+
 (* Layer-wise --------------------------------------------------------------- *)
 
 let test_layerwise_feasibility () =
@@ -252,6 +269,8 @@ let suite =
     Alcotest.test_case "partition IO parse" `Quick test_part_io_parse;
     Alcotest.test_case "partition IO malformed input" `Quick
       test_part_io_malformed;
+    Alcotest.test_case "partition IO part limit" `Quick
+      test_part_io_part_limit;
     Alcotest.test_case "layerwise feasibility" `Quick
       test_layerwise_feasibility;
     Alcotest.test_case "layerwise small layers" `Quick

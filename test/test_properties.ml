@@ -417,6 +417,65 @@ let prop_gain_rows_exact =
           ignore (Solvers.Refine.refine ~config h (P.random rng ~k ~n));
           true))
 
+(* A bulk rollback to the pass start restores the rows the pass seeded.
+   Small dense instances (m ≫ n) make rollbacks long enough to take the
+   bulk path and seeding cheap enough to snapshot, and node weights above
+   the ε = 0.03 slack make most passes end where they started, as on the
+   benchmark's dense coarsest levels.  Most edges stay inside one of k
+   planted clusters and the start is the clustering with a few nodes
+   flipped, so some nodes start interior: a pass activates them and builds
+   their rows, and only the stamp bump retires those rows when it rolls
+   back.  With the ANALYSIS_DEBUG gate forced on, every restored row (and
+   every other valid one) is checked against Pin_counts.move_delta after
+   each pass. *)
+let prop_restored_rows_exact =
+  QCheck.Test.make
+    ~name:"refine: rows restored after a rollback to the pass start exact"
+    ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Support.Rng.create seed in
+      let k = 2 + Support.Rng.int rng 3 in
+      let n = (3 * k) + Support.Rng.int rng 9 in
+      let m = n * (6 + Support.Rng.int rng 7) in
+      let clusters =
+        Array.init k (fun c ->
+            Array.of_list (List.filter (fun v -> v mod k = c) (List.init n Fun.id)))
+      in
+      let edge _ =
+        if Support.Rng.int rng 8 > 0 then begin
+          let members = clusters.(Support.Rng.int rng k) in
+          let size =
+            2 + Support.Rng.int rng (min 3 (Array.length members - 1))
+          in
+          Array.map
+            (fun i -> members.(i))
+            (Support.Rng.sample_distinct rng ~n:(Array.length members) ~k:size)
+        end
+        else Support.Rng.sample_distinct rng ~n ~k:(2 + Support.Rng.int rng 3)
+      in
+      let h =
+        H.of_edges
+          ~node_weights:(Array.init n (fun _ -> 1 + Support.Rng.int rng 4))
+          ~edge_weights:(Array.init m (fun _ -> 1 + Support.Rng.int rng 3))
+          ~n (Array.init m edge)
+      in
+      let colors = Array.init n (fun v -> v mod k) in
+      for _ = 0 to Support.Rng.int rng 3 do
+        colors.(Support.Rng.int rng n) <- Support.Rng.int rng k
+      done;
+      let metric =
+        if Support.Rng.int rng 2 = 0 then P.Connectivity else P.Cut_net
+      in
+      let config = { Solvers.Refine.default_config with eps = 0.03; metric } in
+      let was = Analysis_core.Debug.enabled () in
+      Analysis_core.Debug.force true;
+      Fun.protect
+        ~finally:(fun () -> Analysis_core.Debug.force was)
+        (fun () ->
+          ignore (Solvers.Refine.refine ~config h (P.create ~k colors));
+          true))
+
 let suite =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
@@ -425,6 +484,7 @@ let suite =
       prop_move_delta_exact;
       prop_workspace_reuse_deterministic;
       prop_gain_rows_exact;
+      prop_restored_rows_exact;
       prop_contraction_preserves_cost;
       prop_exact_below_heuristics;
       prop_optimum_monotone_in_eps;
