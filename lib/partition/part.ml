@@ -78,17 +78,25 @@ let imbalance hg t =
 
 (* Cost --------------------------------------------------------------------- *)
 
-(* lambda_e: number of distinct parts intersecting edge e.  The [mark]
-   scratch array (length k) lets a caller amortize allocation. *)
-let lambda_with hg t ~mark ~stamp e =
+(* lambda_e: number of distinct parts among the pins of edge e, read from
+   the CSR views [pins]/[offs] in a plain loop.  Each part is marked in
+   [mark] (length k) under [stamp], which lets a caller amortize the
+   scratch array. *)
+let count_parts pins offs assignment ~mark ~stamp e =
   let count = ref 0 in
-  Hypergraph.iter_pins hg e (fun v ->
-      let c = t.assignment.(v) in
-      if mark.(c) <> stamp then begin
-        mark.(c) <- stamp;
-        incr count
-      end);
+  for i = offs.(e) to offs.(e + 1) - 1 do
+    let c = assignment.(pins.(i)) in
+    if mark.(c) <> stamp then begin
+      mark.(c) <- stamp;
+      incr count
+    end
+  done;
   !count
+
+let lambda_with hg t ~mark ~stamp e =
+  count_parts (Hypergraph.csr_pins hg)
+    (Hypergraph.csr_edge_offsets hg)
+    t.assignment ~mark ~stamp e
 
 let lambda hg t e =
   let mark = Array.make t.k (-1) in
@@ -98,8 +106,12 @@ let is_cut hg t e = lambda hg t e > 1
 
 let all_lambdas hg t =
   let mark = Array.make t.k (-1) in
-  Array.init (Hypergraph.num_edges hg) (fun e ->
-      lambda_with hg t ~mark ~stamp:e e)
+  let pins = Hypergraph.csr_pins hg and offs = Hypergraph.csr_edge_offsets hg in
+  let lambdas = Array.make (Hypergraph.num_edges hg) 0 in
+  for e = 0 to Hypergraph.num_edges hg - 1 do
+    lambdas.(e) <- count_parts pins offs t.assignment ~mark ~stamp:e e
+  done;
+  lambdas
 
 (* Every full cost evaluation feeds an obs histogram, so any workload that
    scores partitions (experiments, CLI, audits) reports cut quality in its
@@ -109,10 +121,12 @@ let h_cutnet = Obs.Histogram.make "cost.cutnet"
 
 let cost ?(metric = Connectivity) hg t =
   let mark = Array.make t.k (-1) in
+  let pins = Hypergraph.csr_pins hg and offs = Hypergraph.csr_edge_offsets hg in
+  let weights = Hypergraph.csr_edge_weights hg in
   let total = ref 0 in
   for e = 0 to Hypergraph.num_edges hg - 1 do
-    let l = lambda_with hg t ~mark ~stamp:e e in
-    let w = Hypergraph.edge_weight hg e in
+    let l = count_parts pins offs t.assignment ~mark ~stamp:e e in
+    let w = weights.(e) in
     match metric with
     | Cut_net -> if l > 1 then total := !total + w
     | Connectivity -> total := !total + (w * (l - 1))
@@ -127,9 +141,11 @@ let connectivity_cost hg t = cost ~metric:Connectivity hg t
 
 let cut_edges hg t =
   let mark = Array.make t.k (-1) in
+  let pins = Hypergraph.csr_pins hg and offs = Hypergraph.csr_edge_offsets hg in
   let acc = ref [] in
   for e = Hypergraph.num_edges hg - 1 downto 0 do
-    if lambda_with hg t ~mark ~stamp:e e > 1 then acc := e :: !acc
+    if count_parts pins offs t.assignment ~mark ~stamp:e e > 1 then
+      acc := e :: !acc
   done;
   !acc
 

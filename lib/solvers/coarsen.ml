@@ -113,12 +113,15 @@ let cluster ?workspace ?within rng hg ~max_cluster_weight =
 let c_levels = Obs.Counter.make "coarsen.levels"
 let h_shrink = Obs.Histogram.make "coarsen.shrink"
 
-let one_level ?workspace ?within rng hg ~max_cluster_weight =
+let one_level ?workspace ?within ?(max_shrink = 1.0) rng hg
+    ~max_cluster_weight =
   Obs.Span.with_ "coarsen.level"
     ~attrs:[ ("nodes_in", Obs.Int (Hypergraph.num_nodes hg)) ]
     (fun () ->
       let label, count = cluster ?workspace ?within rng hg ~max_cluster_weight in
-      if count = Hypergraph.num_nodes hg then None
+      let n = Hypergraph.num_nodes hg in
+      if count = n || float_of_int count /. float_of_int n > max_shrink then
+        None
       else begin
         let coarse = Hypergraph.contract hg label count in
         Obs.Counter.incr c_levels;
@@ -145,15 +148,12 @@ let hierarchy ?workspace rng hg ~k ~stop_nodes =
       let rec go acc current =
         if Hypergraph.num_nodes current <= stop_nodes then (current, List.rev acc)
         else
-          match one_level ?workspace rng current ~max_cluster_weight with
+          match
+            one_level ?workspace ~max_shrink:0.95 rng current
+              ~max_cluster_weight
+          with
           | None -> (current, List.rev acc)
-          | Some level ->
-              let shrink =
-                float_of_int (Hypergraph.num_nodes level.coarse)
-                /. float_of_int (Hypergraph.num_nodes current)
-              in
-              if shrink > 0.95 then (current, List.rev acc)
-              else go (level :: acc) level.coarse
+          | Some level -> go (level :: acc) level.coarse
       in
       let coarsest, levels = go [] hg in
       Obs.Span.attr "levels" (Obs.Int (List.length levels));

@@ -21,11 +21,16 @@ val cluster :
 val one_level :
   ?workspace:Workspace.t ->
   ?within:int array ->
+  ?max_shrink:float ->
   Support.Rng.t ->
   Hypergraph.t ->
   max_cluster_weight:int ->
   level option
-(** [None] when clustering made no progress. *)
+(** One clustering pass, contracted.  [None] when clustering made no
+    progress, or when it kept more than [max_shrink] (default 1.0) of the
+    nodes: such a level is clustered (the [rng] advances) but not
+    contracted, counted in [coarsen.levels] or observed in
+    [coarsen.shrink]. *)
 
 val hierarchy :
   ?workspace:Workspace.t ->
@@ -34,7 +39,9 @@ val hierarchy :
   k:int ->
   stop_nodes:int ->
   Hypergraph.t * level list
-(** [(coarsest, levels)] with levels ordered fine → coarse. *)
+(** [(coarsest, levels)] with levels ordered fine → coarse.  Coarsening
+    stops at [stop_nodes] nodes or at the first clustering that keeps
+    more than 95% of the nodes, which is dropped before contraction. *)
 
 val project : level -> Partition.t -> Partition.t
 (** Pull a partition of [level.coarse] back to the finer hypergraph. *)

@@ -58,7 +58,7 @@ type ctx = {
   pin_offs : int array;
   inc : int array;
   inc_offs : int array;
-  pcounts : int array;
+  pview : Pin_counts.view;
   plambdas : int array;
   edge_w : int array;
   node_w : int array;
@@ -85,7 +85,7 @@ let create_ctx cfg hg part =
     pin_offs = Hypergraph.csr_edge_offsets hg;
     inc = Hypergraph.csr_incidence hg;
     inc_offs = Hypergraph.csr_node_offsets hg;
-    pcounts = Pin_counts.raw_counts counts;
+    pview = Pin_counts.view counts;
     plambdas = Pin_counts.raw_lambdas counts;
     edge_w = Hypergraph.csr_edge_weights hg;
     node_w = Hypergraph.csr_node_weights hg;
@@ -105,22 +105,33 @@ let next_stamp ctx =
   ctx.stamp
 
 (* Node x's row: the exact cost change of moving x to each other part,
-   summed edge by edge with the per-edge term of Pin_counts.move_delta. *)
+   summed edge by edge with the per-edge term of Pin_counts.move_delta.
+   An edge's counts are read a packed word at a time, each word shifted
+   right one field per part. *)
 let build_row ctx x =
   let k = ctx.k and rows = ctx.rows in
   let base = x * k and src = ctx.assignment.(x) in
+  let { Pin_counts.words; stride; offset; shift; mask; bits; fields } =
+    ctx.pview
+  in
+  let so = offset.(src) and ss = shift.(src) in
   Array.fill rows base k 0;
   for i = ctx.inc_offs.(x) to ctx.inc_offs.(x + 1) - 1 do
     let e = ctx.inc.(i) in
-    let row = e * k in
+    let row = e * stride in
     let w = ctx.edge_w.(e) and lambda = ctx.plambdas.(e) in
-    let src_count = ctx.pcounts.(row + src) in
-    for c = 0 to k - 1 do
-      if c <> src then
-        rows.(base + c) <-
-          rows.(base + c)
-          + Pin_counts.edge_delta ctx.cfg.metric ~w ~lambda ~src_count
-              ~dst_count:ctx.pcounts.(row + c)
+    let src_count = (words.(row + so) lsr ss) land mask in
+    for j = 0 to stride - 1 do
+      let word = ref words.(row + j) in
+      let c0 = j * fields in
+      for c = c0 to min k (c0 + fields) - 1 do
+        if c <> src then
+          rows.(base + c) <-
+            rows.(base + c)
+            + Pin_counts.edge_delta ctx.cfg.metric ~w ~lambda ~src_count
+                ~dst_count:(!word land mask);
+        word := !word lsr bits
+      done
     done
   done
 
@@ -154,13 +165,15 @@ let boundary_nodes ctx =
    never rises).  The entries are live under the returned stamp. *)
 let walk_neighbours ctx v =
   let walk = next_stamp ctx in
-  let k = ctx.k and metric = ctx.cfg.metric in
+  let metric = ctx.cfg.metric in
   let cv = ctx.assignment.(v) in
+  let { Pin_counts.words; stride; offset; shift; mask; _ } = ctx.pview in
+  let vo = offset.(cv) and vs = shift.(cv) in
   for i = ctx.inc_offs.(v) to ctx.inc_offs.(v + 1) - 1 do
     let e = ctx.inc.(i) in
-    let row = e * k in
+    let row = e * stride in
     let w = ctx.edge_w.(e) and lambda = ctx.plambdas.(e) in
-    let count_v = ctx.pcounts.(row + cv) in
+    let count_v = (words.(row + vo) lsr vs) land mask in
     let lambda' = if count_v = 1 then lambda - 1 else lambda in
     for j = ctx.pin_offs.(e) to ctx.pin_offs.(e + 1) - 1 do
       let u = ctx.pins.(j) in
@@ -173,7 +186,7 @@ let walk_neighbours ctx v =
         ctx.shared.(u) <- ctx.shared.(u) + 1;
         let cu = ctx.assignment.(u) in
         if cu <> cv then begin
-          let count_u = ctx.pcounts.(row + cu) in
+          let count_u = (words.(row + offset.(cu)) lsr shift.(cu)) land mask in
           ctx.corr.(u) <-
             ctx.corr.(u)
             + Pin_counts.edge_delta metric ~w ~lambda:lambda'

@@ -1,4 +1,14 @@
-(** Incremental per-edge color counts shared by the refinement passes. *)
+(** Incremental per-edge color counts shared by the refinement passes.
+
+    {b Layout.}  count(e, c), the pins of edge [e] in part [c], is a field
+    [bits] wide, where [bits] is the bit length of the hypergraph's
+    largest edge (at least 1; at most 25 for an instance the readers
+    accept, whose edges hold at most {!Hypergraph.max_nodes} = 2{^24}
+    pins).  Since a count never exceeds its edge's size, the field never
+    overflows.  [fields] = ⌊62 / [bits]⌋ of them are packed into one
+    word, so edge [e] takes [stride] = ⌈k / [fields]⌉ words instead of
+    [k].  The width comes from the instance alone: every level of a
+    multilevel solve sizes its own. *)
 
 type t
 
@@ -15,13 +25,33 @@ val count : t -> int -> int -> int
 val lambda : t -> int -> int
 (** Maintained λ_e. *)
 
-val raw_counts : t -> int array
-(** The live m×k count matrix (edge [e]'s row starts at [e * k]), for
-    allocation-free hot loops.  Read-only, except to [Refine], whose move
-    walk updates it exactly as {!move} would. *)
+(** The packed words, for allocation-free hot loops.  count(e, c) is
+
+    {[ (words.((e * stride) + offset.(c)) lsr shift.(c)) land mask ]}
+
+    Fields of one word beyond part k − 1 are always 0, and part [c] of a
+    word starting at part [c0] sits at bit [(c - c0) * bits], so a loop
+    over all k counts of an edge can walk its [stride] words, shifting
+    each right by [bits] per part.  Adding or subtracting [1 lsl shift.(c)]
+    to a word changes count(e, c) by one and nothing else, as long as the
+    count stays within the edge's size.  The record and its arrays are
+    live, not copies: read-only, except to [Refine], whose move walk
+    updates [words] exactly as {!move} would (λ through {!raw_lambdas}).
+    A view stays valid for the life of [t], refills included. *)
+type view = private {
+  words : int array;  (** m × [stride] *)
+  stride : int;  (** words per edge *)
+  offset : int array;  (** k; part c's word within an edge's row *)
+  shift : int array;  (** k; part c's bit offset within that word *)
+  mask : int;  (** [(1 lsl bits) - 1] *)
+  bits : int;  (** field width *)
+  fields : int;  (** fields per word *)
+}
+
+val view : t -> view
 
 val raw_lambdas : t -> int array
-(** The live λ array, same contract as {!raw_counts}. *)
+(** The live λ array, same contract as {!view}'s words. *)
 
 val move : t -> int -> src:int -> dst:int -> unit
 (** Update counts and λ for a node move; the partition itself is the

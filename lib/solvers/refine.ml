@@ -16,8 +16,9 @@
      as  penalty(v, q) = W(v) - Σ_{e ∋ v, q ∈ Λ(e)} w_e,  W(v) being v's
      incident edge weight and Λ(e) the parts holding a pin of e, so the
      work is proportional to the parts each edge spans: Λ(e) comes from
-     the pins of an edge with fewer than k of them, else from its k
-     counts.  Under cut-net the same row caches the raw delta vector.
+     the pins of an edge with fewer than k of them, else from its packed
+     count words (non-empty fields).  Under cut-net the same row caches
+     the raw delta vector.
    - A move walks the moved node's edges once ([apply_move]).  Per edge it
      updates the counts and λ, then detects the four pin-count boundary
      crossings (count(e, src) reaching 1/0, count(e, dst) leaving 0/1 —
@@ -30,9 +31,15 @@
      replayed through the same walk, a long one bulk-invalidates, and a
      bulk rollback to the pass start copies back the rows the pass seeded
      (see [fm_pass]).
-   - The pin counts live in the workspace and are refilled in place by
-     the next call on the same hypergraph and k, so the coarsest-level
-     portfolio allocates one m×k array, not one per candidate.
+   - The pin counts are bit-packed ([Pin_counts.view]): each count is a
+     field of b bits, b the bit length of the largest edge, ⌊62/b⌋ to a
+     word, so an edge's k counts take ⌈k / ⌊62/b⌋⌉ words instead of k
+     (one word up to k = 15 while no edge has 16 pins).  Every per-edge
+     access reads one word at an offset and shift hoisted out of the edge
+     loop (the moved node's src and dst, the row's own part).
+     The counts live in the workspace and are refilled in place by the
+     next call on the same hypergraph and k, so the coarsest-level
+     portfolio allocates one word array, not one per candidate.
    - Selecting the best move of a cached node is O(k); the per-move accept
      check is O(1) against an incrementally maintained overweight-part
      count; the per-pass max-node-weight / max-gain scans are hoisted
@@ -78,7 +85,7 @@ type ctx = {
   pin_offs : int array;
   inc : int array;
   inc_offs : int array;
-  pcounts : int array;
+  pview : Pin_counts.view;
   plambdas : int array;
   edge_w : int array; (* read-only weight views: an accessor call per *)
   node_w : int array; (* read is measurable at move-walk frequencies *)
@@ -144,13 +151,18 @@ let ensure_row ctx v =
           penalty.(base + q) <- 0
         done;
         let mark = ws.Workspace.part_mark in
+        let { Pin_counts.words; stride; offset; shift; mask; bits; fields } =
+          ctx.pview
+        in
+        let so = offset.(src) and ss = shift.(src) in
         let benefit = ref 0 and incident = ref 0 in
         for i = ctx.inc_offs.(v) to ctx.inc_offs.(v + 1) - 1 do
           let e = ctx.inc.(i) in
           let w = ctx.edge_w.(e) in
-          let row = e * k in
+          let row = e * stride in
           incident := !incident + w;
-          if ctx.pcounts.(row + src) = 1 then benefit := !benefit + w;
+          if (words.(row + so) lsr ss) land mask = 1 then
+            benefit := !benefit + w;
           let lo = ctx.pin_offs.(e) and hi = ctx.pin_offs.(e + 1) in
           if hi - lo < k then begin
             (* Λ(e) from the pins' parts, each part once. *)
@@ -164,9 +176,17 @@ let ensure_row ctx v =
             done
           end
           else
-            for q = 0 to k - 1 do
-              if ctx.pcounts.(row + q) > 0 then
-                penalty.(base + q) <- penalty.(base + q) - w
+            (* Λ(e) from the non-empty fields, a word at a time; a word's
+               fields past part k - 1 are 0. *)
+            for j = 0 to stride - 1 do
+              let word = ref words.(row + j) in
+              let slot = ref (base + (j * fields)) in
+              while !word <> 0 do
+                if !word land mask <> 0 then
+                  penalty.(!slot) <- penalty.(!slot) - w;
+                word := !word lsr bits;
+                incr slot
+              done
             done
         done;
         for q = 0 to k - 1 do
@@ -250,7 +270,10 @@ let apply_move ctx queue v ~src ~dst ~activate =
   let touch_stamp = if activate then Workspace.next_stamp ws else 0 in
   if activate then Support.Int_vec.clear touched;
   let k = ctx.k and stamp = ctx.cache_stamp in
-  let pcounts = ctx.pcounts and plambdas = ctx.plambdas in
+  let { Pin_counts.words; stride; offset; shift; mask; _ } = ctx.pview in
+  let so = offset.(src) and ss = shift.(src) in
+  let dw = offset.(dst) and ds = shift.(dst) in
+  let plambdas = ctx.plambdas in
   let pins = ctx.pins and pin_offs = ctx.pin_offs and part = ctx.part in
   let inc = ctx.inc and edge_w = ctx.edge_w in
   let penalty = ws.Workspace.penalty and benefit = ws.Workspace.benefit in
@@ -258,10 +281,14 @@ let apply_move ctx queue v ~src ~dst ~activate =
   let patches = ref 0 in
   for i = ctx.inc_offs.(v) to ctx.inc_offs.(v + 1) - 1 do
     let e = inc.(i) in
-    let si = (e * k) + src and di = (e * k) + dst in
-    let cs = pcounts.(si) - 1 and cd = pcounts.(di) + 1 in
-    pcounts.(si) <- cs;
-    pcounts.(di) <- cd;
+    let row = e * stride in
+    (* The dst word is read after the src word is written: both fields
+       may share it. *)
+    let x = words.(row + so) - (1 lsl ss) in
+    words.(row + so) <- x;
+    let y = words.(row + dw) + (1 lsl ds) in
+    words.(row + dw) <- y;
+    let cs = (x lsr ss) land mask and cd = (y lsr ds) land mask in
     if cs = 0 then plambdas.(e) <- plambdas.(e) - 1;
     if cd = 1 then plambdas.(e) <- plambdas.(e) + 1;
     if cs <= 1 || cd <= 2 then begin
@@ -648,7 +675,7 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
           pin_offs = Hypergraph.csr_edge_offsets hg;
           inc;
           inc_offs;
-          pcounts = Pin_counts.raw_counts counts;
+          pview = Pin_counts.view counts;
           plambdas = Pin_counts.raw_lambdas counts;
           edge_w;
           node_w;

@@ -12,8 +12,8 @@
    - the pin counts of the last [Refine.refine] call stay here and are
      consumed by the next call on the physically same hypergraph and k
      ([Pin_counts.create ~reuse]), so the portfolio's candidates on one
-     coarsest level share one m*k array; a call on another hypergraph
-     replaces them;
+     coarsest level share one packed count array; a call on another
+     hypergraph replaces them;
    - all per-use validity is stamp-based: a fresh stamp from [next_stamp]
      invalidates every node in O(1), so nothing is cleared between passes;
    - the snapshot buffer holds the gain rows one FM pass seeded, copied

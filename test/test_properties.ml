@@ -209,6 +209,100 @@ let prop_move_delta_exact =
       done;
       !ok)
 
+(* Bit-packed pin counts against the m×k matrix they replace
+   (Pin_counts_reference), through [create] with and without [~reuse],
+   random moves, [count], [lambda], [cost] and [move_delta] under both
+   metrics.  The largest edge has 1, 2^b - 1 or 2^b pins, so the field
+   width is 1, b or b + 1 and the largest edge can fill its field; k is
+   1, 2, exactly one word of fields, one field into a second word, 64 or
+   70.  A start puts every node in the last part, in one random part, or
+   spreads them at random; half the moves go to the last part. *)
+type packing_case = { largest : int; k : int; n : int; m : int; seed : int }
+
+let gen_packing_case =
+  QCheck.Gen.(
+    let* b = int_range 1 6 in
+    let* largest = oneofl [ 1; (1 lsl b) - 1; 1 lsl b ] in
+    let width = ref 1 in
+    while largest lsr !width > 0 do
+      incr width
+    done;
+    let fields = 62 / !width in
+    let* k = oneofl [ 1; 2; fields; fields + 1; 64; 70 ] in
+    let* extra = int_range 0 6 in
+    let* m = int_range 1 8 in
+    let* seed = int_bound 1_000_000 in
+    return { largest; k; n = largest + extra; m; seed })
+
+let prop_packed_counts_match_matrix =
+  let module Pc = Solvers.Pin_counts in
+  let module Rc = Pin_counts_reference in
+  let print c =
+    Printf.sprintf "largest %d, k %d, n %d, m %d, seed %d" c.largest c.k c.n
+      c.m c.seed
+  in
+  QCheck.Test.make ~name:"pin counts: packed = m×k reference" ~count:300
+    (QCheck.make ~print gen_packing_case)
+    (fun c ->
+      let rng = Support.Rng.create c.seed in
+      let edges =
+        Array.init c.m (fun e ->
+            let size =
+              if e = 0 then c.largest else 1 + Support.Rng.int rng c.largest
+            in
+            Support.Rng.sample_distinct rng ~n:c.n ~k:size)
+      in
+      let h = H.of_edges ~n:c.n edges in
+      let start () =
+        P.create ~k:c.k
+          (match Support.Rng.int rng 3 with
+          | 0 -> Array.make c.n (c.k - 1)
+          | 1 -> Array.make c.n (Support.Rng.int rng c.k)
+          | _ -> Array.init c.n (fun _ -> Support.Rng.int rng c.k))
+      in
+      let metrics = [ P.Connectivity; P.Cut_net ] in
+      let agree pc rc =
+        let ok = ref true in
+        for e = 0 to c.m - 1 do
+          if Pc.lambda pc e <> Rc.lambda rc e then ok := false;
+          for q = 0 to c.k - 1 do
+            if Pc.count pc e q <> Rc.count rc e q then ok := false
+          done
+        done;
+        List.for_all
+          (fun metric -> Pc.cost ~metric pc = Rc.cost ~metric rc)
+          metrics
+        && !ok
+      in
+      let walk pc rc p =
+        let ok = ref true in
+        for _ = 1 to 30 do
+          let v = Support.Rng.int rng c.n in
+          let dst =
+            if Support.Rng.bool rng then c.k - 1 else Support.Rng.int rng c.k
+          in
+          let src = P.color p v in
+          List.iter
+            (fun metric ->
+              if
+                Pc.move_delta ~metric pc v ~src ~dst
+                <> Rc.move_delta ~metric rc v ~src ~dst
+              then ok := false)
+            metrics;
+          Pc.move pc v ~src ~dst;
+          Rc.move rc v ~src ~dst;
+          (P.assignment p).(v) <- dst;
+          if not (agree pc rc) then ok := false
+        done;
+        !ok
+      in
+      let p = start () in
+      let pc = Pc.create h p and rc = Rc.create h p in
+      let fresh_ok = agree pc rc && walk pc rc p in
+      let q = start () in
+      let reused = Pc.create ~reuse:pc h q and rq = Rc.create h q in
+      fresh_ok && reused == pc && agree reused rq && walk reused rq q)
+
 (* The exact Kernighan-Lin pass that Kl_swap's cached-gain pass must
    reproduce swap for swap: every candidate pair is priced by applying the
    first move, evaluating the second and undoing it, in the same pair
@@ -482,6 +576,7 @@ let suite =
       prop_metric_sandwich;
       prop_lambda_range;
       prop_move_delta_exact;
+      prop_packed_counts_match_matrix;
       prop_workspace_reuse_deterministic;
       prop_gain_rows_exact;
       prop_restored_rows_exact;

@@ -191,6 +191,49 @@ let qcheck_exact_mu_between_bounds =
       let opt = Sch.Mu.exact_makespan d ~k:3 in
       Sch.Mu.lower_bound d ~k:3 <= opt && opt <= Sch.List_sched.makespan d ~k:3)
 
+(* The heap-based list scheduler against the per-step re-sort it
+   replaced (List_sched_reference): the same processor and time step for
+   every node, on random DAGs of up to 60 nodes with priorities drawn
+   from a range of 1 to 4 values (many ties, so the insertion order
+   decides) or the default level priority, and k from 1 to 8. *)
+let qcheck_list_sched_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 0 60 in
+      let* p = float_range 0.0 0.2 in
+      let* k = int_range 1 8 in
+      let* values = int_range 0 4 in
+      let* seed = int_bound 1_000_000 in
+      let rng = Support.Rng.create seed in
+      let edges = ref [] in
+      for u = 0 to n - 2 do
+        for v = u + 1 to n - 1 do
+          if Support.Rng.bernoulli rng p then edges := (u, v) :: !edges
+        done
+      done;
+      let priority =
+        if values = 0 then None
+        else Some (Array.init n (fun _ -> Support.Rng.int rng values))
+      in
+      return (D.of_edges ~n !edges, priority, k))
+  in
+  let print (d, priority, k) =
+    Fmt.str "k=%d priority=%s@.%a" k
+      (match priority with
+      | None -> "level"
+      | Some p -> String.concat "," (Array.to_list (Array.map string_of_int p)))
+      D.pp d
+  in
+  QCheck.Test.make ~name:"list schedule = per-step re-sort reference"
+    ~count:300 (QCheck.make ~print gen) (fun (d, priority, k) ->
+      let s = Sch.List_sched.schedule ?priority d ~k in
+      let r = List_sched_reference.schedule ?priority d ~k in
+      List.for_all
+        (fun v ->
+          Sch.Schedule.proc s v = Sch.Schedule.proc r v
+          && Sch.Schedule.time s v = Sch.Schedule.time r v)
+        (List.init (D.num_nodes d) Fun.id))
+
 let suite =
   [
     Alcotest.test_case "schedule validity" `Quick test_schedule_validity_checks;
@@ -212,4 +255,5 @@ let suite =
     Alcotest.test_case "DAG class predicates" `Quick test_dag_class_predicates;
     Alcotest.test_case "transitive reduction" `Quick test_transitive_reduction;
     QCheck_alcotest.to_alcotest qcheck_exact_mu_between_bounds;
+    QCheck_alcotest.to_alcotest qcheck_list_sched_matches_reference;
   ]
