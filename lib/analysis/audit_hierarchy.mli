@@ -7,8 +7,6 @@
 
 val rules : (string * string) list
 
-val audit_topology : Hierarchy.Topology.t -> Check.report
-
 val recompute_cost :
   Hierarchy.Topology.t -> Hypergraph.t -> Partition.t -> float
 (** First-principles Definition 7.1 cost (exposed for the CLI). *)

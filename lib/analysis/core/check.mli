@@ -65,7 +65,6 @@ val merge : subject:string -> report list -> report
 (** {1 Rendering} *)
 
 val pp_severity : Format.formatter -> severity -> unit
-val pp_violation : Format.formatter -> violation -> unit
 val pp : Format.formatter -> report -> unit
 
 (** [pp_timings] renders the per-rule timing table (the [check --stats]

@@ -5,11 +5,9 @@
     adversary is an accidental collision, not an attacker.  The digest is
     stable across platforms and OCaml versions. *)
 
-val fnv1a_64 : string -> int64
-(** The raw 64-bit FNV-1a hash of a byte string. *)
-
 val digest : string -> string
-(** [digest s] is {!fnv1a_64} rendered as 16 lowercase hex digits. *)
+(** [digest s] is the 64-bit FNV-1a hash of [s] rendered as 16 lowercase
+    hex digits. *)
 
 val digest_file : string -> (string, string) result
 (** Digest of a file's contents; [Error] (with a [Fingerprint.digest_file:]

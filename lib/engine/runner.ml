@@ -95,8 +95,7 @@ let solve (config : Spec.config) ~threads ~seed hg =
   | Spec.Multilevel ->
       Ok
         (Solvers.Multilevel.partition
-           ~config:
-             { Solvers.Multilevel.default_config with eps; metric; threads }
+           ~config:{ Solvers.Multilevel.eps; metric; threads }
            rng hg ~k)
   | Spec.Recursive ->
       Ok
@@ -107,7 +106,7 @@ let solve (config : Spec.config) ~threads ~seed hg =
       let part = Solvers.Initial.random_balanced ~eps rng hg ~k in
       ignore
         (Solvers.Refine.refine
-           ~config:{ Solvers.Refine.default_config with eps; metric }
+           ~config:{ Solvers.Refine.eps; metric }
            hg part);
       Ok part
   | Spec.Bfs -> Ok (Solvers.Initial.bfs_growth ~eps rng hg ~k)

@@ -37,7 +37,3 @@ val solve :
     verb: run [config]'s algorithm with a fresh rng from [seed].  An
     [Error] when the exact solver is given more than 24 nodes or no
     ε-balanced partition exists. *)
-
-val snapshot_to_json : Obs.snapshot -> Obs.Json.t
-(** The ["observed"] rendering of an observability snapshot (counters,
-    gauges, histograms, span rollup) carried by result records. *)

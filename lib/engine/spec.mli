@@ -51,8 +51,6 @@ val gen_kinds : (string * gen_kind) list
 val algorithms : (string * algorithm) list
 val metrics : (string * Partition.metric) list
 
-val gen_kind_name : gen_kind -> string
-val algorithm_name : algorithm -> string
 val metric_name : Partition.metric -> string
 
 val describe : job -> string

@@ -8,10 +8,6 @@
 
 type cell = Int of int | Float of float | Str of string | Bool of bool
 
-val cell_to_string : cell -> string
-(** [Int] as decimal, [Float] with one decimal if integral else three,
-    [Bool] as ["yes"]/["no"]. *)
-
 val print :
   title:string -> anchor:string -> columns:string list -> cell list list -> unit
 (** Render one table to stdout: a [== title] heading, the paper

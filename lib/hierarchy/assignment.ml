@@ -179,8 +179,11 @@ let matching_b2_2 topo hg part =
     pairs;
   { leaf_of_part; cost = cost_of topo contracted leaf_of_part }
 
-(* Leaf-swap local search, any depth. *)
-let local_search ?(max_rounds = 50) topo hg part =
+(* Leaf-swap local search, any depth, at most [max_rounds] improving
+   rounds. *)
+let max_rounds = 50
+
+let local_search topo hg part =
   let k = Partition.k part in
   if k <> Topology.num_leaves topo then
     invalid_arg "Assignment.local_search: arity mismatch";

@@ -17,8 +17,8 @@ val matching_b2_2 : Topology.t -> Hypergraph.t -> Partition.t -> result
 (** Lemma H.1: the polynomial algorithm for b₂ = 2 via maximum-weight
     perfect matching. *)
 
-val local_search :
-  ?max_rounds:int -> Topology.t -> Hypergraph.t -> Partition.t -> result
+val local_search : Topology.t -> Hypergraph.t -> Partition.t -> result
+(** Leaf-swap hill climbing, any depth; at most 50 rounds of swaps. *)
 
 val recursive_matching : Topology.t -> Hypergraph.t -> Partition.t -> result
 (** Bottom-up repeated maximum-weight matching for binary topologies

@@ -6,13 +6,13 @@
 type result = { part : Partition.t; cost : float }
 
 (* Brute force over all k^n leaf-colorings; n <= ~12. *)
-let brute_force ?(variant = Partition.Strict) ?(eps = 0.0) topo hg =
+let brute_force ?(eps = 0.0) topo hg =
   let k = Topology.num_leaves topo in
   let n = Hypergraph.num_nodes hg in
   let best = ref None in
   Support.Util.iter_tuples ~base:k ~len:n (fun colors ->
       let part = Partition.create ~k (Array.copy colors) in
-      if Partition.is_balanced ~variant ~eps hg part then begin
+      if Partition.is_balanced ~eps hg part then begin
         let c = Hier_cost.cost topo hg part in
         match !best with
         | Some { cost; _ } when cost <= c -> ()
@@ -29,12 +29,11 @@ let brute_force ?(variant = Partition.Strict) ?(eps = 0.0) topo hg =
    Stronger left-to-right leaf opening would be unsound: leaves in
    different subtrees are not exchangeable (e.g. {0,2} is not automorphic
    to the sibling pair {0,1} in a (2,2) tree). *)
-let branch_and_bound ?(variant = Partition.Strict) ?(eps = 0.0) ?upper_bound
-    topo hg =
+let branch_and_bound ?(eps = 0.0) topo hg =
   let k = Topology.num_leaves topo in
   let n = Hypergraph.num_nodes hg in
   let cap =
-    Partition.capacity ~variant ~eps
+    Partition.capacity ~eps
       ~total_weight:(Hypergraph.total_node_weight hg)
       ~k ()
   in
@@ -45,9 +44,7 @@ let branch_and_bound ?(variant = Partition.Strict) ?(eps = 0.0) ?upper_bound
     Array.sort (fun a b -> Int.compare (degree b) (degree a)) order;
     let colors = Array.make n (-1) in
     let weights = Array.make k 0 in
-    let best_cost =
-      ref (match upper_bound with Some u -> u +. 1e-9 | None -> infinity)
-    in
+    let best_cost = ref infinity in
     let best = ref None in
     (* Partial hierarchical cost over the assigned pins of every edge. *)
     let partial_cost () =

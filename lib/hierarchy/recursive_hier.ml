@@ -6,19 +6,11 @@
 type splitter = Hypergraph.t -> k:int -> eps:float -> Partition.t
 (* Splits one hypergraph into k balanced parts. *)
 
-let multilevel_splitter ?(config = Solvers.Multilevel.default_config) rng : splitter =
- fun hg ~k ~eps -> Solvers.Multilevel.partition ~config:{ config with eps } rng hg ~k
-
-let exact_splitter : splitter =
+let multilevel_splitter rng : splitter =
  fun hg ~k ~eps ->
-  match Solvers.Exact.solve ~eps hg ~k with
-  | Some { Solvers.Exact.part; _ } -> part
-  | None ->
-      (* No strictly balanced split exists: fall back to the relaxed
-         capacity so the recursion can continue. *)
-      (match Solvers.Exact.solve ~variant:Partition.Relaxed ~eps hg ~k with
-      | Some { Solvers.Exact.part; _ } -> part
-      | None -> invalid_arg "Recursive_hier.exact_splitter: infeasible")
+  Solvers.Multilevel.partition
+    ~config:{ Solvers.Multilevel.default_config with eps }
+    rng hg ~k
 
 let restrict hg keep_ids =
   (* Sub-hypergraph on the given nodes, keeping edge fragments with >= 2

@@ -3,11 +3,7 @@
 
 type splitter = Hypergraph.t -> k:int -> eps:float -> Partition.t
 
-val multilevel_splitter :
-  ?config:Solvers.Multilevel.config -> Support.Rng.t -> splitter
-
-val exact_splitter : splitter
-(** Optimal at every recursive step (the strongest form of Lemma 7.2). *)
+val multilevel_splitter : Support.Rng.t -> splitter
 
 val restrict : Hypergraph.t -> int array -> Hypergraph.t
 (** Sub-hypergraph on the given nodes, keeping edge fragments of ≥ 2 pins. *)

@@ -117,8 +117,9 @@ let exact m terminals =
     !best
   end
 
-(* Total cost of a leaf-colored partition under an arbitrary topology. *)
-let cost ?(exact_trees = true) m hg part =
+(* Total cost of a leaf-colored partition under an arbitrary topology:
+   exact trees up to 14 terminals, the MST approximation beyond. *)
+let cost m hg part =
   let total = ref 0.0 in
   for e = 0 to Hypergraph.num_edges hg - 1 do
     let terminals =
@@ -129,7 +130,7 @@ let cost ?(exact_trees = true) m hg part =
               []))
     in
     let tree_cost =
-      if exact_trees && Array.length terminals <= 14 then exact m terminals
+      if Array.length terminals <= 14 then exact m terminals
       else mst_approx m terminals
     in
     total :=

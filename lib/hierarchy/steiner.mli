@@ -10,4 +10,6 @@ val exact : matrix -> int array -> float
 val mst_approx : matrix -> int array -> float
 (** Terminal-MST 2-approximation. *)
 
-val cost : ?exact_trees:bool -> matrix -> Hypergraph.t -> Partition.t -> float
+val cost : matrix -> Hypergraph.t -> Partition.t -> float
+(** Σ_e w_e · (Steiner tree over e's parts): {!exact} up to 14 parts,
+    {!mst_approx} beyond. *)

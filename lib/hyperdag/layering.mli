@@ -11,9 +11,6 @@ val is_valid : Dag.t -> int array -> bool
 val groups : Dag.t -> int array -> int array array
 val earliest_groups : Dag.t -> int array array
 
-val mobility : Dag.t -> (int * int) array
-(** Per node: (earliest layer, latest layer). *)
-
 val is_rigid : Dag.t -> bool
 (** Whether the DAG admits exactly one layering. *)
 

@@ -214,8 +214,6 @@ module Builder = struct
     b.edges_rev <- (Array.copy pins, weight) :: b.edges_rev;
     id
 
-  let node_count b = b.nodes
-  let edge_count b = b.edge_count
 
   let build b =
     let edges = Array.make b.edge_count ([||], 0) in

@@ -123,8 +123,6 @@ module Builder : sig
   val add_node : ?weight:int -> b -> int
   val add_nodes : ?weight:int -> b -> int -> int array
   val add_edge : ?weight:int -> b -> int array -> int
-  val node_count : b -> int
-  val edge_count : b -> int
   val build : b -> hypergraph
 end
 

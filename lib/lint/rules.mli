@@ -42,9 +42,5 @@ val reexport_only : Parsetree.structure -> bool
     [include Path] items — the pure re-export library roots that SRC07
     exempts from the [.mli] requirement. *)
 
-val well_prefixed_message : string -> bool
-(** The SRC05 message contract: ["Module.func: ..."] (arbitrarily deep
-    capitalized module path, lowercase function name, colon). *)
-
 val compare_findings : finding -> finding -> int
 (** Order findings by file, line, column, then rule id. *)

@@ -41,6 +41,4 @@ type config = entry list
 val parse_config : string -> config * (int * string) list
 (** Parse [lint.config] text into entries plus per-line errors. *)
 
-val path_matches : pattern:string -> string -> bool
-
 val config_match : config -> rule:string -> path:string -> entry option

@@ -63,12 +63,13 @@ let find_pair t =
 
 let has_pair t = find_pair t <> None
 
-(* Random instance; [plant] forces a yes-instance by inserting an
-   orthogonal pair (complementary supports on disjoint halves). *)
-let random ?(plant = false) ?(density = 0.5) rng ~m ~d =
+(* Random instance, each coordinate set with probability 1/2; [plant]
+   forces a yes-instance by inserting an orthogonal pair (complementary
+   supports on disjoint halves). *)
+let random ?(plant = false) rng ~m ~d =
   let coords =
     Array.init m (fun _ ->
-        Array.init d (fun _ -> Support.Rng.bernoulli rng density))
+        Array.init d (fun _ -> Support.Rng.bernoulli rng 0.5))
   in
   if plant && m >= 2 then begin
     let a = Array.init d (fun j -> j mod 2 = 0 && Support.Rng.bool rng) in

@@ -13,6 +13,6 @@ val find_pair : instance -> (int * int) option
 
 val has_pair : instance -> bool
 
-val random :
-  ?plant:bool -> ?density:float -> Support.Rng.t -> m:int -> d:int -> instance
-(** [plant] forces a yes-instance. *)
+val random : ?plant:bool -> Support.Rng.t -> m:int -> d:int -> instance
+(** Each coordinate set with probability 1/2; [plant] forces a
+    yes-instance. *)

@@ -3,7 +3,6 @@
 
 type solution = { nodes : int array; induced_edges : int }
 
-val size_lower_bound : int -> int
 val exact : Graph.t -> p:int -> solution option
 (** Minimum-size subset inducing ≥ p edges; exponential, gadget scale. *)
 

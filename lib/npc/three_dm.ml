@@ -17,17 +17,6 @@ let create ~q triples =
 let size t = t.q
 let triples t = t.triples
 
-let is_regular t ~degree =
-  let count cls select =
-    let c = Array.make t.q 0 in
-    Array.iter (fun tr -> c.(select tr) <- c.(select tr) + 1) t.triples;
-    ignore cls;
-    Array.for_all (fun d -> d = degree) c
-  in
-  count `X (fun (x, _, _) -> x)
-  && count `Y (fun (_, y, _) -> y)
-  && count `Z (fun (_, _, z) -> z)
-
 (* Perfect matching by backtracking on the smallest uncovered x. *)
 let perfect_matching t =
   let by_x = Array.make t.q [] in

@@ -5,7 +5,6 @@ type instance
 val create : q:int -> (int * int * int) list -> instance
 val size : instance -> int
 val triples : instance -> (int * int * int) array
-val is_regular : instance -> degree:int -> bool
 val perfect_matching : instance -> (int * int * int) list option
 val has_perfect_matching : instance -> bool
 val is_perfect_matching : instance -> (int * int * int) list -> bool

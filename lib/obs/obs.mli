@@ -268,9 +268,6 @@ val reset_stats : unit -> unit
     enabled flag — the engine's job runner calls this at the start of
     every job, so a record observes only its own job. *)
 
-val print_summary : Format.formatter -> unit
-(** Render the current {!snapshot} as the human-readable summary tree. *)
-
 val trace_schema_version : string
 (** The schema tag written in the first line of every JSONL trace,
     ["hypartition-trace/2"]: span records may carry a ["trace"] id (the

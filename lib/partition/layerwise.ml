@@ -18,5 +18,3 @@ let feasible_ignoring_small ?variant ~eps ~min_size layers part =
       Array.length layer < min_size
       || Multi_constraint.subset_feasible ?variant ~eps part layer)
     layers
-
-let to_multi_constraint layers = Multi_constraint.create layers

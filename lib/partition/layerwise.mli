@@ -13,5 +13,3 @@ val feasible_ignoring_small :
   bool
 (** Ignores layers smaller than [min_size] (the relaxation discussed in
     Appendix A for degenerate layers). *)
-
-val to_multi_constraint : int array array -> Multi_constraint.t

@@ -43,9 +43,9 @@ let subset_feasible ?variant ~eps part subset =
   in
   Array.for_all (fun c -> c <= cap) (color_counts part subset)
 
-let feasible ?variant ~eps t part =
+let feasible ~eps t part =
   let upper_ok =
-    Array.for_all (fun s -> subset_feasible ?variant ~eps part s) t.subsets
+    Array.for_all (fun s -> subset_feasible ~eps part s) t.subsets
   in
   let lower_ok =
     match t.lower_bounds with

@@ -17,7 +17,7 @@ val subset_feasible :
 (** Whether a single subset satisfies the ε-balance constraint
     |Pᵢ ∩ Vⱼ| ≤ (1+ε)·|Vⱼ|/k for all colors i. *)
 
-val feasible : ?variant:Part.balance -> eps:float -> t -> Part.t -> bool
+val feasible : eps:float -> t -> Part.t -> bool
 
 val single : n:int -> t
 (** One constraint covering all of V: the standard problem. *)

@@ -93,14 +93,10 @@ let count_parts pins offs assignment ~mark ~stamp e =
   done;
   !count
 
-let lambda_with hg t ~mark ~stamp e =
+let lambda hg t e =
   count_parts (Hypergraph.csr_pins hg)
     (Hypergraph.csr_edge_offsets hg)
-    t.assignment ~mark ~stamp e
-
-let lambda hg t e =
-  let mark = Array.make t.k (-1) in
-  lambda_with hg t ~mark ~stamp:0 e
+    t.assignment ~mark:(Array.make t.k (-1)) ~stamp:0 e
 
 let is_cut hg t e = lambda hg t e > 1
 

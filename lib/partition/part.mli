@@ -44,11 +44,6 @@ val imbalance : Hypergraph.t -> t -> float
 val lambda : Hypergraph.t -> t -> int -> int
 (** λ_e: the number of parts intersected by edge [e]. *)
 
-val lambda_with :
-  Hypergraph.t -> t -> mark:int array -> stamp:int -> int -> int
-(** Allocation-free λ_e: [mark] is caller scratch of length ≥ k whose
-    entries never equal [stamp] on entry. *)
-
 val is_cut : Hypergraph.t -> t -> int -> bool
 val all_lambdas : Hypergraph.t -> t -> int array
 

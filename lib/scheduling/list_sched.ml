@@ -83,4 +83,4 @@ let schedule ?priority dag ~k =
   Obs.Span.attr "makespan" (Obs.Int !step);
   Schedule.create ~proc ~time
 
-let makespan ?priority dag ~k = Schedule.makespan (schedule ?priority dag ~k)
+let makespan dag ~k = Schedule.makespan (schedule dag ~k)

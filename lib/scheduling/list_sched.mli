@@ -3,4 +3,5 @@
 
 val level_priority : Hyperdag.Dag.t -> int array
 val schedule : ?priority:int array -> Hyperdag.Dag.t -> k:int -> Schedule.t
-val makespan : ?priority:int array -> Hyperdag.Dag.t -> k:int -> int
+val makespan : Hyperdag.Dag.t -> k:int -> int
+(** Makespan of the level-priority {!schedule}. *)

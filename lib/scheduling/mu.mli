@@ -2,16 +2,13 @@
 
 exception Too_large
 
-val max_dp_nodes : int
-(** Node limit of the exact bitmask dynamic programs (22). *)
-
 val exact_makespan : Hyperdag.Dag.t -> k:int -> int
-(** Exact μ via completion-mask BFS. Raises {!Too_large} beyond
-    {!max_dp_nodes}. *)
+(** Exact μ via completion-mask BFS. Raises {!Too_large} beyond 22 nodes,
+    the node limit of the exact bitmask dynamic programs. *)
 
 val exact_makespan_fixed : Hyperdag.Dag.t -> int array -> k:int -> int
 (** Exact μ_p for a fixed node → processor assignment (the NP-hard problem
-    of Theorem 5.5). Raises {!Too_large} beyond {!max_dp_nodes}. *)
+    of Theorem 5.5). Raises {!Too_large} beyond 22 nodes. *)
 
 val greedy_fixed : Hyperdag.Dag.t -> int array -> k:int -> Schedule.t
 (** Per-processor level-priority list schedule: an upper bound on μ_p. *)

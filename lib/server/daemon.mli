@@ -69,9 +69,5 @@ val run : t -> unit
     (restored on exit) that triggers {!initiate_drain} — so Ctrl-C is a
     graceful drain, with zero orphan workers. *)
 
-val stats_json : t -> Obs.Json.t
-(** The body of the [Stats_frame]: uptime, queue depth and limits,
-    request totals, cache and instance-LRU statistics. *)
-
 val endpoint_name : endpoint -> string
 (** ["unix:<path>"] or ["tcp:<host>:<port>"] — for logs. *)

@@ -58,7 +58,6 @@ val forget_client : t -> client:int -> int list
 (** Drop all of a disconnected client's waiters; returns pool keys of
     queued entries left waiterless, for the daemon to cancel. *)
 
-val find_by_key : t -> int -> entry option
 val find_by_waiter : t -> client:int -> id:int -> entry option
 val live : t -> int
 

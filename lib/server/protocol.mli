@@ -17,9 +17,6 @@ val max_frame_bytes : int
 
 type job_state = Queued | Running | Done_state | Unknown
 
-val job_state_name : job_state -> string
-(** ["queued"], ["running"], ["done"], ["unknown"]. *)
-
 type busy_reason = Queue_full | Client_limit | Draining
 
 val busy_reason_name : busy_reason -> string

@@ -12,9 +12,9 @@ let checked ?eps ?variant ?claimed ?bound ?preserved_weights ?constraints
         ?constraints ?constraints_eps hg part);
   part
 
-let checked_cost ?eps ?variant ~metric hg part cost =
+let checked_cost ~metric hg part cost =
   Debug.audit (fun () ->
-      Audit_partition.audit ?eps ?variant
+      Audit_partition.audit
         ~claimed:{ Audit_partition.metric; cost } hg part);
   cost
 

@@ -21,8 +21,6 @@ val checked :
 (** Audit the partition (when enabled) and return it unchanged. *)
 
 val checked_cost :
-  ?eps:float ->
-  ?variant:Partition.balance ->
   metric:Partition.metric ->
   Hypergraph.t ->
   Partition.t ->

@@ -27,9 +27,8 @@ let of_layers ?(variant = Partition.Strict) ~eps ~k layers ~n =
   in
   { classes; caps }
 
-let of_multi_constraint ?(variant = Partition.Strict) ~eps ~k mc ~n =
-  let subsets = Partition.Multi_constraint.subsets mc in
-  of_layers ~variant ~eps ~k subsets ~n
+let of_multi_constraint ~eps ~k mc ~n =
+  of_layers ~eps ~k (Partition.Multi_constraint.subsets mc) ~n
 
 (* Per-(class, color) occupancy of a partition. *)
 let occupancy t ~k part =
@@ -114,9 +113,11 @@ let greedy rng t hg ~k =
     order;
   Partition.create ~k colors
 
-(* Hill climbing with single moves that keep every class within its cap. *)
-let local_search ?(metric = Partition.Connectivity) ?(max_passes = 8) t hg part
-    =
+(* Hill climbing with single moves that keep every class within its cap,
+   at most [max_passes] sweeps over the nodes. *)
+let max_passes = 8
+
+let local_search t hg part =
   let k = Partition.k part in
   let counts = Pin_counts.create hg part in
   let occ = occupancy t ~k part in
@@ -135,7 +136,7 @@ let local_search ?(metric = Partition.Connectivity) ?(max_passes = 8) t hg part
           in
           if feasible then begin
             let d =
-              Pin_counts.move_delta ~metric counts v ~src:assignment.(v) ~dst
+              Pin_counts.move_delta counts v ~src:assignment.(v) ~dst
             in
             if d < 0 then begin
               let s = assignment.(v) in
@@ -153,9 +154,9 @@ let local_search ?(metric = Partition.Connectivity) ?(max_passes = 8) t hg part
       ignore src
     done
   done;
-  Pin_counts.cost ~metric counts
+  Pin_counts.cost counts
 
-let solve ?(metric = Partition.Connectivity) rng t hg ~k =
+let solve rng t hg ~k =
   let part = greedy rng t hg ~k in
-  ignore (local_search ~metric t hg part);
+  ignore (local_search t hg part);
   Audit_gate.checked hg part

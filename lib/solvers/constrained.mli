@@ -16,7 +16,6 @@ val of_layers :
   instance
 
 val of_multi_constraint :
-  ?variant:Partition.balance ->
   eps:float ->
   k:int ->
   Partition.Multi_constraint.t ->
@@ -27,18 +26,11 @@ val respects : instance -> k:int -> Partition.t -> bool
 
 val greedy : Support.Rng.t -> instance -> Hypergraph.t -> k:int -> Partition.t
 
-val local_search :
-  ?metric:Partition.metric ->
-  ?max_passes:int ->
-  instance ->
-  Hypergraph.t ->
-  Partition.t ->
-  int
-(** Improves in place with moves that keep every class within its cap;
-    returns the final cost. *)
+val local_search : instance -> Hypergraph.t -> Partition.t -> int
+(** Improves in place with moves that keep every class within its cap, at
+    most 8 sweeps over the nodes; returns the final connectivity cost. *)
 
 val solve :
-  ?metric:Partition.metric ->
   Support.Rng.t ->
   instance ->
   Hypergraph.t ->

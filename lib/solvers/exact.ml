@@ -145,30 +145,24 @@ let solve ?(metric = Partition.Connectivity) ?(variant = Partition.Strict)
     | None -> None
   end
 
-let optimum ?metric ?variant ?eps ?feasible hg ~k =
-  match solve ?metric ?variant ?eps ?feasible hg ~k with
+let optimum ?metric ?variant ?eps hg ~k =
+  match solve ?metric ?variant ?eps hg ~k with
   | Some { cost; _ } -> Some cost
   | None -> None
 
-let decision ?metric ?variant ?eps ?feasible hg ~k ~cost_limit =
-  match
-    solve ?metric ?variant ?eps ?feasible ~upper_bound:cost_limit hg ~k
-  with
+let decision ?eps hg ~k ~cost_limit =
+  match solve ?eps ~upper_bound:cost_limit hg ~k with
   | Some { cost; _ } -> cost <= cost_limit
   | None -> false
 
 (* Exhaustive enumeration of all k-colorings (no pruning): brute-force
    reference for the branch-and-bound itself, usable for n up to ~12. *)
-let brute_force ?(metric = Partition.Connectivity) ?variant ?(eps = 0.0)
-    ?feasible hg ~k =
+let brute_force ?(metric = Partition.Connectivity) ?(eps = 0.0) hg ~k =
   let n = Hypergraph.num_nodes hg in
   let best = ref None in
   Support.Util.iter_tuples ~base:k ~len:n (fun colors ->
       let part = Partition.create ~k (Array.copy colors) in
-      if
-        Partition.is_balanced ?variant ~eps hg part
-        && (match feasible with None -> true | Some f -> f part)
-      then begin
+      if Partition.is_balanced ~eps hg part then begin
         let c = Partition.cost ~metric hg part in
         match !best with
         | Some { cost; _ } when cost <= c -> ()
@@ -177,7 +171,7 @@ let brute_force ?(metric = Partition.Connectivity) ?variant ?(eps = 0.0)
   (match !best with
   | Some { cost; part } ->
       ignore
-        (Audit_gate.checked ?variant ~eps
+        (Audit_gate.checked ~eps
            ~claimed:{ Analysis_core.Audit_partition.metric; cost }
            hg part)
   | None -> ());

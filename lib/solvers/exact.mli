@@ -23,26 +23,17 @@ val optimum :
   ?metric:Partition.metric ->
   ?variant:Partition.balance ->
   ?eps:float ->
-  ?feasible:(Partition.t -> bool) ->
   Hypergraph.t ->
   k:int ->
   int option
 
-val decision :
-  ?metric:Partition.metric ->
-  ?variant:Partition.balance ->
-  ?eps:float ->
-  ?feasible:(Partition.t -> bool) ->
-  Hypergraph.t ->
-  k:int ->
-  cost_limit:int ->
-  bool
+val decision : ?eps:float -> Hypergraph.t -> k:int -> cost_limit:int -> bool
+(** Whether a strictly balanced k-way partition of connectivity cost ≤
+    [cost_limit] exists. *)
 
 val brute_force :
   ?metric:Partition.metric ->
-  ?variant:Partition.balance ->
   ?eps:float ->
-  ?feasible:(Partition.t -> bool) ->
   Hypergraph.t ->
   k:int ->
   result option

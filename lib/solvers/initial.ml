@@ -2,18 +2,18 @@
    the multilevel solver and as baselines in the experiments.  All respect
    the weighted epsilon-balance capacity when possible. *)
 
-let capacity ?variant ~eps hg ~k =
-  Partition.capacity ?variant ~eps
+let capacity ~eps hg ~k =
+  Partition.capacity ~eps
     ~total_weight:(Hypergraph.total_node_weight hg)
     ~k ()
 
 (* Round-robin over a random node order into the lightest part that still
    has room; falls back to the lightest part if none has room (the result
    is then infeasible but as close as greedy gets). *)
-let random_balanced ?variant ~eps rng hg ~k =
+let random_balanced ~eps rng hg ~k =
  Obs.Span.with_ "initial.random_balanced" @@ fun () ->
   let n = Hypergraph.num_nodes hg in
-  let cap = capacity ?variant ~eps hg ~k in
+  let cap = capacity ~eps hg ~k in
   let order = Support.Rng.permutation rng n in
   let weights = Array.make k 0 in
   let colors = Array.make n 0 in
@@ -52,11 +52,11 @@ let random_balanced ?variant ~eps rng hg ~k =
    re-enqueued whole pin lists.  The visit order is unchanged — duplicate
    entries were always dead on arrival (already colored, or blocked for
    this part), so popping only first occurrences is the same sequence. *)
-let bfs_growth ?variant ~eps rng hg ~k =
+let bfs_growth ~eps rng hg ~k =
  Obs.Span.with_ "initial.bfs_growth" @@ fun () ->
   let n = Hypergraph.num_nodes hg in
   let total = Hypergraph.total_node_weight hg in
-  let cap = capacity ?variant ~eps hg ~k in
+  let cap = capacity ~eps hg ~k in
   let node_w = Hypergraph.csr_node_weights hg in
   let inc = Hypergraph.csr_incidence hg in
   let inc_offs = Hypergraph.csr_node_offsets hg in

@@ -2,7 +2,6 @@
     experiment baselines. *)
 
 val random_balanced :
-  ?variant:Partition.balance ->
   eps:float ->
   Support.Rng.t ->
   Hypergraph.t ->
@@ -11,7 +10,6 @@ val random_balanced :
 (** Random node order, each node to the lightest part with room. *)
 
 val bfs_growth :
-  ?variant:Partition.balance ->
   eps:float ->
   Support.Rng.t ->
   Hypergraph.t ->

@@ -8,33 +8,23 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type config = {
   eps : float;
-  variant : Partition.balance;
   metric : Partition.metric;
-  refine_passes : int;
-  initial_tries : int; (* random restarts at the coarsest level *)
-  stop_nodes : int; (* stop coarsening below this many nodes *)
   threads : int; (* pool size for the portfolio's FM; never changes results *)
 }
 
 let default_config =
-  {
-    eps = 0.03;
-    variant = Partition.Strict;
-    metric = Partition.Connectivity;
-    refine_passes = 8;
-    initial_tries = 8;
-    stop_nodes = 60;
-    threads = 0;
-  }
+  { eps = 0.03; metric = Partition.Connectivity; threads = 0 }
+
+(* The coarsest-level portfolio: random-balanced and BFS-growth starts,
+   plus one round-robin start. *)
+let random_starts = 8
+let bfs_starts = 4
+
+(* Coarsening stops below this many nodes (or 4k, if larger). *)
+let stop_nodes = 60
 
 let refine_config (c : config) : Refine.config =
-  {
-    Refine.eps = c.eps;
-    variant = c.variant;
-    metric = c.metric;
-    max_passes = c.refine_passes;
-    max_fruitless = Refine.default_config.Refine.max_fruitless;
-  }
+  { Refine.eps = c.eps; metric = c.metric }
 
 (* Portfolio at the coarsest level: several random-balanced and BFS-growth
    starts, each FM-refined; keep the best, preferring feasible ones.  The
@@ -49,20 +39,17 @@ let initial_partition cfg pool wss rng hg ~k =
     ~attrs:
       [
         ("nodes", Obs.Int (Hypergraph.num_nodes hg));
-        ("tries", Obs.Int cfg.initial_tries);
+        ("tries", Obs.Int random_starts);
       ]
     (fun () ->
       let candidates =
         Array.of_list
           (List.concat
              [
-               Support.Util.list_init cfg.initial_tries (fun _ ->
-                   Initial.random_balanced ~variant:cfg.variant ~eps:cfg.eps
-                     rng hg ~k);
-               Support.Util.list_init (max 1 (cfg.initial_tries / 2))
-                 (fun _ ->
-                   Initial.bfs_growth ~variant:cfg.variant ~eps:cfg.eps rng hg
-                     ~k);
+               Support.Util.list_init random_starts (fun _ ->
+                   Initial.random_balanced ~eps:cfg.eps rng hg ~k);
+               Support.Util.list_init bfs_starts (fun _ ->
+                   Initial.bfs_growth ~eps:cfg.eps rng hg ~k);
                [ Initial.round_robin hg ~k ];
              ])
       in
@@ -73,9 +60,7 @@ let initial_partition cfg pool wss rng hg ~k =
           Refine.refine ~config:(refine_config cfg) ~workspace:wss.(worker)
             ~stats hg part
         in
-        let feasible =
-          Partition.is_balanced ~variant:cfg.variant ~eps:cfg.eps hg part
-        in
+        let feasible = Partition.is_balanced ~eps:cfg.eps hg part in
         (((if feasible then 0 else 1), cost), part, stats)
       in
       let best =
@@ -92,18 +77,21 @@ let initial_partition cfg pool wss rng hg ~k =
       | Some ((infeasible, cost), p) ->
           Obs.Span.attr "best_cost" (Obs.Int cost);
           Obs.Span.attr "feasible" (Obs.Bool (infeasible = 0));
-          p
+          (p, cost)
       | None -> assert false)
 
 let h_instance_nodes = Obs.Histogram.make "multilevel.instance_nodes"
 
-(* The pool is created and shut down inside one solve, so it never lives
-   across the engine's fork-based worker pool.  Everything but the
-   portfolio's FM runs on the caller, which is why every [threads] value
-   returns the same partition. *)
-let partition ?(config = default_config) rng hg ~k =
+(* The solve behind [partition] and [partition_with_cost]: the partition
+   and the cost the last refinement returned for it — the finest level's,
+   or the portfolio winner's when nothing was contracted.  The pool is
+   created and shut down inside one solve, so it never lives across the
+   engine's fork-based worker pool.  Everything but the portfolio's FM
+   runs on the caller, which is why every [threads] value returns the same
+   partition. *)
+let solve config rng hg ~k =
   if k < 1 then invalid_arg "Multilevel.partition: k must be >= 1";
-  if Hypergraph.num_nodes hg = 0 then Partition.create ~k [||]
+  if Hypergraph.num_nodes hg = 0 then (Partition.create ~k [||], 0)
   else
     Obs.Span.with_ "multilevel"
       ~attrs:
@@ -124,7 +112,7 @@ let partition ?(config = default_config) rng hg ~k =
         let ws = wss.(0) in
         let coarsest, levels =
           Coarsen.hierarchy ~workspace:ws rng hg ~k
-            ~stop_nodes:(max config.stop_nodes (4 * k))
+            ~stop_nodes:(max stop_nodes (4 * k))
         in
         let levels = Array.of_list levels in
         Log.debug (fun m ->
@@ -136,33 +124,34 @@ let partition ?(config = default_config) rng hg ~k =
         let hypergraph_at d =
           if d = 0 then hg else levels.(d - 1).Coarsen.coarse
         in
-        let part = ref (initial_partition config pool wss rng coarsest ~k) in
+        let part, cost = initial_partition config pool wss rng coarsest ~k in
+        let part = ref part and cost = ref cost in
         Obs.Span.with_ "multilevel.uncoarsen"
           ~attrs:[ ("levels", Obs.Int (Array.length levels)) ]
           (fun () ->
             for d = Array.length levels - 1 downto 0 do
               part := Coarsen.project levels.(d) !part;
-              ignore
-                (Refine.refine ~config:(refine_config config) ~workspace:ws
-                   (hypergraph_at d) !part)
+              cost :=
+                Refine.refine ~config:(refine_config config) ~workspace:ws
+                  (hypergraph_at d) !part
             done);
-        Audit_gate.checked hg !part)
+        (Audit_gate.checked hg !part, !cost))
+
+let partition ?(config = default_config) rng hg ~k =
+  fst (solve config rng hg ~k)
 
 let h_cost = Obs.Histogram.make "multilevel.cost"
 
 let partition_with_cost ?(config = default_config) rng hg ~k =
-  let part = partition ~config rng hg ~k in
-  let cost =
-    Audit_gate.checked_cost ~metric:config.metric hg part
-      (Partition.cost ~metric:config.metric hg part)
-  in
+  let part, cost = solve config rng hg ~k in
+  let cost = Audit_gate.checked_cost ~metric:config.metric hg part cost in
   Obs.Histogram.observe_int h_cost cost;
   (part, cost)
 
 (* V-cycle: re-coarsen with clusters confined to the current parts (so the
    projected partition is exact at every level), then refine on the way
    back up.  Improves an existing partition without losing it. *)
-let vcycle ?(config = default_config) ?(cycles = 1) rng hg part =
+let vcycle ?(cycles = 1) rng hg part =
  Obs.Span.with_ "multilevel.vcycle"
    ~attrs:
      [
@@ -171,13 +160,14 @@ let vcycle ?(config = default_config) ?(cycles = 1) rng hg part =
      ]
  @@ fun () ->
   let k = Partition.k part in
+  let config = refine_config default_config in
   let total = Hypergraph.total_node_weight hg in
   let max_cluster_weight = max 1 (Support.Util.ceil_div total (4 * k)) in
   let ws = Workspace.create () in
   for _ = 1 to max 1 cycles do
     (* Build a within-part hierarchy. *)
     let rec coarsen_stack acc current current_part =
-      if Hypergraph.num_nodes current <= max config.stop_nodes (4 * k) then
+      if Hypergraph.num_nodes current <= max stop_nodes (4 * k) then
         (acc, current, current_part)
       else
         match
@@ -204,18 +194,14 @@ let vcycle ?(config = default_config) ?(cycles = 1) rng hg part =
             end
     in
     let stack, coarsest, coarsest_part = coarsen_stack [] hg part in
-    ignore coarsest;
     (* Refine bottom-up. *)
     let current_part = ref coarsest_part in
-    ignore
-      (Refine.refine ~config:(refine_config config) ~workspace:ws coarsest
-         !current_part);
+    ignore (Refine.refine ~config ~workspace:ws coarsest !current_part);
     List.iter
       (fun (fine_hg, level) ->
         current_part := Coarsen.project level !current_part;
         ignore
-          (Refine.refine ~config:(refine_config config) ~workspace:ws fine_hg
-             !current_part))
+          (Refine.refine ~config ~workspace:ws fine_hg !current_part))
       stack;
     (* Copy the improved assignment back into [part] (same domain). *)
     Array.blit
@@ -223,23 +209,5 @@ let vcycle ?(config = default_config) ?(cycles = 1) rng hg part =
       0 (Partition.assignment part) 0
       (Hypergraph.num_nodes hg)
   done;
-  Audit_gate.checked_cost ~metric:config.metric hg part
-    (Partition.cost ~metric:config.metric hg part)
-
-(* Random-restart portfolio: keep the best of several independent runs,
-   preferring feasible partitions. *)
-let partition_best ?(config = default_config) ?(restarts = 4) rng hg ~k =
-  let best = ref None in
-  for _ = 1 to max 1 restarts do
-    let part = partition ~config rng hg ~k in
-    let feasible =
-      Partition.is_balanced ~variant:config.variant ~eps:config.eps hg part
-    in
-    let score = ((if feasible then 0 else 1), Partition.cost ~metric:config.metric hg part) in
-    match !best with
-    | Some (bs, _) when bs <= score -> ()
-    | _ -> best := Some (score, part)
-  done;
-  match !best with
-  | Some (_, p) -> Audit_gate.checked hg p
-  | None -> assert false
+  Audit_gate.checked_cost ~metric:Partition.Connectivity hg part
+    (Partition.cost hg part)

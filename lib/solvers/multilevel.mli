@@ -3,11 +3,7 @@
 
 type config = {
   eps : float;
-  variant : Partition.balance;
   metric : Partition.metric;
-  refine_passes : int;
-  initial_tries : int;
-  stop_nodes : int;
   threads : int;
       (** Size of the domain pool that FM-refines the coarsest-level
           portfolio, created and shut down inside the solve; [0] and [1]
@@ -15,33 +11,25 @@ type config = {
           and uncoarsening always run on the caller, and FM draws no
           randomness, so every value returns the same partition. *)
 }
+(** Balance is always {!Partition.Strict}.  The rest of the solver is
+    fixed: coarsening stops at 60 nodes (or 4k, if larger), the coarsest
+    level is solved by a portfolio of 8 random-balanced, 4 BFS-growth and
+    1 round-robin starts, and every refinement is {!Refine}'s (8 passes,
+    350-move cutoff). *)
 
 val default_config : config
-(** ε = 0.03, strict balance, connectivity metric, no spawned domains
-    ([threads = 0]). *)
+(** ε = 0.03, connectivity metric, no spawned domains ([threads = 0]). *)
 
 val partition :
   ?config:config -> Support.Rng.t -> Hypergraph.t -> k:int -> Partition.t
 
 val partition_with_cost :
   ?config:config -> Support.Rng.t -> Hypergraph.t -> k:int -> Partition.t * int
+(** {!partition} and its cost under [config.metric]: the cost the solve's
+    last refinement returned, so no extra pass over the hypergraph. *)
 
 val vcycle :
-  ?config:config ->
-  ?cycles:int ->
-  Support.Rng.t ->
-  Hypergraph.t ->
-  Partition.t ->
-  int
+  ?cycles:int -> Support.Rng.t -> Hypergraph.t -> Partition.t -> int
 (** Improve an existing partition in place by coarsening within its parts
-    and refining on the way back up; returns the final cost. *)
-
-val partition_best :
-  ?config:config ->
-  ?restarts:int ->
-  Support.Rng.t ->
-  Hypergraph.t ->
-  k:int ->
-  Partition.t
-(** Best of several independent runs (default 4), preferring feasible
-    partitions. *)
+    and refining on the way back up, under {!default_config}; returns the
+    final connectivity cost. *)

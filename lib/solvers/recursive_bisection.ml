@@ -18,10 +18,12 @@ type bisector =
    target ratio is parts_left : parts_right.  We emulate the ratio by
    temporarily duplicating the capacity check through an epsilon shift:
    for unequal splits we fall back to a weighted greedy + FM refinement. *)
-let multilevel_bisector ?(config = Multilevel.default_config) rng : bisector =
+let multilevel_bisector rng : bisector =
  fun hg ~eps ~parts_left ~parts_right ->
   if parts_left = parts_right then
-    Multilevel.partition ~config:{ config with eps } rng hg ~k:2
+    Multilevel.partition
+      ~config:{ Multilevel.default_config with eps }
+      rng hg ~k:2
   else begin
     (* Unequal split: treat as a 2-way problem with ratio r = left/(l+r).
        Greedy fill to the target then FM with a capacity that matches the

@@ -5,7 +5,6 @@ type bisector =
   Hypergraph.t -> eps:float -> parts_left:int -> parts_right:int -> Partition.t
 (** A 2-way split carrying [parts_left] and [parts_right] final parts. *)
 
-val multilevel_bisector :
-  ?config:Multilevel.config -> Support.Rng.t -> bisector
+val multilevel_bisector : Support.Rng.t -> bisector
 
 val partition : ?eps:float -> bisector:bisector -> Hypergraph.t -> k:int -> Partition.t

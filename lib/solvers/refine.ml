@@ -17,8 +17,11 @@
      incident edge weight and Λ(e) the parts holding a pin of e, so the
      work is proportional to the parts each edge spans: Λ(e) comes from
      the pins of an edge with fewer than k of them, else from its packed
-     count words (non-empty fields).  Under cut-net the same row caches
-     the raw delta vector.
+     count words (non-empty fields).  Under cut-net the same split holds
+     with  benefit(v) = -Σ w_e  over the uncut edges v would cut
+     (λ(e) = 1, count(e, src) >= 2)  and  penalty(v, q) = -Σ w_e  over
+     the edges v alone keeps cut (λ(e) = 2, count(e, src) = 1) whose other
+     part is q, also built in one walk over v's edges.
    - A move walks the moved node's edges once ([apply_move]).  Per edge it
      updates the counts and λ, then detects the four pin-count boundary
      crossings (count(e, src) reaching 1/0, count(e, dst) leaving 0/1 —
@@ -54,17 +57,17 @@
    activation: pins of an edge whose λ just left 1 (count(e, dst) left 0)
    are newly boundary and enter the queue at their cached best gain. *)
 
-type config = {
-  eps : float;
-  variant : Partition.balance;
-  metric : Partition.metric;
-  max_passes : int;
-  max_fruitless : int;
-}
+type config = { eps : float; metric : Partition.metric }
 
-let default_config =
-  { eps = 0.0; variant = Partition.Strict; metric = Partition.Connectivity;
-    max_passes = 8; max_fruitless = 350 }
+let default_config = { eps = 0.0; metric = Partition.Connectivity }
+
+(* Passes per [refine] call. *)
+let max_passes = 8
+
+(* A pass gives up after this many consecutive applied moves without a new
+   best prefix: the classic FM cutoff bounding how far a pass hill-climbs
+   into a plateau. *)
+let max_fruitless = 350
 
 (* Mutable refinement state for one [refine] call.  [cache_stamp] marks
    valid gain rows; it starts fresh per call (rows from a previous
@@ -128,13 +131,16 @@ let flush_counters ctx =
 
 let locked ctx v = ctx.ws.Workspace.locked.(v) = ctx.lock_stamp
 
-(* Build node v's gain row if its stamp is stale.  Connectivity fills the
-   benefit/penalty decomposition in one incident sweep, subtracting each
-   edge's weight from the parts of Λ(e) and adding W(v) to every slot at
-   the end (the slot of v's own part, in every Λ(e), comes out 0); cut-net
-   caches the raw delta vector (k move_delta evaluations).  Either way the
-   row then answers best-move queries in O(k) until a move invalidates
-   it. *)
+(* Build node v's gain row if its stamp is stale, in one sweep over v's
+   edges under either metric.  Connectivity fills the benefit/penalty
+   decomposition, subtracting each edge's weight from the parts of Λ(e)
+   and adding W(v) to every slot at the end (the slot of v's own part, in
+   every Λ(e), comes out 0).  Cut-net stores benefit(v) = -A, A the weight
+   of the uncut edges v would cut (λ(e) = 1, count(e, src) >= 2), and
+   penalty(v, q) = -B(q), B(q) the weight of the edges v alone keeps cut
+   (λ(e) = 2, count(e, src) = 1) whose other part is q.  Either way
+   delta(v -> q) = penalty(v, q) - benefit(v), and the row then answers
+   best-move queries in O(k) until a move invalidates it. *)
 let ensure_row ctx v =
   let ws = ctx.ws in
   if ws.Workspace.cache_stamp.(v) = ctx.cache_stamp then
@@ -145,16 +151,16 @@ let ensure_row ctx v =
     let base = v * k in
     let penalty = ws.Workspace.penalty in
     let src = ctx.part.(v) in
+    for q = 0 to k - 1 do
+      penalty.(base + q) <- 0
+    done;
+    let { Pin_counts.words; stride; offset; shift; mask; bits; fields } =
+      ctx.pview
+    in
+    let so = offset.(src) and ss = shift.(src) in
     (match ctx.cfg.metric with
     | Partition.Connectivity ->
-        for q = 0 to k - 1 do
-          penalty.(base + q) <- 0
-        done;
         let mark = ws.Workspace.part_mark in
-        let { Pin_counts.words; stride; offset; shift; mask; bits; fields } =
-          ctx.pview
-        in
-        let so = offset.(src) and ss = shift.(src) in
         let benefit = ref 0 and incident = ref 0 in
         for i = ctx.inc_offs.(v) to ctx.inc_offs.(v + 1) - 1 do
           let e = ctx.inc.(i) in
@@ -194,13 +200,28 @@ let ensure_row ctx v =
         done;
         ws.Workspace.benefit.(v) <- !benefit
     | Partition.Cut_net ->
-        for q = 0 to k - 1 do
-          if q <> src then
-            penalty.(base + q) <-
-              Pin_counts.move_delta ~metric:Partition.Cut_net ctx.counts v
-                ~src ~dst:q
+        let cuts = ref 0 in
+        for i = ctx.inc_offs.(v) to ctx.inc_offs.(v + 1) - 1 do
+          let e = ctx.inc.(i) in
+          let lambda = ctx.plambdas.(e) in
+          if lambda <= 2 then begin
+            let cs = (words.((e * stride) + so) lsr ss) land mask in
+            if lambda = 1 then begin
+              if cs >= 2 then cuts := !cuts + ctx.edge_w.(e)
+            end
+            else if cs = 1 then begin
+              (* v is e's lone src pin: moving it to the other part of
+                 Λ(e), that of the first pin outside src, uncuts e. *)
+              let j = ref ctx.pin_offs.(e) in
+              while ctx.part.(ctx.pins.(!j)) = src do
+                incr j
+              done;
+              let slot = base + ctx.part.(ctx.pins.(!j)) in
+              penalty.(slot) <- penalty.(slot) - ctx.edge_w.(e)
+            end
+          end
         done;
-        ws.Workspace.benefit.(v) <- 0);
+        ws.Workspace.benefit.(v) <- - !cuts);
     ws.Workspace.cache_stamp.(v) <- ctx.cache_stamp
   end
 
@@ -439,10 +460,7 @@ let audit_rows ctx =
       for q = 0 to k - 1 do
         if q <> src then begin
           let cached =
-            match ctx.cfg.metric with
-            | Partition.Connectivity ->
-                ws.Workspace.penalty.((v * k) + q) - ws.Workspace.benefit.(v)
-            | Partition.Cut_net -> ws.Workspace.penalty.((v * k) + q)
+            ws.Workspace.penalty.((v * k) + q) - ws.Workspace.benefit.(v)
           in
           let exact =
             Pin_counts.move_delta ~metric:ctx.cfg.metric ctx.counts v ~src
@@ -516,7 +534,7 @@ let fm_pass ctx queue ~full =
                 (* Deep in a plateau or valley with no new best in sight:
                    cut the pass short, everything past [best_len] is rolled
                    back anyway. *)
-                if !fruitless >= ctx.cfg.max_fruitless then continue := false
+                if !fruitless >= max_fruitless then continue := false
               end
             end
           end
@@ -640,7 +658,7 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
       ws.Workspace.counts <- Some counts;
       let weights = Partition.part_weights hg part in
       let cap =
-        Partition.capacity ~variant:config.variant ~eps:config.eps
+        Partition.capacity ~eps:config.eps
           ~total_weight:(Hypergraph.total_node_weight hg)
           ~k ()
       in
@@ -700,7 +718,7 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
          too.  A productive fallback hands control back to the cheap
          boundary passes. *)
       let passes = ref 0 and improving = ref true and full = ref false in
-      while !improving && !passes < config.max_passes do
+      while !improving && !passes < max_passes do
         incr passes;
         let was_full = !full in
         let gain =

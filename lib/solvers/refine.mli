@@ -1,19 +1,14 @@
 (** FM-style k-way refinement with gain buckets, locking and rollback
     (classic Fiduccia–Mattheyses for k = 2). *)
 
-type config = {
-  eps : float;
-  variant : Partition.balance;
-  metric : Partition.metric;
-  max_passes : int;
-  max_fruitless : int;
-      (** A pass gives up after this many consecutive applied moves without
-          a new best prefix (the classic FM cutoff bounding how far a pass
-          hill-climbs into a plateau); [max_int] disables the cutoff. *)
-}
+type config = { eps : float; metric : Partition.metric }
+(** Balance is always {!Partition.Strict}.  A call runs at most 8 passes,
+    and a pass gives up after 350 consecutive applied moves without a new
+    best prefix (the classic FM cutoff bounding how far a pass hill-climbs
+    into a plateau). *)
 
 val default_config : config
-(** ε = 0, strict balance, connectivity metric, 8 passes, cutoff 350. *)
+(** ε = 0, connectivity metric. *)
 
 val refine :
   ?config:config ->

@@ -254,10 +254,10 @@ let packable_multi ~k ~caps intersections allowed =
   in
   go 0 start
 
-(* Decision for the multi-constraint problem (Definition 6.1): cost <= L
-   with every class V_j eps-balanced separately. *)
-let decision_multi ?(metric = Partition.Connectivity)
-    ?(variant = Partition.Strict) ?(eps = 0.0) hg ~k ~constraints ~cost_limit =
+(* Decision for the multi-constraint problem (Definition 6.1): connectivity
+   cost <= L with every class V_j eps-balanced separately. *)
+let decision_multi ?(variant = Partition.Strict) ?(eps = 0.0) hg ~k
+    ~constraints ~cost_limit =
   let m = Hypergraph.num_edges hg in
   let n = Hypergraph.num_nodes hg in
   let subsets = Partition.Multi_constraint.subsets constraints in
@@ -288,15 +288,12 @@ let decision_multi ?(metric = Partition.Connectivity)
       List.fold_left
         (fun acc e ->
           let w = Hypergraph.edge_weight hg e in
-          match metric with
-          | Partition.Cut_net -> acc + w
-          | Partition.Connectivity ->
-              let rec pop x = if x = 0 then 0 else (x land 1) + pop (x lsr 1) in
-              let idx =
-                let rec find j = if subset.(j) = e then j else find (j + 1) in
-                find 0
-              in
-              acc + (w * (pop mask_assignment.(idx) - 1)))
+          let rec pop x = if x = 0 then 0 else (x land 1) + pop (x lsr 1) in
+          let idx =
+            let rec find j = if subset.(j) = e then j else find (j + 1) in
+            find 0
+          in
+          acc + (w * (pop mask_assignment.(idx) - 1)))
         0 e0
     in
     if config_cost > cost_limit then ()
@@ -396,17 +393,21 @@ let decision_multi ?(metric = Partition.Connectivity)
   | Some part ->
       ignore
         (Audit_gate.checked ~variant ~constraints ~constraints_eps:eps
-           ~bound:{ Analysis_core.Audit_partition.metric; cost = cost_limit }
+           ~bound:
+             {
+               Analysis_core.Audit_partition.metric = Partition.Connectivity;
+               cost = cost_limit;
+             }
            hg part)
   | None -> ());
   !found
 
 (* Optimize by increasing L; [limit] caps the search. *)
-let optimum ?metric ?variant ?eps hg ~k ~limit =
+let optimum ?metric ?eps hg ~k ~limit =
   let rec go l =
     if l > limit then None
     else
-      match decision ?metric ?variant ?eps hg ~k ~cost_limit:l with
+      match decision ?metric ?eps hg ~k ~cost_limit:l with
       | Some part -> Some (l, part)
       | None -> go (l + 1)
   in

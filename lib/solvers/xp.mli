@@ -14,7 +14,6 @@ val decision :
 
 val optimum :
   ?metric:Partition.metric ->
-  ?variant:Partition.balance ->
   ?eps:float ->
   Hypergraph.t ->
   k:int ->
@@ -23,7 +22,6 @@ val optimum :
 (** Smallest L ≤ [limit] admitting a solution, with a witness. *)
 
 val decision_multi :
-  ?metric:Partition.metric ->
   ?variant:Partition.balance ->
   ?eps:float ->
   Hypergraph.t ->
@@ -31,6 +29,7 @@ val decision_multi :
   constraints:Partition.Multi_constraint.t ->
   cost_limit:int ->
   Partition.t option
-(** Multi-constraint variant (Lemma 6.2 / Appendix D.2): the packing DP
+(** Multi-constraint variant (Lemma 6.2 / Appendix D.2) under the
+    connectivity metric: the packing DP
     tracks one load per (constraint, color) pair.  Exponential in the
     constraint count; tiny instances only. *)

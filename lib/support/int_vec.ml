@@ -3,9 +3,7 @@
 
 type t = { mutable data : int array; mutable len : int }
 
-let create ?(capacity = 8) () =
-  let capacity = max capacity 1 in
-  { data = Array.make capacity 0; len = 0 }
+let create () = { data = Array.make 8 0; len = 0 }
 
 let length t = t.len
 
@@ -42,8 +40,6 @@ let pop t =
 
 let to_array t = Array.sub t.data 0 t.len
 
-let of_array a = { data = Array.copy a; len = Array.length a }
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)
@@ -55,5 +51,3 @@ let fold f init t =
     acc := f !acc t.data.(i)
   done;
   !acc
-
-let unsafe_data t = t.data

@@ -2,7 +2,7 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
+val create : unit -> t
 val length : t -> int
 val clear : t -> unit
 (** [clear t] resets the length to 0 without shrinking capacity. *)
@@ -14,9 +14,5 @@ val pop : t -> int
 (** Removes and returns the last element. Raises on empty. *)
 
 val to_array : t -> int array
-val of_array : int array -> t
 val iter : (int -> unit) -> t -> unit
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-
-val unsafe_data : t -> int array
-(** The backing array; entries beyond [length t] are unspecified. *)

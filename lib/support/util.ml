@@ -5,7 +5,6 @@ let ceil_div a b =
   if a >= 0 then (a + b - 1) / b else a / b
 
 let sum_array a = Array.fold_left ( + ) 0 a
-let sum_float_array a = Array.fold_left ( +. ) 0.0 a
 
 let max_array a =
   if Array.length a = 0 then invalid_arg "Util.max_array: empty";

@@ -4,7 +4,6 @@ val ceil_div : int -> int -> int
 (** [ceil_div a b] is [⌈a / b⌉] for positive [b]. *)
 
 val sum_array : int array -> int
-val sum_float_array : float array -> float
 val max_array : int array -> int
 val min_array : int array -> int
 

@@ -43,7 +43,6 @@ let test_solver_gates () =
         let part = Solvers.Multilevel.partition rng hg ~k in
         ignore (Solvers.Multilevel.partition_with_cost rng hg ~k);
         ignore (Solvers.Multilevel.vcycle rng hg part);
-        ignore (Solvers.Multilevel.partition_best ~restarts:2 rng hg ~k);
         ignore
           (Solvers.Recursive_bisection.partition
              ~bisector:(Solvers.Recursive_bisection.multilevel_bisector rng)

@@ -102,8 +102,7 @@ let test_fm_cutnet_metric () =
     let before = P.cutnet_cost hg part in
     let after =
       Solvers.Refine.refine
-        ~config:
-          { Solvers.Refine.default_config with eps = 0.2; metric = P.Cut_net }
+        ~config:{ Solvers.Refine.eps = 0.2; metric = P.Cut_net }
         hg part
     in
     Alcotest.(check int) "returned cutnet cost" (P.cutnet_cost hg part) after;

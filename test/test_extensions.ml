@@ -211,19 +211,6 @@ let test_vcycle_improves_or_keeps () =
       after
   done
 
-let test_partition_best () =
-  let rng = Support.Rng.create 35 in
-  let hg = Workloads.Rand_hg.uniform rng ~n:60 ~m:90 ~min_size:2 ~max_size:4 in
-  let single =
-    P.connectivity_cost hg (Solvers.Multilevel.partition rng hg ~k:4)
-  in
-  let best =
-    P.connectivity_cost hg
-      (Solvers.Multilevel.partition_best ~restarts:4 rng hg ~k:4)
-  in
-  Alcotest.(check bool) "restart portfolio never hurts much" true
-    (best <= single + 5)
-
 (* Constrained solver ----------------------------------------------------------- *)
 
 let test_constrained_layerwise_two_branch () =
@@ -359,7 +346,6 @@ let suite =
     Alcotest.test_case "App C.4 k=3 embed" `Quick test_spes_k3;
     Alcotest.test_case "App C.4 k=3 optimum" `Slow test_spes_k3_optimum;
     Alcotest.test_case "v-cycle" `Quick test_vcycle_improves_or_keeps;
-    Alcotest.test_case "restart portfolio" `Quick test_partition_best;
     Alcotest.test_case "exact with class caps = brute force" `Slow
       test_exact_constrained_matches_brute_force;
     Alcotest.test_case "constrained: two-branch layers" `Quick

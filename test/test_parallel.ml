@@ -106,6 +106,46 @@ let prop_threads_independent =
       List.for_all (fun threads -> solve_at ~threads hg ~k ~seed = base)
         [ 1; 3; 5 ])
 
+(* partition_with_cost returns the cost of its last refinement instead of
+   evaluating the partition again, so that cost must be the partition's.
+   Sizes run from the empty hypergraph (no level at all) through instances
+   at or below the coarsening stop (the portfolio winner is the answer) to
+   a few hundred nodes (several contracted levels), under both metrics and
+   with and without portfolio worker domains (which is why it lives in
+   this suite). *)
+let prop_partition_with_cost_exact =
+  QCheck.Test.make ~name:"multilevel: returned cost = cost of the partition"
+    ~count:60
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Support.Rng.create seed in
+      let n =
+        match Support.Rng.int rng 4 with
+        | 0 -> Support.Rng.int rng 3
+        | 1 -> 3 + Support.Rng.int rng 60
+        | _ -> 60 + Support.Rng.int rng 300
+      in
+      let m = if n < 2 then 0 else 1 + Support.Rng.int rng (2 * n) in
+      let h =
+        H.of_edges
+          ~edge_weights:(Array.init m (fun _ -> 1 + Support.Rng.int rng 3))
+          ~n
+          (Array.init m (fun _ ->
+               Support.Rng.sample_distinct rng ~n
+                 ~k:(2 + Support.Rng.int rng (min 5 (n - 1)))))
+      in
+      let k = 1 + Support.Rng.int rng 8 in
+      let metric =
+        if Support.Rng.int rng 2 = 0 then P.Connectivity else P.Cut_net
+      in
+      let threads = 2 * Support.Rng.int rng 2 in
+      let part, cost =
+        Solvers.Multilevel.partition_with_cost
+          ~config:{ Solvers.Multilevel.eps = 0.03; metric; threads }
+          rng h ~k
+      in
+      cost = P.cost ~metric h part)
+
 (* ---- engine records ------------------------------------------------------ *)
 
 let plain_job ~n ~seed =
@@ -233,6 +273,7 @@ let suite =
     Alcotest.test_case "corpus: threads-1-vs-N identical" `Slow
       test_corpus_threads_independent;
     QCheck_alcotest.to_alcotest prop_threads_independent;
+    QCheck_alcotest.to_alcotest prop_partition_with_cost_exact;
     Alcotest.test_case "records: byte-identical across threads" `Slow
       test_record_threads_independent;
     Alcotest.test_case "records: retired parallel key ignored" `Quick

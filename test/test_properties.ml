@@ -502,7 +502,7 @@ let prop_gain_rows_exact =
       let metric =
         if Support.Rng.int rng 2 = 0 then P.Connectivity else P.Cut_net
       in
-      let config = { Solvers.Refine.default_config with eps = 0.2; metric } in
+      let config = { Solvers.Refine.eps = 0.2; metric } in
       let was = Analysis_core.Debug.enabled () in
       Analysis_core.Debug.force true;
       Fun.protect
@@ -561,7 +561,7 @@ let prop_restored_rows_exact =
       let metric =
         if Support.Rng.int rng 2 = 0 then P.Connectivity else P.Cut_net
       in
-      let config = { Solvers.Refine.default_config with eps = 0.03; metric } in
+      let config = { Solvers.Refine.eps = 0.03; metric } in
       let was = Analysis_core.Debug.enabled () in
       Analysis_core.Debug.force true;
       Fun.protect
