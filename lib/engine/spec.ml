@@ -111,6 +111,10 @@ let validate job =
     match job.instance with
     | Generated { n; _ } when n < 1 ->
         Error (Printf.sprintf "generated instance needs n >= 1 (got %d)" n)
+    | Generated { n; _ } when n > Hypergraph.max_nodes ->
+        Error
+          (Printf.sprintf "generated instance needs n <= %d (got %d)"
+             Hypergraph.max_nodes n)
     | Spin s when s < 0.0 ->
         Error (Printf.sprintf "spin seconds must be >= 0 (got %g)" s)
     | _ -> (

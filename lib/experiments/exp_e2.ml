@@ -38,11 +38,9 @@ let run () =
         in
         let part = Reductions.Spes_to_partition.embed red chosen in
         let embed_cost = Partition.connectivity_cost h part in
-        let at_opt =
-          Solvers.Exact.decision ~eps:0.0 h ~k:2 ~cost_limit:spes_opt
-        in
+        let at_opt = Solvers.Exact.decision h ~k:2 ~cost_limit:spes_opt in
         let below_opt =
-          Solvers.Exact.decision ~eps:0.0 h ~k:2 ~cost_limit:(spes_opt - 1)
+          Solvers.Exact.decision h ~k:2 ~cost_limit:(spes_opt - 1)
         in
         (* Heuristic roundtrip. *)
         let heur =
@@ -88,9 +86,8 @@ let run () =
         Table.Int (Hypergraph.num_nodes h3);
         Table.Int 2;
         Table.Int (Partition.connectivity_cost h3 part3);
-        Table.Bool (Solvers.Exact.decision ~eps:0.0 h3 ~k:3 ~cost_limit:2);
-        Table.Bool
-          (not (Solvers.Exact.decision ~eps:0.0 h3 ~k:3 ~cost_limit:1));
+        Table.Bool (Solvers.Exact.decision h3 ~k:3 ~cost_limit:2);
+        Table.Bool (not (Solvers.Exact.decision h3 ~k:3 ~cost_limit:1));
         Table.Int (Partition.nonempty_parts h3 part3);
       ];
     ]

@@ -150,8 +150,8 @@ let optimum ?metric ?variant ?eps hg ~k =
   | Some { cost; _ } -> Some cost
   | None -> None
 
-let decision ?eps hg ~k ~cost_limit =
-  match solve ?eps ~upper_bound:cost_limit hg ~k with
+let decision hg ~k ~cost_limit =
+  match solve ~upper_bound:cost_limit hg ~k with
   | Some { cost; _ } -> cost <= cost_limit
   | None -> false
 

@@ -27,9 +27,9 @@ val optimum :
   k:int ->
   int option
 
-val decision : ?eps:float -> Hypergraph.t -> k:int -> cost_limit:int -> bool
-(** Whether a strictly balanced k-way partition of connectivity cost ≤
-    [cost_limit] exists. *)
+val decision : Hypergraph.t -> k:int -> cost_limit:int -> bool
+(** Whether a k-way partition of connectivity cost ≤ [cost_limit] exists
+    under strict balance at ε = 0. *)
 
 val brute_force :
   ?metric:Partition.metric ->

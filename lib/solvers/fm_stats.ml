@@ -16,6 +16,7 @@ type t = {
   mutable accepted : int;
   mutable rolled_back : int;
   mutable rebalance : int;
+  mutable balance_cutoffs : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable delta_updates : int;
@@ -35,6 +36,7 @@ let create () =
     accepted = 0;
     rolled_back = 0;
     rebalance = 0;
+    balance_cutoffs = 0;
     cache_hits = 0;
     cache_misses = 0;
     delta_updates = 0;
@@ -65,6 +67,7 @@ let c_applied = Obs.Counter.make "fm.moves_applied"
 let c_accepted = Obs.Counter.make "fm.moves_accepted"
 let c_rolled_back = Obs.Counter.make "fm.moves_rolled_back"
 let c_rebalance = Obs.Counter.make "fm.rebalance_moves"
+let c_balance_cutoffs = Obs.Counter.make "fm.balance_cutoffs"
 let c_cache_hits = Obs.Counter.make "fm.gain_cache.hits"
 let c_cache_misses = Obs.Counter.make "fm.gain_cache.misses"
 let c_delta_updates = Obs.Counter.make "fm.gain_cache.delta_updates"
@@ -84,6 +87,7 @@ let commit t =
   Obs.Counter.add c_accepted t.accepted;
   Obs.Counter.add c_rolled_back t.rolled_back;
   Obs.Counter.add c_rebalance t.rebalance;
+  Obs.Counter.add c_balance_cutoffs t.balance_cutoffs;
   Obs.Counter.add c_cache_hits t.cache_hits;
   Obs.Counter.add c_cache_misses t.cache_misses;
   Obs.Counter.add c_delta_updates t.delta_updates;

@@ -30,6 +30,7 @@ type t = {
   mutable accepted : int;
   mutable rolled_back : int;
   mutable rebalance : int;
+  mutable balance_cutoffs : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable delta_updates : int;

@@ -45,8 +45,14 @@
      portfolio allocates one word array, not one per candidate.
    - Selecting the best move of a cached node is O(k); the per-move accept
      check is O(1) against an incrementally maintained overweight-part
-     count; the per-pass max-node-weight / max-gain scans are hoisted
-     into the workspace and run once per [refine] call.
+     count; the max-node-weight / max-gain / max-degree scan runs once per
+     hypergraph ([Workspace.scan]), not once per [refine] call.
+   - A pass ends as soon as no balanced prefix is reachable (the balance
+     cutoff, see [fm_pass]): a moved node stays locked, so a part that has
+     taken in more than its capacity stays overweight, and once more parts
+     have done so than were overweight at the pass start no later prefix
+     can pass the acceptance test.  The moves it skips are exactly moves
+     the rollback would undo.
 
    Queue priorities are deliberately lazy: a move patches the gain rows
    but does not reposition live queue entries — a popped node whose
@@ -92,6 +98,8 @@ type ctx = {
   plambdas : int array;
   edge_w : int array; (* read-only weight views: an accessor call per *)
   node_w : int array; (* read is measurable at move-walk frequencies *)
+  max_node_weight : int; (* the pass's overfill slack *)
+  max_degree : int; (* bounds the degrees a rollback replays *)
   mutable cache_stamp : int;
   mutable lock_stamp : int;
   mutable overweight : int; (* #parts with weight > cap, kept incrementally *)
@@ -483,19 +491,42 @@ let audit_rows ctx =
    During the pass moves may overfill a part by one node (the classic FM
    slack that lets a perfectly balanced bisection trade nodes); the
    rollback then only accepts prefixes whose imbalance is no worse than the
-   starting one, so a feasible partition never degrades. *)
+   starting one, so a feasible partition never degrades.
+
+   Balance cutoff: the pass tallies the node weight it moves into each
+   part ([ws.moved_in], reset in O(k), one add per applied move) and ends
+   at the move that leaves more parts with a tally above [cap] than were
+   overweight at the pass start.  A moved node stays locked for the rest
+   of the pass, so a part's weight never again drops below its tally: from
+   that move on every prefix has more overweight parts than the start and
+   fails the acceptance test.  The best prefix, and so the partition, the
+   gain and the accepted moves, are those of the uncut pass; only moves
+   the rollback would undo are skipped.  Under ANALYSIS_DEBUG a cut pass
+   runs on to its natural end instead, and a new best prefix after the
+   cut raises [Debug.Audit_failure].
+
+   A pass that accepts nothing makes at most [max_fruitless] moves, so
+   when that many of the largest degree sum to at most the seeded count
+   its rollback always patches: the snapshot, only read after a bulk
+   rollback to the pass start, is then not taken. *)
 let fm_pass ctx queue ~full =
   let ws = ctx.ws in
   ctx.lock_stamp <- Workspace.next_stamp ws;
-  ctx.cap_limit <- ctx.cap + ws.Workspace.max_node_weight;
+  ctx.cap_limit <- ctx.cap + ctx.max_node_weight;
   Support.Bucket_queue.clear queue;
   Support.Int_vec.clear ws.Workspace.seeded;
   if full then seed_all ctx queue else seed_boundary ctx queue;
   let seeded = Support.Int_vec.length ws.Workspace.seeded in
-  let snapped = snapshot_rows ctx in
+  let snapped =
+    max_fruitless * ctx.max_degree > seeded && snapshot_rows ctx
+  in
   let start_overweight = ctx.overweight in
   let moves = ws.Workspace.moves in
   Support.Int_vec.clear moves;
+  let moved_in = ws.Workspace.moved_in in
+  Array.fill moved_in 0 ctx.k 0;
+  let over = ref 0 and cut_at = ref 0 in
+  let self_check = Analysis_core.Debug.enabled () in
   let cum = ref 0 and best_cum = ref 0 and best_len = ref 0 and len = ref 0 in
   let fruitless = ref 0 in
   let continue = ref true in
@@ -525,6 +556,13 @@ let fm_pass ctx queue ~full =
               cum := !cum + (-delta);
               if !cum > !best_cum && ctx.overweight <= start_overweight
               then begin
+                if !cut_at > 0 then
+                  raise
+                    (Analysis_core.Debug.Audit_failure
+                       (Printf.sprintf
+                          "Refine.fm_pass: balance cutoff at move %d, yet \
+                           move %d is a new best prefix"
+                          !cut_at !len));
                 best_cum := !cum;
                 best_len := !len;
                 fruitless := 0
@@ -535,6 +573,18 @@ let fm_pass ctx queue ~full =
                    cut the pass short, everything past [best_len] is rolled
                    back anyway. *)
                 if !fruitless >= max_fruitless then continue := false
+              end;
+              let w = ctx.node_w.(v) in
+              let tally = moved_in.(dst) + w in
+              moved_in.(dst) <- tally;
+              if tally > ctx.cap && tally - w <= ctx.cap then begin
+                incr over;
+                if !over = start_overweight + 1 then begin
+                  cut_at := !len;
+                  ctx.stats.Fm_stats.balance_cutoffs <-
+                    ctx.stats.Fm_stats.balance_cutoffs + 1;
+                  if not self_check then continue := false
+                end
               end
             end
           end
@@ -577,7 +627,7 @@ let fm_pass ctx queue ~full =
       if !best_len = 0 && snapped then restore_rows ctx
     end
   end;
-  if Analysis_core.Debug.enabled () then audit_rows ctx;
+  if self_check then audit_rows ctx;
   let s = ctx.stats in
   s.Fm_stats.accepted <- s.Fm_stats.accepted + !best_len;
   s.Fm_stats.rolled_back <- s.Fm_stats.rolled_back + (!len - !best_len);
@@ -662,23 +712,8 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
           ~total_weight:(Hypergraph.total_node_weight hg)
           ~k ()
       in
-      (* Hoisted per-instance scans (formerly per pass). *)
-      let node_w = Hypergraph.csr_node_weights hg in
-      let edge_w = Hypergraph.csr_edge_weights hg in
-      let inc = Hypergraph.csr_incidence hg in
-      let inc_offs = Hypergraph.csr_node_offsets hg in
-      let max_node_weight = ref 0 and max_gain = ref 1 in
-      for v = 0 to n - 1 do
-        if node_w.(v) > !max_node_weight then max_node_weight := node_w.(v);
-        let s = ref 0 in
-        for i = inc_offs.(v) to inc_offs.(v + 1) - 1 do
-          s := !s + edge_w.(inc.(i))
-        done;
-        if !s > !max_gain then max_gain := !s
-      done;
-      ws.Workspace.max_node_weight <- !max_node_weight;
-      ws.Workspace.max_gain <- !max_gain;
-      let queue = Workspace.queue ws ~n ~range:!max_gain in
+      let scan = Workspace.scan ws hg in
+      let queue = Workspace.queue ws ~n ~range:scan.Workspace.max_gain in
       let ctx =
         {
           cfg = config;
@@ -691,12 +726,14 @@ let refine ?(config = default_config) ?workspace ?stats hg part =
           ws;
           pins = Hypergraph.csr_pins hg;
           pin_offs = Hypergraph.csr_edge_offsets hg;
-          inc;
-          inc_offs;
+          inc = Hypergraph.csr_incidence hg;
+          inc_offs = Hypergraph.csr_node_offsets hg;
           pview = Pin_counts.view counts;
           plambdas = Pin_counts.raw_lambdas counts;
-          edge_w;
-          node_w;
+          edge_w = Hypergraph.csr_edge_weights hg;
+          node_w = Hypergraph.csr_node_weights hg;
+          max_node_weight = scan.Workspace.max_node_weight;
+          max_degree = scan.Workspace.max_degree;
           cache_stamp = Workspace.next_stamp ws;
           lock_stamp = Workspace.next_stamp ws;
           overweight = Support.Util.array_count (fun w -> w > cap) weights;

@@ -5,7 +5,9 @@ type config = { eps : float; metric : Partition.metric }
 (** Balance is always {!Partition.Strict}.  A call runs at most 8 passes,
     and a pass gives up after 350 consecutive applied moves without a new
     best prefix (the classic FM cutoff bounding how far a pass hill-climbs
-    into a plateau). *)
+    into a plateau), or as soon as no balanced prefix is reachable (the
+    balance cutoff, counted in [fm.balance_cutoffs]; exact, it skips only
+    moves the rollback would undo). *)
 
 val default_config : config
 (** ε = 0, connectivity metric. *)

@@ -17,11 +17,25 @@
    - all per-use validity is stamp-based: a fresh stamp from [next_stamp]
      invalidates every node in O(1), so nothing is cleared between passes;
    - the snapshot buffer holds the gain rows one FM pass seeded, copied
-     right after seeding, and is only read back by that same pass.
+     right after seeding, and is only read back by that same pass;
+   - the per-hypergraph maxima [Refine.refine] sizes its passes by are
+     scanned once and kept for the next call on the physically same
+     hypergraph, as the pin counts are.
 
    Stamp discipline: stamp arrays start at 0 and [stamp] at 1, so freshly
    grown regions are never accidentally valid; the counter only grows
    (63-bit, it cannot wrap in practice). *)
+
+(* The maxima of one hypergraph that [Refine.refine] needs: the largest
+   node weight (a pass's overfill slack), the largest total incident edge
+   weight (the gain range, at least 1) and the largest degree (bounding
+   what a rollback costs). *)
+type scan = {
+  scanned : Hypergraph.t;
+  max_node_weight : int;
+  max_gain : int;
+  max_degree : int;
+}
 
 type t = {
   (* Gain cache (Refine): row v of [penalty] is k slots at [v * k]; under
@@ -38,6 +52,8 @@ type t = {
      per node in [seeded] order. *)
   seeded : Support.Int_vec.t;
   mutable snapshot : int array;
+  (* Per-part weight moved in by the current FM pass (k slots). *)
+  mutable moved_in : int array;
   (* Stamped per-node marks (locks, touched-dedup, boundary-seen). *)
   mutable locked : int array; (* n *)
   mutable touch : int array; (* n *)
@@ -53,11 +69,8 @@ type t = {
   (* The FM bucket queue, recreated only when the node universe or the
      gain range outgrows the cached one. *)
   mutable queue : Support.Bucket_queue.t option;
-  (* Per-refine hoisted instance stats (max node weight, max total
-     incident edge weight), computed once per [Refine.refine] call
-     instead of once per pass. *)
-  mutable max_node_weight : int;
-  mutable max_gain : int;
+  (* The last scanned hypergraph's maxima. *)
+  mutable scan : scan option;
 }
 
 let create () =
@@ -69,6 +82,7 @@ let create () =
     counts = None;
     seeded = Support.Int_vec.create ();
     snapshot = [||];
+    moved_in = [||];
     locked = [||];
     touch = [||];
     seen = [||];
@@ -78,8 +92,7 @@ let create () =
     moves = Support.Int_vec.create ();
     cand = Support.Int_vec.create ();
     queue = None;
-    max_node_weight = 0;
-    max_gain = 1;
+    scan = None;
   }
 
 let grow_int a n = if Array.length a >= n then a else Array.make n 0
@@ -91,6 +104,7 @@ let ensure t ~n ~k =
   t.penalty <- grow_int t.penalty (n * k);
   t.cache_stamp <- grow_int t.cache_stamp n;
   t.part_mark <- grow_int t.part_mark k;
+  t.moved_in <- grow_int t.moved_in k;
   t.locked <- grow_int t.locked n;
   t.touch <- grow_int t.touch n;
   t.seen <- grow_int t.seen n;
@@ -100,6 +114,38 @@ let ensure t ~n ~k =
 let grow_snapshot t len =
   t.snapshot <- grow_int t.snapshot len;
   t.snapshot
+
+(* [hg]'s maxima: the cached scan when it is of the physically same
+   hypergraph, else a fresh one that replaces it. *)
+let scan t hg =
+  match t.scan with
+  | Some s when s.scanned == hg -> s
+  | _ ->
+      let node_w = Hypergraph.csr_node_weights hg in
+      let edge_w = Hypergraph.csr_edge_weights hg in
+      let inc = Hypergraph.csr_incidence hg in
+      let inc_offs = Hypergraph.csr_node_offsets hg in
+      let max_node_weight = ref 0 and max_gain = ref 1 and max_degree = ref 0 in
+      for v = 0 to Hypergraph.num_nodes hg - 1 do
+        if node_w.(v) > !max_node_weight then max_node_weight := node_w.(v);
+        let degree = inc_offs.(v + 1) - inc_offs.(v) in
+        if degree > !max_degree then max_degree := degree;
+        let s = ref 0 in
+        for i = inc_offs.(v) to inc_offs.(v + 1) - 1 do
+          s := !s + edge_w.(inc.(i))
+        done;
+        if !s > !max_gain then max_gain := !s
+      done;
+      let s =
+        {
+          scanned = hg;
+          max_node_weight = !max_node_weight;
+          max_gain = !max_gain;
+          max_degree = !max_degree;
+        }
+      in
+      t.scan <- Some s;
+      s
 
 let next_stamp t =
   let s = t.stamp + 1 in

@@ -297,6 +297,23 @@ let test_manifest_errors () =
         "defaults": { "k": 0 },
         "instances": [ { "generate": "uniform", "n": 4 } ] }|}
 
+(* A generated job is sized by its n alone, so validation bounds it by
+   the node limit the file readers share. *)
+let test_spec_validate_generated_size () =
+  let check name expected n =
+    Alcotest.(check (result unit string)) name expected
+      (E.Spec.validate (gen_job ~n ()))
+  in
+  let limit = Hypergraph.max_nodes in
+  check "n = 1 accepted" (Ok ()) 1;
+  check "n at the limit accepted" (Ok ()) limit;
+  check "n = 0 rejected" (Error "generated instance needs n >= 1 (got 0)") 0;
+  check "n above the limit rejected"
+    (Error
+       (Printf.sprintf "generated instance needs n <= %d (got %d)" limit
+          (limit + 1)))
+    (limit + 1)
+
 (* The committed paper-suite manifest, the one `hypartition batch
    --manifest examples/manifests/paper.json` regenerates the paper from:
    exactly one experiment job per registered id, in paper order. *)
@@ -950,6 +967,8 @@ let suite =
     Alcotest.test_case "cache rejects defects" `Quick test_cache_rejects_defects;
     Alcotest.test_case "manifest expansion" `Quick test_manifest_expansion;
     Alcotest.test_case "manifest errors" `Quick test_manifest_errors;
+    Alcotest.test_case "spec bounds generated n" `Quick
+      test_spec_validate_generated_size;
     Alcotest.test_case "paper manifest" `Quick test_paper_manifest;
     Alcotest.test_case "runner execute" `Quick test_runner_execute;
     Alcotest.test_case "runner determinism" `Quick test_runner_determinism;

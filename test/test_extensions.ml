@@ -109,8 +109,7 @@ let test_mc_to_standard_roundtrip () =
         (P.connectivity_cost hg back));
   (* ... and no transformed section beats the MC optimum. *)
   Alcotest.(check bool) "no cheaper section" false
-    (Solvers.Exact.decision ~eps:0.0 transformed ~k:2
-       ~cost_limit:(reference - 1));
+    (Solvers.Exact.decision transformed ~k:2 ~cost_limit:(reference - 1));
   (* Forward mapping. *)
   let forward_src =
     let found = ref None in
@@ -184,9 +183,9 @@ let test_spes_k3_optimum () =
   let red = R.Spes_k3.build ~eps:0.0 g ~k:3 ~p:1 in
   let h = R.Spes_k3.hypergraph red in
   Alcotest.(check bool) "decision at OPT = 2" true
-    (Solvers.Exact.decision ~eps:0.0 h ~k:3 ~cost_limit:2);
+    (Solvers.Exact.decision h ~k:3 ~cost_limit:2);
   Alcotest.(check bool) "no solution below OPT" false
-    (Solvers.Exact.decision ~eps:0.0 h ~k:3 ~cost_limit:1)
+    (Solvers.Exact.decision h ~k:3 ~cost_limit:1)
 
 (* V-cycle --------------------------------------------------------------------- *)
 

@@ -84,9 +84,9 @@ let test_spes_reduction_optimum_agrees () =
   (* The partition optimum is at most the SpES optimum (embed), and the
      decision at spes_opt - 1 fails. *)
   Alcotest.(check bool) "decision at OPT" true
-    (Solvers.Exact.decision ~eps:0.0 h ~k:2 ~cost_limit:spes_opt);
+    (Solvers.Exact.decision h ~k:2 ~cost_limit:spes_opt);
   Alcotest.(check bool) "no solution below OPT (Lemma C.1)" false
-    (Solvers.Exact.decision ~eps:0.0 h ~k:2 ~cost_limit:(spes_opt - 1))
+    (Solvers.Exact.decision h ~k:2 ~cost_limit:(spes_opt - 1))
 
 let test_spes_reduction_heuristic_roundtrip () =
   (* A multilevel partition of the reduction maps back to a valid SpES

@@ -145,6 +145,30 @@ let test_refine_rebalances () =
   Alcotest.(check bool) "rebalanced to feasibility" true
     (P.is_balanced ~eps:0.0 h p)
 
+(* Four nodes, each as heavy as a whole part (k = 4, ε = 0), so the only
+   balanced partitions put one node in each part and the start is
+   optimal; yet moving node 0 next to node 1 gains 6.  A move empties its
+   source and overfills its destination by one node, and once two nodes
+   have moved into one part that part's moved-in weight exceeds the
+   capacity: no later prefix can be balanced, so the pass ends there and
+   rolls back to its start. *)
+let test_refine_balance_cutoff () =
+  let h =
+    H.of_edges ~node_weights:(Array.make 4 10) ~edge_weights:[| 6; 5; 4 |]
+      ~n:4
+      [| [| 0; 1 |]; [| 1; 2 |]; [| 1; 3 |] |]
+  in
+  let start = [| 0; 1; 2; 3 |] in
+  let p = P.create ~k:4 (Array.copy start) in
+  let stats = S.Fm_stats.create () in
+  let cost = S.Refine.refine ~stats h p in
+  Alcotest.(check bool) "a pass hit the balance cutoff" true
+    (stats.S.Fm_stats.balance_cutoffs > 0);
+  Alcotest.(check int) "no move accepted" 0 stats.S.Fm_stats.accepted;
+  Alcotest.(check (array int)) "balanced start returned" start
+    (P.assignment p);
+  Alcotest.(check int) "start cost" 15 cost
+
 (* Coarsening ------------------------------------------------------------------ *)
 
 let test_coarsen_preserves_weight () =
@@ -306,9 +330,9 @@ let test_exact_decision () =
   ignore (H.Builder.add_edge b [| b1.(0); b2.(0) |]);
   let h = H.Builder.build b in
   Alcotest.(check bool) "cost 1 achievable" true
-    (S.Exact.decision ~eps:0.0 h ~k:2 ~cost_limit:1);
+    (S.Exact.decision h ~k:2 ~cost_limit:1);
   Alcotest.(check bool) "cost 0 not achievable" false
-    (S.Exact.decision ~eps:0.0 h ~k:2 ~cost_limit:0)
+    (S.Exact.decision h ~k:2 ~cost_limit:0)
 
 let test_exact_with_feasibility_callback () =
   (* Multi-constraint via callback: nodes {0,1} must be split, cutting edge
@@ -381,6 +405,8 @@ let suite =
     Alcotest.test_case "refine finds bridge" `Quick
       test_refine_finds_obvious_split;
     Alcotest.test_case "refine rebalances" `Quick test_refine_rebalances;
+    Alcotest.test_case "refine balance cutoff" `Quick
+      test_refine_balance_cutoff;
     Alcotest.test_case "coarsen preserves weight" `Quick
       test_coarsen_preserves_weight;
     Alcotest.test_case "projection preserves cost" `Quick
