@@ -10,7 +10,10 @@ let () =
   (* Theorem 4.1: SpES -> balanced partitioning. *)
   section "Theorem 4.1: the main inapproximability reduction";
   let g = Npc.Graph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3); (0, 3); (0, 2) ] in
-  let red = Reductions.Spes_to_partition.build ~eps:0.0 g ~p:2 in
+  let red =
+    Reductions.Spes_to_partition.build ~eps:0.0 (Npc.Graph.to_hypergraph g)
+      ~k:2 ~p:2
+  in
   let hg = Reductions.Spes_to_partition.hypergraph red in
   Printf.printf "SpES instance: 4 vertices, 5 edges, p = 2\n";
   Printf.printf "reduction hypergraph: %d nodes, %d hyperedges\n"
@@ -26,8 +29,10 @@ let () =
   (* Lemma C.6 / Appendix C.3: degree 2, hyperDAG. *)
   section "Lemma C.6 + Appendix C.3: Delta = 2 hyperDAG form";
   let tri = Npc.Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ] in
-  let d2 = Reductions.Spes_delta2.build ~eps:0.0 ~hyperdag:true tri ~p:1 in
-  let hg2 = Reductions.Spes_delta2.hypergraph d2 in
+  let d2 =
+    Reductions.Spes_to_partition.build_delta2 ~eps:0.0 ~hyperdag:true tri ~p:1
+  in
+  let hg2 = Reductions.Spes_to_partition.hypergraph d2 in
   Printf.printf "grid construction: %d nodes, max degree %d, hyperDAG %b\n"
     (Hypergraph.num_nodes hg2) (Hypergraph.max_degree hg2)
     (Hyperdag.is_hyperdag hg2);

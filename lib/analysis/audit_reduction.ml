@@ -88,12 +88,12 @@ let audit_spes ~graph ~selection red =
     [ Audit_hg.audit hg; Check.report ctx ]
 
 let audit_spes_delta2 ~graph ~hyperdag ~selection red =
-  let hg = Reductions.Spes_delta2.hypergraph red in
+  let hg = Reductions.Spes_to_partition.hypergraph red in
   let ctx = Check.create ~subject:"SpES -> partition, Delta=2 (Lemma C.6)" in
   spes_common ctx ~graph ~selection ~hg
-    ~capacity:(Reductions.Spes_delta2.capacity red)
-    ~embed:(Reductions.Spes_delta2.embed red)
-    ~extract:(Reductions.Spes_delta2.extract red);
+    ~capacity:(Reductions.Spes_to_partition.capacity red)
+    ~embed:(Reductions.Spes_to_partition.embed red)
+    ~extract:(Reductions.Spes_to_partition.extract red);
   Check.rule ctx ~id:"RED-DELTA2-DEG"
     (Hypergraph.max_degree hg <= 2)
     (fun () ->
@@ -106,15 +106,15 @@ let audit_spes_delta2 ~graph ~hyperdag ~selection red =
     [ Audit_hg.audit hg; Check.report ctx ]
 
 let audit_mpu ~selection red =
-  let hg = Reductions.Mpu_to_partition.hypergraph red in
+  let hg = Reductions.Spes_to_partition.hypergraph red in
   let ctx = Check.create ~subject:"MpU -> partition (Appendix C.5)" in
-  let part = Reductions.Mpu_to_partition.embed red selection in
+  let part = Reductions.Spes_to_partition.embed red selection in
   let cost = Audit_partition.recompute_cost Partition.Cut_net hg part in
-  let union = Reductions.Mpu_to_partition.union_size red selection in
+  let union = Reductions.Spes_to_partition.union_size red selection in
   Check.rule ctx ~id:"RED-MPU-COST" (cost = union) (fun () ->
       Printf.sprintf "embedded cost %d but the union has size %d" cost union);
   Check.rule ctx ~id:"RED-MPU-ROUNDTRIP"
-    (sorted_copy (Reductions.Mpu_to_partition.extract red part)
+    (sorted_copy (Reductions.Spes_to_partition.extract red part)
     = sorted_copy selection)
     (fun () -> "extract does not recover the embedded selection");
   Check.merge ~subject:"MpU -> partition (Appendix C.5)"

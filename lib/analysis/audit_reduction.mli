@@ -22,14 +22,16 @@ val audit_spes_delta2 :
   graph:Npc.Graph.t ->
   hyperdag:bool ->
   selection:int array ->
-  Reductions.Spes_delta2.t ->
+  Reductions.Spes_to_partition.t ->
   Check.report
-(** Lemma C.6 grid-gadget form: additionally Δ ≤ 2, and a hyperDAG when
-    built with [~hyperdag:true] (Appendix C.3). *)
+(** Lemma C.6 grid-gadget form ({!Reductions.Spes_to_partition.build_delta2}):
+    additionally Δ ≤ 2, and a hyperDAG when built with [~hyperdag:true]
+    (Appendix C.3). *)
 
 val audit_mpu :
-  selection:int array -> Reductions.Mpu_to_partition.t -> Check.report
-(** Appendix C.5 Minimum p-Union form: embedded cost = |union|. *)
+  selection:int array -> Reductions.Spes_to_partition.t -> Check.report
+(** Appendix C.5 Minimum p-Union form, at any k: embedded cost =
+    |union|. *)
 
 val audit_eps_reduction :
   Hypergraph.t -> Partition.t -> Reductions.Eps_reduction.t -> Check.report

@@ -120,12 +120,6 @@ let rec result_type (ty : Types.type_expr) =
   | Tarrow (_, _, r, _) -> result_type r
   | _ -> ty
 
-(* Ownership mentions over the parameter positions only. *)
-let rec arg_mentions (ty : Types.type_expr) =
-  match Types.get_desc ty with
-  | Tarrow (_, a, b, _) -> type_mentions a @ arg_mentions b
-  | _ -> []
-
 let is_arrow ty =
   match Types.get_desc ty with Tarrow _ -> true | _ -> false
 
@@ -257,8 +251,11 @@ let print_type ty = Format.asprintf "%a" Printtyp.type_scheme ty
 (* Name predicates live in {!Ir}, next to the kinds they feed. *)
 let obs_emit_name = I.obs_emit_name
 let random_global_name = I.random_global_name
-let is_iterish = I.is_iterish
 let is_store_fn = I.is_store_fn
+
+(* One list with hyplint: a function literal passed to an iterator is a
+   loop body for DOM04 as it is for the SRC loop rules. *)
+let is_iterish = Lint.Rules.iterish_name
 
 let extract ~known ~has_mli tu : I.unit_ir =
   let unit_mod = I.module_of_unit tu.tu_modname in
@@ -555,12 +552,6 @@ let extract ~known ~has_mli tu : I.unit_ir =
                   let ret =
                     sort_uniq_strings (type_mentions ret_ty)
                   in
-                  let ret_kind =
-                    match classify_type ~known ~ctx ret_ty with
-                    | Some k when not (I.kind_is_safe k) ->
-                        Some (I.kind_to_string k)
-                    | _ -> None
-                  in
                   funcs :=
                     {
                       I.f_module = unit_mod;
@@ -570,9 +561,6 @@ let extract ~known ~has_mli tu : I.unit_ir =
                       f_ret_mentions = ret;
                       f_writes = writes;
                       f_local_mut = local_mut;
-                      f_takes_ws =
-                        List.mem "Workspace.t" (arg_mentions ty);
-                      f_ret_kind = ret_kind;
                     }
                     :: !funcs
                 end)

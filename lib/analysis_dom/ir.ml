@@ -69,10 +69,6 @@ type func = {
   f_local_mut : bool;
       (* mutation whose subject is NOT module-level: a parameter or a
          let-bound local — the Workspace-discipline shape *)
-  f_takes_ws : bool;  (* some parameter type mentions Workspace.t *)
-  f_ret_kind : string option;
-      (* [kind_to_string] of the result type when it classifies as a
-         mutable kind *)
 }
 
 type unit_ir = {
@@ -203,25 +199,6 @@ let random_global_name name =
   | "Random.set_state" | "Random.get_state" ->
       true
   | _ -> false
-
-(* Callback-taking iteration functions, as in hyplint's SRC02: a function
-   literal passed to one of these runs once per element, so it counts as
-   a loop body for DOM04. *)
-let is_iterish name =
-  let last =
-    match List.rev (String.split_on_char '.' name) with
-    | last :: _ -> last
-    | [] -> name
-  in
-  List.mem last
-    [
-      "iter"; "iteri"; "iter2"; "map"; "mapi"; "map2"; "rev_map";
-      "concat_map"; "filter_map"; "filter"; "find"; "find_opt"; "find_map";
-      "exists"; "for_all"; "partition"; "fold_left"; "fold_right"; "fold";
-      "init"; "sort"; "sort_uniq"; "stable_sort";
-    ]
-  || String.starts_with ~prefix:"iter_" last
-  || String.starts_with ~prefix:"fold_" last
 
 (* Store operations whose first argument is the stored-into subject and
    which retain the stored value: [Hashtbl.add tbl k v] with [tbl] a

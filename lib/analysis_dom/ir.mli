@@ -53,10 +53,6 @@ type func = {
   f_local_mut : bool;
       (** mutation whose subject is a parameter or local — the
           Workspace-discipline shape *)
-  f_takes_ws : bool;  (** a parameter type mentions [Workspace.t] *)
-  f_ret_kind : string option;
-      (** [kind_to_string] of the result type when it classifies as a
-          mutable kind *)
 }
 
 type unit_ir = {
@@ -110,10 +106,6 @@ val obs_emit_name : string -> bool
 val random_global_name : string -> bool
 (** The stdlib's implicit-state PRNG entry points ([Random.int], ...);
     excludes the explicit [Random.State.*] API. *)
-
-val is_iterish : string -> bool
-(** Callback-taking iteration functions whose function-literal arguments
-    run once per element (loop bodies for DOM04). *)
 
 val is_store_fn : string -> bool
 (** Store operations whose first argument is the stored-into subject and

@@ -16,7 +16,10 @@ let run () =
   let rows =
     List.map
       (fun (name, g, p) ->
-        let red = Reductions.Spes_to_partition.build ~eps:0.0 g ~p in
+        let red =
+          Reductions.Spes_to_partition.build ~eps:0.0
+            (Npc.Graph.to_hypergraph g) ~k:2 ~p
+        in
         let h = Reductions.Spes_to_partition.hypergraph red in
         let spes_opt =
           match Npc.Spes.optimum g ~p with Some v -> v | None -> -1 in
@@ -49,9 +52,7 @@ let run () =
             (Support.Rng.create 42) h ~k:2
         in
         let mapped = Reductions.Spes_to_partition.extract red heur in
-        let heur_obj =
-          Reductions.Spes_to_partition.covered_vertices red mapped
-        in
+        let heur_obj = Reductions.Spes_to_partition.union_size red mapped in
         [
           Table.Str name;
           Table.Int (Hypergraph.num_nodes h);
@@ -76,9 +77,12 @@ let run () =
   (* k = 3 (Appendix C.4): the same equality through the generalized
      construction with filler components. *)
   let g3 = Npc.Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ] in
-  let red3 = Reductions.Spes_k3.build ~eps:0.0 g3 ~k:3 ~p:1 in
-  let h3 = Reductions.Spes_k3.hypergraph red3 in
-  let part3 = Reductions.Spes_k3.embed red3 [| 0 |] in
+  let red3 =
+    Reductions.Spes_to_partition.build ~eps:0.0 (Npc.Graph.to_hypergraph g3)
+      ~k:3 ~p:1
+  in
+  let h3 = Reductions.Spes_to_partition.hypergraph red3 in
+  let part3 = Reductions.Spes_to_partition.embed red3 [| 0 |] in
   let rows_k3 =
     [
       [

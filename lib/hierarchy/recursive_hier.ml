@@ -12,29 +12,6 @@ let multilevel_splitter rng : splitter =
     ~config:{ Solvers.Multilevel.default_config with eps }
     rng hg ~k
 
-let restrict hg keep_ids =
-  (* Sub-hypergraph on the given nodes, keeping edge fragments with >= 2
-     pins so lower levels still see internal connectivity. *)
-  let n = Hypergraph.num_nodes hg in
-  let in_side = Array.make n false in
-  Array.iter (fun v -> in_side.(v) <- true) keep_ids;
-  let new_id = Array.make n (-1) in
-  Array.iteri (fun i v -> new_id.(v) <- i) keep_ids;
-  let edges = ref [] in
-  for e = Hypergraph.num_edges hg - 1 downto 0 do
-    let pins =
-      Hypergraph.fold_pins hg e
-        (fun acc v -> if in_side.(v) then new_id.(v) :: acc else acc)
-        []
-    in
-    if List.length pins > 1 then
-      edges := (Array.of_list pins, Hypergraph.edge_weight hg e) :: !edges
-  done;
-  let arr = Array.of_list !edges in
-  Hypergraph.of_edges ~n:(Array.length keep_ids)
-    ~node_weights:(Array.map (fun v -> Hypergraph.node_weight hg v) keep_ids)
-    ~edge_weights:(Array.map snd arr) (Array.map fst arr)
-
 let partition ?(eps = 0.0) ~splitter topo hg =
   Obs.Span.with_ "hier.recursive"
     ~attrs:
@@ -74,7 +51,7 @@ let partition ?(eps = 0.0) ~splitter topo hg =
         done;
         let local = Array.of_list !ids in
         if Array.length local > 0 then begin
-          let side = restrict sub local in
+          let side = Hypergraph.restrict sub local in
           go side
             (Array.map (fun v -> old_ids.(v)) local)
             ~level:(level + 1)

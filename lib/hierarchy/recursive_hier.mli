@@ -5,9 +5,6 @@ type splitter = Hypergraph.t -> k:int -> eps:float -> Partition.t
 
 val multilevel_splitter : Support.Rng.t -> splitter
 
-val restrict : Hypergraph.t -> int array -> Hypergraph.t
-(** Sub-hypergraph on the given nodes, keeping edge fragments of ≥ 2 pins. *)
-
 val partition :
   ?eps:float -> splitter:splitter -> Topology.t -> Hypergraph.t -> Partition.t
 (** Leaf-colored partition obtained by splitting level by level. *)

@@ -262,6 +262,26 @@ let induced_subgraph t keep =
   in
   (sub, old_nodes, old_edges)
 
+(* The side of a split: the fragments of the edges on [keep] with at
+   least 2 pins, in edge order. *)
+let restrict t keep =
+  let new_id = Array.make t.n (-1) in
+  Array.iteri (fun i v -> new_id.(v) <- i) keep;
+  let edges = ref [] in
+  for e = num_edges t - 1 downto 0 do
+    let pins =
+      fold_pins t e
+        (fun acc v -> if new_id.(v) >= 0 then new_id.(v) :: acc else acc)
+        []
+    in
+    if List.length pins > 1 then
+      edges := (Array.of_list pins, t.edge_weight.(e)) :: !edges
+  done;
+  let kept = Array.of_list !edges in
+  of_edges ~n:(Array.length keep)
+    ~node_weights:(Array.map (fun v -> t.node_weight.(v)) keep)
+    ~edge_weights:(Array.map snd kept) (Array.map fst kept)
+
 (* Contract nodes according to [label : node -> 0..count-1].  Hyperedges are
    mapped through the labeling; pins collapse; edges that become singletons
    are dropped when [drop_singletons]; identical edges are merged with

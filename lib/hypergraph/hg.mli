@@ -137,6 +137,14 @@ val induced_subgraph : t -> int array -> t * int array * int array
     hyperedges contained in them (the notion of Appendix B).  Returns
     [(sub, old_nodes, old_edges)] mapping new ids back to old ones. *)
 
+val restrict : t -> int array -> t
+(** [restrict t keep] is the side of a split that a recursive partitioner
+    recurses on: node [i] is [keep.(i)], and unlike {!induced_subgraph}
+    an edge that leaves [keep] is not dropped but cut down to its pins in
+    [keep], kept when at least 2 remain, so that lower levels still see
+    the side's internal connectivity.  Edges keep their order and
+    weights. *)
+
 val contract :
   ?drop_singletons:bool -> ?merge_identical:bool -> t -> int array -> int -> t
 (** [contract t label count] merges nodes with equal labels (labels must lie

@@ -182,8 +182,12 @@ let is_src09 (lid : Longident.t) =
 (* Callback-taking functions whose function-literal arguments run once per
    element: List/Array iteration, plus this repo's iter_*/fold_* walkers
    (Hypergraph.iter_pins, Dag.iter_succs, ...). *)
-let is_iterish (lid : Longident.t) =
-  let last = last_component lid in
+let iterish_name name =
+  let last =
+    match String.rindex_opt name '.' with
+    | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+    | None -> name
+  in
   List.mem last
     [
       "iter"; "iteri"; "iter2"; "map"; "mapi"; "map2"; "rev_map";
@@ -193,6 +197,8 @@ let is_iterish (lid : Longident.t) =
     ]
   || String.starts_with ~prefix:"iter_" last
   || String.starts_with ~prefix:"fold_" last
+
+let is_iterish (lid : Longident.t) = iterish_name (last_component lid)
 
 (* ---- SRC05: raise-message shape ---------------------------------------- *)
 

@@ -37,6 +37,13 @@ val scan : path:string -> Parsetree.structure -> finding list
     everywhere; their designated concurrency and networking modules are
     allowlisted in [lint.config].  Findings come back in source order. *)
 
+val iterish_name : string -> bool
+(** Whether the last component of a dotted value path names a
+    callback-taking iteration function ([iter], [map], [fold_left], …,
+    or any [iter_*] / [fold_*] walker), whose function-literal argument
+    runs once per element: a loop body for the loop rules here and for
+    the typed DOM04. *)
+
 val reexport_only : Parsetree.structure -> bool
 (** Whether a compilation unit consists solely of [module X = Path] /
     [include Path] items — the pure re-export library roots that SRC07

@@ -45,6 +45,9 @@ let incident_edges t v =
     t.edges;
   List.rev !acc
 
+let to_hypergraph t =
+  Hypergraph.of_edges ~n:t.n (Array.map (fun (u, v) -> [| u; v |]) t.edges)
+
 let max_degree t =
   if t.n = 0 then 0
   else Support.Util.max_array (Array.init t.n (fun v -> degree t v))

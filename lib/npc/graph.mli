@@ -14,6 +14,11 @@ val has_edge : t -> int -> int -> bool
 val incident_edges : t -> int -> int list
 (** Indices into [edges t]. *)
 
+val to_hypergraph : t -> Hypergraph.t
+(** Edge [e] becomes the 2-pin hyperedge [e]: the SpES source of the
+    main reduction as a Minimum p-Union instance (Appendix C.5), where
+    the union of p edges is the set of vertices they cover. *)
+
 val max_degree : t -> int
 val complete : int -> t
 val random : Support.Rng.t -> n:int -> p:float -> t

@@ -2,7 +2,6 @@
    with solution mappings in both directions. *)
 module Eps_reduction = Eps_reduction
 module Spes_to_partition = Spes_to_partition
-module Spes_delta2 = Spes_delta2
 module Mc_builder = Mc_builder
 module Mc_from_coloring = Mc_from_coloring
 module Mc_from_ovp = Mc_from_ovp
@@ -13,6 +12,4 @@ module Sched_from_clique = Sched_from_clique
 module Assignment_from_three_dm = Assignment_from_three_dm
 module Counterexamples = Counterexamples
 module Mc_to_standard = Mc_to_standard
-module Mpu_to_partition = Mpu_to_partition
 module Hyperdag_np_hard = Hyperdag_np_hard
-module Spes_k3 = Spes_k3

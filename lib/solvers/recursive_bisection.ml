@@ -117,31 +117,7 @@ let partition ?(eps = 0.03) ~bisector hg ~k =
       in
       let recurse s ~first_color ~parts =
         let local = side s in
-        (* Build the sub-hypergraph induced by the side, keeping the edges
-           that intersect it (restricted to the side), so lower levels still
-           see their internal connectivity. *)
-        let in_side = Array.make (Hypergraph.num_nodes sub) false in
-        Array.iter (fun v -> in_side.(v) <- true) local;
-        let new_id = Array.make (Hypergraph.num_nodes sub) (-1) in
-        Array.iteri (fun i v -> new_id.(v) <- i) local;
-        let edges = ref [] in
-        for e = Hypergraph.num_edges sub - 1 downto 0 do
-          let pins =
-            Hypergraph.fold_pins sub e
-              (fun acc v -> if in_side.(v) then new_id.(v) :: acc else acc)
-              []
-          in
-          if List.length pins > 1 then
-            edges := (Array.of_list pins, Hypergraph.edge_weight sub e) :: !edges
-        done;
-        let arr = Array.of_list !edges in
-        let side_hg =
-          Hypergraph.of_edges
-            ~n:(Array.length local)
-            ~node_weights:(Array.map (fun v -> Hypergraph.node_weight sub v) local)
-            ~edge_weights:(Array.map snd arr) (Array.map fst arr)
-        in
-        go side_hg
+        go (Hypergraph.restrict sub local)
           (Array.map (fun v -> old_nodes.(v)) local)
           ~first_color ~parts
       in

@@ -122,15 +122,17 @@ let test_reduction_audits () =
     let sel = Array.init p Fun.id in
     check_ok "spes"
       (A.Audit_reduction.audit_spes ~graph:g ~selection:sel
-         (Reductions.Spes_to_partition.build ~eps:0.1 g ~p));
+         (Reductions.Spes_to_partition.build ~eps:0.1
+            (Npc.Graph.to_hypergraph g) ~k:2 ~p));
     check_ok "spes-delta2"
       (A.Audit_reduction.audit_spes_delta2 ~graph:g ~hyperdag:false
          ~selection:sel
-         (Reductions.Spes_delta2.build ~eps:0.1 g ~p));
+         (Reductions.Spes_to_partition.build_delta2 ~eps:0.1 g ~p));
     check_ok "spes-delta2-hd"
       (A.Audit_reduction.audit_spes_delta2 ~graph:g ~hyperdag:true
          ~selection:sel
-         (Reductions.Spes_delta2.build ~eps:0.1 ~hyperdag:true g ~p))
+         (Reductions.Spes_to_partition.build_delta2 ~eps:0.1 ~hyperdag:true g
+            ~p))
   end;
   let hg = Workloads.Rand_hg.uniform rng ~n:10 ~m:8 ~min_size:2 ~max_size:4 in
   let part = Solvers.Multilevel.partition rng hg ~k:2 in
@@ -139,7 +141,10 @@ let test_reduction_audits () =
        (Reductions.Eps_reduction.build ~eps:0.3 ~k:2 hg));
   check_ok "mpu"
     (A.Audit_reduction.audit_mpu ~selection:[| 0; 1 |]
-       (Reductions.Mpu_to_partition.build ~eps:0.1 hg ~p:2));
+       (Reductions.Spes_to_partition.build ~eps:0.1 hg ~k:2 ~p:2));
+  check_ok "mpu-k3"
+    (A.Audit_reduction.audit_mpu ~selection:[| 0; 1 |]
+       (Reductions.Spes_to_partition.build ~eps:0.1 hg ~k:3 ~p:2));
   let inst = Npc.Three_dm.random_yes rng ~q:2 ~extra:1 in
   check_ok "3dm"
     (A.Audit_reduction.audit_three_dm

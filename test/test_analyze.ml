@@ -18,7 +18,8 @@ let marker rest = "(* hyp" ^ "lint: " ^ rest ^ " *)"
 let em_dash = "\xe2\x80\x94"
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
-let fixture name = read_file (Filename.concat "fixtures/dom" name)
+let fixture name =
+  read_file (Filename.concat (Repo_file.path "test/fixtures/dom") name)
 
 let write_file path content =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content)
@@ -660,8 +661,8 @@ let test_typed_front () =
 (* ---- docs stay in sync with both catalogues ----------------------------- *)
 
 let test_docs_in_sync () =
-  let readme = read_file "../README.md" in
-  let design = read_file "../DESIGN.md" in
+  let readme = read_file (Repo_file.path "README.md") in
+  let design = read_file (Repo_file.path "DESIGN.md") in
   List.iter
     (fun (id, _) ->
       Alcotest.(check bool) ("README mentions " ^ id) true (contains readme id);

@@ -83,9 +83,9 @@ let test_mc_builder_boundaries () =
 
 let test_delta2_with_positive_eps () =
   let g = Npc.Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ] in
-  let red = R.Spes_delta2.build ~eps:0.5 g ~p:1 in
-  let h = R.Spes_delta2.hypergraph red in
-  let part = R.Spes_delta2.embed red [| 1 |] in
+  let red = R.Spes_to_partition.build_delta2 ~eps:0.5 g ~p:1 in
+  let h = R.Spes_to_partition.hypergraph red in
+  let part = R.Spes_to_partition.embed red [| 1 |] in
   Alcotest.(check bool) "eps=0.5 embed balanced" true
     (P.is_balanced ~eps:0.5 h part);
   Alcotest.(check int) "cost = covered" 2 (P.connectivity_cost h part);
@@ -93,7 +93,9 @@ let test_delta2_with_positive_eps () =
 
 let test_spes_with_positive_eps () =
   let g = Npc.Graph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
-  let red = R.Spes_to_partition.build ~eps:0.25 g ~p:2 in
+  let red =
+    R.Spes_to_partition.build ~eps:0.25 (Npc.Graph.to_hypergraph g) ~k:2 ~p:2
+  in
   let h = R.Spes_to_partition.hypergraph red in
   let part = R.Spes_to_partition.embed red [| 0; 2 |] in
   Alcotest.(check bool) "eps=0.25 embed balanced" true

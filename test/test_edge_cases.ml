@@ -157,6 +157,43 @@ let test_eps_boundaries () =
     (Invalid_argument "Part.capacity: negative eps") (fun () ->
       ignore (P.capacity ~eps:(-0.1) ~total_weight:10 ~k:2 ()))
 
+(* Main reduction input checks ------------------------------------------------- *)
+
+module Red = Reductions.Spes_to_partition
+
+let path3 () = Npc.Graph.of_edges ~n:3 [ (0, 1); (1, 2) ]
+
+let rejects name msg f =
+  Alcotest.check_raises name (Invalid_argument ("Spes_to_partition." ^ msg))
+    (fun () -> ignore (f ()))
+
+let test_reduction_bad_p () =
+  let src = Npc.Graph.to_hypergraph (path3 ()) in
+  List.iter
+    (fun p ->
+      rejects "block p" "build: bad p" (fun () -> Red.build src ~k:2 ~p);
+      rejects "grid p" "build_delta2: bad p" (fun () ->
+          Red.build_delta2 (path3 ()) ~p))
+    [ 0; 3 ]
+
+let test_reduction_k_below_2 () =
+  let src = Npc.Graph.to_hypergraph (path3 ()) in
+  rejects "k = 1" "build: k < 2" (fun () -> Red.build src ~k:1 ~p:1)
+
+let test_reduction_no_filler () =
+  (* k0 = ceil(3 / 1.5) = 2: no filler color, so k = 2 is the build. *)
+  let src = Npc.Graph.to_hypergraph (path3 ()) in
+  rejects "k = 3, eps = 0.5"
+    "build: with 2(1+eps) >= k the k = 2 construction applies" (fun () ->
+      Red.build ~eps:0.5 src ~k:3 ~p:1)
+
+let test_reduction_a_grid_too_small () =
+  (* At p = 2 the size search gives A 78 nodes: an 8 x 8 grid with 14
+     padding outsiders, which leaves 2 of its 16 outsider slots for the 3
+     vertex nodes. *)
+  rejects "3 vertices" "build_delta2: graph too large for the A grid"
+    (fun () -> Red.build_delta2 (path3 ()) ~p:2)
+
 let suite =
   [
     Alcotest.test_case "empty hypergraph" `Quick test_empty_hypergraph;
@@ -172,4 +209,12 @@ let suite =
     Alcotest.test_case "single-node schedule" `Quick test_schedule_single_node;
     Alcotest.test_case "mu size guard" `Quick test_mu_too_large;
     Alcotest.test_case "eps boundaries" `Quick test_eps_boundaries;
+    Alcotest.test_case "reduction rejects p outside [1, |E|]" `Quick
+      test_reduction_bad_p;
+    Alcotest.test_case "reduction rejects k < 2" `Quick
+      test_reduction_k_below_2;
+    Alcotest.test_case "reduction rejects k >= 3 without fillers" `Quick
+      test_reduction_no_filler;
+    Alcotest.test_case "reduction rejects a graph too large for A" `Quick
+      test_reduction_a_grid_too_small;
   ]

@@ -320,7 +320,7 @@ let test_spec_validate_generated_size () =
 let test_paper_manifest () =
   match
     E.Manifest.load ~known_experiments:Experiments.ids
-      "../examples/manifests/paper.json"
+      (Repo_file.path "examples/manifests/paper.json")
   with
   | Error e -> Alcotest.failf "paper manifest: %s" e
   | Ok jobs ->

@@ -144,44 +144,48 @@ let test_mpu_reduction () =
   let inst =
     H.of_edges ~n:5 [| [| 0; 1 |]; [| 1; 2 |]; [| 2; 3; 4 |]; [| 0; 4 |] |]
   in
-  let red = R.Mpu_to_partition.build ~eps:0.0 inst ~p:2 in
-  let h = R.Mpu_to_partition.hypergraph red in
+  let red = R.Spes_to_partition.build ~eps:0.0 inst ~k:2 ~p:2 in
+  let h = R.Spes_to_partition.hypergraph red in
   let opt =
     match Npc.Mpu.exact inst ~p:2 with Some s -> s | None -> assert false
   in
   (* Embed the optimal selection: cost = union size. *)
-  let part = R.Mpu_to_partition.embed red opt.Npc.Mpu.edges in
+  let part = R.Spes_to_partition.embed red opt.Npc.Mpu.edges in
   Alcotest.(check bool) "embedded balanced" true (P.is_balanced ~eps:0.0 h part);
   Alcotest.(check int) "embedded cost = union size" opt.Npc.Mpu.union_size
     (P.connectivity_cost h part);
   (* Extraction returns p edges whose union is at least the optimum. *)
-  let chosen = R.Mpu_to_partition.extract red part in
+  let chosen = R.Spes_to_partition.extract red part in
   Alcotest.(check int) "p edges" 2 (Array.length chosen);
   Alcotest.(check bool) "union at least optimal" true
-    (R.Mpu_to_partition.union_size red chosen >= opt.Npc.Mpu.union_size)
+    (R.Spes_to_partition.union_size red chosen >= opt.Npc.Mpu.union_size)
 
 (* Appendix C.4: k >= 3 generalization --------------------------------------- *)
 
 let test_spes_k3 () =
   let g = Npc.Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ] in
-  let red = R.Spes_k3.build ~eps:0.0 g ~k:3 ~p:1 in
-  let h = R.Spes_k3.hypergraph red in
-  let part = R.Spes_k3.embed red [| 1 |] in
+  let red =
+    R.Spes_to_partition.build ~eps:0.0 (Npc.Graph.to_hypergraph g) ~k:3 ~p:1
+  in
+  let h = R.Spes_to_partition.hypergraph red in
+  let part = R.Spes_to_partition.embed red [| 1 |] in
   Alcotest.(check bool) "embedded 3-way balanced" true
     (P.is_balanced ~eps:0.0 h part);
   Alcotest.(check int) "cost = covered vertices" 2
     (P.connectivity_cost h part);
   Alcotest.(check int) "three colors used" 3 (P.nonempty_parts h part);
-  let chosen = R.Spes_k3.extract red part in
+  let chosen = R.Spes_to_partition.extract red part in
   Alcotest.(check int) "extracts p = 1 edge" 1 (Array.length chosen);
   Alcotest.(check int) "objective preserved" 2
-    (R.Spes_k3.covered_vertices red chosen)
+    (R.Spes_to_partition.union_size red chosen)
 
 let test_spes_k3_optimum () =
   (* The 3-way optimum of the reduction instance matches OPT_SpES. *)
   let g = Npc.Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ] in
-  let red = R.Spes_k3.build ~eps:0.0 g ~k:3 ~p:1 in
-  let h = R.Spes_k3.hypergraph red in
+  let red =
+    R.Spes_to_partition.build ~eps:0.0 (Npc.Graph.to_hypergraph g) ~k:3 ~p:1
+  in
+  let h = R.Spes_to_partition.hypergraph red in
   Alcotest.(check bool) "decision at OPT = 2" true
     (Solvers.Exact.decision h ~k:3 ~cost_limit:2);
   Alcotest.(check bool) "no solution below OPT" false

@@ -258,7 +258,7 @@ let test_recursive_hier_produces_valid_partition () =
 
 let test_restrict () =
   let h = H.of_edges ~n:4 [| [| 0; 1; 2 |]; [| 2; 3 |] |] in
-  let sub = Hierarchy.Recursive_hier.restrict h [| 0; 1; 2 |] in
+  let sub = H.restrict h [| 0; 1; 2 |] in
   Alcotest.(check int) "restricted nodes" 3 (H.num_nodes sub);
   (* Edge {2,3} drops to a singleton and disappears. *)
   Alcotest.(check int) "restricted edges" 1 (H.num_edges sub)

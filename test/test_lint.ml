@@ -287,7 +287,8 @@ let test_src10 () =
 (* ---- SRC11: multicore primitives outside designated modules ------------- *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
-let src_fixture name = read_file (Filename.concat "fixtures/src" name)
+let src_fixture name =
+  read_file (Filename.concat (Repo_file.path "test/fixtures/src") name)
 
 let test_src11 () =
   let source = src_fixture "src11_domain_atomic.ml" in

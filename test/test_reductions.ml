@@ -54,7 +54,7 @@ let triangle_graph () = G.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ]
 
 let test_spes_reduction_embed () =
   let g = triangle_graph () in
-  let red = R.Spes_to_partition.build ~eps:0.0 g ~p:1 in
+  let red = R.Spes_to_partition.build ~eps:0.0 (G.to_hypergraph g) ~k:2 ~p:1 in
   let h = R.Spes_to_partition.hypergraph red in
   (* Any single edge covers 2 vertices. *)
   let part = R.Spes_to_partition.embed red [| 0 |] in
@@ -63,19 +63,19 @@ let test_spes_reduction_embed () =
   Alcotest.(check int) "embedded cost = covered vertices" 2
     (P.connectivity_cost h part);
   Alcotest.(check int) "covered_vertices" 2
-    (R.Spes_to_partition.covered_vertices red [| 0 |]);
+    (R.Spes_to_partition.union_size red [| 0 |]);
   (* Extraction recovers a p-edge selection of the same objective. *)
   let chosen = R.Spes_to_partition.extract red part in
   Alcotest.(check int) "extracts p edges" 1 (Array.length chosen);
   Alcotest.(check int) "extracted objective" 2
-    (R.Spes_to_partition.covered_vertices red chosen)
+    (R.Spes_to_partition.union_size red chosen)
 
 let test_spes_reduction_optimum_agrees () =
   (* OPT_partition = OPT_SpES on the reduction instance (Lemma C.1),
      certified by the exact branch-and-bound. *)
   let g = triangle_graph () in
   let p = 1 in
-  let red = R.Spes_to_partition.build ~eps:0.0 g ~p in
+  let red = R.Spes_to_partition.build ~eps:0.0 (G.to_hypergraph g) ~k:2 ~p in
   let h = R.Spes_to_partition.hypergraph red in
   let spes_opt =
     match Npc.Spes.optimum g ~p with Some v -> v | None -> assert false
@@ -92,7 +92,7 @@ let test_spes_reduction_heuristic_roundtrip () =
   (* A multilevel partition of the reduction maps back to a valid SpES
      selection whose objective is at least the optimum. *)
   let g = G.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3); (0, 3); (0, 2) ] in
-  let red = R.Spes_to_partition.build ~eps:0.0 g ~p:2 in
+  let red = R.Spes_to_partition.build ~eps:0.0 (G.to_hypergraph g) ~k:2 ~p:2 in
   let h = R.Spes_to_partition.hypergraph red in
   let part =
     Solvers.Multilevel.partition
@@ -100,7 +100,7 @@ let test_spes_reduction_heuristic_roundtrip () =
       (Support.Rng.create 7) h ~k:2
   in
   let chosen = R.Spes_to_partition.extract red part in
-  let objective = R.Spes_to_partition.covered_vertices red chosen in
+  let objective = R.Spes_to_partition.union_size red chosen in
   let opt = match Npc.Spes.optimum g ~p:2 with Some v -> v | None -> 99 in
   Alcotest.(check bool) "heuristic objective >= optimum" true (objective >= opt);
   Alcotest.(check bool) "objective <= all vertices" true (objective <= 4)
@@ -109,28 +109,28 @@ let test_spes_reduction_heuristic_roundtrip () =
 
 let test_delta2_structure () =
   let g = triangle_graph () in
-  let red = R.Spes_delta2.build ~eps:0.0 g ~p:1 in
-  let h = R.Spes_delta2.hypergraph red in
+  let red = R.Spes_to_partition.build_delta2 ~eps:0.0 g ~p:1 in
+  let h = R.Spes_to_partition.hypergraph red in
   Alcotest.(check int) "Delta = 2 (Lemma C.6)" 2 (H.max_degree h);
   (* Bipartite hyperedge classes (the SpMV property of [30]): every node
      lies in at most one row edge and at most one non-row edge. *)
-  let part = R.Spes_delta2.embed red [| 0 |] in
+  let part = R.Spes_to_partition.embed red [| 0 |] in
   Alcotest.(check bool) "embedded balanced" true (P.is_balanced ~eps:0.0 h part);
   Alcotest.(check int) "embedded cost = covered" 2 (P.connectivity_cost h part);
-  let chosen = R.Spes_delta2.extract red part in
+  let chosen = R.Spes_to_partition.extract red part in
   Alcotest.(check int) "extracts p edges" 1 (Array.length chosen)
 
 let test_delta2_hyperdag () =
   (* Appendix C.3: with the extra outsiders the construction is a hyperDAG
      of degree <= 2, recognized by the linear-time algorithm. *)
   let g = triangle_graph () in
-  let red = R.Spes_delta2.build ~eps:0.0 ~hyperdag:true g ~p:1 in
-  let h = R.Spes_delta2.hypergraph red in
+  let red = R.Spes_to_partition.build_delta2 ~eps:0.0 ~hyperdag:true g ~p:1 in
+  let h = R.Spes_to_partition.hypergraph red in
   Alcotest.(check int) "Delta = 2" 2 (H.max_degree h);
   Alcotest.(check bool) "is a hyperDAG (Theorem 4.1 strongest form)" true
     (Hyperdag.is_hyperdag h);
   (* Cost correspondence still holds. *)
-  let part = R.Spes_delta2.embed red [| 2 |] in
+  let part = R.Spes_to_partition.embed red [| 2 |] in
   Alcotest.(check bool) "balanced" true (P.is_balanced ~eps:0.0 h part);
   Alcotest.(check int) "cost = covered" 2 (P.connectivity_cost h part)
 
@@ -593,7 +593,7 @@ let test_nine_blocks () =
     (P.connectivity_cost hg first);
   (* Recursing on the large side must split a block: optimum >= 2u - 1. *)
   let large_ids = Array.concat (Array.to_list t.R.Counterexamples.large) in
-  let side = Hierarchy.Recursive_hier.restrict hg large_ids in
+  let side = H.restrict hg large_ids in
   match Solvers.Exact.solve ~eps:0.0 side ~k:2 with
   | None -> Alcotest.fail "second split feasible"
   | Some { Solvers.Exact.cost; _ } ->
@@ -625,6 +625,26 @@ let test_star () =
   Alcotest.(check bool) "hier cost separation (Theorem 7.4)" true
     (two_flat.Hierarchy.Two_step.hier_cost
     > 2.0 *. two_hier.Hierarchy.Two_step.hier_cost)
+
+let test_star_flat_optimum_certified () =
+  (* Fig 9 where the blocks are large enough for m: the exact flat
+     optimum is the construction's (k-1) m.  At unit_size 2 it is not, as
+     an optimum splits blocks instead (Lemma A.5: a 2-node block costs
+     nothing to split). *)
+  List.iter
+    (fun (m, unit_size) ->
+      let t = R.Counterexamples.star ~k:4 ~m ~unit_size in
+      let hg = t.R.Counterexamples.hypergraph in
+      let claimed =
+        P.connectivity_cost hg (R.Counterexamples.star_flat_optimum t)
+      in
+      Alcotest.(check int) (Fmt.str "claimed (k-1) m, m = %d" m) (3 * m)
+        claimed;
+      Alcotest.(check (option int))
+        (Fmt.str "exact optimum, m = %d, unit_size = %d" m unit_size)
+        (Some claimed)
+        (Solvers.Exact.optimum ~eps:0.0 hg ~k:4))
+    [ (2, 3); (3, 4) ]
 
 let test_hendrickson_kolda () =
   let k = 4 and sinks = 6 in
@@ -694,6 +714,8 @@ let suite =
     Alcotest.test_case "Figure 6 two-branch" `Quick test_two_branch;
     Alcotest.test_case "Lemma 7.2 nine blocks" `Quick test_nine_blocks;
     Alcotest.test_case "Theorem 7.4 star" `Quick test_star;
+    Alcotest.test_case "Fig 9 star flat optimum certified" `Quick
+      test_star_flat_optimum_certified;
     Alcotest.test_case "Hendrickson-Kolda example" `Quick
       test_hendrickson_kolda;
   ]
