@@ -111,11 +111,15 @@ let run_partition trace stats path k eps seed algorithm metric threads output
     Printf.eprintf "error: --threads applies to the multilevel algorithm only\n";
     exit 1
   end;
+  let config = { Engine.Spec.k; eps; algorithm; metric } in
   let solved =
-    Result.bind (load_hypergraph path) (fun hg ->
-        Engine.Runner.solve { Engine.Spec.k; eps; algorithm; metric } ~threads
-          ~seed hg
-        |> Result.map (fun part -> (hg, part)))
+    Result.bind
+      (Engine.Spec.validate
+         { instance = Hmetis_file path; config; seed; timeout_s = None })
+    @@ fun () ->
+    Result.bind (load_hypergraph path) @@ fun hg ->
+    Engine.Runner.solve config ~threads ~seed hg
+    |> Result.map (fun part -> (hg, part))
   in
   match solved with
   | Error msg ->
@@ -320,6 +324,12 @@ let out_required_arg =
 
 let run_generate kind n k out seed =
   let rng = Support.Rng.create seed in
+  if n < 1 || n > Hypergraph.max_nodes then begin
+    Printf.eprintf "error: -n must be in 1..%d (got %d)\n" Hypergraph.max_nodes
+      n;
+    1
+  end
+  else
   match kind with
   | `Random ->
       Hypergraph.Hmetis.save out

@@ -106,7 +106,8 @@ let config_sensitive job =
 let validate job =
   let { k; eps; _ } = job.config in
   if k < 1 then Error (Printf.sprintf "k must be >= 1 (got %d)" k)
-  else if eps < 0.0 then Error (Printf.sprintf "eps must be >= 0 (got %g)" eps)
+  else if Float.is_nan eps || eps < 0.0 then
+    Error (Printf.sprintf "eps must be >= 0 (got %g)" eps)
   else
     match job.instance with
     | Generated { n; _ } when n < 1 ->

@@ -3,17 +3,6 @@
    brute force on small instances; the constrained local-search solver
    scales beyond them. *)
 
-let brute_force_mc_optimum hg ~k ~eps mc =
-  let n = Hypergraph.num_nodes hg in
-  let best = ref None in
-  Support.Util.iter_tuples ~base:k ~len:n (fun colors ->
-      let part = Partition.create ~k (Array.copy colors) in
-      if Partition.Multi_constraint.feasible ~eps mc part then begin
-        let c = Partition.connectivity_cost hg part in
-        match !best with Some b when b <= c -> () | _ -> best := Some c
-      end);
-  !best
-
 let run () =
   let rows =
     List.map
@@ -25,7 +14,14 @@ let run () =
         let mc =
           Partition.Multi_constraint.create [| [| 0; 1 |]; [| 2; 3; 4; 5 |] |]
         in
-        let reference = brute_force_mc_optimum hg ~k:2 ~eps:0.0 mc in
+        (* eps = 1 leaves only the class constraints binding at k = 2. *)
+        let reference =
+          Option.map
+            (fun r -> r.Solvers.Exact.cost)
+            (Solvers.Exact.brute_force ~eps:1.0
+               ~feasible:(Partition.Multi_constraint.feasible ~eps:0.0 mc)
+               (Metric Partition.Connectivity) hg ~k:2)
+        in
         let xp =
           match reference with
           | Some opt when opt <= 3 -> (

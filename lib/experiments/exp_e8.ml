@@ -38,7 +38,7 @@ let run () =
     ~anchor:"Thm 7.4: ratio grows with g1, below the Lemma 7.3 cap g1"
     ~columns:
       [
-        "k"; "g1"; "flat(2step)"; "flat(hier)"; "hier(2step)"; "hier(opt)";
+        "k"; "g1"; "flat(2step)"; "flat(hier)"; "hier(2step)"; "hier(constructed)";
         "ratio"; "(b1-1)/b1*g1"; "g1 cap";
       ]
     rows_g;
@@ -47,7 +47,7 @@ let run () =
     ~anchor:"Thm 7.4: the attainable factor approaches g1 as b1 grows"
     ~columns:
       [
-        "k"; "g1"; "flat(2step)"; "flat(hier)"; "hier(2step)"; "hier(opt)";
+        "k"; "g1"; "flat(2step)"; "flat(hier)"; "hier(2step)"; "hier(constructed)";
         "ratio"; "(b1-1)/b1*g1"; "g1 cap";
       ]
     rows_k;

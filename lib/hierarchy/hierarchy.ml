@@ -4,6 +4,5 @@ module Hier_cost = Hier_cost
 module Assignment = Assignment
 module Two_step = Two_step
 module Recursive_hier = Recursive_hier
-module Hier_exact = Hier_exact
 module Hier_refine = Hier_refine
 module Steiner = Steiner

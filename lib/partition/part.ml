@@ -58,11 +58,16 @@ type balance = Strict | Relaxed
    variant mentioned in Section 3.1 that guarantees feasibility). A tiny
    slack absorbs float rounding for rational eps. *)
 let capacity ?(variant = Strict) ~eps ~total_weight ~k () =
+  if Float.is_nan eps then invalid_arg "Part.capacity: eps is NaN";
   if eps < 0.0 then invalid_arg "Part.capacity: negative eps";
   let exact = (1.0 +. eps) *. float_of_int total_weight /. float_of_int k in
-  match variant with
-  | Strict -> int_of_float (floor (exact +. 1e-9))
-  | Relaxed -> int_of_float (ceil (exact -. 1e-9))
+  (* No part can outweigh W: the clamp also keeps an infinite or huge eps
+     from overflowing the conversion. *)
+  if exact >= float_of_int total_weight then total_weight
+  else
+    match variant with
+    | Strict -> int_of_float (floor (exact +. 1e-9))
+    | Relaxed -> int_of_float (ceil (exact -. 1e-9))
 
 let is_balanced ?variant ~eps hg t =
   let cap =

@@ -31,7 +31,9 @@ type balance =
 
 val capacity :
   ?variant:balance -> eps:float -> total_weight:int -> k:int -> unit -> int
-(** Maximum allowed part weight. *)
+(** Maximum allowed part weight, at most [total_weight]: every eps ≥ k − 1
+    (infinity included) allows one part to hold everything.  A negative or
+    NaN eps raises [Invalid_argument]. *)
 
 val is_balanced : ?variant:balance -> eps:float -> Hypergraph.t -> t -> bool
 

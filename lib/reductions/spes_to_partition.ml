@@ -33,8 +33,8 @@ type t = {
    components of size t0 <= cap with t0 > s, blue holds A plus the s - pm
    unchosen nodes (a + s - pm = cap), red holds A' plus the p chosen
    gadgets of m nodes (a' + pm = t0), and the gadget can build both
-   anchors.  Returns (cap, a, a', t0). *)
-let sizes ~eps ~k ~k0 source ~p ~m ~anchor_ok =
+   anchors ([anchors_ok a a']).  Returns (cap, a, a', t0). *)
+let sizes ~eps ~k ~k0 source ~p ~m ~anchors_ok =
   let s = (Hypergraph.num_edges source * m) + Hypergraph.num_nodes source in
   let pm = p * m in
   let rec search n' =
@@ -43,8 +43,7 @@ let sizes ~eps ~k ~k0 source ~p ~m ~anchor_ok =
     let t0 = rest / (k0 - 1) in
     let a = cap - s + pm and a' = t0 - pm in
     if
-      rest mod (k0 - 1) = 0 && t0 <= cap && t0 > s && anchor_ok a
-      && anchor_ok a'
+      rest mod (k0 - 1) = 0 && t0 <= cap && t0 > s && anchors_ok a a'
     then (cap, a, a', t0)
     else search (n' + 1)
   in
@@ -74,7 +73,7 @@ let build ?(eps = 0.0) source ~k ~p =
   let n = Hypergraph.num_nodes source in
   let m = n + 1 in
   let cap, a, a', t0 =
-    sizes ~eps ~k ~k0 source ~p ~m ~anchor_ok:(fun size -> size >= 2)
+    sizes ~eps ~k ~k0 source ~p ~m ~anchors_ok:(fun a a' -> a >= 2 && a' >= 2)
   in
   let b = Hypergraph.Builder.create () in
   let block size = Hypergraph.Gadgets.block b ~size in
@@ -107,24 +106,21 @@ let build_delta2 ?(eps = 0.0) ?(hyperdag = false) graph ~p =
     invalid_arg "Spes_to_partition.build_delta2: bad p";
   let n = Npc.Graph.num_nodes graph in
   let ell = 2 * n in
-  (* An anchor grid needs 4 cells and a node more; the hyperDAG form also
-     needs a padding outsider, its degree-1 node of Appendix C.3. *)
-  let anchor_ok size =
-    size >= 5
-    && ((not hyperdag)
-       || size - Support.Util.pow (int_of_float (sqrt (float_of_int size))) 2
-          >= 1)
+  (* An anchor grid needs 4 cells and a node more, and outsider slots for
+     its [extra] outsiders: A's are the n vertex nodes.  The hyperDAG form
+     also needs a padding outsider, its degree-1 node of Appendix C.3. *)
+  let anchor_ok ~extra size =
+    let side, pad = grid_shape size in
+    size >= 5 && pad + extra <= 2 * side && ((not hyperdag) || pad >= 1)
   in
   let cap, a, a', _ =
-    sizes ~eps ~k:2 ~k0:2 source ~p ~m:((ell * ell) + 2) ~anchor_ok
+    sizes ~eps ~k:2 ~k0:2 source ~p ~m:((ell * ell) + 2)
+      ~anchors_ok:(fun a a' -> anchor_ok ~extra:n a && anchor_ok ~extra:0 a')
   in
   let b = Hypergraph.Builder.create () in
   let grid side outsiders = Hypergraph.Gadgets.grid ~outsiders b ~side in
   let grids = Array.init (Npc.Graph.num_edges graph) (fun _ -> grid ell 2) in
   let a_side, a_pad = grid_shape a in
-  if a_pad + n > 2 * a_side then
-    invalid_arg
-      "Spes_to_partition.build_delta2: graph too large for the A grid";
   (* b_v is the outsider of A after the padding ones. *)
   let a_grid = grid a_side (a_pad + n) in
   let a'_side, a'_pad = grid_shape a' in

@@ -1,6 +1,24 @@
-(** Exact branch-and-bound partitioner: ground truth at gadget scale. *)
+(** Exact branch-and-bound partitioner: ground truth at gadget scale.
 
-type result = { cost : int; part : Partition.t }
+    One depth-first search serves every objective.  It prices a partial
+    assignment by what each edge's part set S gains when a node joins it
+    with a part c not in S: w_e once S is non-empty (connectivity), w_e
+    when S grows from one part to two (cut-net), and w_e times the transfer
+    cost from leaf c to the nearest leaf of S (Definition 7.1, exactly
+    [Hier_cost.edge_cost (S ∪ {c}) − edge_cost S]).  It breaks symmetry
+    with one opening rule: a node may take a leaf only if, at every level,
+    the leaf's child index is at most the number of its parent's children
+    that already hold a node.  For a metric the tree is one level of k
+    parts and the rule reads c ≤ (parts in use); applied to a deeper tree
+    that flat rule would be unsound, as the leaf pair {0,2} of a (2,2) tree
+    is not automorphic to the sibling pair {0,1}. *)
+
+type _ objective =
+  | Metric : Partition.metric -> int objective
+  | Hierarchical : Partition.Topology.t -> float objective
+      (** Definition 7.1 over the topology's leaves. *)
+
+type 'c result = { cost : 'c; part : Partition.t }
 
 val solve :
   ?metric:Partition.metric ->
@@ -12,12 +30,17 @@ val solve :
   ?constrained:Constrained.instance ->
   Hypergraph.t ->
   k:int ->
-  result option
+  int result option
 (** Optimal ε-balanced k-way partition, or [None] if none exists (or none
     within [upper_bound]).  [feasible] adds an acceptance predicate checked
     at leaves; pass [~symmetry:false] when it is not invariant under color
     permutation.  [constrained] enforces per-class color capacities
     (layer-wise / multi-constraint instances) during the search. *)
+
+val hierarchical :
+  ?eps:float -> Partition.Topology.t -> Hypergraph.t -> float result option
+(** Optimal strictly ε-balanced partition onto the topology's leaves under
+    the Definition 7.1 cost.  n ≲ 40 on structured instances. *)
 
 val optimum :
   ?metric:Partition.metric ->
@@ -32,9 +55,12 @@ val decision : Hypergraph.t -> k:int -> cost_limit:int -> bool
     under strict balance at ε = 0. *)
 
 val brute_force :
-  ?metric:Partition.metric ->
   ?eps:float ->
+  ?feasible:(Partition.t -> bool) ->
+  'c objective ->
   Hypergraph.t ->
   k:int ->
-  result option
-(** Unpruned exhaustive reference (k^n leaves); n ≲ 12 only. *)
+  'c result option
+(** Unpruned exhaustive reference: the first of the kⁿ strictly ε-balanced
+    colorings that [feasible] accepts with the least cost; n ≲ 12 only.
+    For [Hierarchical], [k] must be the topology's leaf count. *)

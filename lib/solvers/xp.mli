@@ -1,6 +1,15 @@
 (** The XP algorithm of Lemma 4.3: decide cost ≤ L in time n^f(L) by
-    enumerating cut-edge configurations and packing contracted components
-    by dynamic programming. *)
+    enumerating cut-edge configurations (at most L edges, each with an
+    allowed set of at least two colors, charged w_e for cut-net and
+    w_e·(|set| − 1) for connectivity) and packing the contracted components
+    of the other edges by dynamic programming.
+
+    One enumerator, one packing DP and one witness search serve both
+    problems.  The DP keeps a load per (class, color): the standard problem
+    is one class holding every node, counted by weight under (1+ε)W/k; the
+    multi-constraint problem has one class per constraint subset V_j,
+    counted by node under (1+ε)|V_j|/k.  Configurations are tried by
+    increasing edge count, and the witness is the first packing found. *)
 
 val decision :
   ?metric:Partition.metric ->
@@ -30,6 +39,5 @@ val decision_multi :
   cost_limit:int ->
   Partition.t option
 (** Multi-constraint variant (Lemma 6.2 / Appendix D.2) under the
-    connectivity metric: the packing DP
-    tracks one load per (constraint, color) pair.  Exponential in the
-    constraint count; tiny instances only. *)
+    connectivity metric: every class V_j ε-balanced separately.
+    Exponential in the constraint count; tiny instances only. *)

@@ -77,7 +77,7 @@ let test_exact_gates () =
                  ~claimed:{ A.Audit_partition.metric = P.Connectivity; cost }
                  hg part)
         | None -> ());
-        (match Solvers.Exact.brute_force ~eps hg ~k:2 with
+        (match Solvers.Exact.brute_force ~eps (Metric P.Connectivity) hg ~k:2 with
         | Some { Solvers.Exact.cost; part } ->
             check_ok "brute-force"
               (A.Audit_partition.audit ~eps

@@ -187,12 +187,74 @@ let test_reduction_no_filler () =
     "build: with 2(1+eps) >= k the k = 2 construction applies" (fun () ->
       Red.build ~eps:0.5 src ~k:3 ~p:1)
 
-let test_reduction_a_grid_too_small () =
-  (* At p = 2 the size search gives A 78 nodes: an 8 x 8 grid with 14
-     padding outsiders, which leaves 2 of its 16 outsider slots for the 3
-     vertex nodes. *)
-  rejects "3 vertices" "build_delta2: graph too large for the A grid"
-    (fun () -> Red.build_delta2 (path3 ()) ~p:2)
+(* Command-line arguments are inputs too ------------------------------------- *)
+
+(* Runs the CLI built beside this test binary: exit code, stdout, stderr. *)
+let run_cli args =
+  let exe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name "bin/hypartition_cli.exe")
+  in
+  let out = Filename.temp_file "cli" ".out" in
+  let err = Filename.temp_file "cli" ".err" in
+  let code =
+    Sys.command
+      (String.concat " " (List.map Filename.quote (exe :: args))
+      ^ " >" ^ Filename.quote out ^ " 2>" ^ Filename.quote err)
+  in
+  let read file =
+    let text = In_channel.with_open_text file In_channel.input_all in
+    Sys.remove file;
+    text
+  in
+  let stdout = read out in
+  (code, stdout, read err)
+
+let small_random () = Repo_file.path "examples/instances/small_random.hgr"
+
+let rejects_argument args message () =
+  let code, _, err = run_cli args in
+  Alcotest.(check int) "exit code" 1 code;
+  Alcotest.(check string) "message" ("error: " ^ message ^ "\n") err
+
+let test_partition_k_zero () =
+  rejects_argument
+    [ "partition"; small_random (); "-k"; "0" ]
+    "k must be >= 1 (got 0)" ()
+
+let test_partition_negative_eps () =
+  rejects_argument
+    [ "partition"; small_random (); "--eps=-0.5" ]
+    "eps must be >= 0 (got -0.5)" ()
+
+let test_partition_nan_eps () =
+  rejects_argument
+    [ "partition"; small_random (); "--eps=nan" ]
+    "eps must be >= 0 (got nan)" ()
+
+let test_partition_infinite_eps () =
+  (* The capacity clamps to W, so an infinite eps refines as eps = k - 1
+     does instead of leaving the start unrefined. *)
+  let partition eps =
+    run_cli [ "partition"; small_random (); "-k"; "4"; "--eps=" ^ eps ]
+  in
+  let code, out, _ = partition "inf" in
+  let _, at_k_minus_1, _ = partition "3" in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check string) "as at eps = k - 1" at_k_minus_1 out;
+  Alcotest.(check int) "capacity clamps to W" 10
+    (P.capacity ~eps:infinity ~total_weight:10 ~k:4 ());
+  Alcotest.check_raises "NaN capacity" (Invalid_argument "Part.capacity: eps is NaN")
+    (fun () -> ignore (P.capacity ~eps:nan ~total_weight:10 ~k:2 ()))
+
+let test_generate_n_zero () =
+  let out = Filename.concat (Filename.get_temp_dir_name ()) "never-written.hgr" in
+  rejects_argument
+    [ "generate"; "random"; "-n"; "0"; "-o"; out ]
+    (Printf.sprintf "-n must be in 1..%d (got 0)" H.max_nodes)
+    ();
+  Alcotest.(check bool) "nothing written" false (Sys.file_exists out)
 
 let suite =
   [
@@ -215,6 +277,12 @@ let suite =
       test_reduction_k_below_2;
     Alcotest.test_case "reduction rejects k >= 3 without fillers" `Quick
       test_reduction_no_filler;
-    Alcotest.test_case "reduction rejects a graph too large for A" `Quick
-      test_reduction_a_grid_too_small;
+    Alcotest.test_case "partition rejects k = 0" `Quick test_partition_k_zero;
+    Alcotest.test_case "partition rejects eps = -0.5" `Quick
+      test_partition_negative_eps;
+    Alcotest.test_case "partition rejects eps = nan" `Quick
+      test_partition_nan_eps;
+    Alcotest.test_case "partition at eps = inf refines" `Quick
+      test_partition_infinite_eps;
+    Alcotest.test_case "generate rejects n = 0" `Quick test_generate_n_zero;
   ]

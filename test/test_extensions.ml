@@ -41,16 +41,14 @@ let test_kl_improves_obvious_instance () =
 
 (* Multi-constraint XP (Lemma 6.2) ------------------------------------------- *)
 
-let brute_force_mc_optimum hg ~k ~eps mc =
-  let n = H.num_nodes hg in
-  let best = ref None in
-  Support.Util.iter_tuples ~base:k ~len:n (fun colors ->
-      let part = P.create ~k (Array.copy colors) in
-      if P.Multi_constraint.feasible ~eps mc part then begin
-        let c = P.connectivity_cost hg part in
-        match !best with Some b when b <= c -> () | _ -> best := Some c
-      end);
-  !best
+(* The least connectivity cost under the class constraints alone: at k = 2,
+   eps = 1 leaves the overall balance slack. *)
+let brute_force_mc_optimum hg ~eps mc =
+  Option.map
+    (fun r -> r.Solvers.Exact.cost)
+    (Solvers.Exact.brute_force ~eps:1.0
+       ~feasible:(P.Multi_constraint.feasible ~eps mc)
+       (Metric P.Connectivity) hg ~k:2)
 
 let test_xp_multi_matches_brute_force () =
   let rng = Support.Rng.create 13 in
@@ -58,7 +56,7 @@ let test_xp_multi_matches_brute_force () =
     let n = 6 in
     let hg = Workloads.Rand_hg.uniform rng ~n ~m:4 ~min_size:2 ~max_size:3 in
     let mc = P.Multi_constraint.create [| [| 0; 1 |]; [| 2; 3; 4; 5 |] |] in
-    let reference = brute_force_mc_optimum hg ~k:2 ~eps:0.0 mc in
+    let reference = brute_force_mc_optimum hg ~eps:0.0 mc in
     let via_xp limit =
       Solvers.Xp.decision_multi ~eps:0.0 hg ~k:2 ~constraints:mc
         ~cost_limit:limit
@@ -90,7 +88,7 @@ let test_mc_to_standard_roundtrip () =
   let red = R.Mc_to_standard.build hg mc ~k:2 in
   let transformed = R.Mc_to_standard.transformed red in
   let reference =
-    match brute_force_mc_optimum hg ~k:2 ~eps:0.0 mc with
+    match brute_force_mc_optimum hg ~eps:0.0 mc with
     | Some v -> v
     | None -> Alcotest.fail "MC instance feasible"
   in
@@ -271,7 +269,6 @@ let test_exact_constrained_matches_brute_force () =
     let hg = Workloads.Rand_hg.uniform rng ~n ~m:8 ~min_size:2 ~max_size:3 in
     let mc = P.Multi_constraint.create [| [| 0; 1; 2; 3 |]; [| 4; 5 |] |] in
     let inst = Solvers.Constrained.of_multi_constraint ~eps:0.0 ~k:2 mc ~n in
-    let reference = brute_force_mc_optimum hg ~k:2 ~eps:0.0 mc in
     let via =
       match Solvers.Exact.solve ~eps:0.5 ~constrained:inst hg ~k:2 with
       | Some { Solvers.Exact.part; cost } ->
@@ -280,23 +277,15 @@ let test_exact_constrained_matches_brute_force () =
           Some cost
       | None -> None
     in
-    (* The overall balance differs (eps 0.5 vs 0.0 on all of V); compare
-       only when the brute-force reference also used the loose overall
-       balance: recompute it accordingly. *)
+    (* The reference under the same loose overall balance (eps 0.5 on all
+       of V) and the class constraints. *)
     let reference_loose =
-      let best = ref None in
-      Support.Util.iter_tuples ~base:2 ~len:n (fun colors ->
-          let part = P.create ~k:2 (Array.copy colors) in
-          if
-            P.is_balanced ~eps:0.5 hg part
-            && P.Multi_constraint.feasible ~eps:0.0 mc part
-          then begin
-            let c = P.connectivity_cost hg part in
-            match !best with Some b when b <= c -> () | _ -> best := Some c
-          end);
-      !best
+      Option.map
+        (fun r -> r.Solvers.Exact.cost)
+        (Solvers.Exact.brute_force ~eps:0.5
+           ~feasible:(P.Multi_constraint.feasible ~eps:0.0 mc)
+           (Metric P.Connectivity) hg ~k:2)
     in
-    ignore reference;
     Alcotest.(check (option int)) "exact+constrained = brute force"
       reference_loose via
   done

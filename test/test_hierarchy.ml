@@ -224,9 +224,9 @@ let test_two_step_g1_approximation () =
              Support.Rng.sample_distinct rng ~n:8 ~k:(2 + Support.Rng.int rng 2)))
     in
     let t = topo22 3.0 in
-    match Hierarchy.Hier_exact.brute_force ~eps:0.0 t h with
+    match Solvers.Exact.brute_force (Hierarchical t) h ~k:4 with
     | None -> Alcotest.fail "feasible"
-    | Some { Hierarchy.Hier_exact.cost = opt; _ } ->
+    | Some { Solvers.Exact.cost = opt; _ } ->
         (* Use the exact flat partitioner for step (i). *)
         let flat =
           match Solvers.Exact.solve ~eps:0.0 h ~k:4 with
@@ -274,9 +274,9 @@ let test_hier_brute_force_sanity () =
       [| [| 0; 1 |]; [| 2; 3 |]; [| 1; 2 |] |]
   in
   let t = topo22 7.0 in
-  match Hierarchy.Hier_exact.brute_force ~eps:0.0 t h with
+  match Solvers.Exact.brute_force (Hierarchical t) h ~k:4 with
   | None -> Alcotest.fail "feasible"
-  | Some { Hierarchy.Hier_exact.cost; part } ->
+  | Some { Solvers.Exact.cost; part } ->
       (* Each node alone in a leaf (capacity 1): pairs {0,1} and {2,3} as
          siblings cost 10 + 10 cheap + 1 crossing = 10+10+7. *)
       Alcotest.(check (float 1e-9)) "optimal cost" 27.0 cost;
@@ -293,15 +293,110 @@ let test_hier_branch_and_bound_matches_brute_force () =
                ~k:(2 + Support.Rng.int rng 2)))
     in
     let t = topo22 (2.0 +. float_of_int (Support.Rng.int rng 4)) in
-    let bf = Hierarchy.Hier_exact.brute_force ~eps:0.0 t h in
-    let bb = Hierarchy.Hier_exact.branch_and_bound ~eps:0.0 t h in
+    let bf = Solvers.Exact.brute_force (Hierarchical t) h ~k:4 in
+    let bb = Solvers.Exact.hierarchical ~eps:0.0 t h in
     match (bf, bb) with
     | Some a, Some b ->
         Alcotest.(check (float 1e-6)) "B&B = brute force"
-          a.Hierarchy.Hier_exact.cost b.Hierarchy.Hier_exact.cost
+          a.Solvers.Exact.cost b.Solvers.Exact.cost
     | None, None -> ()
     | _ -> Alcotest.fail "feasibility disagreement"
   done
+
+(* The one exact search against the brute force, for every objective: a
+   flat metric with and without class caps, and Definition 7.1 on flat,
+   two- and three-level trees, at eps 0, 0.5 and 1, on weighted instances
+   of at most about 5e4 brute-force leaves (k^n). *)
+let oracle_instance rng ~k =
+  let rec largest n =
+    if float_of_int k ** float_of_int (n + 1) > 5e4 then n else largest (n + 1)
+  in
+  let n = 2 + Support.Rng.int rng (largest 1 - 1) in
+  let edges =
+    Array.init
+      (1 + Support.Rng.int rng (n + 2))
+      (fun _ ->
+        Support.Rng.sample_distinct rng ~n
+          ~k:(2 + Support.Rng.int rng (min 3 (n - 1))))
+  in
+  let node_weights =
+    if Support.Rng.bool rng then Array.make n 1
+    else Array.init n (fun _ -> 1 + Support.Rng.int rng 2)
+  in
+  H.of_edges ~n ~node_weights
+    ~edge_weights:(Array.map (fun _ -> 1 + Support.Rng.int rng 4) edges)
+    edges
+
+let prop_exact_matches_brute_force =
+  let close a b = Float.abs (a -. b) <= 1e-9 in
+  let flat_agrees rng ~eps metric ~caps =
+    let k = 2 + Support.Rng.int rng 3 in
+    let h = oracle_instance rng ~k in
+    let n = H.num_nodes h in
+    let constrained =
+      if caps then
+        Some
+          {
+            Solvers.Constrained.classes =
+              Array.init n (fun _ -> Support.Rng.int rng 3 - 1);
+            caps = Array.init 2 (fun _ -> 1 + Support.Rng.int rng ((n / k) + 1));
+          }
+      else None
+    in
+    let respects part =
+      match constrained with
+      | Some inst -> Solvers.Constrained.respects inst ~k part
+      | None -> true
+    in
+    match
+      ( Solvers.Exact.solve ~metric ~eps ?constrained h ~k,
+        Solvers.Exact.brute_force ~eps ~feasible:respects (Metric metric) h ~k )
+    with
+    | None, None -> true
+    | Some a, Some b ->
+        a.Solvers.Exact.cost = b.Solvers.Exact.cost
+        && P.cost ~metric h a.part = a.cost
+        && P.is_balanced ~eps h a.part && respects a.part
+    | _ -> false
+  in
+  let tree_agrees rng ~eps topo =
+    let h = oracle_instance rng ~k:(T.num_leaves topo) in
+    match
+      ( Solvers.Exact.hierarchical ~eps topo h,
+        Solvers.Exact.brute_force ~eps (Hierarchical topo) h
+          ~k:(T.num_leaves topo) )
+    with
+    | None, None -> true
+    | Some a, Some b ->
+        close a.Solvers.Exact.cost b.Solvers.Exact.cost
+        && close (HC.cost topo h a.part) a.cost
+        && close (HC.cost topo h b.part) b.cost
+        && P.is_balanced ~eps h a.part
+    | _ -> false
+  in
+  let trees =
+    [
+      T.flat 3;
+      T.two_level ~b1:2 ~b2:2 ~g1:2.5;
+      T.two_level ~b1:2 ~b2:3 ~g1:4.0;
+      T.two_level ~b1:3 ~b2:2 ~g1:2.0;
+      T.uniform_binary ~depth:3 ~g:2.0;
+    ]
+  in
+  QCheck.Test.make ~name:"exact search = brute force, every objective"
+    ~count:20
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Support.Rng.create seed in
+      List.for_all
+        (fun eps ->
+          List.for_all
+            (fun metric ->
+              flat_agrees rng ~eps metric ~caps:false
+              && flat_agrees rng ~eps metric ~caps:true)
+            [ P.Connectivity; P.Cut_net ]
+          && List.for_all (tree_agrees rng ~eps) trees)
+        [ 0.0; 0.5; 1.0 ])
 
 let test_hier_refine_monotone_and_balanced () =
   let rng = Support.Rng.create 47 in
@@ -426,6 +521,7 @@ let suite =
       test_hier_refine_fixes_bad_placement;
     Alcotest.test_case "hier B&B = brute force" `Slow
       test_hier_branch_and_bound_matches_brute_force;
+    QCheck_alcotest.to_alcotest prop_exact_matches_brute_force;
     Alcotest.test_case "steiner = tree cost" `Quick
       test_steiner_matches_tree_topology;
     Alcotest.test_case "steiner MST bounds" `Quick test_steiner_mst_upper_bound;

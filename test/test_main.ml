@@ -1,7 +1,14 @@
 (* Aggregated alcotest runner for every library in the repository. *)
 
 let () =
-  Alcotest.run "hypartition"
+  (* Logs go under the repository's own _build, whatever the working
+     directory. *)
+  let log_dir =
+    Option.map
+      (fun root -> Filename.concat root (Filename.concat "_build" "_tests"))
+      (Repo_file.repo_root ())
+  in
+  Alcotest.run ?log_dir "hypartition"
     [
       ("support", Test_support.suite);
       ("obs", Test_obs.suite);

@@ -118,7 +118,34 @@ let test_delta2_structure () =
   Alcotest.(check bool) "embedded balanced" true (P.is_balanced ~eps:0.0 h part);
   Alcotest.(check int) "embedded cost = covered" 2 (P.connectivity_cost h part);
   let chosen = R.Spes_to_partition.extract red part in
-  Alcotest.(check int) "extracts p edges" 1 (Array.length chosen)
+  Alcotest.(check int) "extracts p edges" 1 (Array.length chosen);
+  (* Graphs whose first n' left A's grid no outsider slot for every vertex
+     node: the size search grows n' until A has room. *)
+  List.iter
+    (fun (name, g, eps, p) ->
+      List.iter
+        (fun hyperdag ->
+          let label = Fmt.str "%s, eps = %g, p = %d, hyperdag %b" name eps p hyperdag in
+          let red = R.Spes_to_partition.build_delta2 ~eps ~hyperdag g ~p in
+          let h = R.Spes_to_partition.hypergraph red in
+          let chosen = Array.init p Fun.id in
+          let part = R.Spes_to_partition.embed red chosen in
+          Alcotest.(check int) ("Delta = 2, " ^ label) 2 (H.max_degree h);
+          Alcotest.(check bool) ("embedded balanced, " ^ label) true
+            (P.is_balanced ~eps h part);
+          Alcotest.(check int) ("embedded cost = union, " ^ label)
+            (R.Spes_to_partition.union_size red chosen)
+            (P.connectivity_cost h part))
+        [ false; true ])
+    [
+      ("3-node path", G.of_edges ~n:3 [ (0, 1); (1, 2) ], 0.0, 2);
+      ( "square with diagonal",
+        G.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3); (0, 3); (0, 2) ],
+        0.1,
+        1 );
+      ("K2", G.of_edges ~n:2 [ (0, 1) ], 0.1, 1);
+      ("two disjoint edges", G.of_edges ~n:4 [ (0, 1); (2, 3) ], 0.1, 1);
+    ]
 
 let test_delta2_hyperdag () =
   (* Appendix C.3: with the extra outsiders the construction is a hyperDAG
@@ -646,6 +673,49 @@ let test_star_flat_optimum_certified () =
         (Solvers.Exact.optimum ~eps:0.0 hg ~k:4))
     [ (2, 3); (3, 4) ]
 
+let test_star_hier_optimum_certified () =
+  (* Fig 9 under Definition 7.1 on the (2,2) tree at eps = 0: the exact
+     hierarchical optimum beats the construction's "hierarchical optimum"
+     at every size the search certifies, so E8 compares against a
+     constructed partition, not an optimum. *)
+  List.iter
+    (fun (m, unit_size, g1, optimum, constructed) ->
+      let t = R.Counterexamples.star ~k:4 ~m ~unit_size in
+      let hg = t.R.Counterexamples.hypergraph in
+      let topo = Hierarchy.Topology.two_level ~b1:2 ~b2:2 ~g1 in
+      let label = Fmt.str "(m, u) = (%d, %d), g1 = %g" m unit_size g1 in
+      Alcotest.(check (float 1e-9)) ("constructed " ^ label) constructed
+        (Hierarchy.Hier_cost.cost topo hg (R.Counterexamples.star_hier_optimum t));
+      match Solvers.Exact.hierarchical ~eps:0.0 topo hg with
+      | None -> Alcotest.fail ("feasible " ^ label)
+      | Some { Solvers.Exact.cost; part } ->
+          Alcotest.(check (float 1e-9)) ("optimum " ^ label) optimum cost;
+          Alcotest.(check (float 1e-9)) ("priced as Def 7.1 " ^ label) cost
+            (Hierarchy.Hier_cost.cost topo hg part))
+    [
+      (1, 2, 4.0, 9.0, 15.0);
+      (2, 2, 4.0, 12.0, 18.0);
+      (3, 2, 4.0, 18.0, 21.0);
+      (2, 3, 2.0, 10.0, 12.0);
+    ]
+
+let test_nine_blocks_direct_certified () =
+  (* E7's direct partition is optimal at E7's sizes n = 36, 144 and 576: it
+     is balanced at eps = 0 and costs 5, and no 4-way partition costs 4. *)
+  List.iter
+    (fun unit_size ->
+      let t = R.Counterexamples.nine_blocks ~unit_size in
+      let hg = t.R.Counterexamples.hypergraph in
+      let direct = R.Counterexamples.nine_blocks_direct t in
+      let label = Fmt.str "unit_size = %d" unit_size in
+      Alcotest.(check bool) ("direct balanced, " ^ label) true
+        (P.is_balanced ~eps:0.0 hg direct);
+      Alcotest.(check int) ("direct cost, " ^ label) 5
+        (P.connectivity_cost hg direct);
+      Alcotest.(check bool) ("nothing below 5, " ^ label) true
+        (Option.is_none (Solvers.Exact.solve ~eps:0.0 ~upper_bound:4 hg ~k:4)))
+    [ 3; 12; 48 ]
+
 let test_hendrickson_kolda () =
   let k = 4 and sinks = 6 in
   let dag = R.Counterexamples.bipartite_sources_sinks ~sources:(k - 1) ~sinks in
@@ -716,6 +786,10 @@ let suite =
     Alcotest.test_case "Theorem 7.4 star" `Quick test_star;
     Alcotest.test_case "Fig 9 star flat optimum certified" `Quick
       test_star_flat_optimum_certified;
+    Alcotest.test_case "Fig 9 star hierarchical optimum certified" `Quick
+      test_star_hier_optimum_certified;
+    Alcotest.test_case "Fig 8 nine blocks direct optimum certified" `Quick
+      test_nine_blocks_direct_certified;
     Alcotest.test_case "Hendrickson-Kolda example" `Quick
       test_hendrickson_kolda;
   ]

@@ -274,7 +274,7 @@ let test_exact_matches_brute_force () =
     let h = random_hypergraph r ~n ~m:(n + 2) ~max_size:4 in
     List.iter
       (fun (k, eps) ->
-        let bf = S.Exact.brute_force ~eps h ~k in
+        let bf = S.Exact.brute_force ~eps (Metric P.Connectivity) h ~k in
         let bb = S.Exact.solve ~eps h ~k in
         match (bf, bb) with
         | None, None -> ()
@@ -289,7 +289,7 @@ let test_exact_cutnet_matches_brute_force () =
   for _ = 1 to 10 do
     let n = 6 + Support.Rng.int r 3 in
     let h = random_hypergraph r ~n ~m:n ~max_size:4 in
-    let bf = S.Exact.brute_force ~metric:P.Cut_net ~eps:0.0 h ~k:3 in
+    let bf = S.Exact.brute_force (Metric P.Cut_net) h ~k:3 in
     let bb = S.Exact.solve ~metric:P.Cut_net ~eps:0.0 h ~k:3 in
     match (bf, bb) with
     | None, None -> ()
