@@ -200,33 +200,40 @@ let run_hierarchical trace stats path eps seed branching costs =
       | exception Invalid_argument msg ->
           Printf.eprintf "error: %s\n" msg;
           1
-      | topo ->
-          let rng = Support.Rng.create seed in
+      | topo -> (
           let k = Hierarchy.Topology.num_leaves topo in
-          (* Two-step method with a multilevel step (i). *)
-          let two =
-            Hierarchy.Two_step.run
-              ~partitioner:(fun hg ~k ->
-                Solvers.Multilevel.partition
-                  ~config:{ Solvers.Multilevel.default_config with eps }
-                  rng hg ~k)
-              topo hg
+          (* ε and k get [partition]'s check and messages. *)
+          let config =
+            {
+              Engine.Spec.k;
+              eps;
+              algorithm = Engine.Spec.Recursive;
+              metric = Partition.Connectivity;
+            }
           in
-          (* Recursive hierarchical partitioning. *)
-          let recursive =
-            Hierarchy.Recursive_hier.partition ~eps
-              ~splitter:(Hierarchy.Recursive_hier.multilevel_splitter rng)
-              topo hg
-          in
-          Printf.printf "topology      : %s\n"
-            (Fmt.str "%a" Hierarchy.Topology.pp topo);
-          Printf.printf "k (leaves)    : %d\n" k;
-          Printf.printf "two-step      : flat %d, hierarchical %.2f\n"
-            two.Hierarchy.Two_step.flat_cost two.Hierarchy.Two_step.hier_cost;
-          Printf.printf "recursive     : flat %d, hierarchical %.2f\n"
-            (Partition.connectivity_cost hg recursive)
-            (Hierarchy.Hier_cost.cost topo hg recursive);
-          0)
+          match
+            Engine.Spec.validate
+              { instance = Hmetis_file path; config; seed; timeout_s = None }
+          with
+          | Error msg ->
+              Printf.eprintf "error: %s\n" msg;
+              1
+          | Ok () ->
+              let rng = Support.Rng.create seed in
+              (* Two-step method with a multilevel step (i). *)
+              let two = Hierarchy.Two_step.run ~eps rng topo hg in
+              (* Recursive hierarchical partitioning. *)
+              let recursive = Solvers.Recursive.hierarchical ~eps rng topo hg in
+              Printf.printf "topology      : %s\n"
+                (Fmt.str "%a" Hierarchy.Topology.pp topo);
+              Printf.printf "k (leaves)    : %d\n" k;
+              Printf.printf "two-step      : flat %d, hierarchical %.2f\n"
+                two.Hierarchy.Two_step.flat_cost
+                two.Hierarchy.Two_step.hier_cost;
+              Printf.printf "recursive     : flat %d, hierarchical %.2f\n"
+                (Partition.connectivity_cost hg recursive)
+                (Hierarchy.Hier_cost.cost topo hg recursive);
+              0))
 
 let partition_file_arg =
   let doc = "Partition vector file: one part id per line." in

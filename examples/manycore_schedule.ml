@@ -23,22 +23,12 @@ let () =
   let rng = Support.Rng.create 3 in
 
   (* Two-step method (Section 7.2): flat partition + optimal placement. *)
-  let two = Hierarchy.Two_step.run
-      ~partitioner:(fun hg ~k ->
-        Solvers.Multilevel.partition
-          ~config:{ Solvers.Multilevel.default_config with eps = 0.1 }
-          rng hg ~k)
-      topo hg
-  in
+  let two = Hierarchy.Two_step.run ~eps:0.1 rng topo hg in
   Printf.printf "two-step   : flat cost %d, hierarchical cost %.1f\n"
     two.Hierarchy.Two_step.flat_cost two.Hierarchy.Two_step.hier_cost;
 
   (* Hierarchy-aware recursive partitioning (Section 7.1). *)
-  let recursive =
-    Hierarchy.Recursive_hier.partition ~eps:0.1
-      ~splitter:(Hierarchy.Recursive_hier.multilevel_splitter rng)
-      topo hg
-  in
+  let recursive = Solvers.Recursive.hierarchical ~eps:0.1 rng topo hg in
   Printf.printf "recursive  : flat cost %d, hierarchical cost %.1f\n"
     (Partition.connectivity_cost hg recursive)
     (Hierarchy.Hier_cost.cost topo hg recursive);

@@ -35,11 +35,7 @@ let () =
         let c = Hierarchy.Hier_cost.cost_with_assignment topo hg flat perm in
         if c > !worst then worst := c
       done;
-      let recursive =
-        Hierarchy.Recursive_hier.partition ~eps:0.1
-          ~splitter:(Hierarchy.Recursive_hier.multilevel_splitter rng)
-          topo hg
-      in
+      let recursive = Solvers.Recursive.hierarchical ~eps:0.1 rng topo hg in
       let rec_cost = Hierarchy.Hier_cost.cost topo hg recursive in
       let refined = Partition.copy two.Hierarchy.Two_step.hierarchical in
       let refined_cost =

@@ -98,10 +98,7 @@ let solve (config : Spec.config) ~threads ~seed hg =
            ~config:{ Solvers.Multilevel.eps; metric; threads }
            rng hg ~k)
   | Spec.Recursive ->
-      Ok
-        (Solvers.Recursive_bisection.partition ~eps
-           ~bisector:(Solvers.Recursive_bisection.multilevel_bisector rng)
-           hg ~k)
+      Ok (Solvers.Recursive.bisection ~eps ~metric rng hg ~k)
   | Spec.Fm ->
       let part = Solvers.Initial.random_balanced ~eps rng hg ~k in
       ignore

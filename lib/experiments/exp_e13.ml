@@ -30,10 +30,7 @@ let algorithms rng =
         ignore (Solvers.Multilevel.vcycle ~cycles:2 rng hg p);
         p );
     ( "recursive bisection",
-      fun hg ~k ->
-        Solvers.Recursive_bisection.partition ~eps:0.03
-          ~bisector:(Solvers.Recursive_bisection.multilevel_bisector rng)
-          hg ~k );
+      fun hg ~k -> Solvers.Recursive.bisection ~eps:0.03 rng hg ~k );
   ]
 
 let run () =

@@ -17,11 +17,10 @@ let run () =
            halved; by Lemma A.5 that costs at least 2 * unit_size - 1. *)
         let forced = (2 * unit_size) - 1 in
         (* What an actual recursive solver does. *)
-        let rng = Support.Rng.create 7 in
-        let splitter = Hierarchy.Recursive_hier.multilevel_splitter rng in
         let topo = Hierarchy.Topology.two_level ~b1:2 ~b2:2 ~g1:2.0 in
         let recursive =
-          Hierarchy.Recursive_hier.partition ~eps:0.05 ~splitter topo hg
+          Solvers.Recursive.hierarchical ~eps:0.05 (Support.Rng.create 7)
+            topo hg
         in
         let recursive_cost = Partition.connectivity_cost hg recursive in
         let ratio = float_of_int recursive_cost /. float_of_int (max 1 direct_cost) in

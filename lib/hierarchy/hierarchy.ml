@@ -3,6 +3,5 @@ module Topology = Topology
 module Hier_cost = Hier_cost
 module Assignment = Assignment
 module Two_step = Two_step
-module Recursive_hier = Recursive_hier
 module Hier_refine = Hier_refine
 module Steiner = Steiner

@@ -21,37 +21,12 @@ let assign_optimally topo hg flat =
     Assignment.exact_two_level topo hg flat
   else Assignment.local_search topo hg flat
 
-let run ?(partitioner = fun hg ~k ->
-    Solvers.Multilevel.partition (Support.Rng.create 1) hg ~k) topo hg =
-  Obs.Span.with_ "hier.two_step"
-    ~attrs:
-      [
-        ("n", Obs.Int (Hypergraph.num_nodes hg));
-        ("k", Obs.Int (Topology.num_leaves topo));
-      ]
-  @@ fun () ->
-  let k = Topology.num_leaves topo in
-  (* The Lemma 7.3 cost breakdown: step (i) is the hierarchy-blind flat
-     partitioning, step (ii) the optimal leaf assignment. *)
-  let flat =
-    Obs.Span.with_ "hier.two_step.flat" (fun () -> partitioner hg ~k)
-  in
+(* Step (ii) only, for a flat partition already in hand. *)
+let of_flat topo hg flat =
   let { Assignment.leaf_of_part; cost } =
     Obs.Span.with_ "hier.two_step.assign" (fun () ->
         assign_optimally topo hg flat)
   in
-  let hierarchical =
-    Partition.create ~k
-      (Array.map (fun c -> leaf_of_part.(c)) (Partition.assignment flat))
-  in
-  let flat_cost = Partition.connectivity_cost hg flat in
-  Obs.Span.attr "flat_cost" (Obs.Int flat_cost);
-  Obs.Span.attr "hier_cost" (Obs.Float cost);
-  { flat; leaf_of_part; hierarchical; flat_cost; hier_cost = cost }
-
-(* Run with an arbitrary flat partition already in hand. *)
-let of_flat topo hg flat =
-  let { Assignment.leaf_of_part; cost } = assign_optimally topo hg flat in
   let hierarchical =
     Partition.create ~k:(Topology.num_leaves topo)
       (Array.map (fun c -> leaf_of_part.(c)) (Partition.assignment flat))
@@ -63,3 +38,24 @@ let of_flat topo hg flat =
     flat_cost = Partition.connectivity_cost hg flat;
     hier_cost = cost;
   }
+
+let run ?(eps = 0.03) rng topo hg =
+  Obs.Span.with_ "hier.two_step"
+    ~attrs:
+      [
+        ("n", Obs.Int (Hypergraph.num_nodes hg));
+        ("k", Obs.Int (Topology.num_leaves topo));
+      ]
+  @@ fun () ->
+  (* The Lemma 7.3 cost breakdown: step (i) is the hierarchy-blind flat
+     partitioning, step (ii) the optimal leaf assignment. *)
+  let flat =
+    Obs.Span.with_ "hier.two_step.flat" (fun () ->
+        Solvers.Multilevel.partition
+          ~config:{ Solvers.Multilevel.default_config with eps }
+          rng hg ~k:(Topology.num_leaves topo))
+  in
+  let r = of_flat topo hg flat in
+  Obs.Span.attr "flat_cost" (Obs.Int r.flat_cost);
+  Obs.Span.attr "hier_cost" (Obs.Float r.hier_cost);
+  r

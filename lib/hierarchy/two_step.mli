@@ -10,11 +10,9 @@ type result = {
   hier_cost : float;
 }
 
-val run :
-  ?partitioner:(Hypergraph.t -> k:int -> Partition.t) ->
-  Topology.t ->
-  Hypergraph.t ->
-  result
-
 val of_flat : Topology.t -> Hypergraph.t -> Partition.t -> result
 (** Step (ii) only, for a flat partition already in hand. *)
+
+val run : ?eps:float -> Support.Rng.t -> Topology.t -> Hypergraph.t -> result
+(** {!of_flat} applied to {!Solvers.Multilevel.partition}'s k-way
+    partition at [eps] (default 0.03), k the number of leaves. *)

@@ -30,6 +30,10 @@ let find leader v =
   done;
   root
 
+(* One clustering pass; [(label, cluster_count)].  With [within], nodes
+   merge only when they share the given label.  Ratings accumulate in the
+   [workspace]'s flat score array with a touched-list reset; a private
+   workspace is used when none is given. *)
 let cluster ?workspace ?within rng hg ~max_cluster_weight =
   let n = Hypergraph.num_nodes hg in
   let pins = Hypergraph.csr_pins hg in
@@ -113,8 +117,11 @@ let cluster ?workspace ?within rng hg ~max_cluster_weight =
 let c_levels = Obs.Counter.make "coarsen.levels"
 let h_shrink = Obs.Histogram.make "coarsen.shrink"
 
-let one_level ?workspace ?within ?(max_shrink = 1.0) rng hg
-    ~max_cluster_weight =
+(* A clustering that keeps more than this share of the nodes is not worth
+   a level. *)
+let max_shrink = 0.95
+
+let one_level ?workspace ?within rng hg ~max_cluster_weight =
   Obs.Span.with_ "coarsen.level"
     ~attrs:[ ("nodes_in", Obs.Int (Hypergraph.num_nodes hg)) ]
     (fun () ->
@@ -131,10 +138,18 @@ let one_level ?workspace ?within ?(max_shrink = 1.0) rng hg
         Some { coarse; label }
       end)
 
+(* The labels of [level.coarse]'s nodes: each cluster takes its members'
+   label (clusters built [~within] these labels are monochromatic). *)
+let carry level labels =
+  let coarse = Array.make (Hypergraph.num_nodes level.coarse) 0 in
+  Array.iteri (fun fine cl -> coarse.(cl) <- labels.(fine)) level.label;
+  coarse
+
 (* Full coarsening hierarchy down to [stop_nodes] nodes (or until clustering
    stalls).  The max cluster weight keeps every coarse node small enough for
-   an eps-balanced k-way split to remain possible. *)
-let hierarchy ?workspace rng hg ~k ~stop_nodes =
+   an eps-balanced k-way split to remain possible; [within] labels, carried
+   down level by level, confine every cluster to one label. *)
+let hierarchy ?workspace ?within rng hg ~k ~stop_nodes =
   Obs.Span.with_ "coarsen"
     ~attrs:
       [
@@ -145,17 +160,15 @@ let hierarchy ?workspace rng hg ~k ~stop_nodes =
     (fun () ->
       let total = Hypergraph.total_node_weight hg in
       let max_cluster_weight = max 1 (Support.Util.ceil_div total (4 * k)) in
-      let rec go acc current =
+      let rec go acc current within =
         if Hypergraph.num_nodes current <= stop_nodes then (current, List.rev acc)
         else
-          match
-            one_level ?workspace ~max_shrink:0.95 rng current
-              ~max_cluster_weight
-          with
+          match one_level ?workspace ?within rng current ~max_cluster_weight with
           | None -> (current, List.rev acc)
-          | Some level -> go (level :: acc) level.coarse
+          | Some level ->
+              go (level :: acc) level.coarse (Option.map (carry level) within)
       in
-      let coarsest, levels = go [] hg in
+      let coarsest, levels = go [] hg within in
       Obs.Span.attr "levels" (Obs.Int (List.length levels));
       Obs.Span.attr "coarsest_nodes" (Obs.Int (Hypergraph.num_nodes coarsest));
       (coarsest, levels))

@@ -82,6 +82,24 @@ let initial_partition cfg pool wss rng hg ~k =
 
 let h_instance_nodes = Obs.Histogram.make "multilevel.instance_nodes"
 
+(* Project [part], a partition of the coarsest hypergraph, back up through
+   [levels] (fine → coarse) with an FM refinement at every level; the
+   finest partition and the cost the last refinement returned ([cost]
+   when nothing was contracted). *)
+let uncoarsen config ws hg levels (part, cost) =
+  let levels = Array.of_list levels in
+  Obs.Span.with_ "multilevel.uncoarsen"
+    ~attrs:[ ("levels", Obs.Int (Array.length levels)) ]
+    (fun () ->
+      let part = ref part and cost = ref cost in
+      for d = Array.length levels - 1 downto 0 do
+        let fine = if d = 0 then hg else levels.(d - 1).Coarsen.coarse in
+        part := Coarsen.project levels.(d) !part;
+        cost :=
+          Refine.refine ~config:(refine_config config) ~workspace:ws fine !part
+      done;
+      (!part, !cost))
+
 (* The solve behind [partition] and [partition_with_cost]: the partition
    and the cost the last refinement returned for it — the finest level's,
    or the portfolio winner's when nothing was contracted.  The pool is
@@ -114,28 +132,16 @@ let solve config rng hg ~k =
           Coarsen.hierarchy ~workspace:ws rng hg ~k
             ~stop_nodes:(max stop_nodes (4 * k))
         in
-        let levels = Array.of_list levels in
         Log.debug (fun m ->
             m "coarsened %d -> %d nodes over %d levels"
               (Hypergraph.num_nodes hg)
               (Hypergraph.num_nodes coarsest)
-              (Array.length levels));
-        (* Depth d hypergraph: [hg] for d = 0, else [levels.(d-1).coarse]. *)
-        let hypergraph_at d =
-          if d = 0 then hg else levels.(d - 1).Coarsen.coarse
+              (List.length levels));
+        let part, cost =
+          uncoarsen config ws hg levels
+            (initial_partition config pool wss rng coarsest ~k)
         in
-        let part, cost = initial_partition config pool wss rng coarsest ~k in
-        let part = ref part and cost = ref cost in
-        Obs.Span.with_ "multilevel.uncoarsen"
-          ~attrs:[ ("levels", Obs.Int (Array.length levels)) ]
-          (fun () ->
-            for d = Array.length levels - 1 downto 0 do
-              part := Coarsen.project levels.(d) !part;
-              cost :=
-                Refine.refine ~config:(refine_config config) ~workspace:ws
-                  (hypergraph_at d) !part
-            done);
-        (Audit_gate.checked hg !part, !cost))
+        (Audit_gate.checked hg part, cost))
 
 let partition ?(config = default_config) rng hg ~k =
   fst (solve config rng hg ~k)
@@ -152,61 +158,34 @@ let partition_with_cost ?(config = default_config) rng hg ~k =
    projected partition is exact at every level), then refine on the way
    back up.  Improves an existing partition without losing it. *)
 let vcycle ?(cycles = 1) rng hg part =
- Obs.Span.with_ "multilevel.vcycle"
-   ~attrs:
-     [
-       ("n", Obs.Int (Hypergraph.num_nodes hg));
-       ("cycles", Obs.Int (max 1 cycles));
-     ]
- @@ fun () ->
+  Obs.Span.with_ "multilevel.vcycle"
+    ~attrs:
+      [
+        ("n", Obs.Int (Hypergraph.num_nodes hg));
+        ("cycles", Obs.Int (max 1 cycles));
+      ]
+  @@ fun () ->
   let k = Partition.k part in
-  let config = refine_config default_config in
-  let total = Hypergraph.total_node_weight hg in
-  let max_cluster_weight = max 1 (Support.Util.ceil_div total (4 * k)) in
   let ws = Workspace.create () in
   for _ = 1 to max 1 cycles do
-    (* Build a within-part hierarchy. *)
-    let rec coarsen_stack acc current current_part =
-      if Hypergraph.num_nodes current <= max stop_nodes (4 * k) then
-        (acc, current, current_part)
-      else
-        match
-          Coarsen.one_level ~workspace:ws
-            ~within:(Partition.assignment current_part) rng current
-            ~max_cluster_weight
-        with
-        | None -> (acc, current, current_part)
-        | Some level ->
-            let coarse = level.Coarsen.coarse in
-            if Hypergraph.num_nodes coarse >= Hypergraph.num_nodes current
-            then (acc, current, current_part)
-            else begin
-              (* The coarse partition: clusters are monochromatic. *)
-              let coarse_colors =
-                Array.make (Hypergraph.num_nodes coarse) 0
-              in
-              Array.iteri
-                (fun fine cl ->
-                  coarse_colors.(cl) <- Partition.color current_part fine)
-                level.Coarsen.label;
-              let coarse_part = Partition.create ~k coarse_colors in
-              coarsen_stack ((current, level) :: acc) coarse coarse_part
-            end
+    let colors = Partition.assignment part in
+    let coarsest, levels =
+      Coarsen.hierarchy ~workspace:ws ~within:colors rng hg ~k
+        ~stop_nodes:(max stop_nodes (4 * k))
     in
-    let stack, coarsest, coarsest_part = coarsen_stack [] hg part in
-    (* Refine bottom-up. *)
-    let current_part = ref coarsest_part in
-    ignore (Refine.refine ~config ~workspace:ws coarsest !current_part);
-    List.iter
-      (fun (fine_hg, level) ->
-        current_part := Coarsen.project level !current_part;
-        ignore
-          (Refine.refine ~config ~workspace:ws fine_hg !current_part))
-      stack;
+    let start =
+      Partition.create ~k
+        (List.fold_left (fun c level -> Coarsen.carry level c) colors levels)
+    in
+    let start_cost =
+      Refine.refine ~config:(refine_config default_config) ~workspace:ws
+        coarsest start
+    in
+    let improved, _ =
+      uncoarsen default_config ws hg levels (start, start_cost)
+    in
     (* Copy the improved assignment back into [part] (same domain). *)
-    Array.blit
-      (Partition.assignment !current_part)
-      0 (Partition.assignment part) 0
+    Array.blit (Partition.assignment improved) 0 colors 0
       (Hypergraph.num_nodes hg)
   done;
   Audit_gate.checked_cost ~metric:Partition.Connectivity hg part

@@ -30,6 +30,8 @@ val partition_with_cost :
 
 val vcycle :
   ?cycles:int -> Support.Rng.t -> Hypergraph.t -> Partition.t -> int
-(** Improve an existing partition in place by coarsening within its parts
-    and refining on the way back up, under {!default_config}; returns the
-    final connectivity cost. *)
+(** Improve an existing partition in place, [cycles] times (default 1):
+    coarsen as a solve does but within its parts ({!Coarsen.hierarchy}
+    [~within]), refine the carried partition at the coarsest level, then
+    project and refine back up through the solve's own loop, under
+    {!default_config}.  Returns the final connectivity cost. *)

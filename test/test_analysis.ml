@@ -43,10 +43,12 @@ let test_solver_gates () =
         let part = Solvers.Multilevel.partition rng hg ~k in
         ignore (Solvers.Multilevel.partition_with_cost rng hg ~k);
         ignore (Solvers.Multilevel.vcycle rng hg part);
+        ignore (Solvers.Recursive.bisection rng hg ~k);
         ignore
-          (Solvers.Recursive_bisection.partition
-             ~bisector:(Solvers.Recursive_bisection.multilevel_bisector rng)
-             hg ~k);
+          (Solvers.Recursive.hierarchical rng
+             (Partition.Topology.create ~branching:[| k; 2 |]
+                ~costs:[| 2.0; 1.0 |])
+             hg);
         let p = Solvers.Initial.random_balanced ~eps:0.1 rng hg ~k in
         ignore (Solvers.Refine.refine hg p);
         ignore (Solvers.Kl_swap.refine hg p);

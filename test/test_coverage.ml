@@ -109,7 +109,7 @@ let test_two_step_run_driver () =
       ~edge_size:3
   in
   let topo = Hierarchy.Topology.two_level ~b1:2 ~b2:2 ~g1:4.0 in
-  let r = Hierarchy.Two_step.run topo hg in
+  let r = Hierarchy.Two_step.run (Support.Rng.create 1) topo hg in
   Alcotest.(check int) "flat arity" 4 (P.k r.Hierarchy.Two_step.flat);
   Alcotest.(check bool) "hier cost within Lemma 7.3 sandwich" true
     (let lo, hi =

@@ -233,6 +233,16 @@ let test_partition_nan_eps () =
     [ "partition"; small_random (); "--eps=nan" ]
     "eps must be >= 0 (got nan)" ()
 
+let test_hierarchical_negative_eps () =
+  rejects_argument
+    [ "hierarchical"; small_random (); "--eps=-0.5" ]
+    "eps must be >= 0 (got -0.5)" ()
+
+let test_hierarchical_nan_eps () =
+  rejects_argument
+    [ "hierarchical"; small_random (); "--eps=nan" ]
+    "eps must be >= 0 (got nan)" ()
+
 let test_partition_infinite_eps () =
   (* The capacity clamps to W, so an infinite eps refines as eps = k - 1
      does instead of leaving the start unrefined. *)
@@ -282,6 +292,10 @@ let suite =
       test_partition_negative_eps;
     Alcotest.test_case "partition rejects eps = nan" `Quick
       test_partition_nan_eps;
+    Alcotest.test_case "hierarchical rejects eps = -0.5" `Quick
+      test_hierarchical_negative_eps;
+    Alcotest.test_case "hierarchical rejects eps = nan" `Quick
+      test_hierarchical_nan_eps;
     Alcotest.test_case "partition at eps = inf refines" `Quick
       test_partition_infinite_eps;
     Alcotest.test_case "generate rejects n = 0" `Quick test_generate_n_zero;

@@ -376,6 +376,32 @@ let test_runner_determinism () =
   Alcotest.(check bool) "same plan, same metrics" true
     (p1.E.Record.p_metrics = p2.E.Record.p_metrics)
 
+(* Recursive bisection keeps the job's eps over all its splits, so the
+   engine's balance audit passes: with the full eps at every split these
+   jobs failed with "audit violations: PART-BALANCE". *)
+let test_runner_recursive_balanced () =
+  List.iter
+    (fun (name, k) ->
+      let job =
+        {
+          E.Spec.instance =
+            E.Spec.Hmetis_file (Repo_file.path ("examples/instances/" ^ name));
+          config =
+            {
+              E.Spec.default_config with
+              E.Spec.k;
+              eps = 0.1;
+              algorithm = E.Spec.Recursive;
+            };
+          seed = 1;
+          timeout_s = None;
+        }
+      in
+      match (E.Runner.execute job).E.Record.p_status with
+      | `Done -> ()
+      | `Failed msg -> Alcotest.failf "%s, k = %d: %s" name k msg)
+    [ ("small_random.hgr", 3); ("spmv_banded.hgr", 4) ]
+
 (* ---- pool: fault isolation ----------------------------------------------- *)
 
 let quiet_pool jobs =
@@ -972,6 +998,8 @@ let suite =
     Alcotest.test_case "paper manifest" `Quick test_paper_manifest;
     Alcotest.test_case "runner execute" `Quick test_runner_execute;
     Alcotest.test_case "runner determinism" `Quick test_runner_determinism;
+    Alcotest.test_case "runner: recursive jobs pass the audit" `Quick
+      test_runner_recursive_balanced;
     Alcotest.test_case "pool crash isolation" `Quick test_pool_crash_isolation;
     Alcotest.test_case "pool timeout kill" `Quick test_pool_timeout_kill;
     Alcotest.test_case "pool never retries deterministic failures" `Quick

@@ -250,8 +250,7 @@ let test_recursive_hier_produces_valid_partition () =
            Support.Rng.sample_distinct rng ~n:32 ~k:(2 + Support.Rng.int rng 3)))
   in
   let t = topo22 4.0 in
-  let splitter = Hierarchy.Recursive_hier.multilevel_splitter rng in
-  let p = Hierarchy.Recursive_hier.partition ~eps:0.1 ~splitter t h in
+  let p = Solvers.Recursive.hierarchical ~eps:0.1 rng t h in
   Alcotest.(check int) "arity = leaves" 4 (P.k p);
   Alcotest.(check bool) "roughly balanced" true (P.is_balanced ~eps:0.35 h p);
   Alcotest.(check bool) "cost finite" true (HC.cost t h p >= 0.0)

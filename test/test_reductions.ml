@@ -716,6 +716,38 @@ let test_nine_blocks_direct_certified () =
         (Option.is_none (Solvers.Exact.solve ~eps:0.0 ~upper_bound:4 hg ~k:4)))
     [ 3; 12; 48 ]
 
+let test_two_branch_layerwise_certified () =
+  (* Fig 6 under the layer-wise caps alone (global eps = 1 binds nothing
+     at k = 2): the layer-wise optimum is b + 1, one below the constructed
+     layer-wise partition's b + 2, and still Theta(b) against the
+     branch coloring's 2. *)
+  List.iter
+    (fun b ->
+      let t = R.Counterexamples.two_branch ~b in
+      let dag = t.R.Counterexamples.dag in
+      let hg = Hyperdag.hypergraph_of_dag dag in
+      let layers = Hyperdag.Layering.earliest_groups dag in
+      let constrained =
+        Solvers.Constrained.of_layers ~variant:P.Relaxed ~eps:0.0 ~k:2 layers
+          ~n:(H.num_nodes hg)
+      in
+      let solve ?upper_bound () =
+        Solvers.Exact.solve ~variant:P.Relaxed ~eps:1.0 ?upper_bound
+          ~constrained hg ~k:2
+      in
+      let label = Fmt.str "b = %d" b in
+      Alcotest.(check int) ("constructed, " ^ label) (b + 2)
+        (P.connectivity_cost hg (R.Counterexamples.two_branch_layerwise t));
+      (match solve () with
+      | None -> Alcotest.fail ("feasible, " ^ label)
+      | Some { Solvers.Exact.cost; part } ->
+          Alcotest.(check int) ("optimum, " ^ label) (b + 1) cost;
+          Alcotest.(check bool) ("layer-wise feasible, " ^ label) true
+            (P.Layerwise.feasible ~variant:P.Relaxed ~eps:0.0 layers part));
+      Alcotest.(check bool) ("nothing at b or below, " ^ label) true
+        (Option.is_none (solve ~upper_bound:b ())))
+    [ 4; 8 ]
+
 let test_hendrickson_kolda () =
   let k = 4 and sinks = 6 in
   let dag = R.Counterexamples.bipartite_sources_sinks ~sources:(k - 1) ~sinks in
@@ -790,6 +822,8 @@ let suite =
       test_star_hier_optimum_certified;
     Alcotest.test_case "Fig 8 nine blocks direct optimum certified" `Quick
       test_nine_blocks_direct_certified;
+    Alcotest.test_case "Fig 6 two-branch layer-wise optimum certified" `Quick
+      test_two_branch_layerwise_certified;
     Alcotest.test_case "Hendrickson-Kolda example" `Quick
       test_hendrickson_kolda;
   ]

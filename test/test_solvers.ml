@@ -1,5 +1,5 @@
 (* Tests for the partitioning solvers: initial partitioners, FM refinement,
-   coarsening, multilevel, recursive bisection, exact branch-and-bound and
+   coarsening, multilevel, recursive partitioning, exact branch-and-bound and
    the XP algorithm of Lemma 4.3. *)
 
 module H = Hypergraph
@@ -244,26 +244,85 @@ let test_multilevel_near_optimal_on_blocks () =
   Alcotest.(check bool) "does not split blocks" true
     (P.connectivity_cost h p <= 8)
 
-(* Recursive bisection ---------------------------------------------------------- *)
+(* Recursive partitioning -------------------------------------------------------- *)
 
 let test_recursive_bisection_partitions () =
   let r = rng () in
   let h = random_hypergraph r ~n:64 ~m:100 ~max_size:4 in
-  let bisector = S.Recursive_bisection.multilevel_bisector r in
-  let p = S.Recursive_bisection.partition ~eps:0.1 ~bisector h ~k:4 in
+  let p = S.Recursive.bisection ~eps:0.1 r h ~k:4 in
   Alcotest.(check int) "k" 4 (P.k p);
   Alcotest.(check bool) "roughly balanced" true (P.is_balanced ~eps:0.6 h p)
 
 let test_recursive_bisection_odd_k () =
   let r = rng () in
   let h = random_hypergraph r ~n:60 ~m:80 ~max_size:3 in
-  let bisector = S.Recursive_bisection.multilevel_bisector r in
-  let p = S.Recursive_bisection.partition ~eps:0.1 ~bisector h ~k:3 in
+  let p = S.Recursive.bisection ~eps:0.1 r h ~k:3 in
   Alcotest.(check int) "k" 3 (P.k p);
   let sizes = P.part_sizes h p in
   Array.iter
     (fun s -> Alcotest.(check bool) "no empty part" true (s > 0))
     sizes
+
+(* One driver: the topology case on a uniform binary tree of depth d is
+   recursive bisection at k = 2^d, split for split. *)
+let test_recursive_one_algorithm () =
+  let r = rng () in
+  for trial = 1 to 6 do
+    let n = 47 + Support.Rng.int r 204 in
+    let h = random_hypergraph r ~n ~m:(3 * n / 2) ~max_size:5 in
+    for depth = 1 to 3 do
+      let eps = [| 0.0; 0.05; 0.1 |].(trial mod 3) in
+      let topo = P.Topology.uniform_binary ~depth ~g:2.0 in
+      let hier = S.Recursive.hierarchical ~eps (Support.Rng.create trial) topo h in
+      let flat =
+        S.Recursive.bisection ~eps (Support.Rng.create trial) h
+          ~k:(1 lsl depth)
+      in
+      Alcotest.(check (array int))
+        (Printf.sprintf "n = %d, d = %d" n depth)
+        (P.assignment flat) (P.assignment hier)
+    done
+  done
+
+let example name = H.Hmetis.load (Repo_file.path ("examples/instances/" ^ name))
+
+(* The splits share eps: (1+eps')^L = 1+eps.  With the full eps at every
+   split the imbalance compounds: these cases read 0.125 and 0.25
+   (small_random, k = 3 and 5) and 0.125, 0.167 and 0.25 (spmv_banded,
+   k = 3, 4 and 6) at eps = 0.1. *)
+let test_recursive_eps_shared () =
+  List.iter
+    (fun (name, k) ->
+      let h = example name in
+      let p = S.Recursive.bisection ~eps:0.1 (Support.Rng.create 1) h ~k in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, k = %d, imbalance %.3f" name k (P.imbalance h p))
+        true
+        (P.is_balanced ~eps:0.1 h p))
+    [
+      ("small_random.hgr", 3);
+      ("small_random.hgr", 5);
+      ("spmv_banded.hgr", 3);
+      ("spmv_banded.hgr", 4);
+      ("spmv_banded.hgr", 6);
+    ]
+
+(* Under cut-net a side recurses on its induced sub-hypergraph, so an edge
+   a split has cut no longer steers the lower splits.  Recursing on the
+   connectivity fragments instead reads 30, 10 and 6 here. *)
+let test_recursive_cutnet () =
+  List.iter
+    (fun (name, expected) ->
+      let h = example name in
+      let cutnet metric =
+        P.cutnet_cost h
+          (S.Recursive.bisection ~metric (Support.Rng.create 1) h ~k:4)
+      in
+      Alcotest.(check int) (name ^ " under cut-net") expected
+        (cutnet P.Cut_net);
+      Alcotest.(check bool) (name ^ " below the connectivity recursion") true
+        (cutnet P.Cut_net < cutnet P.Connectivity))
+    [ ("small_random.hgr", 25); ("spmv_banded.hgr", 8); ("two_regular.hgr", 3) ]
 
 (* Exact ------------------------------------------------------------------------- *)
 
@@ -419,6 +478,12 @@ let suite =
       test_recursive_bisection_partitions;
     Alcotest.test_case "recursive bisection odd k" `Quick
       test_recursive_bisection_odd_k;
+    Alcotest.test_case "recursive: one algorithm" `Quick
+      test_recursive_one_algorithm;
+    Alcotest.test_case "recursive: eps shared by the splits" `Quick
+      test_recursive_eps_shared;
+    Alcotest.test_case "recursive: cut-net recursion" `Quick
+      test_recursive_cutnet;
     Alcotest.test_case "exact = brute force" `Slow test_exact_matches_brute_force;
     Alcotest.test_case "exact cutnet = brute force" `Slow
       test_exact_cutnet_matches_brute_force;
