@@ -94,10 +94,10 @@ let () =
   let ahg = Workloads.Rand_hg.uniform rng ~n:24 ~m:30 ~min_size:2 ~max_size:4 in
   let apart = Partition.create ~k:8 (Array.init 24 (fun v -> v mod 8)) in
   let atopo = Hierarchy.Topology.two_level ~b1:4 ~b2:2 ~g1:4.0 in
-  let dp = Hierarchy.Assignment.exact_two_level atopo ahg apart in
+  let ex = Hierarchy.Assignment.exact atopo ahg apart in
   let mt = Hierarchy.Assignment.matching_b2_2 atopo ahg apart in
-  Printf.printf "b2 = 2: matching cost %.1f = exact DP cost %.1f\n"
-    mt.Hierarchy.Assignment.cost dp.Hierarchy.Assignment.cost;
+  Printf.printf "b2 = 2: matching cost %.1f = exact cost %.1f\n"
+    mt.Hierarchy.Assignment.cost ex.Hierarchy.Assignment.cost;
   let tdm = Npc.Three_dm.random_yes (Support.Rng.create 2) ~q:3 ~extra:4 in
   let a3 = Reductions.Assignment_from_three_dm.build tdm in
   Printf.printf "b2 = 3: 3DM decided through assignment: %b (expected %b)\n"

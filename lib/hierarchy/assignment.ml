@@ -4,16 +4,14 @@
    minimized.
 
    Following Appendix H, the instance is first *contracted*: each part
-   becomes a single node, uncut edges disappear, and identical contracted
-   edges merge with summed weights.
+   becomes a single unit-weight node, uncut edges disappear, and identical
+   contracted edges merge with summed weights.
 
    Solvers:
-   - [exact]: enumerate all k! permutations (k <= 8), the general ground
-     truth for any depth;
-   - [exact_two_level]: d = 2 subset DP — the level-1 connectivity
-     sum_e w_e * lambda^(1)_e is additive over groups, so
-     dp(mask) = min over the group S containing the lowest free part, and
-     the grouping is exact for any b2 in O(3^k)-ish time (k <= 16);
+   - [exact]: the Definition 7.1 search of [Solvers.Exact] on the
+     contracted instance at eps = 0.  Capacity 1 puts one part on each
+     leaf, and the search's opening rule visits at most one complete
+     assignment per class of equivalent ones, f(k) in all;
    - [matching_b2_2]: the polynomial algorithm of Lemma H.1 for b2 = 2 via
      maximum-weight perfect matching on pair co-traffic;
    - [local_search]: leaf-swap hill climbing for larger k. *)
@@ -21,7 +19,11 @@
 type result = { leaf_of_part : int array; cost : float }
 
 let contract_parts hg part =
-  Hypergraph.contract hg (Partition.assignment part) (Partition.k part)
+  let k = Partition.k part in
+  let merged = Hypergraph.contract hg (Partition.assignment part) k in
+  Hypergraph.of_edges ~n:k
+    ~edge_weights:(Hypergraph.csr_edge_weights merged)
+    (Array.init (Hypergraph.num_edges merged) (Hypergraph.edge_pins merged))
 
 let identity k = Array.init k Fun.id
 
@@ -34,107 +36,14 @@ let cost_of topo contracted leaf_of_part =
   Hier_cost.cost topo contracted part
 
 let exact topo hg part =
-  let k = Partition.k part in
-  if k <> Topology.num_leaves topo then
+  if Partition.k part <> Topology.num_leaves topo then
     invalid_arg "Assignment.exact: arity mismatch";
-  if k > 8 then invalid_arg "Assignment.exact: k > 8 (use exact_two_level)";
   let contracted = contract_parts hg part in
-  let best = ref { leaf_of_part = identity k; cost = infinity } in
-  let perm = Array.make k (-1) in
-  let used = Array.make k false in
-  let rec go i =
-    if i = k then begin
-      let c = cost_of topo contracted perm in
-      if c < !best.cost then best := { leaf_of_part = Array.copy perm; cost = c }
-    end
-    else
-      for leaf = 0 to k - 1 do
-        if not used.(leaf) then begin
-          used.(leaf) <- true;
-          perm.(i) <- leaf;
-          go (i + 1);
-          used.(leaf) <- false
-        end
-      done
-  in
-  go 0;
-  !best
-
-(* d = 2: group the k parts into b1 groups of b2.  Total cost decomposes as
-   sum_e w_e * (g1 * (lambda1 - 1) + (lambda2 - lambda1))   with g2 = 1
-   = const + (g1 - 1) * sum_e w_e * lambda1_e
-   and sum_e w_e * lambda1_e = sum over groups S of
-   hits(S) = sum_e w_e * [e intersects S]: additive over groups. *)
-let exact_two_level topo hg part =
-  let k = Partition.k part in
-  if Topology.depth topo <> 2 then
-    invalid_arg "Assignment.exact_two_level: depth must be 2";
-  if k <> Topology.num_leaves topo then
-    invalid_arg "Assignment.exact_two_level: arity mismatch";
-  if k > 16 then invalid_arg "Assignment.exact_two_level: k > 16";
-  let b = Topology.branching topo in
-  let b2 = b.(1) in
-  let contracted = contract_parts hg part in
-  let m = Hypergraph.num_edges contracted in
-  (* Edge masks over parts. *)
-  let edge_mask =
-    Array.init m (fun e ->
-        Hypergraph.fold_pins contracted e (fun acc v -> acc lor (1 lsl v)) 0)
-  in
-  let weight = Array.init m (Hypergraph.edge_weight contracted) in
-  let hits mask =
-    let acc = ref 0 in
-    for e = 0 to m - 1 do
-      if edge_mask.(e) land mask <> 0 then acc := !acc + weight.(e)
-    done;
-    !acc
-  in
-  let full = (1 lsl k) - 1 in
-  let dp = Array.make (full + 1) max_int in
-  let choice = Array.make (full + 1) 0 in
-  dp.(0) <- 0;
-  (* Enumerate groups of size b2 containing the lowest free part. *)
-  let rec enum_groups base remaining start f =
-    if remaining = 0 then f base
-    else
-      for v = start to k - 1 do
-        enum_groups (base lor (1 lsl v)) (remaining - 1) (v + 1) f
-      done
-  in
-  for mask = 1 to full do
-    let a =
-      let rec low i = if mask land (1 lsl i) <> 0 then i else low (i + 1) in
-      low 0
-    in
-    enum_groups (1 lsl a) (b2 - 1) (a + 1) (fun group ->
-        if group land mask = group then begin
-          let rest = mask lxor group in
-          if dp.(rest) < max_int then begin
-            let cand = dp.(rest) + hits group in
-            if cand < dp.(mask) then begin
-              dp.(mask) <- cand;
-              choice.(mask) <- group
-            end
-          end
-        end)
-  done;
-  (* Rebuild the groups, then lay them out as consecutive leaf runs. *)
-  let leaf_of_part = Array.make k 0 in
-  let rec rebuild mask next_group =
-    if mask <> 0 then begin
-      let group = choice.(mask) in
-      let slot = ref 0 in
-      for v = 0 to k - 1 do
-        if group land (1 lsl v) <> 0 then begin
-          leaf_of_part.(v) <- (next_group * b2) + !slot;
-          incr slot
-        end
-      done;
-      rebuild (mask lxor group) (next_group + 1)
-    end
-  in
-  rebuild full 0;
-  { leaf_of_part; cost = cost_of topo (contract_parts hg part) leaf_of_part }
+  match Solvers.Exact.hierarchical ~eps:0.0 topo contracted with
+  | Some { Solvers.Exact.part = placed; _ } ->
+      let leaf_of_part = Partition.assignment placed in
+      { leaf_of_part; cost = cost_of topo contracted leaf_of_part }
+  | None -> assert false (* k unit-weight nodes always fill k leaves *)
 
 (* Lemma H.1: b2 = 2 via maximum-weight perfect matching.  The weight of a
    pair (u, v) is the total weight of contracted edges containing both, the
@@ -213,53 +122,6 @@ let local_search topo hg part =
     done
   done;
   { leaf_of_part = assignment; cost = !current }
-
-(* Bottom-up repeated matching for binary topologies (all b_i = 2): at
-   every level, pair up the current groups by maximum-weight matching on
-   co-located traffic, then treat each pair as one group a level higher.
-   A natural polynomial heuristic generalizing Lemma H.1's exact b2 = 2
-   bottom level to full depth. *)
-let recursive_matching topo hg part =
-  let k = Partition.k part in
-  if k <> Topology.num_leaves topo then
-    invalid_arg "Assignment.recursive_matching: arity mismatch";
-  if Array.exists (fun b -> b <> 2) (Topology.branching topo) then
-    invalid_arg "Assignment.recursive_matching: binary topologies only";
-  let contracted = contract_parts hg part in
-  let m = Hypergraph.num_edges contracted in
-  let edge_mask =
-    Array.init m (fun e ->
-        Hypergraph.fold_pins contracted e (fun acc v -> acc lor (1 lsl v)) 0)
-  in
-  let weight_of = Array.init m (Hypergraph.edge_weight contracted) in
-  (* A group is a list of part ids in leaf order, plus its part mask. *)
-  let groups = ref (List.init k (fun p -> ([ p ], 1 lsl p))) in
-  for _level = Topology.depth topo downto 1 do
-    let arr = Array.of_list !groups in
-    let count = Array.length arr in
-    let pair_weight a b =
-      let ma = snd arr.(a) and mb = snd arr.(b) in
-      let total = ref 0 in
-      for e = 0 to m - 1 do
-        if edge_mask.(e) land ma <> 0 && edge_mask.(e) land mb <> 0 then
-          total := !total + weight_of.(e)
-      done;
-      !total
-    in
-    let pairs = Pairing.max_weight ~k:count pair_weight in
-    groups :=
-      Array.to_list
-        (Array.map
-           (fun (a, b) ->
-             (* hyplint: allow SRC02 — group lists hold <= k part ids and merge once per level: O(k) per level, not quadratic *)
-             (fst arr.(a) @ fst arr.(b), snd arr.(a) lor snd arr.(b)))
-           pairs)
-  done;
-  let leaf_of_part = Array.make k 0 in
-  (match !groups with
-  | [ (order, _) ] -> List.iteri (fun leaf p -> leaf_of_part.(p) <- leaf) order
-  | _ -> assert false);
-  { leaf_of_part; cost = cost_of topo contracted leaf_of_part }
 
 (* Number of non-equivalent assignments f(k) (Appendix H.1). *)
 let count_assignments topo =

@@ -1,8 +1,8 @@
 (* The two-step method of Section 7.2: (i) find a regular k-way
    partitioning ignoring the hierarchy, (ii) assign the k parts to the k
-   leaf positions optimally.  Lemma 7.3 shows this is a g_1-approximation;
-   Theorem 7.4 shows the factor (b_1 - 1)/b_1 * g_1 can be attained
-   (experiment E8). *)
+   leaf positions, optimally where the search is affordable.  Lemma 7.3
+   shows this is a g_1-approximation; Theorem 7.4 shows the factor
+   (b_1 - 1)/b_1 * g_1 can be attained (experiment E8). *)
 
 type result = {
   flat : Partition.t; (* the step-(i) partition, colors 0..k-1 *)
@@ -12,13 +12,21 @@ type result = {
   hier_cost : float;
 }
 
+(* Step (ii): Lemma H.1's matching when d = 2 and b2 = 2 (exact wherever
+   [Pairing] is, k <= 20); else the exact search while f(k) is within
+   [exact_budget], at about 1 us per assignment; else leaf-swap local
+   search.  3e6 keeps every k <= 8 tree (f <= 315) and every d = 2 tree
+   with k <= 16 exact (the largest f, (4,4)'s 2,627,625, takes up to about
+   2 s) and makes (2,2,3) (f = 46,200) exact; (2,2,2,2), f = 6.4e8, would
+   take minutes.  An f that overflowed to infinity or NaN (k > 170) fails
+   the test. *)
+let exact_budget = 3e6
+
 let assign_optimally topo hg flat =
-  let k = Partition.k flat in
-  if k <= 8 then Assignment.exact topo hg flat
-  else if Topology.depth topo = 2 && (Topology.branching topo).(1) = 2 then
-    Assignment.matching_b2_2 topo hg flat
-  else if Topology.depth topo = 2 && k <= 16 then
-    Assignment.exact_two_level topo hg flat
+  let b = Topology.branching topo in
+  if Array.length b = 2 && b.(1) = 2 then Assignment.matching_b2_2 topo hg flat
+  else if Assignment.count_assignments topo <= exact_budget then
+    Assignment.exact topo hg flat
   else Assignment.local_search topo hg flat
 
 (* Step (ii) only, for a flat partition already in hand. *)

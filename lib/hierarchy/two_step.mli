@@ -1,6 +1,7 @@
-(** The two-step method (Section 7.2): flat partition, then optimal leaf
-    assignment. A g₁-approximation (Lemma 7.3) that can be
-    (b₁−1)/b₁·g₁ off (Theorem 7.4). *)
+(** The two-step method (Section 7.2): flat partition, then leaf
+    assignment by Lemma H.1's matching (d = 2, b₂ = 2), {!Assignment.exact}
+    (f(k) ≤ 3·10⁶) or {!Assignment.local_search}. A g₁-approximation
+    (Lemma 7.3) that can be (b₁−1)/b₁·g₁ off (Theorem 7.4). *)
 
 type result = {
   flat : Partition.t;

@@ -15,6 +15,6 @@ val embed : t -> (int * int * int) list -> int array
 (** Perfect matching → leaf assignment achieving the target gain. *)
 
 val best_gain : t -> int
-(** Optimal gain via the exact d = 2 assignment DP (k ≤ 16). *)
+(** Optimal gain via {!Hierarchy.Assignment.exact} (k ≤ 16). *)
 
 val matching_exists_via_assignment : t -> bool

@@ -11,16 +11,18 @@
 (* A 2-way split whose sides carry [parts_left] and [parts_right] unequal
    shares: greedy fill of the left side to its capacity in random order,
    then positive-gain moves while both sides stay under their capacities
-   (side s may weigh (1+eps) * W * parts_s / (parts_left + parts_right)). *)
-let ratio_split ~eps rng hg ~parts_left ~parts_right =
+   (side s may weigh (1+eps) * W * parts_s / (parts_left + parts_right),
+   and no more than parts_s final parts hold). *)
+let ratio_split ~eps ~part_cap rng hg ~parts_left ~parts_right =
   let total = Hypergraph.total_node_weight hg in
   let n = Hypergraph.num_nodes hg in
   let capacity parts =
-    int_of_float
-      (floor
-         ((1.0 +. eps) *. float_of_int (total * parts)
-          /. float_of_int (parts_left + parts_right)
-         +. 1e-9))
+    min (parts * part_cap)
+      (int_of_float
+         (floor
+            ((1.0 +. eps) *. float_of_int (total * parts)
+             /. float_of_int (parts_left + parts_right)
+            +. 1e-9)))
   in
   let cap = [| capacity parts_left; capacity parts_right |] in
   let colors = Array.make n 1 in
@@ -58,15 +60,26 @@ let ratio_split ~eps rng hg ~parts_left ~parts_right =
   part
 
 (* Split [hg] into one side per entry of [shares] (the final parts each
-   side carries). *)
-let split ~eps rng hg shares =
+   side carries), no side heavier than its share of final parts of
+   capacity [part_cap] can hold.  Equal shares s pass the multilevel
+   partitioner the eps whose capacity is s * part_cap when that binds
+   (0 when even that is too little). *)
+let split ~eps ~part_cap rng hg shares =
   match shares with
   | [| parts_left; parts_right |] when parts_left <> parts_right ->
-      ratio_split ~eps rng hg ~parts_left ~parts_right
+      ratio_split ~eps ~part_cap rng hg ~parts_left ~parts_right
   | _ ->
-      Multilevel.partition
-        ~config:{ Multilevel.default_config with eps }
-        rng hg ~k:(Array.length shares)
+      let k = Array.length shares in
+      let total_weight = Hypergraph.total_node_weight hg in
+      let cap = shares.(0) * part_cap in
+      let eps =
+        if Partition.capacity ~eps ~total_weight ~k () <= cap then eps
+        else
+          Float.max 0.0
+            ((float_of_int (cap * k) /. float_of_int total_weight) -. 1.0)
+      in
+      Multilevel.partition ~config:{ Multilevel.default_config with eps } rng
+        hg ~k
 
 (* The driver: [children ~level ~parts] is the shares of the children of a
    group at depth [level] carrying [parts] final parts ([||] for a leaf),
@@ -76,12 +89,19 @@ let split ~eps rng hg shares =
 
    Every split gets eps' = (1+eps)^(1/L) - 1, L the depth of the
    recursion, so a final part stays within (1+eps) W/k wherever every
-   split is balanced.  Under cut-net a side recurses on its induced
-   sub-hypergraph: an edge a split cuts has paid its cost once. *)
+   split is balanced.  A side carrying s parts is also capped at s times
+   the final capacity floor((1+eps) W/k), so that no upper split leaves a
+   side the lower splits cannot divide.  Under cut-net a side recurses on
+   its induced sub-hypergraph: an edge a split cuts has paid its cost
+   once. *)
 let run ~eps ~metric rng hg ~k ~children =
   Obs.Span.with_ "recursive"
     ~attrs:[ ("n", Obs.Int (Hypergraph.num_nodes hg)); ("k", Obs.Int k) ]
   @@ fun () ->
+  let part_cap =
+    Partition.capacity ~eps ~total_weight:(Hypergraph.total_node_weight hg) ~k
+      ()
+  in
   let rec depth ~level ~parts =
     match children ~level ~parts with
     | [||] -> 0
@@ -113,7 +133,7 @@ let run ~eps ~metric rng hg ~k ~children =
                 ("nodes", Obs.Int (Hypergraph.num_nodes sub));
                 ("parts", Obs.Int parts);
               ]
-            (fun () -> split ~eps rng sub shares)
+            (fun () -> split ~eps ~part_cap rng sub shares)
         in
         let first = ref first in
         Array.iteri

@@ -12,10 +12,12 @@
     Every split gets ε′ = (1+ε)^(1/L) − 1, L the number of recursion
     levels (⌈log₂ k⌉ for bisection, d on a topology), so every final
     part stays within (1+ε)·W/k wherever each split finds a balanced
-    split.  A side recurses on its {!Hypergraph.restrict} (connectivity,
-    and every topology), or under cut-net on its
-    {!Hypergraph.induced_subgraph}: an edge a split cuts has already paid
-    its cost. *)
+    split.  A side carrying s parts is also capped at s·⌊(1+ε)·W/k⌋, so
+    an upper split never leaves a side that the lower splits cannot
+    divide within the final capacity.  A side recurses on its
+    {!Hypergraph.restrict} (connectivity, and every topology), or under
+    cut-net on its {!Hypergraph.induced_subgraph}: an edge a split cuts
+    has already paid its cost. *)
 
 val bisection :
   ?eps:float ->

@@ -116,10 +116,7 @@ let test_assignment_methods_agree () =
     let part = P.create ~k:4 (Array.init 12 (fun v -> v mod 4)) in
     let t = topo22 4.0 in
     let ex = Hierarchy.Assignment.exact t h part in
-    let dp = Hierarchy.Assignment.exact_two_level t h part in
     let mt = Hierarchy.Assignment.matching_b2_2 t h part in
-    Alcotest.(check (float 1e-9)) "DP = exact" ex.Hierarchy.Assignment.cost
-      dp.Hierarchy.Assignment.cost;
     Alcotest.(check (float 1e-9)) "matching = exact (Lemma H.1)"
       ex.Hierarchy.Assignment.cost mt.Hierarchy.Assignment.cost;
     let ls = Hierarchy.Assignment.local_search t h part in
@@ -127,61 +124,40 @@ let test_assignment_methods_agree () =
       (ls.Hierarchy.Assignment.cost >= ex.Hierarchy.Assignment.cost -. 1e-9)
   done
 
-let test_assignment_b2_3 () =
-  (* d=2, b2=3, k=6: DP vs exhaustive exact. *)
+(* The reference: on the contracted instance the brute force's balanced
+   colorings at eps = 0 are exactly the k! assignments. *)
+let test_assignment_exact_brute_force () =
   let rng = Support.Rng.create 13 in
-  for _ = 1 to 5 do
-    let h =
-      H.of_edges ~n:12
-        (Array.init 8 (fun _ ->
-             Support.Rng.sample_distinct rng ~n:12 ~k:(2 + Support.Rng.int rng 3)))
-    in
-    let part = P.create ~k:6 (Array.init 12 (fun v -> v mod 6)) in
-    let t = T.two_level ~b1:2 ~b2:3 ~g1:3.0 in
-    let ex = Hierarchy.Assignment.exact t h part in
-    let dp = Hierarchy.Assignment.exact_two_level t h part in
-    Alcotest.(check (float 1e-9)) "b2=3 DP = exact" ex.Hierarchy.Assignment.cost
-      dp.Hierarchy.Assignment.cost
-  done
-
-let test_recursive_matching () =
-  (* Depth-3 binary topology: the bottom-up matching heuristic returns a
-     valid assignment no better than the exhaustive optimum (k = 8). *)
-  let rng = Support.Rng.create 29 in
-  for _ = 1 to 5 do
-    let h =
-      H.of_edges ~n:16
-        (Array.init 14 (fun _ ->
-             Support.Rng.sample_distinct rng ~n:16
-               ~k:(2 + Support.Rng.int rng 3)))
-    in
-    let part = P.create ~k:8 (Array.init 16 (fun v -> v mod 8)) in
-    let t = T.uniform_binary ~depth:3 ~g:3.0 in
-    let rm = Hierarchy.Assignment.recursive_matching t h part in
-    let ex = Hierarchy.Assignment.exact t h part in
-    let leaf = rm.Hierarchy.Assignment.leaf_of_part in
-    let sorted = Array.copy leaf in
-    Array.sort Int.compare sorted;
-    Alcotest.(check (array int)) "bijective onto leaves"
-      (Array.init 8 Fun.id) sorted;
-    Alcotest.(check bool) "matching >= exact" true
-      (rm.Hierarchy.Assignment.cost >= ex.Hierarchy.Assignment.cost -. 1e-9);
-    Alcotest.(check bool) "cost consistent" true
-      (abs_float
-         (rm.Hierarchy.Assignment.cost
-         -. HC.cost_with_assignment t h part leaf)
-      < 1e-6)
-  done;
-  (* Non-binary topologies are rejected. *)
-  let part = P.create ~k:6 (Array.init 6 Fun.id) in
-  let h = H.of_edges ~n:6 [| [| 0; 1 |] |] in
-  Alcotest.check_raises "binary only"
-    (Invalid_argument "Assignment.recursive_matching: binary topologies only")
-    (fun () ->
-      ignore
-        (Hierarchy.Assignment.recursive_matching
-           (T.two_level ~b1:2 ~b2:3 ~g1:2.0)
-           h part))
+  List.iter
+    (fun t ->
+      let k = T.num_leaves t in
+      for _ = 1 to 4 do
+        let n = 2 * k in
+        let h =
+          H.of_edges ~n
+            ~edge_weights:(Array.init 9 (fun _ -> 1 + Support.Rng.int rng 3))
+            (Array.init 9 (fun _ ->
+                 Support.Rng.sample_distinct rng ~n
+                   ~k:(2 + Support.Rng.int rng 3)))
+        in
+        let part = P.random rng ~k ~n in
+        let ex = Hierarchy.Assignment.exact t h part in
+        let contracted = Hierarchy.Assignment.contract_parts h part in
+        match Solvers.Exact.brute_force (Hierarchical t) contracted ~k with
+        | None -> Alcotest.fail "every assignment is balanced"
+        | Some { Solvers.Exact.cost; _ } ->
+            Alcotest.(check (float 1e-9)) "exact = brute force" cost
+              ex.Hierarchy.Assignment.cost;
+            Alcotest.(check (float 1e-9)) "priced as its assignment"
+              (HC.cost_with_assignment t h part
+                 ex.Hierarchy.Assignment.leaf_of_part)
+              ex.Hierarchy.Assignment.cost
+      done)
+    [
+      topo22 4.0;
+      T.two_level ~b1:2 ~b2:3 ~g1:3.0;
+      T.two_level ~b1:3 ~b2:2 ~g1:2.0;
+    ]
 
 let test_count_assignments () =
   (* f(4) with b = (2,2): 4! / (2! * 2! * 2!) = 3. *)
@@ -197,7 +173,9 @@ let test_contract_parts () =
   Alcotest.(check int) "one node per part" 4 (H.num_nodes c);
   (* The five parallel 0-1 edges merge into one of weight 5. *)
   Alcotest.(check int) "merged edges" 2 (H.num_edges c);
-  Alcotest.(check int) "total edge weight" 6 (H.total_edge_weight c)
+  Alcotest.(check int) "total edge weight" 6 (H.total_edge_weight c);
+  Alcotest.(check (array int)) "unit node weights" [| 1; 1; 1; 1 |]
+    (H.csr_node_weights c)
 
 (* Two-step method ------------------------------------------------------------- *)
 
@@ -239,6 +217,33 @@ let test_two_step_g1_approximation () =
         Alcotest.(check bool) "two-step <= g1 * opt (Lemma 7.3)" true
           (r.Hierarchy.Two_step.hier_cost <= (3.0 *. opt) +. 1e-9)
   done
+
+(* Past k = 8 on a depth-3 tree, two-step searches f(k) = 46,200
+   assignments of (2,2,3) exactly, where the leaf-swap local search can
+   stop above the optimum. *)
+let test_two_step_exact_depth3 () =
+  let t = T.create ~branching:[| 2; 2; 3 |] ~costs:[| 4.0; 2.0; 1.0 |] in
+  let rng = Support.Rng.create 53 in
+  let gaps =
+    List.init 6 (fun _ ->
+        let h =
+          H.of_edges ~n:36
+            (Array.init 48 (fun _ ->
+                 Support.Rng.sample_distinct rng ~n:36
+                   ~k:(2 + Support.Rng.int rng 3)))
+        in
+        let flat = P.create ~k:12 (Array.init 36 (fun v -> v mod 12)) in
+        let r = Hierarchy.Two_step.of_flat t h flat in
+        let ex = Hierarchy.Assignment.exact t h flat in
+        let ls = Hierarchy.Assignment.local_search t h flat in
+        Alcotest.(check (float 1e-9)) "two-step = exact"
+          ex.Hierarchy.Assignment.cost r.Hierarchy.Two_step.hier_cost;
+        Alcotest.(check bool) "local search >= exact" true
+          (ls.Hierarchy.Assignment.cost >= ex.Hierarchy.Assignment.cost -. 1e-9);
+        ls.Hierarchy.Assignment.cost -. ex.Hierarchy.Assignment.cost)
+  in
+  Alcotest.(check bool) "exact below local search somewhere" true
+    (List.exists (fun gap -> gap > 1e-9) gaps)
 
 (* Recursive hierarchical partitioning ------------------------------------------ *)
 
@@ -502,12 +507,13 @@ let suite =
     Alcotest.test_case "assignment exact" `Quick test_assignment_exact;
     Alcotest.test_case "assignment methods agree" `Quick
       test_assignment_methods_agree;
-    Alcotest.test_case "assignment b2=3" `Quick test_assignment_b2_3;
-    Alcotest.test_case "recursive matching heuristic" `Quick
-      test_recursive_matching;
+    Alcotest.test_case "assignment exact = brute force" `Quick
+      test_assignment_exact_brute_force;
     Alcotest.test_case "count assignments f(k)" `Quick test_count_assignments;
     Alcotest.test_case "contract parts" `Quick test_contract_parts;
     Alcotest.test_case "two-step on star" `Quick test_two_step_on_star;
+    Alcotest.test_case "two-step exact on a depth-3 tree" `Quick
+      test_two_step_exact_depth3;
     Alcotest.test_case "two-step g1-approximation" `Slow
       test_two_step_g1_approximation;
     Alcotest.test_case "recursive hier partition" `Quick

@@ -590,6 +590,22 @@ let test_serial_concatenation () =
   Alcotest.(check int) "interleaving parallelizes" 4
     (Scheduling.Mu.exact_makespan_fixed dag (P.assignment interleave) ~k:2)
 
+let test_serial_concatenation_certified () =
+  (* Figure 4's split is not only balanced but an optimal bisection, so its
+     zero parallelism costs no communication at all. *)
+  List.iter
+    (fun half ->
+      let dag, split = R.Counterexamples.serial_concatenation ~half in
+      let hg = Hyperdag.hypergraph_of_dag dag in
+      let label = Fmt.str "half = %d" half in
+      Alcotest.(check bool) ("balanced, " ^ label) true
+        (P.is_balanced ~eps:0.0 hg split);
+      Alcotest.(check int) ("split cost, " ^ label) half
+        (P.connectivity_cost hg split);
+      Alcotest.(check (option int)) ("exact optimum, " ^ label) (Some half)
+        (Solvers.Exact.optimum ~eps:0.0 hg ~k:2))
+    [ 3; 5; 8 ]
+
 let test_two_branch () =
   let t = R.Counterexamples.two_branch ~b:6 in
   let hg = Hyperdag.hypergraph_of_dag t.R.Counterexamples.dag in
@@ -824,6 +840,8 @@ let suite =
       test_nine_blocks_direct_certified;
     Alcotest.test_case "Fig 6 two-branch layer-wise optimum certified" `Quick
       test_two_branch_layerwise_certified;
+    Alcotest.test_case "Fig 4 split certified optimal" `Quick
+      test_serial_concatenation_certified;
     Alcotest.test_case "Hendrickson-Kolda example" `Quick
       test_hendrickson_kolda;
   ]

@@ -286,25 +286,46 @@ let test_recursive_one_algorithm () =
 
 let example name = H.Hmetis.load (Repo_file.path ("examples/instances/" ^ name))
 
+let check_recursive_balanced ~eps cases =
+  List.iter
+    (fun (name, k, seed) ->
+      let h = example name in
+      let p = S.Recursive.bisection ~eps (Support.Rng.create seed) h ~k in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, k = %d, seed %d, imbalance %.3f" name k seed
+           (P.imbalance h p))
+        true
+        (P.is_balanced ~eps h p))
+    cases
+
 (* The splits share eps: (1+eps')^L = 1+eps.  With the full eps at every
    split the imbalance compounds: these cases read 0.125 and 0.25
    (small_random, k = 3 and 5) and 0.125, 0.167 and 0.25 (spmv_banded,
    k = 3, 4 and 6) at eps = 0.1. *)
 let test_recursive_eps_shared () =
-  List.iter
-    (fun (name, k) ->
-      let h = example name in
-      let p = S.Recursive.bisection ~eps:0.1 (Support.Rng.create 1) h ~k in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s, k = %d, imbalance %.3f" name k (P.imbalance h p))
-        true
-        (P.is_balanced ~eps:0.1 h p))
+  check_recursive_balanced ~eps:0.1
     [
-      ("small_random.hgr", 3);
-      ("small_random.hgr", 5);
-      ("spmv_banded.hgr", 3);
-      ("spmv_banded.hgr", 4);
-      ("spmv_banded.hgr", 6);
+      ("small_random.hgr", 3, 1);
+      ("small_random.hgr", 5, 1);
+      ("spmv_banded.hgr", 3, 1);
+      ("spmv_banded.hgr", 4, 1);
+      ("spmv_banded.hgr", 6, 1);
+    ]
+
+(* A side carrying s parts is capped at s times the final capacity too.
+   Capped only at its share of (1+eps') W_g, the first split at eps = 0.3,
+   k = 8 may put 13 of 24 nodes on a side of 4 parts of capacity 3, and
+   each of these cases ended with a part of weight 4. *)
+let test_recursive_final_capacity () =
+  check_recursive_balanced ~eps:0.3
+    [
+      ("small_random.hgr", 8, 2);
+      ("small_random.hgr", 8, 3);
+      ("small_random.hgr", 8, 4);
+      ("small_random.hgr", 8, 5);
+      ("spmv_banded.hgr", 8, 1);
+      ("spmv_banded.hgr", 8, 3);
+      ("spmv_banded.hgr", 8, 5);
     ]
 
 (* Under cut-net a side recurses on its induced sub-hypergraph, so an edge
@@ -484,6 +505,8 @@ let suite =
       test_recursive_eps_shared;
     Alcotest.test_case "recursive: cut-net recursion" `Quick
       test_recursive_cutnet;
+    Alcotest.test_case "recursive: sides within the final capacity" `Quick
+      test_recursive_final_capacity;
     Alcotest.test_case "exact = brute force" `Slow test_exact_matches_brute_force;
     Alcotest.test_case "exact cutnet = brute force" `Slow
       test_exact_cutnet_matches_brute_force;
