@@ -73,9 +73,9 @@ let algorithm_arg =
 
 let threads_arg =
   let doc =
-    "Domains that FM-refine the multilevel solver's coarsest-level \
-     portfolio (0 or 1 = none spawned).  Every N writes the same \
-     partition as the default."
+    "Workers that FM-refine the multilevel solver's 13 coarsest-level \
+     portfolio candidates: the solve spawns min(N, 13) - 1 domains (0 or \
+     1 = none).  Every N writes the same partition as the default."
   in
   Arg.(value & opt int 0 & info [ "threads" ] ~docv:"N" ~doc)
 
@@ -202,7 +202,7 @@ let run_hierarchical trace stats path eps seed branching costs =
           1
       | topo -> (
           let k = Hierarchy.Topology.num_leaves topo in
-          (* ε and k get [partition]'s check and messages. *)
+          (* ε and k get [partition]'s checks and messages. *)
           let config =
             {
               Engine.Spec.k;
@@ -212,8 +212,11 @@ let run_hierarchical trace stats path eps seed branching costs =
             }
           in
           match
-            Engine.Spec.validate
-              { instance = Hmetis_file path; config; seed; timeout_s = None }
+            Result.bind
+              (Engine.Spec.validate
+                 { instance = Hmetis_file path; config; seed; timeout_s = None })
+              (fun () ->
+                Engine.Spec.validate_k ~n:(Hypergraph.num_nodes hg) k)
           with
           | Error msg ->
               Printf.eprintf "error: %s\n" msg;

@@ -48,9 +48,10 @@ type config = {
   silence_worker_stdout : bool;
   handle_sigint : bool;
   solver_threads : int;
-      (* domains per worker's multilevel solve, stamped on record timing;
-         0 = none spawned.  The pool itself never creates domains — a
-         forked worker spawns (and joins) its own inside the solve. *)
+      (* Multilevel.config.threads of every worker's solve, stamped on
+         record timing; 0 = none spawned.  The pool itself never creates
+         domains — a forked worker's portfolio map spawns and joins its
+         own. *)
 }
 
 let default_config =

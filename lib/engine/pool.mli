@@ -36,9 +36,9 @@ type config = {
       (** {!Solvers.Multilevel.config.threads} for every multilevel job a
           worker runs, stamped on record timing as provenance; [0] = no
           spawned domains.  It never changes a result.  The pool never
-          creates domains itself — a forked worker spawns and joins its
-          own strictly inside the solve, so domains never cross the fork
-          boundary. *)
+          creates domains itself — a forked worker's solve spawns them
+          for one [Parallel.map] over the portfolio and joins them before
+          that call returns, so domains never cross the fork boundary. *)
 }
 
 val default_config : config

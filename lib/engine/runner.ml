@@ -90,6 +90,7 @@ let generate_dag ~seed:_ (kind : Spec.gen_kind) n =
 
 let solve (config : Spec.config) ~threads ~seed hg =
   let { Spec.k; eps; algorithm; metric } = config in
+  Result.bind (Spec.validate_k ~n:(Hypergraph.num_nodes hg) k) @@ fun () ->
   let rng = Support.Rng.create seed in
   match algorithm with
   | Spec.Multilevel ->

@@ -35,5 +35,6 @@ val solve :
   (Partition.t, string) result
 (** The solver dispatch behind every partition job and the [partition]
     verb: run [config]'s algorithm with a fresh rng from [seed].  An
-    [Error] when the exact solver is given more than 24 nodes or no
-    ε-balanced partition exists. *)
+    [Error] when k exceeds the node count ({!Spec.validate_k}), the exact
+    solver is given more than 24 nodes, or no ε-balanced partition
+    exists. *)

@@ -124,6 +124,13 @@ let validate job =
             Error (Printf.sprintf "timeout_s must be > 0 (got %g)" t)
         | _ -> Ok ())
 
+(* At most one part per node, and one part for the empty hypergraph:
+   checked once the instance, and so n, is known. *)
+let validate_k ~n k =
+  let bound = max 1 n in
+  if k > bound then Error (Printf.sprintf "k must be <= %d (got %d)" bound k)
+  else Ok ()
+
 (* ---- canonical serialization ------------------------------------------- *)
 
 (* Floats are rendered with %.17g so the canonical form round-trips the

@@ -65,6 +65,10 @@ val validate : job -> (unit, string) result
 (** Shape checks: positive k, non-negative eps, positive generated size,
     positive timeout. *)
 
+val validate_k : n:int -> int -> (unit, string) result
+(** [validate_k ~n k]: k is at most [max 1 n] for an instance of [n]
+    nodes, in {!validate}'s style ("k must be <= 24 (got 25)"). *)
+
 (** {1 Fingerprinting} *)
 
 val canonical : schema:string -> job -> (string, string) result

@@ -44,20 +44,7 @@ let run () =
       (fun unit_size ->
         let t = Reductions.Counterexamples.nine_blocks_hyperdag ~unit_size in
         let hg = t.Reductions.Counterexamples.hypergraph in
-        let colors = Array.make (Hypergraph.num_nodes hg) 3 in
-        let paint blk color =
-          Array.iter
-            (fun v -> colors.(v) <- color)
-            blk.Reductions.Counterexamples.first;
-          Array.iter
-            (fun v -> colors.(v) <- color)
-            blk.Reductions.Counterexamples.second
-        in
-        Array.iteri (fun i blk -> paint blk i) t.Reductions.Counterexamples.large;
-        Array.iteri
-          (fun i blk -> if i < 3 then paint blk i)
-          t.Reductions.Counterexamples.small;
-        let part = Partition.create ~k:4 colors in
+        let part = Reductions.Counterexamples.nine_blocks_hyperdag_direct t in
         [
           Table.Int (Hypergraph.num_nodes hg);
           Table.Bool (Hyperdag.is_hyperdag hg);

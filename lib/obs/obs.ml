@@ -370,7 +370,7 @@ let init_from_env () =
 (* Worker domains see an inert library: the registries, the span stack
    and the sink list are plain single-domain state, so every entry point
    guards on [enabled ()] and [enabled ()] itself answers [false] off
-   the main domain.  The multilevel portfolio's pool tasks rely on this
+   the main domain.  The multilevel portfolio's map tasks rely on this
    — they run instrumented code (Refine) verbatim, and all their
    emissions off the main domain vanish instead of racing; measurements
    that must survive travel through Solvers.Fm_stats accumulators and

@@ -284,6 +284,18 @@ let nine_blocks_hyperdag ~unit_size =
   done;
   { hypergraph = Hypergraph.Builder.build b; large; small; unit_size }
 
+(* [nine_blocks_direct] on the two-level blocks: part i < 3 = large i +
+   small i; part 3 = small 3, 4, 5. *)
+let nine_blocks_hyperdag_direct (t : nine_blocks_hyperdag) =
+  let colors = Array.make (Hypergraph.num_nodes t.hypergraph) 3 in
+  let paint color blk =
+    Array.iter (fun v -> colors.(v) <- color) blk.first;
+    Array.iter (fun v -> colors.(v) <- color) blk.second
+  in
+  Array.iteri paint t.large;
+  Array.iteri (fun i blk -> if i < 3 then paint i blk) t.small;
+  Partition.create ~k:4 colors
+
 (* Appendix B: the Hendrickson-Kolda hypergraph of a DAG puts both the
    predecessors and the successors of u into u's hyperedge, which can
    overestimate real traffic by a Theta(m) factor on a (k-1)-source,

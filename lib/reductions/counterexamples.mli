@@ -81,6 +81,10 @@ val nine_blocks_hyperdag : unit_size:int -> nine_blocks_hyperdag
 (** The Lemma 7.2 construction as a hyperDAG, with the Appendix I.1 group
     sizes (n = 72·unit_size). *)
 
+val nine_blocks_hyperdag_direct : nine_blocks_hyperdag -> Partition.t
+(** {!nine_blocks_direct} on the two-level blocks: balanced at ε = 0,
+    cost 5. *)
+
 val hk_hypergraph : Hyperdag.Dag.t -> Hypergraph.t
 (** The Hendrickson–Kolda model: u's hyperedge = {u} ∪ preds ∪ succs. *)
 

@@ -1,14 +1,14 @@
 (** Per-domain accumulator for the [fm.*] observability series.
 
     The Obs registries are main-domain-only (worker domains see
-    {!Obs.enabled} = [false]), so refinement running on a pool worker
+    {!Obs.enabled} = [false]), so refinement running on a worker domain
     would silently drop its counters.  Instead {!Refine.refine} makes
     every [fm.*] counter and histogram emission into an accumulator:
     its own, committed before it returns, or the caller's [?stats].
     {!Multilevel.partition} gives each coarsest-level portfolio task its
     own accumulator, whichever worker runs it (the caller included), and
     commits them to the real registries on the main domain, in
-    task-index order at the join barrier ({!commit}) — the same
+    task-index order after the join ({!commit}) — the same
     batch-then-absorb shape the engine uses for worker-process trace
     shards.  Totals are therefore independent of the thread count and
     free of double-counts: each emission lands in exactly one

@@ -9,7 +9,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type config = {
   eps : float;
   metric : Partition.metric;
-  threads : int; (* pool size for the portfolio's FM; never changes results *)
+  threads : int; (* workers for the portfolio's FM; never changes results *)
 }
 
 let default_config =
@@ -19,6 +19,7 @@ let default_config =
    plus one round-robin start. *)
 let random_starts = 8
 let bfs_starts = 4
+let portfolio_size = random_starts + bfs_starts + 1
 
 (* Coarsening stops below this many nodes (or 4k, if larger). *)
 let stop_nodes = 60
@@ -28,13 +29,14 @@ let refine_config (c : config) : Refine.config =
 
 (* Portfolio at the coarsest level: several random-balanced and BFS-growth
    starts, each FM-refined; keep the best, preferring feasible ones.  The
-   candidates are drawn on the caller, in a fixed order, before the pool
-   sees any of them; only their FM refinement and feasibility score run as
-   pool tasks, each on its worker's workspace with a private [Fm_stats]
-   accumulator committed at the join.  FM draws no randomness and the
-   winner is reduced in task-index order (ties keep the earlier
-   candidate), so the result does not depend on the pool size. *)
-let initial_partition cfg pool wss rng hg ~k =
+   candidates are drawn on the caller, in a fixed order, before any worker
+   sees them; only their FM refinement and feasibility score run as
+   [Parallel.map] tasks, each on its worker's workspace with a private
+   [Fm_stats] accumulator committed after the join.  FM draws no
+   randomness and the winner is reduced in task-index order (ties keep
+   the earlier candidate), so the result does not depend on the worker
+   count. *)
+let initial_partition cfg wss rng hg ~k =
   Obs.Span.with_ "multilevel.initial"
     ~attrs:
       [
@@ -71,7 +73,8 @@ let initial_partition cfg pool wss rng hg ~k =
             | Some (bs, _) when bs <= s -> acc
             | _ -> Some (s, p))
           None
-          (Parallel.map pool ~n:(Array.length candidates) score)
+          (Parallel.map ~threads:cfg.threads ~n:(Array.length candidates)
+             score)
       in
       match best with
       | Some ((infeasible, cost), p) ->
@@ -102,11 +105,9 @@ let uncoarsen config ws hg levels (part, cost) =
 
 (* The solve behind [partition] and [partition_with_cost]: the partition
    and the cost the last refinement returned for it — the finest level's,
-   or the portfolio winner's when nothing was contracted.  The pool is
-   created and shut down inside one solve, so it never lives across the
-   engine's fork-based worker pool.  Everything but the portfolio's FM
-   runs on the caller, which is why every [threads] value returns the same
-   partition. *)
+   or the portfolio winner's when nothing was contracted.  Everything but
+   the portfolio's FM runs on the caller, which is why every [threads]
+   value returns the same partition. *)
 let solve config rng hg ~k =
   if k < 1 then invalid_arg "Multilevel.partition: k must be >= 1";
   if Hypergraph.num_nodes hg = 0 then (Partition.create ~k [||], 0)
@@ -120,12 +121,13 @@ let solve config rng hg ~k =
         ]
       (fun () ->
         Obs.Histogram.observe_int h_instance_nodes (Hypergraph.num_nodes hg);
-        Parallel.run ~threads:config.threads @@ fun pool ->
-        (* One workspace per worker.  Worker 0 is the caller, so [ws]
-           serves every clustering level and uncoarsening refinement, as
-           well as the portfolio tasks the caller claims. *)
+        (* One workspace per portfolio worker.  Worker 0 is the caller,
+           so [ws] serves every clustering level and uncoarsening
+           refinement, as well as the portfolio tasks the caller claims. *)
         let wss =
-          Array.init (Parallel.threads pool) (fun _ -> Workspace.create ())
+          Array.init
+            (max 1 (min config.threads portfolio_size))
+            (fun _ -> Workspace.create ())
         in
         let ws = wss.(0) in
         let coarsest, levels =
@@ -139,7 +141,7 @@ let solve config rng hg ~k =
               (List.length levels));
         let part, cost =
           uncoarsen config ws hg levels
-            (initial_partition config pool wss rng coarsest ~k)
+            (initial_partition config wss rng coarsest ~k)
         in
         (Audit_gate.checked hg part, cost))
 

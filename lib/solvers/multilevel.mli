@@ -5,11 +5,13 @@ type config = {
   eps : float;
   metric : Partition.metric;
   threads : int;
-      (** Size of the domain pool that FM-refines the coarsest-level
-          portfolio, created and shut down inside the solve; [0] and [1]
-          run everything on the caller.  Coarsening, candidate generation
-          and uncoarsening always run on the caller, and FM draws no
-          randomness, so every value returns the same partition. *)
+      (** Workers that FM-refine the 13 coarsest-level portfolio
+          candidates: one {!Parallel.map} spawns [min threads 13 - 1]
+          domains and joins them before the portfolio returns; [0] and
+          [1] run everything on the caller.  Coarsening, candidate
+          generation and uncoarsening always run on the caller, and FM
+          draws no randomness, so every value returns the same
+          partition. *)
 }
 (** Balance is always {!Partition.Strict}.  The rest of the solver is
     fixed: coarsening stops at 60 nodes (or 4k, if larger), the coarsest

@@ -117,8 +117,8 @@ type ctx = {
   mutable n_misses : int;
   mutable n_patches : int;
   (* The call's fm.* emissions, committed to the Obs registries on the
-     main domain: by [refine] itself, or by the multilevel portfolio at
-     its join barrier for pool tasks (Obs is inert on worker domains). *)
+     main domain: by [refine] itself, or by the multilevel portfolio
+     after its [Parallel.map] joins (Obs is inert on worker domains). *)
   stats : Fm_stats.t;
 }
 
@@ -688,7 +688,7 @@ let rebalance ctx queue =
    gain rows and the bucket queue across passes and levels; results are
    identical with or without one.  The call's fm.* emissions go to a
    [stats] accumulator: the caller's, which the caller commits on the
-   main domain — how refinement on a pool worker domain (where Obs is
+   main domain — how refinement on a worker domain (where Obs is
    inert) keeps its counters — or else a private one committed here. *)
 let refine ?(config = default_config) ?workspace ?stats hg part =
   Obs.Span.with_ "refine"

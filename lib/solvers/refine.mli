@@ -25,10 +25,10 @@ val refine :
     Every [fm.*] counter / histogram emission of the call goes to an
     {!Fm_stats} accumulator.  Without [?stats] the call commits a private
     one to the Obs registries before returning.  With [?stats] the
-    caller commits it — the contract for calls running as pool tasks,
-    which may land on worker domains where Obs is inert;
-    {!Multilevel.partition}'s portfolio commits accumulators in
-    task-index order at its join barrier so totals are
+    caller commits it — the contract for calls running as
+    [Parallel.map] tasks, which may land on worker domains where Obs is
+    inert; {!Multilevel.partition}'s portfolio commits accumulators in
+    task-index order after the join so totals are
     thread-count-independent.
 
     The pass is boundary-driven: only nodes incident to cut edges enter

@@ -223,6 +223,51 @@ let test_partition_k_zero () =
     [ "partition"; small_random (); "-k"; "0" ]
     "k must be >= 1 (got 0)" ()
 
+(* small_random has 24 nodes.  A k above that exits at once, however
+   large: before the bound, 10^8 parts ran BFS growth until memory ran
+   out. *)
+let test_partition_k_above_n () =
+  rejects_argument
+    [ "partition"; small_random (); "-k"; "25" ]
+    "k must be <= 24 (got 25)" ();
+  let start = Unix.gettimeofday () in
+  rejects_argument
+    [ "partition"; small_random (); "-k"; "100000000" ]
+    "k must be <= 24 (got 100000000)" ();
+  Alcotest.(check bool) "rejected in under a second" true
+    (Unix.gettimeofday () -. start < 1.0)
+
+let test_partition_k_at_n () =
+  let code, out, _ = run_cli [ "partition"; small_random (); "-k"; "24" ] in
+  Alcotest.(check int) "exit code" 0 code;
+  Alcotest.(check bool) "24 parts" true
+    (String.starts_with ~prefix:"k            : 24\n" out)
+
+let test_hierarchical_k_above_n () =
+  rejects_argument
+    [ "hierarchical"; small_random (); "--branching"; "5,5"; "--costs"; "2,1" ]
+    "k must be <= 24 (got 25)" ()
+
+(* One domain per portfolio candidate at most, so a thread count above the
+   runtime's domain limit (128) spawns 12 domains and writes the
+   default's partition. *)
+let test_partition_threads_200 () =
+  let write threads =
+    let out = Filename.temp_file "parts" ".txt" in
+    let code, _, err =
+      run_cli
+        ([ "partition"; small_random (); "-k"; "4"; "--eps"; "0.1"; "-o"; out ]
+        @ threads)
+    in
+    Alcotest.(check (pair int string)) "exit code and stderr" (0, "")
+      (code, err);
+    let parts = In_channel.with_open_text out In_channel.input_all in
+    Sys.remove out;
+    parts
+  in
+  Alcotest.(check string) "the default's parts" (write [])
+    (write [ "--threads"; "200" ])
+
 let test_partition_negative_eps () =
   rejects_argument
     [ "partition"; small_random (); "--eps=-0.5" ]
@@ -288,6 +333,13 @@ let suite =
     Alcotest.test_case "reduction rejects k >= 3 without fillers" `Quick
       test_reduction_no_filler;
     Alcotest.test_case "partition rejects k = 0" `Quick test_partition_k_zero;
+    Alcotest.test_case "partition rejects k > n" `Quick
+      test_partition_k_above_n;
+    Alcotest.test_case "partition at k = n" `Quick test_partition_k_at_n;
+    Alcotest.test_case "hierarchical rejects k > n" `Quick
+      test_hierarchical_k_above_n;
+    Alcotest.test_case "partition --threads 200" `Quick
+      test_partition_threads_200;
     Alcotest.test_case "partition rejects eps = -0.5" `Quick
       test_partition_negative_eps;
     Alcotest.test_case "partition rejects eps = nan" `Quick

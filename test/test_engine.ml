@@ -850,6 +850,17 @@ let test_batch_cache_second_pass () =
           (E.Record.deterministic_string b.E.Batch.record))
     first.E.Batch.outcomes second.E.Batch.outcomes
 
+(* k is bounded by the instance's node count once the worker has built
+   the instance, so a generated job asking for more parts than nodes
+   fails with the message instead of solving. *)
+let test_batch_k_above_n () =
+  let report = run_batch ~jobs:1 ~cache_dir:None [ gen_job ~k:31 ~n:30 () ] in
+  match report.E.Batch.outcomes with
+  | [ { E.Batch.record; _ } ] ->
+      Alcotest.(check bool) "Failed with the message" true
+        (record.E.Record.status = E.Record.Failed "k must be <= 30 (got 31)")
+  | _ -> Alcotest.fail "one outcome expected"
+
 (* The batch/1 reader accepts what the writer produces — fresh, cached,
    crashed and unrunnable results, timed or deterministic — and rejects
    a result that is no record or stats that disagree with the results. *)
@@ -1016,6 +1027,7 @@ let suite =
       test_pool_reaps_after_eof;
     Alcotest.test_case "batch cache second pass" `Quick
       test_batch_cache_second_pass;
+    Alcotest.test_case "batch: k above n fails" `Quick test_batch_k_above_n;
     Alcotest.test_case "batch report check" `Quick test_batch_check_report;
     Alcotest.test_case "trace structure across parallelism" `Quick
       test_trace_structure_across_parallelism;

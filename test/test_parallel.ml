@@ -1,64 +1,63 @@
-(* lib/parallel and the multilevel solver's domain pool: pool fork-join
-   semantics (index-slot gather, exception selection), the contract that
-   every [threads] value returns the default config's result — identical
-   assignments, costs, byte-identical engine records — and
-   threads-independence of the fm.* observability totals (per-task
-   accumulators must neither lose nor double-count). *)
+(* lib/parallel and the multilevel solver's portfolio workers: map's
+   fork-join semantics (index-slot gather, worker ids, exception
+   selection), the contract that every [threads] value returns the
+   default config's result — identical assignments, costs, byte-identical
+   engine records — and threads-independence of the fm.* observability
+   totals (per-task accumulators must neither lose nor double-count). *)
 
 module E = Engine
 module H = Hypergraph
 module P = Partition
 
-(* Pool sizes exercised against the default config (threads = 0, no
+(* Thread counts exercised against the default config (threads = 0, no
    spawned domain).  The host may have a single core; correctness and
    determinism must not care. *)
 let thread_counts = [ 1; 2; 4 ]
 
-(* ---- pool ---------------------------------------------------------------- *)
+(* ---- map ----------------------------------------------------------------- *)
 
 let test_map_basic () =
-  Parallel.run ~threads:3 (fun pool ->
-      Alcotest.(check int) "threads" 3 (Parallel.threads pool);
-      let r = Parallel.map pool ~n:100 (fun ~worker:_ i -> i * i) in
-      Alcotest.(check int) "length" 100 (Array.length r);
-      Array.iteri
-        (fun i v -> Alcotest.(check int) "slot i holds f i" (i * i) v)
-        r;
-      Alcotest.(check int) "empty map" 0
-        (Array.length (Parallel.map pool ~n:0 (fun ~worker:_ i -> i))))
+  let r = Parallel.map ~threads:3 ~n:100 (fun ~worker:_ i -> i * i) in
+  Alcotest.(check int) "length" 100 (Array.length r);
+  Array.iteri (fun i v -> Alcotest.(check int) "slot i holds f i" (i * i) v) r;
+  Alcotest.(check int) "empty map" 0
+    (Array.length (Parallel.map ~threads:3 ~n:0 (fun ~worker:_ i -> i)))
 
 let test_map_worker_ids () =
-  Parallel.run ~threads:4 (fun pool ->
-      (* Which worker runs which task is schedule-dependent — only the
-         id range is a contract. *)
-      let workers = Parallel.map pool ~n:64 (fun ~worker _ -> worker) in
+  (* Which worker runs which task is schedule-dependent — only the id
+     range is a contract: one worker per task at most, so a thread count
+     far above the task count spawns no more than n - 1 domains. *)
+  List.iter
+    (fun (threads, n) ->
+      let r = Parallel.map ~threads ~n (fun ~worker i -> (i * i, worker)) in
+      Alcotest.(check (array int))
+        (Printf.sprintf "threads=%d, n=%d: the sequential result" threads n)
+        (Array.init n (fun i -> i * i))
+        (Array.map fst r);
       Array.iter
-        (fun w ->
-          Alcotest.(check bool) "worker id in range" true (w >= 0 && w < 4))
-        workers)
+        (fun (_, w) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "threads=%d, n=%d: worker id in range" threads n)
+            true
+            (w >= 0 && w < min threads n))
+        r)
+    [ (4, 64); (1000, 3) ]
 
 exception Task_failed of int
 
 let test_map_exception_selection () =
-  Parallel.run ~threads:3 (fun pool ->
-      (match
-         Parallel.map pool ~n:40 (fun ~worker:_ i ->
-             if i mod 7 = 3 then raise (Task_failed i) else i)
-       with
+  List.iter
+    (fun threads ->
+      match
+        Parallel.map ~threads ~n:40 (fun ~worker:_ i ->
+            if i mod 7 = 3 then raise (Task_failed i) else i)
+      with
       | _ -> Alcotest.fail "expected an exception"
       | exception Task_failed i ->
-          Alcotest.(check int) "smallest failing index wins" 3 i);
-      (* The pool survives a failed scatter. *)
-      let r = Parallel.map pool ~n:10 (fun ~worker:_ i -> i + 1) in
-      Alcotest.(check int) "pool reusable after failure" 10 r.(9))
-
-let test_run_bracket () =
-  (* [run] shuts the pool down even when the body raises. *)
-  (match Parallel.run ~threads:2 (fun _ -> raise Exit) with
-  | () -> Alcotest.fail "expected Exit"
-  | exception Exit -> ());
-  Alcotest.(check int) "run returns the body's value" 42
-    (Parallel.run ~threads:2 (fun _ -> 42))
+          Alcotest.(check int)
+            (Printf.sprintf "threads=%d: smallest failing index wins" threads)
+            3 i)
+    [ 1; 3 ]
 
 (* ---- every thread count returns the default's result -------------------- *)
 
@@ -269,7 +268,6 @@ let suite =
     Alcotest.test_case "pool: worker ids" `Quick test_map_worker_ids;
     Alcotest.test_case "pool: smallest-index exception" `Quick
       test_map_exception_selection;
-    Alcotest.test_case "pool: run bracket" `Quick test_run_bracket;
     Alcotest.test_case "corpus: threads-1-vs-N identical" `Slow
       test_corpus_threads_independent;
     QCheck_alcotest.to_alcotest prop_threads_independent;

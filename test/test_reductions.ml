@@ -556,16 +556,7 @@ let test_nine_blocks_hyperdag () =
   Alcotest.(check bool) "construction is a hyperDAG (App I.1)" true
     (Hyperdag.is_hyperdag hg);
   (* The direct 4-way pairing still works: large_i + small_i in part i. *)
-  let colors = Array.make 144 3 in
-  let paint block color =
-    Array.iter (fun v -> colors.(v) <- color) block.R.Counterexamples.first;
-    Array.iter (fun v -> colors.(v) <- color) block.R.Counterexamples.second
-  in
-  Array.iteri (fun i blk -> paint blk i) t.R.Counterexamples.large;
-  Array.iteri
-    (fun i blk -> if i < 3 then paint blk i)
-    t.R.Counterexamples.small;
-  let part = P.create ~k:4 colors in
+  let part = R.Counterexamples.nine_blocks_hyperdag_direct t in
   Alcotest.(check bool) "direct pairing balanced" true
     (P.is_balanced ~eps:0.0 hg part);
   Alcotest.(check bool) "direct pairing cheap" true
@@ -716,21 +707,32 @@ let test_star_hier_optimum_certified () =
     ]
 
 let test_nine_blocks_direct_certified () =
-  (* E7's direct partition is optimal at E7's sizes n = 36, 144 and 576: it
-     is balanced at eps = 0 and costs 5, and no 4-way partition costs 4. *)
+  (* E7's direct partition is optimal at E7's sizes n = 36, 144 and 576, and
+     E15b's hyperDAG one at n = 288 and 576: each is balanced at eps = 0
+     and costs 5, and no 4-way partition costs 4.  (E15b's n = 144
+     certifies too, but its search takes about 40 s.) *)
   List.iter
-    (fun unit_size ->
-      let t = R.Counterexamples.nine_blocks ~unit_size in
-      let hg = t.R.Counterexamples.hypergraph in
-      let direct = R.Counterexamples.nine_blocks_direct t in
-      let label = Fmt.str "unit_size = %d" unit_size in
+    (fun (label, hg, direct) ->
       Alcotest.(check bool) ("direct balanced, " ^ label) true
         (P.is_balanced ~eps:0.0 hg direct);
       Alcotest.(check int) ("direct cost, " ^ label) 5
         (P.connectivity_cost hg direct);
       Alcotest.(check bool) ("nothing below 5, " ^ label) true
         (Option.is_none (Solvers.Exact.solve ~eps:0.0 ~upper_bound:4 hg ~k:4)))
-    [ 3; 12; 48 ]
+    (List.map
+       (fun unit_size ->
+         let t = R.Counterexamples.nine_blocks ~unit_size in
+         ( Fmt.str "unit_size = %d" unit_size,
+           t.R.Counterexamples.hypergraph,
+           R.Counterexamples.nine_blocks_direct t ))
+       [ 3; 12; 48 ]
+    @ List.map
+        (fun unit_size ->
+          let t = R.Counterexamples.nine_blocks_hyperdag ~unit_size in
+          ( Fmt.str "hyperDAG, unit_size = %d" unit_size,
+            t.R.Counterexamples.hypergraph,
+            R.Counterexamples.nine_blocks_hyperdag_direct t ))
+        [ 4; 8 ])
 
 let test_two_branch_layerwise_certified () =
   (* Fig 6 under the layer-wise caps alone (global eps = 1 binds nothing

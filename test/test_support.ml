@@ -1,5 +1,5 @@
-(* Tests for the support library: RNG, bitsets, DSU, bucket queues,
-   growable vectors, and the combinatorial iterators. *)
+(* Tests for the support library: RNG, DSU, bucket queues, growable
+   vectors, and the combinatorial iterators. *)
 
 open Support
 
@@ -148,26 +148,6 @@ let test_bucket_queue_random_vs_reference () =
   Alcotest.(check int) "sizes agree" (Hashtbl.length reference)
     (Bucket_queue.size q)
 
-let test_bitset () =
-  let s = Bitset.create 100 in
-  Alcotest.(check int) "empty cardinal" 0 (Bitset.cardinal s);
-  Bitset.add s 0;
-  Bitset.add s 63;
-  Bitset.add s 99;
-  Alcotest.(check bool) "mem" true (Bitset.mem s 63);
-  Alcotest.(check bool) "not mem" false (Bitset.mem s 64);
-  Alcotest.(check int) "cardinal" 3 (Bitset.cardinal s);
-  Alcotest.(check (list int)) "to_list" [ 0; 63; 99 ] (Bitset.to_list s);
-  Bitset.remove s 63;
-  Alcotest.(check bool) "removed" false (Bitset.mem s 63);
-  let t = Bitset.create 100 in
-  Bitset.add t 50;
-  Alcotest.(check bool) "disjoint" false (Bitset.intersects s t);
-  Bitset.add t 99;
-  Alcotest.(check bool) "intersects" true (Bitset.intersects s t);
-  Bitset.clear s;
-  Alcotest.(check int) "cleared" 0 (Bitset.cardinal s)
-
 let test_util_basics () =
   Alcotest.(check int) "ceil_div exact" 4 (Util.ceil_div 12 3);
   Alcotest.(check int) "ceil_div up" 5 (Util.ceil_div 13 3);
@@ -222,7 +202,6 @@ let suite =
       test_bucket_queue_clear;
     Alcotest.test_case "bucket queue vs reference" `Quick
       test_bucket_queue_random_vs_reference;
-    Alcotest.test_case "bitset" `Quick test_bitset;
     Alcotest.test_case "util basics" `Quick test_util_basics;
     Alcotest.test_case "iter_subsets" `Quick test_iter_subsets;
     Alcotest.test_case "iter_tuples" `Quick test_iter_tuples;
