@@ -566,39 +566,36 @@ let run_trace_validate path =
     in
     (* Dispatch on the first line's schema tag: a batch report is a
        single JSON object, a trace is JSONL. *)
-    let schema_of l =
-      Option.bind
-        (Result.to_option (Obs.Json.parse l))
-        (fun d -> Option.bind (Obs.Json.member "schema" d) Obs.Json.get_str)
-    in
     match lines with
     | [] -> Error "empty file"
     | first :: _ -> (
-        match schema_of first with
-        | Some s when s = Engine.Batch.schema_version ->
+        let* head = Obs.Json.parse first in
+        match Obs.Json.schema ~expected:Engine.Batch.schema_version head with
+        | Ok () ->
             let* doc = Obs.Json.parse (String.trim content) in
             let* outcomes = Engine.Batch.check_report doc in
             Printf.printf
-              "valid batch report (schema %s): %d results, %d from cache\n" s
-              (List.length outcomes)
+              "valid batch report (schema %s): %d results, %d from cache\n"
+              Engine.Batch.schema_version (List.length outcomes)
               (List.length
                  (List.filter (fun o -> o.Engine.Batch.cached) outcomes));
             Ok ()
-        | Some s when s = Obs.trace_schema_version ->
+        | Error _ ->
+            let* () =
+              Obs.Json.schema ~expected:Obs.trace_schema_version head
+            in
             let* data = Obs.Report.load_string content in
             let n = List.length in
             Printf.printf
               "valid trace (schema %s): %d spans (%d roots), %d counters, %d \
                gauges, %d histograms\n"
-              s (n data.Obs.Report.spans)
+              Obs.trace_schema_version (n data.Obs.Report.spans)
               (n
                  (List.filter
                     (fun sp -> Option.is_none sp.Obs.Schema.parent)
                     data.spans))
               (n data.counters) (n data.gauges) (n data.histograms);
-            Ok ()
-        | Some other -> Error (Printf.sprintf "unknown schema %S" other)
-        | None -> Error "first line has no schema tag")
+            Ok ())
   in
   match result with
   | Ok () -> 0

@@ -27,12 +27,16 @@ let rules =
   ]
 
 (* Definition 3.1 capacity, restated here rather than calling
-   Part.capacity. *)
+   Part.capacity.  No part can outweigh W, so a bound of W or more is W:
+   the clamp also keeps an infinite or huge eps out of [int_of_float],
+   which is unspecified beyond the int range. *)
 let def31_capacity ~variant ~eps ~total_weight ~k =
   let exact = (1.0 +. eps) *. float_of_int total_weight /. float_of_int k in
-  match (variant : Partition.balance) with
-  | Strict -> int_of_float (floor (exact +. 1e-9))
-  | Relaxed -> int_of_float (ceil (exact -. 1e-9))
+  if exact >= float_of_int total_weight then total_weight
+  else
+    match (variant : Partition.balance) with
+    | Strict -> int_of_float (floor (exact +. 1e-9))
+    | Relaxed -> int_of_float (ceil (exact -. 1e-9))
 
 (* Cut-net and connectivity costs from one lambda_e per edge, counted by
    sorting a copy of the edge's pin colors: no scratch marks, no stamps.

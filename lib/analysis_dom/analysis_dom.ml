@@ -1,6 +1,5 @@
 (* Root module of the domain-safety analyzer: pure re-exports. *)
 
-module Ir = Ir
 module Front_typed = Front_typed
 module Callgraph = Callgraph
 module Effects = Effects

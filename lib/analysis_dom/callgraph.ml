@@ -9,7 +9,7 @@
    sharing a dotted name with a hot one) errs toward flagging, which is
    the right direction for a safety gate. *)
 
-module I = Ir
+module I = Front_typed
 
 type t = {
   reachable : (string, unit) Hashtbl.t;  (* "Module.func" *)

@@ -12,20 +12,20 @@ val default_entries : (string * string) list
     [("Coarsen", "*")], [("Kl_swap", "*")], [("Runner", "*")] — ["*"]
     meaning every toplevel function of the module. *)
 
-val compute : ?entries:(string * string) list -> Ir.unit_ir list -> t
+val compute : ?entries:(string * string) list -> Front_typed.unit_ir list -> t
 
 val is_reachable : t -> module_:string -> func:string -> bool
 
 val is_reachable_key : t -> string -> bool
 (** Same check on an already-qualified ["Module.func"] key. *)
 
-val global_is_hot : t -> Ir.global -> bool
+val global_is_hot : t -> Front_typed.global -> bool
 
 val entry_keys : t -> string list
 (** The resolved entry-point functions (["Module.func"] keys that
     actually exist among the lowered units), sorted. *)
 
-val find_func : t -> string -> Ir.func option
+val find_func : t -> string -> Front_typed.func option
 (** The lowered function behind a key, reachable or not. *)
 
 val candidates : t -> caller_module:string -> string -> string list

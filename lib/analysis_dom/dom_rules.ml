@@ -1,12 +1,12 @@
 (* The domain-safety rule set, DOM00..DOM11 (DOM10 is retired, not
    reused): the contract the multicore solver rests on.  Rules are
-   evaluated over the typed front's {!Ir.unit_ir}s plus the hot-path
+   evaluated over the typed front's {!Front_typed.unit_ir}s plus the hot-path
    reachability from
    {!Callgraph}; findings reuse hyplint's {!Lint.Rules.finding} record so
    the same suppression machinery (inline markers, [lint.config]) and
    reporting vocabulary apply unchanged. *)
 
-module I = Ir
+module I = Front_typed
 
 let catalogue =
   [

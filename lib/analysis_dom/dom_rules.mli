@@ -12,7 +12,7 @@ val catalogue : (string * string) list
 (** [rule id, one-line rationale], [DOM00]..[DOM11] without [DOM10]. *)
 
 val evaluate :
-  cg:Callgraph.t -> effects:Effects.t -> Ir.unit_ir list ->
+  cg:Callgraph.t -> effects:Effects.t -> Front_typed.unit_ir list ->
   Lint.Rules.finding list
 (** All DOM01..DOM09 findings over the given units, sorted by
     [file, line, col, rule]. *)

@@ -94,7 +94,7 @@ let analyze ~entries ~build_dir ~root sources =
   let typed = List.filter_map (Hashtbl.find_opt covered) mls in
   let known = Front_typed.harvest typed in
   let units =
-    List.sort Ir.compare_units
+    List.sort Front_typed.compare_units
       (List.map
          (fun tu ->
            Front_typed.extract ~known

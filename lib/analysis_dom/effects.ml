@@ -14,7 +14,7 @@
    sorted, chains break ties by (depth, key) — because the certificate
    must be byte-identical across runs for the CI freshness gate. *)
 
-module I = Ir
+module I = Front_typed
 module J = Obs.Json
 
 let schema_version = "hypartition-effects/2"
@@ -443,27 +443,24 @@ let certificate t =
 (* ---- stale-certificate comparison (DOM11) -------------------------------- *)
 
 (* The committed certificate's entries: function -> (classification,
-   writes); [None] when the document has no entry_points array. *)
+   writes), or what is wrong with the document. *)
 let certified doc =
-  let strs j =
-    match j with
-    | Some (J.Arr xs) -> Some (List.filter_map J.get_str xs)
-    | _ -> None
+  let ( let* ) = Result.bind in
+  let entry e =
+    let* key = J.field "function" J.get_str e in
+    let* cls = J.field "classification" J.get_str e in
+    let* writes = J.field "writes" (J.get_arr J.get_str) e in
+    Ok (key, (cls, writes))
   in
-  match J.member "entry_points" doc with
-  | Some (J.Arr entries) ->
-      Some
-        (List.filter_map
-           (fun e ->
-             match
-               ( Option.bind (J.member "function" e) J.get_str,
-                 Option.bind (J.member "classification" e) J.get_str,
-                 strs (J.member "writes" e) )
-             with
-             | Some key, Some cls, Some writes -> Some (key, (cls, writes))
-             | _ -> None)
-           entries)
-  | _ -> None
+  let rec entries = function
+    | [] -> Ok []
+    | e :: rest ->
+        let* x = entry e in
+        let* xs = entries rest in
+        Ok (x :: xs)
+  in
+  let* () = J.schema ~expected:schema_version doc in
+  Result.bind (J.field "entry_points" (J.get_arr Option.some) doc) entries
 
 (* One finding per stale entry, at its line in the committed file: an
    entry point whose classification or writes changed, one that is gone,
@@ -495,18 +492,9 @@ let stale_findings ~certificate_path ~certificate:text t =
   match J.parse text with
   | Error e -> [ finding ("committed certificate does not parse: " ^ e) ]
   | Ok doc -> (
-      let schema = Option.bind (J.member "schema" doc) J.get_str in
-      if schema <> Some schema_version then
-        [
-          finding
-            (Printf.sprintf "certificate schema is %s, expected %s"
-               (Option.value ~default:"absent" schema)
-               schema_version);
-        ]
-      else
       match certified doc with
-      | None -> [ finding "certificate has no entry_points array" ]
-      | Some committed -> (
+      | Error e -> [ finding ("committed certificate: " ^ e) ]
+      | Ok committed -> (
           let current =
             List.filter_map
               (fun key ->

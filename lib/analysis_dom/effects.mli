@@ -45,7 +45,7 @@ type info = {
 
 type t
 
-val compute : cg:Callgraph.t -> Ir.unit_ir list -> t
+val compute : cg:Callgraph.t -> Front_typed.unit_ir list -> t
 (** Run base-fact extraction, the fixpoint and the blame-chain pass.
     The result covers exactly the functions reachable from the solver
     entry points, sorted by key — deterministic for the certificate. *)

@@ -1,6 +1,6 @@
 (* The typed front of the domain-safety analyzer: lower a compiler
    [.cmt] file (compiler-libs [Cmt_format] + [Typedtree]) to the
-   {!Ir.unit_ir} the rules consume.
+   {!unit_ir} the rules consume.
 
    Working on the typed tree buys exactly what the Parsetree cannot
    give: resolved paths (a reference to [Workspace.next_stamp] is
@@ -23,7 +23,265 @@
       alias a global), and the ownership checks (Workspace/Rng escapes,
       in-loop obs emission) run over each function body. *)
 
-module I = Ir
+(* ---- the IR ------------------------------------------------------------- *)
+
+(* What the front lowers each compilation unit to: its module-level
+   mutable bindings, its toplevel functions with the global identifiers
+   each references, and the Workspace/Rng escape sites.  The DOM rules,
+   the call-graph reachability pass and the effect analysis operate on
+   this IR only. *)
+
+(* Why a module-level binding is (or is not) shared mutable state.  The
+   [Atomic] and [Mutex] kinds are mutable but domain-safe by
+   construction; [Obs_handle] is a pre-interned metrics handle whose
+   mutation is confined to the obs runtime (its emission discipline is
+   DOM04's, not DOM01's). *)
+type kind =
+  | Ref
+  | Array
+  | Bytes
+  | Hashtbl_poly
+  | Lazy
+  | Container  (* Queue/Stack/Buffer, or an immutable shell over mutables *)
+  | Mutable_record
+  | Atomic
+  | Mutex
+  | Workspace
+  | Rng
+  | Obs_handle
+
+type global = {
+  g_module : string;  (* normalized unit name, e.g. "Refine" *)
+  g_name : string;  (* binding path within the unit, e.g. "Counter.next" *)
+  g_file : string;  (* root-relative source path *)
+  g_line : int;
+  g_col : int;
+  g_type : string;  (* printed principal type *)
+  g_kind : kind;
+  g_safe : bool;  (* Atomic/Mutex: racing writers cannot corrupt it *)
+}
+
+(* A per-event obs emission ([Obs.Counter.incr] & friends) lexically
+   inside a loop of function [oe_fun] — DOM04 material when the function
+   is hot-path-reachable. *)
+type obs_emit = { oe_fun : string; oe_name : string; oe_line : int; oe_col : int }
+
+(* A use of the stdlib's global PRNG ([Random.int], [Random.self_init],
+   ...) — shared state that breaks solve determinism (DOM03). *)
+type random_use = { ru_fun : string; ru_name : string; ru_line : int; ru_col : int }
+
+(* A Workspace/Rng value stored into module state: the target of a [:=],
+   a [<-] field write, or a [Hashtbl.add]-style call whose subject is a
+   module-level binding, with an ownership-scoped value somewhere in the
+   stored expression. *)
+type escape = {
+  esc_fun : string;
+  esc_what : string;  (* "Workspace.t" or "Rng.t" *)
+  esc_line : int;
+  esc_col : int;
+  esc_desc : string;
+}
+
+type func = {
+  f_module : string;
+  f_name : string;  (* path within the unit, e.g. "Counter.add" *)
+  f_line : int;
+  f_refs : string list;  (* normalized global identifiers, sorted, deduped *)
+  f_ret_mentions : string list;  (* "Workspace.t"/"Rng.t" in the result type *)
+  f_writes : string list;
+      (* module-level bindings this body writes: the target of a [:=] or
+         [<-], or the subject of a mutating call (Hashtbl.replace,
+         Array.fill, incr, ...), normalized and qualified like [f_refs] *)
+  f_local_mut : bool;
+      (* mutation whose subject is NOT module-level: a parameter or a
+         let-bound local — the Workspace-discipline shape *)
+}
+
+type unit_ir = {
+  u_module : string;  (* normalized: "Refine", not "Solvers__Refine" *)
+  u_file : string;  (* root-relative source path *)
+  u_has_mli : bool;
+  u_globals : global list;
+  u_funcs : func list;
+  u_escapes : escape list;
+  u_obs_emits : obs_emit list;
+  u_random_uses : random_use list;
+  u_aliases : (string * string) list;
+      (* module re-exports: ("", "Hg") for a toplevel [include Hg],
+         ("Io", "Part_io") for [module Io = Part_io] — the owner path
+         relative to the unit, and the normalized target path.  The call
+         graph uses these to resolve references made through library
+         roots (Hypergraph.fold_pins -> Hg.fold_pins). *)
+}
+
+(* ---- name normalization ------------------------------------------------- *)
+
+(* Compiler paths arrive mangled by dune's module-name prefixing:
+   ["Solvers__Refine.best_move"], ["Solvers__.Pin_counts.t"],
+   ["Stdlib.ref"].  Normalization makes them comparable across units:
+   drop alias-root components (trailing "__"), unprefix
+   "Lib__Module" to "Module", and strip a leading "Stdlib". *)
+
+let split_on_string ~sep s =
+  let seplen = String.length sep and n = String.length s in
+  let rec go start i acc =
+    if i + seplen > n then List.rev (String.sub s start (n - start) :: acc)
+    else if String.sub s i seplen = sep then
+      go (i + seplen) (i + seplen) (String.sub s start (i - start) :: acc)
+    else go start (i + 1) acc
+  in
+  if seplen = 0 then [ s ] else go 0 0 []
+
+let normalize_component comp =
+  if String.length comp >= 2 && String.ends_with ~suffix:"__" comp then None
+  else
+    match List.rev (split_on_string ~sep:"__" comp) with
+    | last :: _ :: _ when last <> "" -> Some last
+    | _ -> Some comp
+
+let normalize_path name =
+  let comps = String.split_on_char '.' name in
+  let comps = List.filter_map normalize_component comps in
+  let comps =
+    match comps with
+    | "Stdlib" :: (_ :: _ as rest) -> rest
+    | comps -> comps
+  in
+  String.concat "." comps
+
+(* "Solvers__Refine" -> "Refine"; "Dune__exe__Main" -> "Main". *)
+let module_of_unit name =
+  match normalize_component name with Some m -> m | None -> name
+
+(* Suffix match on dotted paths: [ends_with_path "Workspace.t"] accepts
+   "Workspace.t" and "Solvers.Workspace.t" but not "Xworkspace.t". *)
+let ends_with_path ~suffix name =
+  name = suffix
+  || String.ends_with ~suffix:("." ^ suffix) name
+
+(* Name-based kind classification: given a normalized type-constructor path, the kinds recognizable without any
+   type environment.  Ownership kinds (Workspace/Rng/obs handles) match
+   by dotted suffix so that fixture modules defining their own
+   [Workspace.t] classify like the real one.  Everything else —
+   repo-defined mutable records, aliases — is the typed front's harvest
+   pass. *)
+let classify_name name : kind option =
+  if ends_with_path ~suffix:"Workspace.t" name then Some Workspace
+  else if
+    ends_with_path ~suffix:"Rng.t" name
+    || ends_with_path ~suffix:"Random.State.t" name
+  then Some Rng
+  else if
+    ends_with_path ~suffix:"Counter.t" name
+    || ends_with_path ~suffix:"Gauge.t" name
+    || ends_with_path ~suffix:"Histogram.t" name
+  then Some Obs_handle
+  else if ends_with_path ~suffix:"Atomic.t" name then Some Atomic
+  else if
+    ends_with_path ~suffix:"Mutex.t" name
+    || ends_with_path ~suffix:"Semaphore.Counting.t" name
+    || ends_with_path ~suffix:"Semaphore.Binary.t" name
+  then Some Mutex
+  else if name = "ref" then Some Ref
+  else if name = "array" || name = "floatarray" || ends_with_path ~suffix:"Floatarray.t" name
+  then Some Array
+  else if name = "bytes" || ends_with_path ~suffix:"Bytes.t" name then Some Bytes
+  else if ends_with_path ~suffix:"Hashtbl.t" name then Some Hashtbl_poly
+  else if name = "lazy_t" || ends_with_path ~suffix:"Lazy.t" name then Some Lazy
+  else if
+    ends_with_path ~suffix:"Queue.t" name
+    || ends_with_path ~suffix:"Stack.t" name
+    || ends_with_path ~suffix:"Buffer.t" name
+  then Some Container
+  else None
+
+(* A container (tuple, option, list, ...) of a mutable value is itself
+   shared mutable state; ownership kinds and the safe kinds keep their
+   identity through the shell so the rules still see them. *)
+let container_of = function
+  | (Workspace | Rng | Atomic | Mutex | Obs_handle) as k -> k
+  | _ -> Container
+
+let kind_is_safe = function Atomic | Mutex -> true | _ -> false
+
+(* ---- name predicates ------------------------------------------------------ *)
+
+(* Per-event obs emission entry points (the batched-flush contract says
+   hot loops accumulate into plain ints and flush once per pass with
+   [Counter.add]). *)
+let obs_emit_name name =
+  ends_with_path ~suffix:"Counter.incr" name
+  || ends_with_path ~suffix:"Histogram.observe" name
+  || ends_with_path ~suffix:"Histogram.observe_int" name
+  || ends_with_path ~suffix:"Gauge.set" name
+
+(* The stdlib's implicit-state PRNG entry points (excludes the explicit
+   [Random.State.*] API, which normalizes to "Random.State.<fn>"). *)
+let random_global_name name =
+  match name with
+  | "Random.bits" | "Random.int" | "Random.int32" | "Random.int64"
+  | "Random.nativeint" | "Random.float" | "Random.bool" | "Random.full_int"
+  | "Random.self_init" | "Random.init" | "Random.full_init"
+  | "Random.set_state" | "Random.get_state" ->
+      true
+  | _ -> false
+
+(* Store operations whose first argument is the stored-into subject and
+   which retain the stored value: [Hashtbl.add tbl k v] with [tbl] a
+   module global makes [v] module state — escape material. *)
+let is_store_fn name =
+  ends_with_path ~suffix:"Hashtbl.add" name
+  || ends_with_path ~suffix:"Hashtbl.replace" name
+  || ends_with_path ~suffix:"Queue.add" name
+  || ends_with_path ~suffix:"Queue.push" name
+  || ends_with_path ~suffix:"Stack.push" name
+
+(* The wider set for the effect analysis: calls that mutate their first
+   argument without necessarily retaining anything.  A call whose subject
+   is a module global is a write to it; on a local/parameter it is the
+   Workspace-local shape. *)
+let mutates_subject_fn name =
+  is_store_fn name || name = "incr" || name = "decr"
+  || ends_with_path ~suffix:"Hashtbl.remove" name
+  || ends_with_path ~suffix:"Hashtbl.clear" name
+  || ends_with_path ~suffix:"Hashtbl.reset" name
+  || ends_with_path ~suffix:"Hashtbl.filter_map_inplace" name
+  || ends_with_path ~suffix:"Array.set" name
+  || ends_with_path ~suffix:"Array.fill" name
+  || ends_with_path ~suffix:"Array.blit" name
+  || ends_with_path ~suffix:"Array.sort" name
+  || ends_with_path ~suffix:"Array.fast_sort" name
+  || ends_with_path ~suffix:"Array.stable_sort" name
+  || ends_with_path ~suffix:"Bytes.set" name
+  || ends_with_path ~suffix:"Bytes.fill" name
+  || ends_with_path ~suffix:"Bytes.blit" name
+  || ends_with_path ~suffix:"Queue.pop" name
+  || ends_with_path ~suffix:"Queue.take" name
+  || ends_with_path ~suffix:"Queue.clear" name
+  || ends_with_path ~suffix:"Stack.pop" name
+  || ends_with_path ~suffix:"Stack.clear" name
+  || ends_with_path ~suffix:"Buffer.clear" name
+  || ends_with_path ~suffix:"Buffer.reset" name
+  || String.starts_with ~prefix:"Buffer.add_" name
+
+let kind_to_string = function
+  | Ref -> "ref"
+  | Array -> "array"
+  | Bytes -> "bytes"
+  | Hashtbl_poly -> "hashtbl"
+  | Lazy -> "lazy"
+  | Container -> "container"
+  | Mutable_record -> "mutable-record"
+  | Atomic -> "atomic"
+  | Mutex -> "mutex"
+  | Workspace -> "workspace"
+  | Rng -> "rng"
+  | Obs_handle -> "obs-handle"
+
+(* Deterministic unit ordering for reports. *)
+let compare_units a b = String.compare a.u_file b.u_file
+
+(* ---- reading .cmt files --------------------------------------------------- *)
 
 type typed_unit = {
   tu_modname : string;  (* raw compilation-unit name, e.g. "Solvers__Refine" *)
@@ -55,16 +313,16 @@ let read_cmt path =
 let max_type_depth = 12
 
 let rec classify_type ~known ~ctx ?(depth = 0) (ty : Types.type_expr) :
-    I.kind option =
+    kind option =
   if depth > max_type_depth then None
   else
     match Types.get_desc ty with
     | Tconstr (p, args, _) -> (
-        let name = I.normalize_path (Path.name p) in
-        match I.classify_name name with
+        let name = normalize_path (Path.name p) in
+        match classify_name name with
         | Some k -> Some k
         | None ->
-            if known_mutable ~known ~ctx name then Some I.Mutable_record
+            if known_mutable ~known ~ctx name then Some Mutable_record
             else
               (* an immutable shell over a mutable argument *)
               let inner =
@@ -72,14 +330,14 @@ let rec classify_type ~known ~ctx ?(depth = 0) (ty : Types.type_expr) :
                   (fun a -> classify_type ~known ~ctx ~depth:(depth + 1) a)
                   args
               in
-              (match inner with [] -> None | k :: _ -> Some (I.container_of k)))
+              (match inner with [] -> None | k :: _ -> Some (container_of k)))
     | Ttuple ts ->
         let inner =
           List.filter_map
             (fun t -> classify_type ~known ~ctx ~depth:(depth + 1) t)
             ts
         in
-        (match inner with [] -> None | k :: _ -> Some (I.container_of k))
+        (match inner with [] -> None | k :: _ -> Some (container_of k))
     | Tpoly (t, _) -> classify_type ~known ~ctx ~depth:(depth + 1) t
     | _ -> None
 
@@ -98,12 +356,12 @@ let rec type_mentions ?(depth = 0) (ty : Types.type_expr) : string list =
   else
     match Types.get_desc ty with
     | Tconstr (p, args, _) ->
-        let name = I.normalize_path (Path.name p) in
+        let name = normalize_path (Path.name p) in
         let here =
-          if I.ends_with_path ~suffix:"Workspace.t" name then [ "Workspace.t" ]
+          if ends_with_path ~suffix:"Workspace.t" name then [ "Workspace.t" ]
           else if
-            I.ends_with_path ~suffix:"Rng.t" name
-            || I.ends_with_path ~suffix:"Random.State.t" name
+            ends_with_path ~suffix:"Rng.t" name
+            || ends_with_path ~suffix:"Random.State.t" name
           then [ "Rng.t" ]
           else []
         in
@@ -173,7 +431,7 @@ let decl_facts tu =
               | Some ct -> (
                   match Types.get_desc ct.ctyp_type with
                   | Tconstr (p, _, _) ->
-                      let name = I.normalize_path (Path.name p) in
+                      let name = normalize_path (Path.name p) in
                       (* innermost-first qualification candidates *)
                       let rec prefixes acc = function
                         | [] -> List.rev acc
@@ -202,14 +460,15 @@ let decl_facts tu =
     | Tmod_constraint (inner, _, _, _) -> module_expr prefix inner
     | _ -> ()
   in
-  items (I.module_of_unit tu.tu_modname) tu.tu_str.str_items;
+  items (module_of_unit tu.tu_modname) tu.tu_str.str_items;
   List.rev !facts
 
 (* The fixpoint: a name is known-mutable if declared as a mutable record,
    if its manifest is a builtin mutable constructor, or if its manifest
    resolves to a known-mutable name.  Aliases to the safe wrappers
-   ([Atomic.t]) or to ownership types do not propagate here — {!Ir.classify_name}
-   already recognizes them structurally wherever they appear. *)
+   ([Atomic.t]) or to ownership types do not propagate here —
+   [classify_name] already recognizes them structurally wherever they
+   appear. *)
 let harvest units =
   let known : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let facts = List.concat_map decl_facts units in
@@ -217,8 +476,8 @@ let harvest units =
     (fun f -> match f with Fact_mutable key -> Hashtbl.replace known key () | _ -> ())
     facts;
   let builtin name =
-    match I.classify_name name with
-    | Some k -> (not (I.kind_is_safe k)) && k <> I.Obs_handle
+    match classify_name name with
+    | Some k -> (not (kind_is_safe k)) && k <> Obs_handle
     | None -> false
   in
   let changed = ref true in
@@ -248,17 +507,12 @@ let col_of (loc : Location.t) = loc.loc_start.pos_cnum - loc.loc_start.pos_bol
 
 let print_type ty = Format.asprintf "%a" Printtyp.type_scheme ty
 
-(* Name predicates live in {!Ir}, next to the kinds they feed. *)
-let obs_emit_name = I.obs_emit_name
-let random_global_name = I.random_global_name
-let is_store_fn = I.is_store_fn
-
 (* One list with hyplint: a function literal passed to an iterator is a
    loop body for DOM04 as it is for the SRC loop rules. *)
 let is_iterish = Lint.Rules.iterish_name
 
-let extract ~known ~has_mli tu : I.unit_ir =
-  let unit_mod = I.module_of_unit tu.tu_modname in
+let extract ~known ~has_mli tu : unit_ir =
+  let unit_mod = module_of_unit tu.tu_modname in
   let file = tu.tu_source in
   (* Pass A: toplevel idents (stamp-exact) and their unit-local paths. *)
   let toplevel : (Ident.t * string) list ref = ref [] in
@@ -335,7 +589,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
         | Some path -> Some (unit_mod ^ "." ^ path)
         | None -> None)
     | Texp_ident ((Path.Pdot _ as p), _, _) ->
-        Some (I.normalize_path (Path.name p))
+        Some (normalize_path (Path.name p))
     | _ -> None
   in
   let is_module_global e = global_name_of e <> None in
@@ -357,7 +611,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
           (* a mutable field projected out of a Workspace: interior
              scratch escaping its owner (DOM08 material when stored) *)
           match classify_type ~known ~ctx:[] ex.exp_type with
-          | Some k when not (I.kind_is_safe k) ->
+          | Some k when not (kind_is_safe k) ->
               acc := "Workspace interior" :: !acc
           | _ -> ())
       | _ -> ());
@@ -399,12 +653,12 @@ let extract ~known ~has_mli tu : I.unit_ir =
           | Some path -> refs := (unit_mod ^ "." ^ path) :: !refs
           | None -> ())
       | _ ->
-          let name = I.normalize_path (Path.name p) in
+          let name = normalize_path (Path.name p) in
           refs := name :: !refs;
           if random_global_name name then
             randoms :=
               {
-                I.ru_fun = fname;
+                ru_fun = fname;
                 ru_name = name;
                 ru_line = line_of loc;
                 ru_col = col_of loc;
@@ -413,7 +667,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
           if obs_emit_name name && !loop_depth > 0 then
             emits :=
               {
-                I.oe_fun = fname;
+                oe_fun = fname;
                 oe_name = name;
                 oe_line = line_of loc;
                 oe_col = col_of loc;
@@ -425,7 +679,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
         (fun what ->
           escapes :=
             {
-              I.esc_fun = fname;
+              esc_fun = fname;
               esc_what = what;
               esc_line = line_of loc;
               esc_col = col_of loc;
@@ -438,7 +692,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
       match e.exp_desc with
       | Texp_ident (p, lid, _) -> record_path p lid.loc
       | Texp_apply ({ exp_desc = Texp_ident (p, lid, _); _ }, args) ->
-          let name = I.normalize_path (Path.name p) in
+          let name = normalize_path (Path.name p) in
           record_path p lid.loc;
           let plain () =
             List.iter
@@ -453,7 +707,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
                   ~desc:"stored through := into a module-global ref"
                   (owned_mentions_in rhs);
               plain ()
-          | _ when I.mutates_subject_fn name ->
+          | _ when mutates_subject_fn name ->
               (match args with
               | (_, Some subject) :: rest ->
                   note_mutation subject;
@@ -505,7 +759,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
   let aliases = ref [] in
   let rec module_path (me : Typedtree.module_expr) =
     match me.mod_desc with
-    | Tmod_ident (p, _) -> Some (I.normalize_path (Path.name p))
+    | Tmod_ident (p, _) -> Some (normalize_path (Path.name p))
     | Tmod_constraint (inner, _, _, _) -> module_path inner
     | _ -> None
   in
@@ -532,14 +786,14 @@ let extract ~known ~has_mli tu : I.unit_ir =
                 | Some kind ->
                     globals :=
                       {
-                        I.g_module = unit_mod;
+                        g_module = unit_mod;
                         g_name = path;
                         g_file = file;
                         g_line = line_of loc;
                         g_col = col_of loc;
                         g_type = print_type ty;
                         g_kind = kind;
-                        g_safe = I.kind_is_safe kind;
+                        g_safe = kind_is_safe kind;
                       }
                       :: !globals
                 | None -> ());
@@ -554,7 +808,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
                   in
                   funcs :=
                     {
-                      I.f_module = unit_mod;
+                      f_module = unit_mod;
                       f_name = fname;
                       f_line = line_of loc;
                       f_refs = refs;
@@ -592,7 +846,7 @@ let extract ~known ~has_mli tu : I.unit_ir =
   in
   items "" tu.tu_str.str_items;
   {
-    I.u_module = unit_mod;
+    u_module = unit_mod;
     u_file = file;
     u_has_mli = has_mli;
     u_globals = List.rev !globals;

@@ -189,33 +189,13 @@ let report_to_json ?(deterministic = false) ~jobs report =
    record once its ["cached"] flag is dropped, and the stats agree with
    the results. *)
 let check_report json =
+  let open Obs.Json in
   let ( let* ) = Result.bind in
-  let int_field name j =
-    match Option.bind (Obs.Json.member name j) Obs.Json.get_int with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "missing integer field %S" name)
-  in
-  let* () =
-    match Option.bind (Obs.Json.member "schema" json) Obs.Json.get_str with
-    | Some s when String.equal s schema_version -> Ok ()
-    | Some s ->
-        Error
-          (Printf.sprintf "unsupported batch schema %S (expected %S)" s
-             schema_version)
-    | None -> Error "batch report without schema tag"
-  in
-  let* stats =
-    match Obs.Json.member "stats" json with
-    | Some (Obs.Json.Obj _ as s) -> Ok s
-    | _ -> Error "missing object field \"stats\""
-  in
-  let* total = int_field "total" stats in
-  let* from_cache = int_field "from_cache" stats in
-  let* results =
-    match Obs.Json.member "results" json with
-    | Some (Obs.Json.Arr l) -> Ok l
-    | _ -> Error "missing array field \"results\""
-  in
+  let* () = schema ~expected:schema_version json in
+  let* stats = field "stats" get_obj json in
+  let* total = field "total" get_int (Obj stats) in
+  let* from_cache = field "from_cache" get_int (Obj stats) in
+  let* results = field "results" (get_arr get_obj) json in
   let* () =
     if List.length results = total then Ok ()
     else
@@ -223,19 +203,11 @@ let check_report json =
         (Printf.sprintf "stats.total = %d but %d results" total
            (List.length results))
   in
-  let outcome i r =
-    let fail msg = Error (Printf.sprintf "result %d: %s" i msg) in
-    match r with
-    | Obs.Json.Obj fields -> (
-        match List.assoc_opt "cached" fields with
-        | Some (Obs.Json.Bool cached) -> (
-            match
-              Record.of_json (Obs.Json.Obj (List.remove_assoc "cached" fields))
-            with
-            | Ok record -> Ok { record; cached }
-            | Error msg -> fail msg)
-        | _ -> fail "missing boolean \"cached\"")
-    | _ -> fail "not an object"
+  let outcome i fields =
+    Result.map_error (Printf.sprintf "result %d: %s" i)
+      (let* cached = field "cached" get_bool (Obj fields) in
+       let* record = Record.of_json (Obj (List.remove_assoc "cached" fields)) in
+       Ok { record; cached })
   in
   let rec decode i = function
     | [] -> Ok []

@@ -25,154 +25,115 @@
 
 let schema_version = "hypartition-manifest/1"
 
-let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v
+let ( let* ) = Result.bind
 
 let err fmt = Printf.ksprintf (fun s -> Error s) fmt
 
-let opt_member name json = Obs.Json.member name json
-
-let get_float_opt name json = Option.bind (opt_member name json) Obs.Json.get_float
-let get_int_opt name json = Option.bind (opt_member name json) Obs.Json.get_int
-let get_str_opt name json = Option.bind (opt_member name json) Obs.Json.get_str
-
-let enum_opt assoc ~what name json =
-  match get_str_opt name json with
-  | None -> Ok None
-  | Some s -> (
-      match List.assoc_opt s assoc with
-      | Some v -> Ok (Some v)
-      | None ->
-          err "unknown %s %S (valid: %s)" what s
-            (String.concat ", " (List.map fst assoc)))
+(* [f] over [items] in order, stopping at the first error. *)
+let map_all f items =
+  List.fold_left
+    (fun acc item ->
+      let* acc = acc in
+      let* y = f item in
+      Ok (y :: acc))
+    (Ok []) items
+  |> Result.map List.rev
 
 (* A config overlay: defaults overridden by whichever fields an entry
    carries. *)
 let config_overlay ~(base : Spec.config) json =
-  let* algorithm = enum_opt Spec.algorithms ~what:"algorithm" "algorithm" json in
-  let* metric = enum_opt Spec.metrics ~what:"metric" "metric" json in
+  let open Obs.Json in
+  let* k = optional "k" get_int json in
+  let* eps = optional "eps" get_float json in
+  let* algorithm = optional "algorithm" (get_enum Spec.algorithms) json in
+  let* metric = optional "metric" (get_enum Spec.metrics) json in
   Ok
     {
-      Spec.k = Option.value ~default:base.Spec.k (get_int_opt "k" json);
-      eps = Option.value ~default:base.Spec.eps (get_float_opt "eps" json);
+      Spec.k = Option.value ~default:base.Spec.k k;
+      eps = Option.value ~default:base.Spec.eps eps;
       algorithm = Option.value ~default:base.Spec.algorithm algorithm;
       metric = Option.value ~default:base.Spec.metric metric;
     }
 
+(* The first of an entry's instance keys, in this order, names its
+   instance. *)
 let instance_of_entry ~known_experiments json =
-  match json with
-  | Obs.Json.Obj _ -> (
-      match get_str_opt "file" json with
-      | Some path -> Ok (Spec.Hmetis_file path)
-      | None -> (
-          match get_str_opt "dag" json with
-          | Some path -> Ok (Spec.Dag_file path)
-          | None -> (
-              match get_str_opt "generate" json with
-              | Some kind_name -> (
-                  match List.assoc_opt kind_name Spec.gen_kinds with
-                  | None ->
-                      err "unknown generator %S (valid: %s)" kind_name
-                        (String.concat ", " (List.map fst Spec.gen_kinds))
-                  | Some kind -> (
-                      match get_int_opt "n" json with
-                      | Some n -> Ok (Spec.Generated { kind; n })
-                      | None -> err "generator entry needs an integer \"n\""))
-              | None -> (
-                  match get_str_opt "experiment" json with
-                  | Some id ->
-                      if List.mem id known_experiments then
-                        Ok (Spec.Experiment id)
-                      else
-                        err "unknown experiment %S (valid: %s)" id
-                          (String.concat " " known_experiments)
-                  | None -> (
-                      match get_float_opt "spin" json with
-                      | Some s -> Ok (Spec.Spin s)
-                      | None -> (
-                          match get_int_opt "crash" json with
-                          | Some c -> Ok (Spec.Crash c)
-                          | None ->
-                              err
-                                "instance entry needs one of \"file\", \
-                                 \"dag\", \"generate\", \"experiment\", \
-                                 \"spin\", \"crash\""))))))
-  | _ -> err "instance entry is not an object"
+  let open Obs.Json in
+  let get_experiment v =
+    Option.bind (get_str v) (fun id ->
+        if List.mem id known_experiments then Some id else None)
+  in
+  let* file = optional "file" get_str json in
+  let* dag = optional "dag" get_str json in
+  let* generate = optional "generate" (get_enum Spec.gen_kinds) json in
+  let* experiment = optional "experiment" get_experiment json in
+  let* spin = optional "spin" get_float json in
+  let* crash = optional "crash" get_int json in
+  match (file, dag, generate, experiment, spin, crash) with
+  | Some path, _, _, _, _, _ -> Ok (Spec.Hmetis_file path)
+  | None, Some path, _, _, _, _ -> Ok (Spec.Dag_file path)
+  | None, None, Some kind, _, _, _ ->
+      let* n = field "n" get_int json in
+      Ok (Spec.Generated { kind; n })
+  | None, None, None, Some id, _, _ -> Ok (Spec.Experiment id)
+  | None, None, None, None, Some s, _ -> Ok (Spec.Spin s)
+  | None, None, None, None, None, Some c -> Ok (Spec.Crash c)
+  | None, None, None, None, None, None ->
+      err
+        "instance entry needs one of \"file\", \"dag\", \"generate\", \
+         \"experiment\", \"spin\", \"crash\""
 
 let of_json ~known_experiments json =
+  let open Obs.Json in
+  let* () = schema ~expected:schema_version json in
+  let* defaults = optional "defaults" get_obj json in
+  let defaults = Obj (Option.value ~default:[] defaults) in
+  let* default_config = config_overlay ~base:Spec.default_config defaults in
+  let* default_timeout = optional "timeout_s" get_float defaults in
+  let* default_seed = optional "seed" get_int defaults in
+  let* instance_entries = field "instances" (get_arr get_obj) json in
   let* () =
-    match get_str_opt "schema" json with
-    | Some s when String.equal s schema_version -> Ok ()
-    | Some s -> err "unsupported manifest schema %S (expected %S)" s schema_version
-    | None -> err "manifest without schema tag (expected %S)" schema_version
+    if instance_entries = [] then
+      err "manifest has an empty \"instances\" array"
+    else Ok ()
   in
-  let defaults_json =
-    Option.value ~default:(Obs.Json.Obj []) (opt_member "defaults" json)
-  in
-  let* default_config =
-    config_overlay ~base:Spec.default_config defaults_json
-  in
-  let default_timeout = get_float_opt "timeout_s" defaults_json in
-  let default_seed = Option.value ~default:1 (get_int_opt "seed" defaults_json) in
-  let* instance_entries =
-    match opt_member "instances" json with
-    | Some (Obs.Json.Arr (_ :: _ as l)) -> Ok l
-    | Some (Obs.Json.Arr []) -> err "manifest has an empty \"instances\" array"
-    | _ -> err "manifest needs a non-empty \"instances\" array"
-  in
+  let* configs = optional "configs" (get_arr get_obj) json in
   let* configs =
-    match opt_member "configs" json with
+    match configs with
     | None -> Ok [ default_config ]
-    | Some (Obs.Json.Arr l) ->
-        List.fold_left
-          (fun acc entry ->
-            let* acc = acc in
-            let* c = config_overlay ~base:default_config entry in
-            Ok (c :: acc))
-          (Ok []) l
-        |> Result.map List.rev
-    | Some _ -> err "manifest field \"configs\" is not an array"
+    | Some l ->
+        map_all (fun c -> config_overlay ~base:default_config (Obj c)) l
   in
-  let* seeds =
-    match opt_member "seeds" json with
-    | None -> Ok [ default_seed ]
-    | Some (Obs.Json.Arr l) ->
-        List.fold_left
-          (fun acc entry ->
-            let* acc = acc in
-            match Obs.Json.get_int entry with
-            | Some s -> Ok (s :: acc)
-            | None -> err "manifest field \"seeds\" must hold integers")
-          (Ok []) l
-        |> Result.map List.rev
-    | Some _ -> err "manifest field \"seeds\" is not an array"
+  let* seeds = optional "seeds" (get_arr get_int) json in
+  let seeds =
+    match seeds with
+    | Some seeds -> seeds
+    | None -> [ Option.value ~default:1 default_seed ]
   in
   let* jobs =
-    List.fold_left
-      (fun acc entry ->
-        let* acc = acc in
+    map_all
+      (fun entry ->
+        let entry = Obj entry in
         let* instance = instance_of_entry ~known_experiments entry in
+        let* timeout_s = optional "timeout_s" get_float entry in
         let timeout_s =
-          match get_float_opt "timeout_s" entry with
-          | Some t -> Some t
-          | None -> default_timeout
+          match timeout_s with Some t -> Some t | None -> default_timeout
         in
-        let expanded =
-          let probe =
-            { Spec.instance; config = default_config; seed = 0; timeout_s }
-          in
-          if Spec.config_sensitive probe then
-            List.concat_map
-              (fun config ->
-                List.map
-                  (fun seed -> { Spec.instance; config; seed; timeout_s })
-                  seeds)
-              configs
-          else [ { probe with Spec.config = Spec.default_config } ]
+        let probe =
+          { Spec.instance; config = default_config; seed = 0; timeout_s }
         in
-        Ok (List.rev_append expanded acc))
-      (Ok []) instance_entries
-    |> Result.map List.rev
+        if Spec.config_sensitive probe then
+          Ok
+            (List.concat_map
+               (fun config ->
+                 List.map
+                   (fun seed -> { Spec.instance; config; seed; timeout_s })
+                   seeds)
+               configs)
+        else Ok [ { probe with Spec.config = Spec.default_config } ])
+      instance_entries
   in
+  let jobs = List.concat jobs in
   let* () =
     List.fold_left
       (fun acc job ->

@@ -12,9 +12,10 @@ val schema_version : string
 
 val of_string :
   known_experiments:string list -> string -> (Spec.job list, string) result
-(** Parse and expand a manifest document.  Every expanded job is
-    {!Spec.validate}d; experiment ids are checked against
-    [known_experiments]. *)
+(** Parse and expand a manifest document.  A field of the wrong type
+    (["k": "8"], ["seeds": [1, "2"]]) is an [Error] naming it, and
+    [null] reads as absent.  Every expanded job is {!Spec.validate}d;
+    experiment ids are checked against [known_experiments]. *)
 
 val load :
   known_experiments:string list -> string -> (Spec.job list, string) result

@@ -76,35 +76,40 @@ let payload_to_json p =
     @ [ ("metrics", Obj p.p_metrics) ]
     @ match p.p_observed with None -> [] | Some o -> [ ("observed", o) ])
 
-let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v
+let ( let* ) = Result.bind
 
-let metrics_of_json json =
-  match Obs.Json.member "metrics" json with
-  | Some (Obs.Json.Obj fields) -> Ok fields
-  | Some _ -> Error "field \"metrics\" is not an object"
-  | None -> Ok []
+(* The status, its detail and the metrics: what a payload and a record
+   share. *)
+let outcome_of_json json =
+  let open Obs.Json in
+  let* name = field "status" get_str json in
+  let* error = optional "error" get_str json in
+  let* metrics = optional "metrics" get_obj json in
+  let detail = Option.value ~default:"unspecified" error in
+  let* status =
+    match name with
+    | "ok" -> Ok Done
+    | "failed" -> Ok (Failed detail)
+    | "crashed" -> Ok (Crashed detail)
+    | "skipped" -> Ok (Skipped detail)
+    | "timeout" ->
+        let* budget = optional "budget_s" get_float json in
+        Ok (Timed_out (Option.value ~default:0.0 budget))
+    | other -> Error (Printf.sprintf "unknown status %S" other)
+  in
+  Ok (status, Option.value ~default:[] metrics)
 
 let payload_of_json json =
-  let* status =
-    match Option.bind (Obs.Json.member "status" json) Obs.Json.get_str with
-    | Some "ok" -> Ok `Done
-    | Some "failed" ->
-        let msg =
-          match Option.bind (Obs.Json.member "error" json) Obs.Json.get_str with
-          | Some m -> m
-          | None -> "unspecified failure"
-        in
-        Ok (`Failed msg)
-    | Some other -> Error (Printf.sprintf "unknown payload status %S" other)
-    | None -> Error "payload without status"
+  let* status, p_metrics = outcome_of_json json in
+  let* p_status =
+    match status with
+    | Done -> Ok `Done
+    | Failed msg -> Ok (`Failed msg)
+    | other ->
+        Error (Printf.sprintf "payload status %S" (status_name other))
   in
-  let* metrics = metrics_of_json json in
-  Ok
-    {
-      p_status = status;
-      p_metrics = metrics;
-      p_observed = Obs.Json.member "observed" json;
-    }
+  let* p_observed = Obs.Json.optional "observed" Option.some json in
+  Ok { p_status; p_metrics; p_observed }
 
 (* ---- record codec ------------------------------------------------------- *)
 
@@ -148,78 +153,28 @@ let to_json ?(deterministic = false) t =
 
 let deterministic_string t = Obs.Json.to_string (to_json ~deterministic:true t)
 
+let timing_of_json json =
+  let open Obs.Json in
+  let* wall_s = field "wall_s" get_float json in
+  let* attempts = field "attempts" get_int json in
+  let* worker = field "worker" get_int json in
+  let* threads = optional "threads" get_int json in
+  Ok { wall_s; attempts; worker; threads = Option.value ~default:0 threads }
+
+let get_digest v =
+  Option.bind (Obs.Json.get_str v) (fun f ->
+      if Fingerprint.is_digest f then Some f else None)
+
 let of_json json =
-  let* schema =
-    match Option.bind (Obs.Json.member "schema" json) Obs.Json.get_str with
-    | Some s -> Ok s
-    | None -> Error "record without schema tag"
+  let open Obs.Json in
+  let* () = schema ~expected:schema_version json in
+  let* fingerprint = field "fingerprint" get_digest json in
+  let* job = field "job" Option.some json in
+  let* job = Spec.of_json job in
+  let* status, metrics = outcome_of_json json in
+  let* observed = optional "observed" Option.some json in
+  let* timing = optional "timing" Option.some json in
+  let* timing =
+    Option.fold ~none:(Ok no_timing) ~some:timing_of_json timing
   in
-  let* () =
-    if String.equal schema schema_version then Ok ()
-    else
-      Error
-        (Printf.sprintf "unsupported record schema %S (expected %S)" schema
-           schema_version)
-  in
-  let* fingerprint =
-    match Option.bind (Obs.Json.member "fingerprint" json) Obs.Json.get_str with
-    | Some f when Fingerprint.is_digest f -> Ok f
-    | Some f -> Error (Printf.sprintf "malformed fingerprint %S" f)
-    | None -> Error "record without fingerprint"
-  in
-  let* job =
-    match Obs.Json.member "job" json with
-    | Some j -> Spec.of_json j
-    | None -> Error "record without job"
-  in
-  let detail =
-    match Option.bind (Obs.Json.member "error" json) Obs.Json.get_str with
-    | Some m -> m
-    | None -> "unspecified"
-  in
-  let* status =
-    match Option.bind (Obs.Json.member "status" json) Obs.Json.get_str with
-    | Some "ok" -> Ok Done
-    | Some "failed" -> Ok (Failed detail)
-    | Some "crashed" -> Ok (Crashed detail)
-    | Some "skipped" -> Ok (Skipped detail)
-    | Some "timeout" ->
-        let budget =
-          match
-            Option.bind (Obs.Json.member "budget_s" json) Obs.Json.get_float
-          with
-          | Some b -> b
-          | None -> 0.0
-        in
-        Ok (Timed_out budget)
-    | Some other -> Error (Printf.sprintf "unknown record status %S" other)
-    | None -> Error "record without status"
-  in
-  let* metrics = metrics_of_json json in
-  let timing =
-    match Obs.Json.member "timing" json with
-    | Some timing_json ->
-        let num name fallback =
-          match
-            Option.bind (Obs.Json.member name timing_json) Obs.Json.get_float
-          with
-          | Some f -> f
-          | None -> fallback
-        in
-        {
-          wall_s = num "wall_s" 0.0;
-          attempts = int_of_float (num "attempts" 0.0);
-          worker = int_of_float (num "worker" (-1.0));
-          threads = int_of_float (num "threads" 0.0);
-        }
-    | None -> no_timing
-  in
-  Ok
-    {
-      fingerprint;
-      job;
-      status;
-      metrics;
-      observed = Obs.Json.member "observed" json;
-      timing;
-    }
+  Ok { fingerprint; job; status; metrics; observed; timing }

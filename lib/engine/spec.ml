@@ -202,78 +202,41 @@ let to_json job =
 
 (* Decoding is total over well-formed records: any shape defect is an
    [Error], never an exception, so a corrupted cache entry degrades to a
-   miss rather than a crash. *)
+   miss rather than a crash.  The writer renders a non-finite float as
+   [null]; +∞ is the one non-finite ε (and spin length) {!validate}
+   admits, so a [null] there reads back as +∞. *)
 
-let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v
+let ( let* ) = Result.bind
 
-let field name json =
-  match Obs.Json.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let str_field name json =
-  let* v = field name json in
-  match Obs.Json.get_str v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "field %S is not a string" name)
-
-let int_field name json =
-  let* v = field name json in
-  match Obs.Json.get_int v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "field %S is not an integer" name)
-
-let float_field name json =
-  let* v = field name json in
-  match Obs.Json.get_float v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "field %S is not a number" name)
-
-let enum_field assoc name json =
-  let* s = str_field name json in
-  match List.assoc_opt s assoc with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "field %S has unknown value %S" name s)
+let get_unbounded = function
+  | Obs.Json.Null -> Some Float.infinity
+  | v -> Obs.Json.get_float v
 
 let instance_of_json json =
-  let* ty = str_field "type" json in
+  let open Obs.Json in
+  let* ty = field "type" get_str json in
   match ty with
-  | "hmetis" ->
-      let* path = str_field "path" json in
-      Ok (Hmetis_file path)
-  | "dag" ->
-      let* path = str_field "path" json in
-      Ok (Dag_file path)
+  | "hmetis" -> Result.map (fun p -> Hmetis_file p) (field "path" get_str json)
+  | "dag" -> Result.map (fun p -> Dag_file p) (field "path" get_str json)
   | "generated" ->
-      let* kind = enum_field gen_kinds "kind" json in
-      let* n = int_field "n" json in
+      let* kind = field "kind" (get_enum gen_kinds) json in
+      let* n = field "n" get_int json in
       Ok (Generated { kind; n })
   | "experiment" ->
-      let* id = str_field "id" json in
-      Ok (Experiment id)
+      Result.map (fun id -> Experiment id) (field "id" get_str json)
   | "spin" ->
-      let* s = float_field "seconds" json in
-      Ok (Spin s)
-  | "crash" ->
-      let* c = int_field "code" json in
-      Ok (Crash c)
+      Result.map (fun s -> Spin s) (field "seconds" get_unbounded json)
+  | "crash" -> Result.map (fun c -> Crash c) (field "code" get_int json)
   | other -> Error (Printf.sprintf "unknown instance type %S" other)
 
 let of_json json =
-  let* instance = field "instance" json in
+  let open Obs.Json in
+  let* instance = field "instance" Option.some json in
   let* instance = instance_of_json instance in
-  let* k = int_field "k" json in
-  let* eps = float_field "eps" json in
-  let* algorithm = enum_field algorithms "algorithm" json in
-  let* metric = enum_field metrics "metric" json in
-  let* seed = int_field "seed" json in
-  let timeout_s =
-    Option.bind (Obs.Json.member "timeout_s" json) Obs.Json.get_float
-  in
-  Ok
-    {
-      instance;
-      config = { k; eps; algorithm; metric };
-      seed;
-      timeout_s;
-    }
+  let* k = field "k" get_int json in
+  let* eps = field "eps" get_unbounded json in
+  let* algorithm = field "algorithm" (get_enum algorithms) json in
+  let* metric = field "metric" (get_enum metrics) json in
+  let* seed = field "seed" get_int json in
+  let* timeout_s = optional "timeout_s" get_float json in
+  Ok { instance; config = { k; eps; algorithm; metric }; seed; timeout_s }

@@ -82,5 +82,7 @@ val fingerprint : schema:string -> job -> (string, string) result
 
 val to_json : job -> Obs.Json.t
 val of_json : Obs.Json.t -> (job, string) result
-(** Total decoding: a malformed document is an [Error], never an
-    exception, so corrupted cache entries degrade to misses. *)
+(** Total decoding: a missing or mistyped field is an [Error] naming it,
+    never an exception or a default, so corrupted cache entries degrade
+    to misses.  An ["eps"] or spin ["seconds"] of [null] (how the writer
+    renders +∞) reads as +∞; a [null] ["timeout_s"] reads as [None]. *)

@@ -41,67 +41,6 @@ let optimum g ~p =
   | Some { nodes; _ } -> Some (Array.length nodes)
   | None -> None
 
-(* Branch-and-bound: for each candidate size s (iterative deepening), DFS
-   over vertices in decreasing-degree order with the optimistic bound
-   induced + C(r, 2) capped by the edges actually available among the
-   remaining vertices.  Handles noticeably larger instances than the
-   subset enumeration. *)
-let exact_bb g ~p =
-  let n = Graph.num_nodes g in
-  if p <= 0 then Some { nodes = [||]; induced_edges = 0 }
-  else if Graph.num_edges g < p then None
-  else begin
-    let order = Array.init n Fun.id in
-    Array.sort (fun a b -> Int.compare (Graph.degree g b) (Graph.degree g a)) order;
-    let chosen = Array.make n false in
-    let solution = ref None in
-    let rec dfs idx picked slots induced =
-      if !solution <> None then ()
-      else if induced >= p then begin
-        let nodes =
-          Array.of_list
-            (List.filter (fun v -> chosen.(v)) (List.init n Fun.id))
-        in
-        solution := Some { nodes; induced_edges = induced }
-      end
-      else if idx < n && slots > 0 then begin
-        (* Optimistic completion: every remaining slot pairs with every
-           chosen or remaining vertex. *)
-        let optimistic =
-          induced
-          + Support.Util.choose slots 2
-          + (slots * picked)
-        in
-        if optimistic >= p then begin
-          let v = order.(idx) in
-          (* Include v. *)
-          let gain =
-            Support.Util.array_count (fun u -> chosen.(u)) (Graph.neighbors g v)
-          in
-          chosen.(v) <- true;
-          dfs (idx + 1) (picked + 1) (slots - 1) (induced + gain);
-          chosen.(v) <- false;
-          (* Exclude v. *)
-          if !solution = None then dfs (idx + 1) picked slots induced
-        end
-      end
-    in
-    let rec deepen s =
-      if s > n then None
-      else begin
-        solution := None;
-        dfs 0 0 s 0;
-        match !solution with Some sol -> Some sol | None -> deepen (s + 1)
-      end
-    in
-    deepen (size_lower_bound p)
-  end
-
-let optimum_bb g ~p =
-  match exact_bb g ~p with
-  | Some { nodes; _ } -> Some (Array.length nodes)
-  | None -> None
-
 (* Greedy heuristic: repeatedly add the node with the largest marginal
    number of newly induced edges. *)
 let greedy g ~p =

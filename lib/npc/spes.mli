@@ -8,10 +8,5 @@ val exact : Graph.t -> p:int -> solution option
 
 val optimum : Graph.t -> p:int -> int option
 
-val exact_bb : Graph.t -> p:int -> solution option
-(** Branch-and-bound with iterative deepening: same answers as {!exact},
-    usable on larger graphs. *)
-
-val optimum_bb : Graph.t -> p:int -> int option
 val greedy : Graph.t -> p:int -> solution option
 val is_solution : Graph.t -> p:int -> solution -> bool

@@ -249,3 +249,45 @@ let get_float = function
   | _ -> None
 
 let get_str = function Str s -> Some s | _ -> None
+
+let get_bool = function Bool b -> Some b | _ -> None
+let get_obj = function Obj fields -> Some fields | _ -> None
+
+let get_arr get = function
+  | Arr items ->
+      let got = List.filter_map get items in
+      if List.compare_lengths got items = 0 then Some got else None
+  | _ -> None
+
+let get_enum names v =
+  Option.bind (get_str v) (fun s -> List.assoc_opt s names)
+
+(* ---- reading documents --------------------------------------------------- *)
+
+(* The value an error names, cut short so a message stays one line. *)
+let describe v =
+  let s = to_string v in
+  if String.length s <= 64 then s else String.sub s 0 61 ^ "..."
+
+let field name get j =
+  match member name j with
+  | None -> Error (Printf.sprintf "missing field %S" name)
+  | Some v -> (
+      match get v with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "field %S is %s" name (describe v)))
+
+let optional name get j =
+  match member name j with
+  | None | Some Null -> Ok None
+  | Some _ -> Result.map Option.some (field name get j)
+
+let schema ~expected j =
+  match member "schema" j with
+  | Some (Str s) when String.equal s expected -> Ok ()
+  | None ->
+      Error (Printf.sprintf "missing field \"schema\" (expected %S)" expected)
+  | Some v ->
+      Error
+        (Printf.sprintf "unsupported schema %s (expected %S)" (describe v)
+           expected)

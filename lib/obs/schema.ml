@@ -117,43 +117,30 @@ let attr_of_json = function
   | Json.Bool b -> Some (Bool b)
   | Json.Arr _ | Json.Obj _ -> None
 
-let field j key get =
-  match Json.member key j with
-  | None -> Error (Printf.sprintf "missing field %S" key)
-  | Some v -> (
-      match get v with
-      | Some x -> Ok x
-      | None ->
-          Error (Printf.sprintf "field %S is %s" key (Json.to_string v)))
-
-let optional j key get =
-  match Json.member key j with
-  | None -> Ok None
-  | Some _ -> Result.map Option.some (field j key get)
-
-let attrs_of_json = function
-  | Json.Obj kvs ->
+let attrs_of_json v =
+  Option.bind (Json.get_obj v) (fun kvs ->
       List.fold_right
         (fun (k, v) acc ->
           Option.bind acc (fun rest ->
               Option.map (fun a -> (k, a) :: rest) (attr_of_json v)))
-        kvs (Some [])
-  | _ -> None
+        kvs (Some []))
 
 let span_of_json j =
-  let* id = field j "id" Json.get_int in
+  let* id = Json.field "id" Json.get_int j in
   let* parent =
-    field j "parent" (function
-      | Json.Null -> Some None
-      | v -> Option.map Option.some (Json.get_int v))
+    Json.field "parent"
+      (function
+        | Json.Null -> Some None
+        | v -> Option.map Option.some (Json.get_int v))
+      j
   in
-  let* name = field j "name" Json.get_str in
-  let* path = field j "path" Json.get_str in
-  let* depth = field j "depth" Json.get_int in
-  let* start_ns = field j "start_ns" Json.get_int in
-  let* dur_ns = field j "dur_ns" Json.get_int in
-  let* attrs = field j "attrs" attrs_of_json in
-  let* trace = optional j "trace" Json.get_str in
+  let* name = Json.field "name" Json.get_str j in
+  let* path = Json.field "path" Json.get_str j in
+  let* depth = Json.field "depth" Json.get_int j in
+  let* start_ns = Json.field "start_ns" Json.get_int j in
+  let* dur_ns = Json.field "dur_ns" Json.get_int j in
+  let* attrs = Json.field "attrs" attrs_of_json j in
+  let* trace = Json.optional "trace" Json.get_str j in
   if dur_ns < 0 then Error (Printf.sprintf "negative dur_ns %d" dur_ns)
   else
     Ok
@@ -170,48 +157,43 @@ let span_of_json j =
       }
 
 let meta_of_json j =
-  let* schema = field j "schema" Json.get_str in
-  let* clk = field j "clock" Json.get_str in
-  let* trace = optional j "trace" Json.get_str in
-  let* parent_span = optional j "parent_span" Json.get_int in
-  let* pid = optional j "pid" Json.get_int in
-  if schema <> trace_v2 then
-    Error
-      (Printf.sprintf "unsupported trace schema %S (expected %S)" schema
-         trace_v2)
-  else if clk <> clock then
+  let* () = Json.schema ~expected:trace_v2 j in
+  let* clk = Json.field "clock" Json.get_str j in
+  let* trace = Json.optional "trace" Json.get_str j in
+  let* parent_span = Json.optional "parent_span" Json.get_int j in
+  let* pid = Json.optional "pid" Json.get_int j in
+  if clk <> clock then
     Error (Printf.sprintf "unsupported clock %S (expected %S)" clk clock)
   else Ok (Meta { trace; parent_span; pid })
 
 let histogram_of_json j =
-  let* name = field j "name" Json.get_str in
-  let* h_count = field j "count" Json.get_int in
-  let* h_sum = field j "sum" get_float in
-  let* h_min = field j "min" get_float in
-  let* h_max = field j "max" get_float in
-  let* h_last = field j "last" get_float in
+  let* name = Json.field "name" Json.get_str j in
+  let* h_count = Json.field "count" Json.get_int j in
+  let* h_sum = Json.field "sum" get_float j in
+  let* h_min = Json.field "min" get_float j in
+  let* h_max = Json.field "max" get_float j in
+  let* h_last = Json.field "last" get_float j in
   Ok (Histogram { name; stat = { h_count; h_sum; h_min; h_max; h_last } })
 
 let of_json j =
-  match j with
-  | Json.Obj fields -> (
-      match Json.member "type" j with
-      | Some (Json.Str "meta") -> meta_of_json j
-      | Some (Json.Str "span") -> Result.map (fun s -> Span s) (span_of_json j)
-      | Some (Json.Str "counter") ->
-          let* name = field j "name" Json.get_str in
-          let* value = field j "value" Json.get_int in
-          Ok (Counter { name; value })
-      | Some (Json.Str "gauge") ->
-          let* name = field j "name" Json.get_str in
-          let* value = field j "value" get_float in
-          Ok (Gauge { name; value })
-      | Some (Json.Str "histogram") -> histogram_of_json j
-      | Some (Json.Str "provenance") ->
-          Ok (Provenance (List.filter (fun (k, _) -> k <> "type") fields))
-      | Some (Json.Str other) ->
-          Error (Printf.sprintf "unknown record type %S" other)
-      | Some _ | None -> Error "record without a string \"type\"")
-  | _ -> Error "record is not a JSON object"
+  let* fields =
+    Option.to_result ~none:"record is not a JSON object" (Json.get_obj j)
+  in
+  let* ty = Json.field "type" Json.get_str j in
+  match ty with
+  | "meta" -> meta_of_json j
+  | "span" -> Result.map (fun s -> Span s) (span_of_json j)
+  | "counter" ->
+      let* name = Json.field "name" Json.get_str j in
+      let* value = Json.field "value" Json.get_int j in
+      Ok (Counter { name; value })
+  | "gauge" ->
+      let* name = Json.field "name" Json.get_str j in
+      let* value = Json.field "value" get_float j in
+      Ok (Gauge { name; value })
+  | "histogram" -> histogram_of_json j
+  | "provenance" ->
+      Ok (Provenance (List.filter (fun (k, _) -> k <> "type") fields))
+  | other -> Error (Printf.sprintf "unknown record type %S" other)
 
 let of_line line = Result.bind (Json.parse line) of_json

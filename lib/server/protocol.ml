@@ -20,44 +20,27 @@ let max_frame_bytes = 4 * 1024 * 1024
 
 type job_state = Queued | Running | Done_state | Unknown
 
-let job_state_name = function
-  | Queued -> "queued"
-  | Running -> "running"
-  | Done_state -> "done"
-  | Unknown -> "unknown"
-
-let job_state_of_name = function
-  | "queued" -> Some Queued
-  | "running" -> Some Running
-  | "done" -> Some Done_state
-  | "unknown" -> Some Unknown
-  | _ -> None
+let job_states =
+  [
+    ("queued", Queued); ("running", Running); ("done", Done_state);
+    ("unknown", Unknown);
+  ]
 
 type busy_reason = Queue_full | Client_limit | Draining
 
-let busy_reason_name = function
-  | Queue_full -> "queue_full"
-  | Client_limit -> "client_limit"
-  | Draining -> "draining"
-
-let busy_reason_of_name = function
-  | "queue_full" -> Some Queue_full
-  | "client_limit" -> Some Client_limit
-  | "draining" -> Some Draining
-  | _ -> None
+let busy_reasons =
+  [
+    ("queue_full", Queue_full); ("client_limit", Client_limit);
+    ("draining", Draining);
+  ]
 
 type source = Cache | Solve | Collapsed
 
-let source_name = function
-  | Cache -> "cache"
-  | Solve -> "solve"
-  | Collapsed -> "collapsed"
+let sources = [ ("cache", Cache); ("solve", Solve); ("collapsed", Collapsed) ]
 
-let source_of_name = function
-  | "cache" -> Some Cache
-  | "solve" -> Some Solve
-  | "collapsed" -> Some Collapsed
-  | _ -> None
+let name_of names v = fst (List.find (fun (_, x) -> x = v) names)
+let busy_reason_name = name_of busy_reasons
+let source_name = name_of sources
 
 type request =
   | Submit of { id : int; job : Engine.Spec.job }
@@ -123,7 +106,7 @@ let response_to_json = function
            [
              [
                ("id", Obs.Json.Int id);
-               ("state", Obs.Json.Str (job_state_name state));
+               ("state", Obs.Json.Str (name_of job_states state));
              ];
              (match position with
              | Some p -> [ ("position", Obs.Json.Int p) ]
@@ -149,89 +132,63 @@ let response_to_json = function
 
 (* ---- decoding ------------------------------------------------------------ *)
 
-let field name get j = Option.bind (Obs.Json.member name j) get
-let int_field name j = field name Obs.Json.get_int j
-let str_field name j = field name Obs.Json.get_str j
-
-let check_schema j =
-  match str_field "schema" j with
-  | Some s when String.equal s schema_version -> Ok ()
-  | Some s -> Error (Printf.sprintf "unsupported frame schema %s" s)
-  | None -> Error "frame has no schema tag"
-
-let with_id j k =
-  match int_field "id" j with
-  | Some id -> k id
-  | None -> Error "frame has no id"
+let ( let* ) = Result.bind
 
 let request_of_json j =
-  match check_schema j with
-  | Error _ as e -> e
-  | Ok () -> (
-      match str_field "type" j with
-      | None -> Error "frame has no type"
-      | Some "submit" ->
-          with_id j (fun id ->
-              match Obs.Json.member "job" j with
-              | None -> Error "submit frame has no job"
-              | Some job_json -> (
-                  match Engine.Spec.of_json job_json with
-                  | Ok job -> Ok (Submit { id; job })
-                  | Error e -> Error (Printf.sprintf "submit job: %s" e)))
-      | Some "status" -> with_id j (fun id -> Ok (Status { id }))
-      | Some "result" -> with_id j (fun id -> Ok (Result { id }))
-      | Some "cancel" -> with_id j (fun id -> Ok (Cancel { id }))
-      | Some "stats" -> Ok Stats
-      | Some "shutdown" -> Ok Shutdown
-      | Some t -> Error (Printf.sprintf "unknown request type %s" t))
+  let open Obs.Json in
+  let* () = schema ~expected:schema_version j in
+  let* typ = field "type" get_str j in
+  let id = field "id" get_int j in
+  match typ with
+  | "submit" ->
+      let* id = id in
+      let* job = field "job" Option.some j in
+      let* job =
+        Result.map_error (( ^ ) "submit job: ") (Engine.Spec.of_json job)
+      in
+      Ok (Submit { id; job })
+  | "status" -> Result.map (fun id -> Status { id }) id
+  | "result" -> Result.map (fun id -> Result { id }) id
+  | "cancel" -> Result.map (fun id -> Cancel { id }) id
+  | "stats" -> Ok Stats
+  | "shutdown" -> Ok Shutdown
+  | t -> Error (Printf.sprintf "unknown request type %s" t)
 
 let response_of_json j =
-  match check_schema j with
-  | Error _ as e -> e
-  | Ok () -> (
-      match str_field "type" j with
-      | None -> Error "frame has no type"
-      | Some "ack" ->
-          with_id j (fun id ->
-              match (str_field "fingerprint" j, int_field "position" j) with
-              | Some fingerprint, Some position ->
-                  Ok (Ack { id; fingerprint; position })
-              | _ -> Error "ack frame missing fingerprint/position")
-      | Some "busy" ->
-          with_id j (fun id ->
-              match
-                ( Option.bind (str_field "reason" j) busy_reason_of_name,
-                  int_field "queue_depth" j )
-              with
-              | Some reason, Some queue_depth ->
-                  Ok (Busy { id; reason; queue_depth })
-              | _ -> Error "busy frame missing reason/queue_depth")
-      | Some "info" ->
-          with_id j (fun id ->
-              match Option.bind (str_field "state" j) job_state_of_name with
-              | Some state ->
-                  Ok (Info { id; state; position = int_field "position" j })
-              | None -> Error "info frame has a bad state")
-      | Some "result" ->
-          with_id j (fun id ->
-              match
-                ( Option.bind (str_field "source" j) source_of_name,
-                  Obs.Json.member "record" j )
-              with
-              | Some source, Some record ->
-                  Ok (Result_frame { id; source; record })
-              | _ -> Error "result frame missing source/record")
-      | Some "cancelled" -> with_id j (fun id -> Ok (Cancelled { id }))
-      | Some "stats" -> (
-          match Obs.Json.member "stats" j with
-          | Some body -> Ok (Stats_frame body)
-          | None -> Error "stats frame has no body")
-      | Some "error" ->
-          (match str_field "message" j with
-          | Some message -> Ok (Error_frame { id = int_field "id" j; message })
-          | None -> Error "error frame has no message")
-      | Some "bye" -> Ok Bye
-      | Some t -> Error (Printf.sprintf "unknown response type %s" t))
+  let open Obs.Json in
+  let* () = schema ~expected:schema_version j in
+  let* typ = field "type" get_str j in
+  let id = field "id" get_int j in
+  match typ with
+  | "ack" ->
+      let* id = id in
+      let* fingerprint = field "fingerprint" get_str j in
+      let* position = field "position" get_int j in
+      Ok (Ack { id; fingerprint; position })
+  | "busy" ->
+      let* id = id in
+      let* reason = field "reason" (get_enum busy_reasons) j in
+      let* queue_depth = field "queue_depth" get_int j in
+      Ok (Busy { id; reason; queue_depth })
+  | "info" ->
+      let* id = id in
+      let* state = field "state" (get_enum job_states) j in
+      let* position = optional "position" get_int j in
+      Ok (Info { id; state; position })
+  | "result" ->
+      let* id = id in
+      let* source = field "source" (get_enum sources) j in
+      let* record = field "record" Option.some j in
+      Ok (Result_frame { id; source; record })
+  | "cancelled" -> Result.map (fun id -> Cancelled { id }) id
+  | "stats" ->
+      Result.map (fun body -> Stats_frame body) (field "stats" Option.some j)
+  | "error" ->
+      let* id = optional "id" get_int j in
+      let* message = field "message" get_str j in
+      Ok (Error_frame { id; message })
+  | "bye" -> Ok Bye
+  | t -> Error (Printf.sprintf "unknown response type %s" t)
 
 (* ---- framing ------------------------------------------------------------- *)
 
@@ -242,39 +199,54 @@ let encode json =
 (* Incremental frame reader: feed it raw socket bytes, pull out parsed
    JSON documents.  A protocol violation (bad length line, oversized
    frame, unparsable JSON) poisons the decoder — the connection is not
-   recoverable past a framing error, because byte boundaries are lost. *)
+   recoverable past a framing error, because byte boundaries are lost.
+
+   Decoding is linear in the bytes fed: frames are read at an offset
+   into the buffer, which drops its consumed prefix only once that
+   prefix is more than half of it, and decoded documents wait in a
+   FIFO. *)
 type decoder = {
   d_buf : Buffer.t;
+  mutable d_pos : int;  (* bytes of [d_buf] already consumed *)
   mutable d_want : int option;  (* the announced body length, once read *)
-  mutable d_ready : Obs.Json.t list;  (* decoded, oldest first (reversed) *)
+  d_ready : Obs.Json.t Queue.t;  (* decoded, oldest first *)
   mutable d_error : string option;
 }
 
 let decoder () =
-  { d_buf = Buffer.create 4096; d_want = None; d_ready = []; d_error = None }
+  {
+    d_buf = Buffer.create 4096;
+    d_pos = 0;
+    d_want = None;
+    d_ready = Queue.create ();
+    d_error = None;
+  }
 
 let decoder_error d = d.d_error
 
-(* Consume [n] bytes off the front of the buffer. *)
-let consume d n =
-  let all = Buffer.contents d.d_buf in
-  Buffer.clear d.d_buf;
-  Buffer.add_substring d.d_buf all n (String.length all - n)
+(* The offset of the first newline at or after [d_pos], if any. *)
+let newline d =
+  let len = Buffer.length d.d_buf in
+  let rec go i =
+    if i >= len then None
+    else if Buffer.nth d.d_buf i = '\n' then Some i
+    else go (i + 1)
+  in
+  go d.d_pos
 
 let rec pump d =
   if d.d_error = None then
+    let avail = Buffer.length d.d_buf - d.d_pos in
     match d.d_want with
     | None -> (
-        let all = Buffer.contents d.d_buf in
-        match String.index_opt all '\n' with
+        match newline d with
         | None ->
-            if String.length all > 20 then
-              d.d_error <- Some "length line too long"
+            if avail > 20 then d.d_error <- Some "length line too long"
         | Some nl -> (
-            let line = String.sub all 0 nl in
+            let line = Buffer.sub d.d_buf d.d_pos (nl - d.d_pos) in
             match int_of_string_opt (String.trim line) with
             | Some n when n > 0 && n <= max_frame_bytes ->
-                consume d (nl + 1);
+                d.d_pos <- nl + 1;
                 d.d_want <- Some n;
                 pump d
             | Some n ->
@@ -284,25 +256,27 @@ let rec pump d =
                 d.d_error <-
                   Some (Printf.sprintf "bad frame length line %S" line)))
     | Some want ->
-        if Buffer.length d.d_buf >= want then begin
-          let body = Buffer.sub d.d_buf 0 want in
-          consume d want;
+        if avail >= want then begin
+          let body = Buffer.sub d.d_buf d.d_pos want in
+          d.d_pos <- d.d_pos + want;
           d.d_want <- None;
           (match Obs.Json.parse (String.trim body) with
-          | Ok json -> d.d_ready <- json :: d.d_ready
+          | Ok json -> Queue.push json d.d_ready
           | Error e -> d.d_error <- Some (Printf.sprintf "frame body: %s" e));
           pump d
         end
 
 let feed d bytes =
   if d.d_error = None then begin
+    let len = Buffer.length d.d_buf in
+    if d.d_pos > len / 2 then begin
+      let rest = Buffer.sub d.d_buf d.d_pos (len - d.d_pos) in
+      Buffer.clear d.d_buf;
+      Buffer.add_string d.d_buf rest;
+      d.d_pos <- 0
+    end;
     Buffer.add_string d.d_buf bytes;
     pump d
   end
 
-let next d =
-  match List.rev d.d_ready with
-  | [] -> None
-  | oldest :: rest ->
-      d.d_ready <- List.rev rest;
-      Some oldest
+let next d = Queue.take_opt d.d_ready

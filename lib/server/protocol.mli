@@ -6,7 +6,8 @@
     [("schema", "hypartition-serve/1")].
 
     Decoding is total: malformed frames are [Error]s the daemon answers
-    with {!Error_frame}, never exceptions. *)
+    with {!Error_frame}, never exceptions.  A field of the wrong type is
+    an [Error] naming it, and [null] reads as absent. *)
 
 val schema_version : string
 (** ["hypartition-serve/1"]. *)
@@ -77,7 +78,10 @@ type decoder
     are lost, so the connection must be dropped. *)
 
 val decoder : unit -> decoder
+
 val feed : decoder -> string -> unit
+(** Decode every frame the bytes complete; linear in the bytes fed. *)
+
 val next : decoder -> Obs.Json.t option
 (** Oldest complete frame not yet returned, if any. *)
 

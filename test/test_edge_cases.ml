@@ -303,6 +303,35 @@ let test_partition_infinite_eps () =
   Alcotest.check_raises "NaN capacity" (Invalid_argument "Part.capacity: eps is NaN")
     (fun () -> ignore (P.capacity ~eps:nan ~total_weight:10 ~k:2 ()))
 
+(* The audit clamps its capacity to W as Part.capacity does, so an
+   infinite or huge eps accepts a balanced partition; and a job at
+   eps = inf, whose record writes eps as null, comes back from the
+   cache. *)
+let test_audit_infinite_eps () =
+  let parts = Filename.temp_file "halves" ".parts" in
+  Out_channel.with_open_text parts (fun oc ->
+      for v = 0 to 23 do
+        output_string oc (if v < 12 then "0\n" else "1\n")
+      done);
+  List.iter
+    (fun eps ->
+      let code, _, _ = run_cli [ "check"; small_random (); parts; "--eps"; eps ] in
+      Alcotest.(check int) ("check --eps " ^ eps) 0 code)
+    [ "inf"; "1e300" ];
+  Sys.remove parts;
+  let cache = Filename.temp_file "cache" "" in
+  Sys.remove cache;
+  let batch () =
+    run_cli [ "batch"; "--eps"; "inf"; "--cache-dir"; cache; small_random () ]
+  in
+  let code, _, _ = batch () in
+  Alcotest.(check int) "first pass ok" 0 code;
+  let code, out, _ = batch () in
+  Alcotest.(check int) "second pass ok" 0 code;
+  Alcotest.(check bool) "second pass is one hit, none corrupt" true
+    (List.mem "cache : 1 hits, 0 misses, 0 stores, 0 corrupt"
+       (String.split_on_char '\n' out))
+
 let test_generate_n_zero () =
   let out = Filename.concat (Filename.get_temp_dir_name ()) "never-written.hgr" in
   rejects_argument
@@ -350,5 +379,7 @@ let suite =
       test_hierarchical_nan_eps;
     Alcotest.test_case "partition at eps = inf refines" `Quick
       test_partition_infinite_eps;
+    Alcotest.test_case "check and batch at eps = inf" `Quick
+      test_audit_infinite_eps;
     Alcotest.test_case "generate rejects n = 0" `Quick test_generate_n_zero;
   ]

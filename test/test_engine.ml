@@ -22,6 +22,11 @@ let gen_job ?(k = 2) ?(seed = 1) ?(n = 40) ?timeout_s () =
     timeout_s;
   }
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let fingerprint_exn job =
   match E.Spec.fingerprint ~schema:E.Record.schema_version job with
   | Ok fp -> fp
@@ -93,6 +98,9 @@ let test_spec_roundtrip () =
       { (gen_job ()) with E.Spec.instance = E.Spec.Experiment "E3" };
       { (gen_job ()) with E.Spec.instance = E.Spec.Spin 1.5 };
       { (gen_job ()) with E.Spec.instance = E.Spec.Crash 66 };
+      (* The writer renders eps = inf as null, the value it reads back. *)
+      { (gen_job ()) with
+        E.Spec.config = { E.Spec.default_config with E.Spec.eps = infinity } };
     ]
   in
   List.iter
@@ -104,9 +112,26 @@ let test_spec_roundtrip () =
           Alcotest.(check bool) "identical" true (job = job')
       | Error e -> Alcotest.failf "spec roundtrip failed: %s" e)
     jobs;
-  match E.Spec.of_json (Obs.Json.Str "nope") with
+  (match E.Spec.of_json (Obs.Json.Str "nope") with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed spec JSON must not decode"
+  | Ok _ -> Alcotest.fail "malformed spec JSON must not decode");
+  (* A mistyped timeout is an error naming it, not a missing budget; a
+     null one is no budget. *)
+  let with_timeout v =
+    match E.Spec.to_json (gen_job ()) with
+    | Obs.Json.Obj fields -> Obs.Json.Obj (fields @ [ ("timeout_s", v) ])
+    | other -> other
+  in
+  (match E.Spec.of_json (with_timeout (Obs.Json.Str "1")) with
+  | Error e ->
+      Alcotest.(check bool) "names timeout_s" true
+        (contains e "\"timeout_s\"")
+  | Ok _ -> Alcotest.fail "\"timeout_s\": \"1\" must not decode");
+  match E.Spec.of_json (with_timeout Obs.Json.Null) with
+  | Ok job ->
+      Alcotest.(check (option (float 0.0))) "null timeout" None
+        job.E.Spec.timeout_s
+  | Error e -> Alcotest.failf "\"timeout_s\": null rejected: %s" e
 
 let test_record_roundtrip () =
   let record =
@@ -295,7 +320,28 @@ let test_manifest_errors () =
   expect "invalid job shape"
     {|{ "schema": "hypartition-manifest/1",
         "defaults": { "k": 0 },
-        "instances": [ { "generate": "uniform", "n": 4 } ] }|}
+        "instances": [ { "generate": "uniform", "n": 4 } ] }|};
+  (* A field of the wrong type is an error naming it, never the default
+     it would otherwise fall back to. *)
+  let mistyped ~field sweep =
+    let text =
+      Printf.sprintf
+        {|{ "schema": "hypartition-manifest/1", %s,
+            "instances": [ { "generate": "uniform", "n": 4 } ] }|}
+        sweep
+    in
+    match E.Manifest.of_string ~known_experiments:[ "E1" ] text with
+    | Error e ->
+        if not (contains e (Printf.sprintf "%S" field)) then
+          Alcotest.failf "%s: error %S does not name %S" sweep e field
+    | Ok _ -> Alcotest.failf "%s: manifest unexpectedly parsed" sweep
+  in
+  mistyped ~field:"k" {|"defaults": { "k": "8" }|};
+  mistyped ~field:"eps" {|"defaults": { "eps": "0.5" }|};
+  mistyped ~field:"seed" {|"defaults": { "seed": "7" }|};
+  mistyped ~field:"timeout_s" {|"defaults": { "timeout_s": "1" }|};
+  mistyped ~field:"k" {|"configs": [ { "k": 2.5 } ]|};
+  mistyped ~field:"algorithm" {|"configs": [ { "algorithm": 3 } ]|}
 
 (* A generated job is sized by its n alone, so validation bounds it by
    the node limit the file readers share. *)
@@ -980,11 +1026,6 @@ let test_trace_structure_across_parallelism () =
   let parallel = traced 8 in
   (* engine.job spans carry the job fingerprint as their trace id, and
      the workers' solver spans (multilevel etc.) sit underneath them. *)
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "job spans carry trace ids" true
     (contains serial "engine.job[");
   Alcotest.(check bool) "solver spans merged under the jobs" true

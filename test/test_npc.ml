@@ -63,25 +63,6 @@ let test_spes_greedy_feasible () =
       | _, None -> ()
   done
 
-let test_spes_bb_matches_enumeration () =
-  let rng = Support.Rng.create 61 in
-  for _ = 1 to 15 do
-    let g = G.random rng ~n:9 ~p:0.4 in
-    for p = 1 to min 5 (G.num_edges g) do
-      Alcotest.(check (option int))
-        (Fmt.str "B&B = enumeration (p = %d)" p)
-        (Npc.Spes.optimum g ~p)
-        (Npc.Spes.optimum_bb g ~p)
-    done
-  done;
-  (* A larger instance the enumeration could not touch comfortably. *)
-  let g = G.random rng ~n:24 ~p:0.3 in
-  (match Npc.Spes.exact_bb g ~p:6 with
-  | Some sol ->
-      Alcotest.(check bool) "B&B solution valid" true
-        (Npc.Spes.is_solution g ~p:6 sol)
-  | None -> Alcotest.(check bool) "few edges" true (G.num_edges g < 6))
-
 (* MpU ---------------------------------------------------------------------- *)
 
 let test_mpu_matches_spes_on_graphs () =
@@ -285,8 +266,6 @@ let suite =
     Alcotest.test_case "SpES triangle" `Quick test_spes_triangle;
     Alcotest.test_case "SpES on cliques" `Quick test_spes_clique_connection;
     Alcotest.test_case "SpES greedy" `Quick test_spes_greedy_feasible;
-    Alcotest.test_case "SpES B&B = enumeration" `Quick
-      test_spes_bb_matches_enumeration;
     Alcotest.test_case "MpU = SpES on graphs" `Quick
       test_mpu_matches_spes_on_graphs;
     Alcotest.test_case "MpU greedy" `Quick test_mpu_greedy;

@@ -570,6 +570,285 @@ let prop_restored_rows_exact =
           ignore (Solvers.Refine.refine ~config h (P.create ~k colors));
           true))
 
+(* Document readers ------------------------------------------------------------ *)
+
+(* One document of each kind the program reads, as its own writer
+   renders it (a manifest has no writer, so its document is written
+   here), with the reader that takes it back and what the undamaged
+   text must read as. *)
+type reader =
+  | Reader : {
+      name : string;
+      text : string;
+      read : string -> ('a, string) result;
+      written : 'a;
+    }
+      -> reader
+
+let from_json decode text = Result.bind (Obs.Json.parse text) decode
+
+let reader name to_json decode written =
+  Reader
+    { name; text = Obs.Json.to_string (to_json written);
+      read = from_json decode; written }
+
+let reader_job =
+  {
+    Engine.Spec.instance = Engine.Spec.Generated { kind = Planted; n = 40 };
+    config = { k = 3; eps = 0.1; algorithm = Fm; metric = P.Cut_net };
+    seed = 7;
+    timeout_s = Some 2.5;
+  }
+
+let reader_record status timing =
+  {
+    Engine.Record.fingerprint = Engine.Fingerprint.digest "reader";
+    job = reader_job;
+    status;
+    metrics = [ ("cost", Obs.Json.Int 12); ("ratio", Obs.Json.Float 0.25) ];
+    observed =
+      Some (Obs.Json.Obj [ ("counters", Obs.Json.Obj [ ("fm.moves", Obs.Json.Int 3) ]) ]);
+    timing;
+  }
+
+let reader_report =
+  let timed = { Engine.Record.wall_s = 0.5; attempts = 2; worker = 1; threads = 2 } in
+  {
+    Engine.Batch.outcomes =
+      [
+        { record = reader_record Done Engine.Record.no_timing; cached = true };
+        { record = reader_record (Timed_out 2.5) timed; cached = false };
+      ];
+    stats =
+      { total = 2; from_cache = 1; ok = 1; failed = 0; timeouts = 1;
+        crashes = 0; skipped = 0; retries = 1; cache = None };
+    wall_s = 1.5;
+  }
+
+let reader_manifest =
+  let open Obs.Json in
+  let text =
+    to_string
+      (Obj
+         [
+           ("schema", Str Engine.Manifest.schema_version);
+           ( "defaults",
+             Obj
+               [ ("k", Int 4); ("eps", Float 0.1); ("algorithm", Str "fm");
+                 ("metric", Str "cutnet"); ("seed", Int 3); ("timeout_s", Float 30.0) ] );
+           ( "instances",
+             Arr
+               [ Obj [ ("file", Str "a.hgr") ]; Obj [ ("dag", Str "b.dag") ];
+                 Obj [ ("generate", Str "planted"); ("n", Int 40) ];
+                 Obj [ ("experiment", Str "E1") ];
+                 Obj [ ("spin", Float 0.5); ("timeout_s", Float 1.0) ];
+                 Obj [ ("crash", Int 66) ] ] );
+           ( "configs",
+             Arr
+               [ Obj [ ("k", Int 2) ];
+                 Obj [ ("eps", Float 0.2); ("algorithm", Str "recursive");
+                       ("metric", Str "connectivity") ] ] );
+           ("seeds", Arr [ Int 1; Int 2 ]);
+         ])
+  in
+  let open Engine.Spec in
+  let base = { k = 4; eps = 0.1; algorithm = Fm; metric = P.Cut_net } in
+  let configs =
+    [ { base with k = 2 };
+      { base with eps = 0.2; algorithm = Recursive; metric = P.Connectivity } ]
+  in
+  let swept instance =
+    List.concat_map
+      (fun config ->
+        List.map (fun seed -> { instance; config; seed; timeout_s = Some 30.0 }) [ 1; 2 ])
+      configs
+  in
+  let pinned instance timeout_s =
+    { instance; config = default_config; seed = 0; timeout_s = Some timeout_s }
+  in
+  Reader
+    {
+      name = "manifest";
+      text;
+      read = Engine.Manifest.of_string ~known_experiments:[ "E1" ];
+      written =
+        swept (Hmetis_file "a.hgr") @ swept (Dag_file "b.dag")
+        @ swept (Generated { kind = Planted; n = 40 })
+        @ [ pinned (Experiment "E1") 30.0; pinned (Spin 0.5) 1.0; pinned (Crash 66) 30.0 ];
+    }
+
+(* A certificate over one solver entry point; it reads back as no DOM11
+   finding. *)
+let reader_certificate =
+  let open Analysis_dom in
+  let solver =
+    {
+      Front_typed.u_module = "Multilevel";
+      u_file = "lib/solvers/multilevel.ml";
+      u_has_mli = true;
+      u_globals = [];
+      u_funcs =
+        [ { f_module = "Multilevel"; f_name = "solve"; f_line = 1; f_refs = [];
+            f_ret_mentions = []; f_writes = []; f_local_mut = true } ];
+      u_escapes = [];
+      u_obs_emits = [];
+      u_random_uses = [];
+      u_aliases = [];
+    }
+  in
+  let effects = Effects.compute ~cg:(Callgraph.compute [ solver ]) [ solver ] in
+  Reader
+    {
+      name = "effects certificate";
+      text = Effects.certificate effects;
+      read =
+        (fun certificate ->
+          match
+            Effects.stale_findings ~certificate_path:"analysis/effects.json"
+              ~certificate effects
+          with
+          | [] -> Ok ()
+          | f :: _ -> Error f.Lint.Rules.message);
+      written = ();
+    }
+
+let readers =
+  let module Pr = Server.Protocol in
+  let module S = Obs.Schema in
+  let span =
+    { S.id = 5; parent = Some 2; name = "refine"; path = "multilevel/refine";
+      depth = 1; start_ns = 123L; dur_ns = 42L;
+      attrs = [ ("label", S.Str "x"); ("n", S.Int (-7)); ("ratio", S.Float 0.25);
+                ("ok", S.Bool true) ];
+      trace = Some "0123456789abcdef" }
+  in
+  [ reader "job" Engine.Spec.to_json Engine.Spec.of_json reader_job;
+    reader "record" (Engine.Record.to_json ~deterministic:false) Engine.Record.of_json
+      (reader_record (Failed "boom")
+         { wall_s = 0.25; attempts = 1; worker = 0; threads = 0 });
+    reader "payload" Engine.Record.payload_to_json Engine.Record.payload_of_json
+      { Engine.Record.p_status = `Failed "boom";
+        p_metrics = [ ("n", Obs.Json.Int 40) ];
+        p_observed = Some (Obs.Json.Obj []) };
+    reader "batch report"
+      (Engine.Batch.report_to_json ~deterministic:false ~jobs:1)
+      (fun j ->
+        Result.map
+          (fun outcomes -> { reader_report with outcomes })
+          (Engine.Batch.check_report j))
+      reader_report;
+    reader_manifest;
+    reader_certificate ]
+  @ List.map
+      (fun r -> reader "request" Pr.request_to_json Pr.request_of_json r)
+      [ Pr.Submit { id = 3; job = reader_job }; Pr.Status { id = 1 };
+        Pr.Result { id = 2 }; Pr.Cancel { id = 4 }; Pr.Stats; Pr.Shutdown ]
+  @ List.map
+      (fun r -> reader "response" Pr.response_to_json Pr.response_of_json r)
+      [ Pr.Ack { id = 1; fingerprint = "ab12"; position = 2 };
+        Pr.Busy { id = 2; reason = Pr.Queue_full; queue_depth = 64 };
+        Pr.Info { id = 5; state = Pr.Queued; position = Some 3 };
+        Pr.Info { id = 6; state = Pr.Running; position = None };
+        Pr.Result_frame
+          { id = 7; source = Pr.Collapsed;
+            record = Engine.Record.to_json (reader_record Done Engine.Record.no_timing) };
+        Pr.Cancelled { id = 8 };
+        Pr.Stats_frame (Obs.Json.Obj [ ("uptime_s", Obs.Json.Float 1.0) ]);
+        Pr.Error_frame { id = Some 9; message = "nope" };
+        Pr.Error_frame { id = None; message = "bad frame" };
+        Pr.Bye ]
+  @ List.map
+      (fun r -> reader "trace/2 record" S.to_json S.of_json r)
+      [ S.Meta { trace = Some "fp-1"; parent_span = Some 7; pid = Some 4242 };
+        S.Span span;
+        S.Counter { name = "fm.moves"; value = 17 };
+        S.Gauge { name = "gc.heap_words"; value = 4096.0 };
+        S.Histogram
+          { name = "cost"; stat = { h_count = 3; h_sum = 10.5; h_min = 1.0;
+                                    h_max = 6.25; h_last = 3.25 } };
+        S.Provenance [ ("hostname", Obs.Json.Str "h"); ("workers", Obs.Json.Int 2) ] ]
+
+(* The nodes of a document in pre-order. *)
+let rec json_nodes = function
+  | Obs.Json.Arr items -> 1 + List.fold_left (fun n v -> n + json_nodes v) 0 items
+  | Obs.Json.Obj fields ->
+      1 + List.fold_left (fun n (_, v) -> n + json_nodes v) 0 fields
+  | _ -> 1
+
+(* [j] with its [n]-th node in pre-order replaced by what [f] makes of
+   it; [None] drops the node from its object or array. *)
+let edit_node n f j =
+  let next = ref 0 in
+  let rec go v =
+    let here = !next in
+    incr next;
+    if here = n then f v
+    else
+      match v with
+      | Obs.Json.Arr items -> Some (Obs.Json.Arr (List.filter_map go items))
+      | Obs.Json.Obj fields ->
+          Some
+            (Obs.Json.Obj
+               (List.filter_map
+                  (fun (k, x) -> Option.map (fun x -> (k, x)) (go x))
+                  fields))
+      | leaf -> Some leaf
+  in
+  Option.value ~default:Obs.Json.Null (go j)
+
+let json_kinds =
+  Obs.Json.[ Null; Bool false; Int 3; Float 0.5; Str "x"; Arr []; Obj [] ]
+
+let same_kind a b =
+  match (a, b) with
+  | Obs.Json.Null, Obs.Json.Null
+  | Bool _, Bool _ | Int _, Int _ | Float _, Float _ | Str _, Str _
+  | Arr _, Arr _ | Obj _, Obj _ ->
+      true
+  | _ -> false
+
+(* Each reader takes back what its writer wrote, and reads a damaged
+   document (a field or element dropped, a value replaced by every
+   other JSON kind, the text cut at a byte, the document wrapped in an
+   array) to a result, never an exception. *)
+let prop_readers_total =
+  QCheck.Test.make ~name:"every JSON reader is total" ~count:1000
+    QCheck.(
+      triple (int_bound (List.length readers - 1)) (int_bound 3)
+        (int_bound 1_000_000))
+    (fun (which, damage, at) ->
+      let (Reader r) = List.nth readers which in
+      (match r.read r.text with
+      | Ok v when v = r.written -> ()
+      | Ok _ -> QCheck.Test.fail_reportf "%s: read back differs" r.name
+      | Error e -> QCheck.Test.fail_reportf "%s: rejected: %s" r.name e);
+      let doc =
+        match Obs.Json.parse r.text with
+        | Ok doc -> doc
+        | Error e -> QCheck.Test.fail_reportf "%s: %s" r.name e
+      in
+      let nodes = json_nodes doc in
+      let damaged =
+        match damage with
+        | 0 when nodes > 1 ->
+            [ edit_node (1 + (at mod (nodes - 1))) (fun _ -> None) doc ]
+        | 1 ->
+            List.map
+              (fun kind ->
+                edit_node (at mod nodes)
+                  (fun v -> Some (if same_kind v kind then v else kind))
+                  doc)
+              json_kinds
+        | 3 -> [ Obs.Json.Arr [ doc ] ]
+        | _ -> []
+      in
+      let texts =
+        if damage = 2 then [ String.sub r.text 0 (at mod String.length r.text) ]
+        else List.map Obs.Json.to_string damaged
+      in
+      List.iter (fun text -> ignore (r.read text : (_, string) result)) texts;
+      true)
+
 let suite =
   List.map (fun t -> QCheck_alcotest.to_alcotest t)
     [
@@ -590,4 +869,5 @@ let suite =
       prop_mu_p_dominates_mu;
       prop_eps_reduction_preserves_optimum;
       prop_hierarchical_cost_bounds;
+      prop_readers_total;
     ]

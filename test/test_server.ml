@@ -146,6 +146,37 @@ let test_protocol_decoder () =
   Alcotest.(check bool) "unparsable body poisons" true
     (S.Protocol.decoder_error d <> None)
 
+(* Decoding is linear in the bytes fed: 16,000 pipelined frames in one
+   feed come back in order well within a second (a decoder that copies
+   its buffer per frame takes several). *)
+let test_protocol_decoder_pipelined () =
+  let n = 16_000 in
+  let wire =
+    String.concat ""
+      (List.init n (fun id ->
+           S.Protocol.encode (S.Protocol.request_to_json (S.Protocol.Status { id }))))
+  in
+  let d = S.Protocol.decoder () in
+  let start = Unix.gettimeofday () in
+  S.Protocol.feed d wire;
+  let rec drain acc =
+    match S.Protocol.next d with
+    | Some j -> drain (j :: acc)
+    | None -> List.rev acc
+  in
+  let frames = drain [] in
+  let elapsed = Unix.gettimeofday () -. start in
+  Alcotest.(check bool) "no decoder error" true (S.Protocol.decoder_error d = None);
+  Alcotest.(check (list int)) "every frame, in order" (List.init n Fun.id)
+    (List.map
+       (fun j ->
+         match S.Protocol.request_of_json j with
+         | Ok (S.Protocol.Status { id }) -> id
+         | _ -> -1)
+       frames);
+  if elapsed >= 1.0 then
+    Alcotest.failf "decoding %d frames took %.2f s" n elapsed
+
 (* ---- admission control --------------------------------------------------- *)
 
 let test_admission () =
@@ -790,6 +821,8 @@ let suite =
     Alcotest.test_case "protocol frames roundtrip" `Quick
       test_protocol_roundtrip;
     Alcotest.test_case "protocol decoder framing" `Quick test_protocol_decoder;
+    Alcotest.test_case "protocol decoder is linear" `Quick
+      test_protocol_decoder_pipelined;
     Alcotest.test_case "admission control limits" `Quick test_admission;
     Alcotest.test_case "hot-instance LRU" `Quick test_instances_lru;
     Alcotest.test_case "SLO accounting" `Quick test_slo;
